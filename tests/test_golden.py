@@ -6,6 +6,11 @@ recorded from the per-trial ``SeededRng.child(arm, t).generator()`` draw path,
 so any faster draw path must reproduce them exactly.  One case spans several
 trial chunks and is replayed with ``--workers 2``; one scan uses a master seed
 of 2**32 or more, which numpy's SeedSequence splits into two uint32 words.
+
+The ``risk`` maximum test on matchings, the ``scan`` likelihood-ratio test on
+spanning trees and ``emax`` on matchings were recorded from the enumeration and
+Hungarian-solver kernels, so the subset-DP and matrix-tree kernels that replace
+them must reproduce those bytes too.
 """
 
 import pytest
@@ -159,6 +164,36 @@ GOLDEN = {
         '  "schema": "combidetect.scan.v1",\n'
         '  "version": "0.1.0"\n'
         '}\n',
+    ),
+    'risk-matchings-maximum': (
+        'risk --class matchings --m 6 --test maximum --mu 1.0 --mu 2.0 --trials 400 --seed 31',
+        '#schema=combidetect.risk.v1\n'
+        '#version=0.1.0\n'
+        '#config={"class":"matchings","command":"risk","emax0":8.88543834282368,"m":6,"mu":[1.0,2.0],"seed":31,"test":"maximum","trials":400}\n'
+        'mu,type1,se1,type2,se2,total,se_total,trials\n'
+        '1,0.20000000000000001,0.02,0.32750000000000001,0.023465067121148406,0.52750000000000008,0.030831953797967458,400\n'
+        '2,0.0025000000000000001,0.0024968730444297725,0.19500000000000001,0.01981003533565753,0.19750000000000001,0.019966769267961204,400\n',
+    ),
+    'scan-trees-optimal': (
+        'scan --class trees --m 6 --test optimal --mu-grid 0.4:2.0:3 --trials 200 --seed 37',
+        '#schema=combidetect.scan.v1\n'
+        '#version=0.1.0\n'
+        '#config={"class":"trees","command":"scan","m":6,"mu_grid":"0.4:2.0:3","seed":37,"test":"optimal","trials":200}\n'
+        'mu,type1,se1,type2,se2,total,se_total,trials\n'
+        '0.40000000000000002,0.38500000000000001,0.034407484650872115,0.40999999999999998,0.034777866524558401,0.79499999999999993,0.048922132005872351,200\n'
+        '1.2000000000000002,0.16,0.025922962793631439,0.17499999999999999,0.026867731575255845,0.33499999999999996,0.037334635393960924,200\n'
+        '2,0.059999999999999998,0.016792855623746664,0.050000000000000003,0.015411035007422441,0.11,0.022792542640082961,200\n'
+        '#critical_mu=0.91304347826086951\n',
+    ),
+    'emax-matchings': (
+        'emax --class matchings --m 5 --trials 500 --seed 41',
+        '#schema=combidetect.emax.v1\n'
+        '#version=0.1.0\n'
+        '#config={"class":"matchings","command":"emax","m":5,"seed":41,"trials":500}\n'
+        'key,value\n'
+        'emax0,4.7174239827088691\n'
+        'se,0.065906730166940639\n'
+        'gaussian_cap,6.9191702846382137\n',
     ),
 }
 
