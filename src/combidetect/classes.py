@@ -6,6 +6,13 @@ enumeration under a cap, an exact maximum-weight member, and the batch hooks
 the risk estimators run on.  Graph families live on the complete graph K_m
 (edges numbered lexicographically by endpoint pair, 1-based) or on the
 complete bipartite graph K_{m,m} (edge (i, j) numbered (i-1)m + j).
+
+The batch hooks enumerate members by default.  Families with an exact
+structured kernel override them: an elementary-symmetric-polynomial DP for
+k-sets, a subset DP over column masks for matchings (one recurrence in the
+(logaddexp, +) and (max, +) semirings), and a log-domain matrix-tree
+elimination for spanning trees.  Enumeration stays the reference they are
+tested against.
 """
 
 from __future__ import annotations
@@ -31,6 +38,19 @@ from .core import (
 
 #: soft ceiling on elements touched per member-sum block, keeps temporaries small
 _BLOCK_BUDGET = 8_000_000
+
+
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(a))) along ``axis`` for finite ``a``, shifted by the max."""
+    top = a.max(axis=axis)
+    return top + np.log(np.exp(a - np.expand_dims(top, axis)).sum(axis=axis))
+
+
+def _row_blocks(rows: int, width: int) -> Iterator[slice]:
+    """Slices of ``rows`` that keep rows x width under the block budget."""
+    step = max(1, _BLOCK_BUDGET // max(1, width))
+    for lo in range(0, rows, step):
+        yield slice(lo, min(lo + step, rows))
 
 
 def complete_graph_edges(m: int) -> np.ndarray:
@@ -366,8 +386,86 @@ class PerfectMatchings(SetClass):
         ids = np.arange(self.m) * self.m + sigma
         return IndexSet(tuple(int(e) + 1 for e in ids), self.n), value
 
+    # -- subset DP over column masks -----------------------------------
+
+    def _dp_fits(self, cap: int | None) -> bool:
+        # the DP holds 2^m mask states, which the enumeration cap also bounds
+        return 1 << self.m <= (DEFAULT_ENUMERATION_CAP if cap is None else int(cap))
+
+    def _mask_layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(src, col) for each row i: the masks of i+1 columns, in ascending
+        order, each reached from the mask without its column col[t, r], at
+        position src[t, r] of the previous layer."""
+        layers = getattr(self, "_layer_cache", None)
+        if layers is None:
+            m = self.m
+            masks = np.arange(1 << m)
+            bits = (masks[:, None] >> np.arange(m)) & 1
+            pop = bits.sum(axis=1)
+            pos = np.empty(1 << m, dtype=np.intp)
+            for k in range(m + 1):
+                pos[pop == k] = np.arange(math.comb(m, k))
+            layers = []
+            for k in range(1, m + 1):
+                layer = masks[pop == k]
+                col = np.nonzero(bits[layer])[1].reshape(-1, k)
+                layers.append((pos[layer[:, None] ^ (1 << col)], col))
+            self._layer_cache = layers
+        return layers
+
+    def _subset_dp(self, W: np.ndarray, tropical: bool) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Fold the rows of each (m, m) weight matrix into column masks.
+
+        ``tropical`` False is the (logaddexp, +) semiring, whose full-mask
+        value is log perm(exp W); True is (max, +), which also returns the
+        argmax position of every state for backtracking.
+        """
+        value = np.zeros((W.shape[0], 1))
+        argmax = []
+        for i, (src, col) in enumerate(self._mask_layers()):
+            cand = value[:, src] + W[:, i][:, col]
+            if tropical:
+                arg = cand.argmax(axis=2)
+                value = np.take_along_axis(cand, arg[:, :, None], axis=2)[:, :, 0]
+                argmax.append(arg)
+            else:
+                value = _logsumexp(cand, axis=2)
+        return value[:, 0], argmax
+
+    def _dp_width(self) -> int:
+        # widest candidate block of one row: (m choose k) masks x k columns
+        return max(k * math.comb(self.m, k) for k in range(1, self.m + 1))
+
     def max_values_batch(self, X, cap=None):
-        return np.array([assignment_value(self._weight_matrix(row)) for row in X])
+        if not self._dp_fits(cap):
+            return np.array([assignment_value(self._weight_matrix(row)) for row in X])
+        m = self.m
+        layers = self._mask_layers()
+        out = np.empty(X.shape[0])
+        for blk in _row_blocks(X.shape[0], self._dp_width()):
+            W = X[blk].reshape(-1, m, m)
+            rows = np.arange(W.shape[0])
+            _, argmax = self._subset_dp(W, tropical=True)
+            sigma = np.empty((W.shape[0], m), dtype=np.intp)
+            t = np.zeros(W.shape[0], dtype=np.intp)
+            for i in range(m - 1, -1, -1):
+                src, col = layers[i]
+                r = argmax[i][rows, t]
+                sigma[:, i] = col[t, r]
+                t = src[t, r]
+            # re-sum along sigma in row order, as the assignment solver does
+            out[blk] = W[rows[:, None], np.arange(m), sigma].sum(axis=1)
+        return out
+
+    def log_mean_exp_batch(self, mu, X, cap=None):
+        if mu == 0.0:
+            return np.zeros(X.shape[0])
+        if not self._dp_fits(cap):
+            return super().log_mean_exp_batch(mu, X, cap)
+        out = np.empty(X.shape[0])
+        for blk in _row_blocks(X.shape[0], self._dp_width()):
+            out[blk] = self._subset_dp(mu * X[blk].reshape(-1, self.m, self.m), tropical=False)[0]
+        return out - math.log(self.cardinality())
 
     def overlap_pmf(self):
         # overlap of two uniform matchings = fixed points of a uniform permutation
@@ -490,6 +588,35 @@ class SpanningTrees(SetClass):
 
     def max_values_batch(self, X, cap=None):
         return np.array([self._kruskal(row)[1] for row in X])
+
+    def log_mean_exp_batch(self, mu, X, cap=None):
+        # weighted matrix-tree theorem: the tree polynomial is the determinant
+        # of the Laplacian with the last vertex as root removed.  Eliminating
+        # vertex k adds w_ik w_kj / d_k to the remaining weights and
+        # w_ik g_k / d_k to each weight g to the root, and its pivot d_k is
+        # the sum of k's remaining weights plus g_k, so no step subtracts
+        # (GTH-style) and everything stays in the log domain.
+        if mu == 0.0:
+            return np.zeros(X.shape[0])
+        r = self.m - 1
+        pid = self._pair_id0
+        out = np.zeros(X.shape[0])
+        for blk in _row_blocks(X.shape[0], r * r):
+            lt = mu * X[blk]
+            lw = lt[:, pid[:r, :r]]  # diagonal entries are never read
+            lg = lt[:, pid[:r, r]]
+            for k in range(r):
+                rest = slice(k + 1, r)
+                lwk = lw[:, k, rest]
+                logd = _logsumexp(np.concatenate([lwk, lg[:, k, None]], axis=1), axis=1)
+                out[blk] += logd
+                np.logaddexp(
+                    lw[:, rest, rest],
+                    (lwk[:, :, None] + lwk[:, None, :]) - logd[:, None, None],
+                    out=lw[:, rest, rest],
+                )
+                np.logaddexp(lg[:, rest], (lwk + lg[:, k, None]) - logd[:, None], out=lg[:, rest])
+        return out - math.log(self.cardinality())
 
 
 class Cliques(SetClass):

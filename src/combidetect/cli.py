@@ -45,7 +45,11 @@ def _add_common(p: argparse.ArgumentParser, *, trials_default: int | None = 10_0
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None, help="output file (default stdout)")
     p.add_argument("--cap", type=int, default=None, help="enumeration cap override")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers", type=int, default=1,
+        help="threads over trial chunks; they speed up kernel-bound families "
+        "only, since drawing trials holds the GIL",
+    )
     if trials_default is not None:
         p.add_argument("--trials", type=int, default=trials_default)
 

@@ -61,7 +61,9 @@ def log_likelihood_ratio(
     cap: int | None = None,
 ) -> float:
     """log of the likelihood ratio of the uniform mixture over the class
-    against the null, evaluated by streaming log-sum-exp.
+    against the null, evaluated in the log domain by the class's
+    ``log_mean_exp_batch`` kernel (a structured DP or elimination where the
+    family has one, otherwise log-sum-exp over the enumerated members).
 
     Finite for any finite input; mu = 0 gives exactly 0.
     """
