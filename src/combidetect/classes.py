@@ -393,9 +393,11 @@ class PerfectMatchings(SetClass):
         return 1 << self.m <= (DEFAULT_ENUMERATION_CAP if cap is None else int(cap))
 
     def _mask_layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(src, col) for each row i: the masks of i+1 columns, in ascending
-        order, each reached from the mask without its column col[t, r], at
-        position src[t, r] of the previous layer."""
+        """Index tables of the DP, one (src, col) pair per matrix row i.
+
+        Layer i holds the masks of i+1 columns in ascending order.  Its state
+        t extends state src[t, r] of layer i-1 by column col[t, r], r <= i.
+        """
         layers = getattr(self, "_layer_cache", None)
         if layers is None:
             m = self.m
@@ -591,11 +593,11 @@ class SpanningTrees(SetClass):
 
     def log_mean_exp_batch(self, mu, X, cap=None):
         # weighted matrix-tree theorem: the tree polynomial is the determinant
-        # of the Laplacian with the last vertex as root removed.  Eliminating
-        # vertex k adds w_ik w_kj / d_k to the remaining weights and
-        # w_ik g_k / d_k to each weight g to the root, and its pivot d_k is
-        # the sum of k's remaining weights plus g_k, so no step subtracts
-        # (GTH-style) and everything stays in the log domain.
+        # of the Laplacian without the row and column of the root, here the
+        # last vertex.  Eliminating vertex k adds w_ik w_kj / d_k to the
+        # remaining weights and w_ik g_k / d_k to each weight g to the root,
+        # and its pivot d_k is the sum of k's remaining weights plus g_k, so
+        # no step subtracts (GTH-style) and everything stays in the log domain.
         if mu == 0.0:
             return np.zeros(X.shape[0])
         r = self.m - 1
