@@ -1,7 +1,7 @@
-"""Golden stdout bytes of ``risk`` and ``scan``.
+"""Golden stdout bytes of every subcommand.
 
-Each case is a CLI call whose mixture arm runs a different family sampler
-(``disjoint``, ``stars``, ``trees``, ``matchings``).  The expected bytes were
+Each ``risk`` and ``scan`` case is a CLI call whose mixture arm runs a
+different family sampler (``disjoint``, ``stars``, ``trees``, ``matchings``).  The expected bytes were
 recorded from the per-trial ``SeededRng.child(arm, t).generator()`` draw path,
 so any faster draw path must reproduce them exactly.  One case spans several
 trial chunks and is replayed with ``--workers 2``; one scan uses a master seed
@@ -11,6 +11,12 @@ The ``risk`` maximum test on matchings, the ``scan`` likelihood-ratio test on
 spanning trees and ``emax`` on matchings were recorded from the enumeration and
 Hungarian-solver kernels, so the subset-DP and matrix-tree kernels that replace
 them must reproduce those bytes too.
+
+Every ``bounds`` proposition, ``overlap`` on an exact and on a Monte Carlo
+family, ``emax`` in JSON, ``cover`` and ``nonmono`` were recorded in both
+formats from per-command envelopes, before one writer replaced them.  They
+include the degenerate ``random-subclass`` documents that print ``nan`` (in
+JSON, ``NaN``) and ``None``.
 """
 
 import pytest
@@ -194,6 +200,594 @@ GOLDEN = {
         'emax0,4.7174239827088691\n'
         'se,0.065906730166940639\n'
         'gaussian_cap,6.9191702846382137\n',
+    ),
+    'bounds-averaging': (
+        'bounds --prop averaging --n 100 --K 10 --delta 0.2 --seed 1',
+        '#schema=combidetect.bound.v1\n'
+        '#version=0.1.0\n'
+        '#config={"K":10,"delta":0.2,"n":100}\n'
+        'key,value\n'
+        'name,averaging\n'
+        'direction,mu_threshold_for_risk_le_delta\n'
+        'value,4.2919320525786944\n'
+        'degenerate,False\n',
+    ),
+    'bounds-averaging-json': (
+        'bounds --prop averaging --n 100 --K 10 --delta 0.2 --seed 1 --format json',
+        '{\n'
+        '  "degenerate": false,\n'
+        '  "direction": "mu_threshold_for_risk_le_delta",\n'
+        '  "extras": {},\n'
+        '  "inputs": {\n'
+        '    "K": 10,\n'
+        '    "delta": 0.2,\n'
+        '    "n": 100\n'
+        '  },\n'
+        '  "name": "averaging",\n'
+        '  "schema": "combidetect.bound.v1",\n'
+        '  "value": 4.291932052578694,\n'
+        '  "version": "0.1.0"\n'
+        '}\n',
+    ),
+    'bounds-maxtest': (
+        'bounds --prop maxtest --emax0 2.0 --K 49 --delta 0.2 --seed 1',
+        '#schema=combidetect.bound.v1\n'
+        '#version=0.1.0\n'
+        '#config={"K":49,"delta":0.2,"emax0":2.0}\n'
+        'key,value\n'
+        'name,maxtest\n'
+        'direction,mu_threshold_for_risk_le_delta\n'
+        'value,0.6539494768989973\n'
+        'degenerate,False\n',
+    ),
+    'bounds-maxtest-json': (
+        'bounds --prop maxtest --emax0 2.0 --K 49 --delta 0.2 --seed 1 --format json',
+        '{\n'
+        '  "degenerate": false,\n'
+        '  "direction": "mu_threshold_for_risk_le_delta",\n'
+        '  "extras": {},\n'
+        '  "inputs": {\n'
+        '    "K": 49,\n'
+        '    "delta": 0.2,\n'
+        '    "emax0": 2.0\n'
+        '  },\n'
+        '  "name": "maxtest",\n'
+        '  "schema": "combidetect.bound.v1",\n'
+        '  "value": 0.6539494768989973,\n'
+        '  "version": "0.1.0"\n'
+        '}\n',
+    ),
+    'bounds-universal': (
+        'bounds --prop universal --K 8 --seed 1',
+        '#schema=combidetect.bound.v1\n'
+        '#version=0.1.0\n'
+        '#config={"K":8}\n'
+        'key,value\n'
+        'name,universal\n'
+        'direction,mu_threshold_for_risk_ge_delta\n'
+        'value,0.37926380822046601\n'
+        'degenerate,False\n'
+        'extras.delta,0.5\n',
+    ),
+    'bounds-universal-json': (
+        'bounds --prop universal --K 8 --seed 1 --format json',
+        '{\n'
+        '  "degenerate": false,\n'
+        '  "direction": "mu_threshold_for_risk_ge_delta",\n'
+        '  "extras": {\n'
+        '    "delta": 0.5\n'
+        '  },\n'
+        '  "inputs": {\n'
+        '    "K": 8\n'
+        '  },\n'
+        '  "name": "universal",\n'
+        '  "schema": "combidetect.bound.v1",\n'
+        '  "value": 0.379263808220466,\n'
+        '  "version": "0.1.0"\n'
+        '}\n',
+    ),
+    'bounds-pairs': (
+        'bounds --prop pairs --mgf 1.2 --seed 1',
+        '#schema=combidetect.bound.v1\n'
+        '#version=0.1.0\n'
+        '#config={"mgf":1.2}\n'
+        'key,value\n'
+        'name,pairs\n'
+        'direction,lower_bound_on_risk\n'
+        'value,0.77639320225002106\n'
+        'degenerate,False\n',
+    ),
+    'bounds-pairs-json': (
+        'bounds --prop pairs --mgf 1.2 --seed 1 --format json',
+        '{\n'
+        '  "degenerate": false,\n'
+        '  "direction": "lower_bound_on_risk",\n'
+        '  "extras": {},\n'
+        '  "inputs": {\n'
+        '    "mgf": 1.2\n'
+        '  },\n'
+        '  "name": "pairs",\n'
+        '  "schema": "combidetect.bound.v1",\n'
+        '  "value": 0.7763932022500211,\n'
+        '  "version": "0.1.0"\n'
+        '}\n',
+    ),
+    'bounds-symmetric': (
+        'bounds --prop symmetric --n 45 --K 5 --delta 0.3 --seed 1',
+        '#schema=combidetect.bound.v1\n'
+        '#version=0.1.0\n'
+        '#config={"K":5,"delta":0.3,"n":45}\n'
+        'key,value\n'
+        'name,symmetric\n'
+        'direction,mu_threshold_for_risk_ge_delta\n'
+        'value,0.76489343169587287\n'
+        'degenerate,False\n',
+    ),
+    'bounds-symmetric-json': (
+        'bounds --prop symmetric --n 45 --K 5 --delta 0.3 --seed 1 --format json',
+        '{\n'
+        '  "degenerate": false,\n'
+        '  "direction": "mu_threshold_for_risk_ge_delta",\n'
+        '  "extras": {},\n'
+        '  "inputs": {\n'
+        '    "K": 5,\n'
+        '    "delta": 0.3,\n'
+        '    "n": 45\n'
+        '  },\n'
+        '  "name": "symmetric",\n'
+        '  "schema": "combidetect.bound.v1",\n'
+        '  "value": 0.7648934316958729,\n'
+        '  "version": "0.1.0"\n'
+        '}\n',
+    ),
+    'bounds-negass': (
+        'bounds --prop negass --n 25 --K 5 --delta 0.5 --seed 1',
+        '#schema=combidetect.bound.v1\n'
+        '#version=0.1.0\n'
+        '#config={"K":5,"delta":0.5,"n":25}\n'
+        'key,value\n'
+        'name,negass\n'
+        'direction,mu_threshold_for_risk_ge_delta\n'
+        'value,0.72566454656338597\n'
+        'degenerate,False\n',
+    ),
+    'bounds-negass-json': (
+        'bounds --prop negass --n 25 --K 5 --delta 0.5 --seed 1 --format json',
+        '{\n'
+        '  "degenerate": false,\n'
+        '  "direction": "mu_threshold_for_risk_ge_delta",\n'
+        '  "extras": {},\n'
+        '  "inputs": {\n'
+        '    "K": 5,\n'
+        '    "delta": 0.5,\n'
+        '    "n": 25\n'
+        '  },\n'
+        '  "name": "negass",\n'
+        '  "schema": "combidetect.bound.v1",\n'
+        '  "value": 0.725664546563386,\n'
+        '  "version": "0.1.0"\n'
+        '}\n',
+    ),
+    'bounds-cliques': (
+        'bounds --prop cliques --m 63 --k 4 --delta 0.2 --seed 1',
+        '#schema=combidetect.bound.v1\n'
+        '#version=0.1.0\n'
+        '#config={"delta":0.2,"k":4,"m":63}\n'
+        'key,value\n'
+        'name,cliques\n'
+        'direction,mu_threshold_for_risk_le_delta\n'
+        'value,3.9902803744804141\n'
+        'degenerate,False\n'
+        'extras.lower_delta,0.5\n'
+        'extras.lower_mu,0.71827800758336202\n',
+    ),
+    'bounds-cliques-json': (
+        'bounds --prop cliques --m 63 --k 4 --delta 0.2 --seed 1 --format json',
+        '{\n'
+        '  "degenerate": false,\n'
+        '  "direction": "mu_threshold_for_risk_le_delta",\n'
+        '  "extras": {\n'
+        '    "lower_delta": 0.5,\n'
+        '    "lower_mu": 0.718278007583362\n'
+        '  },\n'
+        '  "inputs": {\n'
+        '    "delta": 0.2,\n'
+        '    "k": 4,\n'
+        '    "m": 63\n'
+        '  },\n'
+        '  "name": "cliques",\n'
+        '  "schema": "combidetect.bound.v1",\n'
+        '  "value": 3.990280374480414,\n'
+        '  "version": "0.1.0"\n'
+        '}\n',
+    ),
+    'bounds-random-subclass-nan': (
+        'bounds --prop random-subclass --K 10 --M 10 --t 4.0 --seed 1',
+        '#schema=combidetect.bound.v1\n'
+        '#version=0.1.0\n'
+        '#config={"K":10,"M":10,"t":4.0}\n'
+        'key,value\n'
+        'name,random-subclass\n'
+        'direction,mu_threshold_for_risk_ge_delta\n'
+        'value,nan\n'
+        'degenerate,True\n'
+        'extras.first_term,nan\n'
+        'extras.note,M <= 16 makes log(M/16) nonpositive; no usable first term\n'
+        'extras.second_term,-8.6557529247741929\n'
+        'extras.verbatim_min,-8.6557529247741929\n',
+    ),
+    'bounds-random-subclass-nan-json': (
+        'bounds --prop random-subclass --K 10 --M 10 --t 4.0 --seed 1 --format json',
+        '{\n'
+        '  "degenerate": true,\n'
+        '  "direction": "mu_threshold_for_risk_ge_delta",\n'
+        '  "extras": {\n'
+        '    "first_term": NaN,\n'
+        '    "note": "M <= 16 makes log(M/16) nonpositive; no usable first term",\n'
+        '    "second_term": -8.655752924774193,\n'
+        '    "verbatim_min": -8.655752924774193\n'
+        '  },\n'
+        '  "inputs": {\n'
+        '    "K": 10,\n'
+        '    "M": 10,\n'
+        '    "t": 4.0\n'
+        '  },\n'
+        '  "name": "random-subclass",\n'
+        '  "schema": "combidetect.bound.v1",\n'
+        '  "value": NaN,\n'
+        '  "version": "0.1.0"\n'
+        '}\n',
+    ),
+    'bounds-random-subclass-none': (
+        'bounds --prop random-subclass --K 8 --M 20 --t 4.0 --seed 1',
+        '#schema=combidetect.bound.v1\n'
+        '#version=0.1.0\n'
+        '#config={"K":8,"M":20,"t":4.0}\n'
+        'key,value\n'
+        'name,random-subclass\n'
+        'direction,mu_threshold_for_risk_ge_delta\n'
+        'value,0.16701180770914439\n'
+        'degenerate,False\n'
+        'extras.first_term,0.16701180770914439\n'
+        'extras.second_term,None\n',
+    ),
+    'bounds-random-subclass-none-json': (
+        'bounds --prop random-subclass --K 8 --M 20 --t 4.0 --seed 1 --format json',
+        '{\n'
+        '  "degenerate": false,\n'
+        '  "direction": "mu_threshold_for_risk_ge_delta",\n'
+        '  "extras": {\n'
+        '    "first_term": 0.1670118077091444,\n'
+        '    "second_term": null\n'
+        '  },\n'
+        '  "inputs": {\n'
+        '    "K": 8,\n'
+        '    "M": 20,\n'
+        '    "t": 4.0\n'
+        '  },\n'
+        '  "name": "random-subclass",\n'
+        '  "schema": "combidetect.bound.v1",\n'
+        '  "value": 0.1670118077091444,\n'
+        '  "version": "0.1.0"\n'
+        '}\n',
+    ),
+    'bounds-random-subclass': (
+        'bounds --prop random-subclass --K 10 --M 160 --t 2.0 --seed 1',
+        '#schema=combidetect.bound.v1\n'
+        '#version=0.1.0\n'
+        '#config={"K":10,"M":160,"t":2.0}\n'
+        'key,value\n'
+        'name,random-subclass\n'
+        'direction,mu_threshold_for_risk_ge_delta\n'
+        'value,0.47985259121880813\n'
+        'degenerate,True\n'
+        'extras.first_term,0.47985259121880813\n'
+        'extras.second_term,-4.3278764623870964\n'
+        'extras.verbatim_min,-4.3278764623870964\n',
+    ),
+    'bounds-random-subclass-json': (
+        'bounds --prop random-subclass --K 10 --M 160 --t 2.0 --seed 1 --format json',
+        '{\n'
+        '  "degenerate": true,\n'
+        '  "direction": "mu_threshold_for_risk_ge_delta",\n'
+        '  "extras": {\n'
+        '    "first_term": 0.47985259121880813,\n'
+        '    "second_term": -4.3278764623870964,\n'
+        '    "verbatim_min": -4.3278764623870964\n'
+        '  },\n'
+        '  "inputs": {\n'
+        '    "K": 10,\n'
+        '    "M": 160,\n'
+        '    "t": 2.0\n'
+        '  },\n'
+        '  "name": "random-subclass",\n'
+        '  "schema": "combidetect.bound.v1",\n'
+        '  "value": 0.47985259121880813,\n'
+        '  "version": "0.1.0"\n'
+        '}\n',
+    ),
+    'bounds-vc-cover': (
+        'bounds --prop vc-cover --n 100 --V 2 --t 1.5 --seed 1',
+        '#schema=combidetect.bound.v1\n'
+        '#version=0.1.0\n'
+        '#config={"V":2,"n":100,"t":1.5}\n'
+        'key,value\n'
+        'name,vc-cover\n'
+        'direction,upper_bound_on_covering_number\n'
+        'value,476101.61595704098\n'
+        'degenerate,False\n',
+    ),
+    'bounds-vc-cover-json': (
+        'bounds --prop vc-cover --n 100 --V 2 --t 1.5 --seed 1 --format json',
+        '{\n'
+        '  "degenerate": false,\n'
+        '  "direction": "upper_bound_on_covering_number",\n'
+        '  "extras": {},\n'
+        '  "inputs": {\n'
+        '    "V": 2,\n'
+        '    "n": 100,\n'
+        '    "t": 1.5\n'
+        '  },\n'
+        '  "name": "vc-cover",\n'
+        '  "schema": "combidetect.bound.v1",\n'
+        '  "value": 476101.615957041,\n'
+        '  "version": "0.1.0"\n'
+        '}\n',
+    ),
+    'bounds-dudley': (
+        'bounds --prop dudley --class ksets --n 12 --K 3 --constant 1 --seed 1',
+        '#schema=combidetect.bound.v1\n'
+        '#version=0.1.0\n'
+        '#config={"class":{"K":3,"family":"ksets","n":12},"constant":1.0}\n'
+        'key,value\n'
+        'name,dudley\n'
+        'direction,upper_bound_on_emax0\n'
+        'value,4.795895440198799\n'
+        'degenerate,False\n',
+    ),
+    'bounds-dudley-json': (
+        'bounds --prop dudley --class ksets --n 12 --K 3 --constant 1 --seed 1 --format json',
+        '{\n'
+        '  "degenerate": false,\n'
+        '  "direction": "upper_bound_on_emax0",\n'
+        '  "extras": {},\n'
+        '  "inputs": {\n'
+        '    "class": {\n'
+        '      "K": 3,\n'
+        '      "family": "ksets",\n'
+        '      "n": 12\n'
+        '    },\n'
+        '    "constant": 1.0\n'
+        '  },\n'
+        '  "name": "dudley",\n'
+        '  "schema": "combidetect.bound.v1",\n'
+        '  "value": 4.795895440198799,\n'
+        '  "version": "0.1.0"\n'
+        '}\n',
+    ),
+    'bounds-type1-cover': (
+        'bounds --prop type1-cover --class stars --m 6 --delta 0.1 --trials 300 --seed 43',
+        '#schema=combidetect.bound.v1\n'
+        '#version=0.1.0\n'
+        '#config={"class":{"family":"stars","m":6},"delta":0.1,"seed":43,"trials":300}\n'
+        'key,value\n'
+        'name,type1-cover\n'
+        'direction,mu_threshold_for_risk_le_delta\n'
+        'value,5.3901925636452548\n'
+        'degenerate,False\n'
+        'extras.controls,type1 only\n'
+        'extras.cover_size,6\n'
+        'extras.emax_cover,2.5288247988891883\n'
+        'extras.emax_cover_se,0.090921639949326311\n'
+        'extras.sudakov_cap,1.693167195159677\n',
+    ),
+    'bounds-type1-cover-json': (
+        'bounds --prop type1-cover --class stars --m 6 --delta 0.1 --trials 300 --seed 43 --format json',
+        '{\n'
+        '  "degenerate": false,\n'
+        '  "direction": "mu_threshold_for_risk_le_delta",\n'
+        '  "extras": {\n'
+        '    "controls": "type1 only",\n'
+        '    "cover_size": 6,\n'
+        '    "emax_cover": 2.5288247988891883,\n'
+        '    "emax_cover_se": 0.09092163994932631,\n'
+        '    "sudakov_cap": 1.693167195159677\n'
+        '  },\n'
+        '  "inputs": {\n'
+        '    "class": {\n'
+        '      "family": "stars",\n'
+        '      "m": 6\n'
+        '    },\n'
+        '    "delta": 0.1,\n'
+        '    "seed": 43,\n'
+        '    "trials": 300\n'
+        '  },\n'
+        '  "name": "type1-cover",\n'
+        '  "schema": "combidetect.bound.v1",\n'
+        '  "value": 5.390192563645255,\n'
+        '  "version": "0.1.0"\n'
+        '}\n',
+    ),
+    'overlap-stars-exact': (
+        'overlap --class stars --m 6 --mu 0.8 --seed 47',
+        '#schema=combidetect.overlap.v1\n'
+        '#version=0.1.0\n'
+        '#config={"class":"stars","command":"overlap","m":6,"mu":0.8,"pairs":10000,"seed":47}\n'
+        'key,value\n'
+        'mgf,5.6691557656056872\n'
+        'mgf_se,0\n'
+        'exact,True\n'
+        'risk_lower_bound,0\n',
+    ),
+    'overlap-stars-exact-json': (
+        'overlap --class stars --m 6 --mu 0.8 --seed 47 --format json',
+        '{\n'
+        '  "config": {\n'
+        '    "class": "stars",\n'
+        '    "command": "overlap",\n'
+        '    "m": 6,\n'
+        '    "mu": 0.8,\n'
+        '    "pairs": 10000,\n'
+        '    "seed": 47\n'
+        '  },\n'
+        '  "exact": true,\n'
+        '  "mgf": 5.669155765605687,\n'
+        '  "mgf_se": 0.0,\n'
+        '  "risk_lower_bound": 0.0,\n'
+        '  "schema": "combidetect.overlap.v1",\n'
+        '  "version": "0.1.0"\n'
+        '}\n',
+    ),
+    'overlap-ksets-mc': (
+        'overlap --class ksets --n 10 --K 3 --mu 0.7 --pairs 500 --seed 53',
+        '#schema=combidetect.overlap.v1\n'
+        '#version=0.1.0\n'
+        '#config={"K":3,"class":"ksets","command":"overlap","mu":0.7,"n":10,"pairs":500,"seed":53}\n'
+        'key,value\n'
+        'mgf,1.6420078391887973\n'
+        'mgf_se,0.026732069531777761\n'
+        'exact,False\n'
+        'risk_lower_bound,0.59937304159954574\n',
+    ),
+    'overlap-ksets-mc-json': (
+        'overlap --class ksets --n 10 --K 3 --mu 0.7 --pairs 500 --seed 53 --format json',
+        '{\n'
+        '  "config": {\n'
+        '    "K": 3,\n'
+        '    "class": "ksets",\n'
+        '    "command": "overlap",\n'
+        '    "mu": 0.7,\n'
+        '    "n": 10,\n'
+        '    "pairs": 500,\n'
+        '    "seed": 53\n'
+        '  },\n'
+        '  "exact": false,\n'
+        '  "mgf": 1.6420078391887973,\n'
+        '  "mgf_se": 0.02673206953177776,\n'
+        '  "risk_lower_bound": 0.5993730415995457,\n'
+        '  "schema": "combidetect.overlap.v1",\n'
+        '  "version": "0.1.0"\n'
+        '}\n',
+    ),
+    'emax-matchings-json': (
+        'emax --class matchings --m 5 --trials 500 --seed 41 --format json',
+        '{\n'
+        '  "config": {\n'
+        '    "class": "matchings",\n'
+        '    "command": "emax",\n'
+        '    "m": 5,\n'
+        '    "seed": 41,\n'
+        '    "trials": 500\n'
+        '  },\n'
+        '  "emax0": 4.717423982708869,\n'
+        '  "gaussian_cap": 6.919170284638214,\n'
+        '  "schema": "combidetect.emax.v1",\n'
+        '  "se": 0.06590673016694064,\n'
+        '  "version": "0.1.0"\n'
+        '}\n',
+    ),
+    'cover-ksets': (
+        'cover --class ksets --n 6 --K 2 --radius 1.5 --seed 59',
+        '#schema=combidetect.cover.v1\n'
+        '#version=0.1.0\n'
+        '#config={"K":2,"class":"ksets","command":"cover","n":6,"radius":1.5,"seed":59}\n'
+        'set_id,indices\n'
+        '1,1;2\n'
+        '2,3;4\n'
+        '3,5;6\n'
+        '#cover_size=3\n',
+    ),
+    'cover-ksets-json': (
+        'cover --class ksets --n 6 --K 2 --radius 1.5 --seed 59 --format json',
+        '{\n'
+        '  "config": {\n'
+        '    "K": 2,\n'
+        '    "class": "ksets",\n'
+        '    "command": "cover",\n'
+        '    "n": 6,\n'
+        '    "radius": 1.5,\n'
+        '    "seed": 59\n'
+        '  },\n'
+        '  "cover_size": 3,\n'
+        '  "members": [\n'
+        '    "1,2",\n'
+        '    "3,4",\n'
+        '    "5,6"\n'
+        '  ],\n'
+        '  "schema": "combidetect.cover.v1",\n'
+        '  "version": "0.1.0"\n'
+        '}\n',
+    ),
+    'nonmono': (
+        'nonmono --K 3 --epsilon 0.8 --trials 300 --seed 61',
+        '#schema=combidetect.nonmono.v1\n'
+        '#version=0.1.0\n'
+        '#config={"K":3,"command":"nonmono","epsilon":0.8,"seed":61,"trials":300}\n'
+        'key,value\n'
+        'mu,0.76261091318105356\n'
+        'n,16\n'
+        'gap,-0.0066666666666665986\n'
+        'gap_se,0.052605449654321304\n'
+        'side_condition_holds,False\n'
+        'side_condition_lhs,0.76261091318105356\n'
+        'side_condition_rhs,1.5631512887959418\n'
+        'risk_disjoint.type1,0.25333333333333335\n'
+        'risk_disjoint.se1,0.025110127807689838\n'
+        'risk_disjoint.type2,0.33666666666666667\n'
+        'risk_disjoint.se2,0.02728383051199753\n'
+        'risk_disjoint.total,0.59000000000000008\n'
+        'risk_disjoint.se_total,0.037079993607414846\n'
+        'risk_union.type1,0.27666666666666667\n'
+        'risk_union.se1,0.025827777180277709\n'
+        'risk_union.type2,0.32000000000000001\n'
+        'risk_union.se2,0.026932013168965541\n'
+        'risk_union.total,0.59666666666666668\n'
+        'risk_union.se_total,0.037314975645274209\n'
+        'risk_witness_averaging.type1,0.33333333333333331\n'
+        'risk_witness_averaging.se1,0.027216552697590869\n'
+        'risk_witness_averaging.type2,0.23666666666666666\n'
+        'risk_witness_averaging.se2,0.024539461794937253\n'
+        'risk_witness_averaging.total,0.56999999999999995\n'
+        'risk_witness_averaging.se_total,0.036645953745617341\n',
+    ),
+    'nonmono-json': (
+        'nonmono --K 3 --epsilon 0.8 --trials 300 --seed 61 --format json',
+        '{\n'
+        '  "config": {\n'
+        '    "K": 3,\n'
+        '    "command": "nonmono",\n'
+        '    "epsilon": 0.8,\n'
+        '    "seed": 61,\n'
+        '    "trials": 300\n'
+        '  },\n'
+        '  "gap": -0.006666666666666599,\n'
+        '  "gap_se": 0.052605449654321304,\n'
+        '  "mu": 0.7626109131810536,\n'
+        '  "n": 16,\n'
+        '  "risk_disjoint_se1": 0.025110127807689838,\n'
+        '  "risk_disjoint_se2": 0.02728383051199753,\n'
+        '  "risk_disjoint_se_total": 0.037079993607414846,\n'
+        '  "risk_disjoint_total": 0.5900000000000001,\n'
+        '  "risk_disjoint_type1": 0.25333333333333335,\n'
+        '  "risk_disjoint_type2": 0.33666666666666667,\n'
+        '  "risk_union_se1": 0.02582777718027771,\n'
+        '  "risk_union_se2": 0.02693201316896554,\n'
+        '  "risk_union_se_total": 0.03731497564527421,\n'
+        '  "risk_union_total": 0.5966666666666667,\n'
+        '  "risk_union_type1": 0.27666666666666667,\n'
+        '  "risk_union_type2": 0.32,\n'
+        '  "risk_witness_averaging_se1": 0.02721655269759087,\n'
+        '  "risk_witness_averaging_se2": 0.024539461794937253,\n'
+        '  "risk_witness_averaging_se_total": 0.03664595374561734,\n'
+        '  "risk_witness_averaging_total": 0.57,\n'
+        '  "risk_witness_averaging_type1": 0.3333333333333333,\n'
+        '  "risk_witness_averaging_type2": 0.23666666666666666,\n'
+        '  "schema": "combidetect.nonmono.v1",\n'
+        '  "side_condition_holds": false,\n'
+        '  "side_condition_lhs": 0.7626109131810536,\n'
+        '  "side_condition_rhs": 1.5631512887959418,\n'
+        '  "version": "0.1.0"\n'
+        '}\n',
     ),
 }
 
