@@ -9,13 +9,12 @@ over the cover it builds.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._version import __version__
+from . import _output
 from .classes import ExplicitClass, SetClass
 from .core import IndexSet, SeededRng
 from .risk import estimate_emax0
@@ -38,20 +37,14 @@ class BoundReport:
     degenerate: bool = False
     extras: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "schema": "combidetect.bound.v1",
-            "version": __version__,
-            "name": self.name,
-            "direction": self.direction,
-            "value": self.value,
-            "inputs": self.inputs,
-            "degenerate": self.degenerate,
-            "extras": self.extras,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+    def render(self, fmt: str) -> str:
+        """The bound as a ``combidetect.bound.v1`` document (``fmt`` is
+        ``"csv"`` or ``"json"``), with its inputs as the config and every
+        other field, in declaration order, as the body."""
+        body = {k: v for k, v in vars(self).items() if k != "inputs"}
+        return _output.render(
+            fmt, "combidetect.bound.v1", self.inputs, body, config_key="inputs"
+        )
 
 
 def _check_delta(delta: float):
@@ -132,7 +125,7 @@ def random_subclass_bound(K: int, M: int, t: float) -> BoundReport:
     """
     if K < 1 or M < 2:
         raise ValueError("need K >= 1 and M >= 2")
-    if t < 0 or t * t > 2 * K + 1e-9:
+    if not (t >= 0 and t * t <= 2 * K + 1e-9):
         raise ValueError("need 0 <= t <= sqrt(2K)")
     degenerate = False
     extras: dict = {}
@@ -165,42 +158,42 @@ def random_subclass_bound(K: int, M: int, t: float) -> BoundReport:
 # -- covers, packings, chaining -------------------------------------------
 
 
-def greedy_cover(spec: SetClass, radius: float, cap: int | None = None) -> list[IndexSet]:
-    """Cover of the class at the given canonical radius: walk members in
-    canonical order, keep each one not yet within ``radius`` of a kept
-    member.  Size upper-bounds the true covering number."""
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    M = spec.member_matrix(cap)
+def _greedy(M: np.ndarray, t: float, within) -> list[int]:
+    # rows of M kept by one pass in canonical order: a member is kept unless
+    # within(distance to an already kept member, t) holds
     N, K = M.shape
-    covered = np.zeros(N, dtype=bool)
+    reached = np.zeros(N, dtype=bool)
     kept: list[int] = []
     for i in range(N):
-        if covered[i]:
+        if reached[i]:
             continue
         kept.append(i)
         ov = np.isin(M, M[i]).sum(axis=1)
         # d = sqrt(2(K - ov)) with an exact integer inside, so the correctly
         # rounded sqrt compares cleanly against a radius given as sqrt(int)
-        covered |= np.sqrt(2.0 * (K - ov)) <= radius
-    return [IndexSet(tuple(int(v) + 1 for v in M[i]), spec.n) for i in kept]
+        reached |= within(np.sqrt(2.0 * (K - ov)), t)
+    return kept
+
+
+def greedy_cover(spec: SetClass, radius: float, cap: int | None = None) -> list[IndexSet]:
+    """Cover of the class at the given canonical radius: walk members in
+    canonical order, keep each one not yet within ``radius`` of a kept
+    member.  Size upper-bounds the true covering number."""
+    if not radius >= 0:
+        raise ValueError("radius must be nonnegative")
+    M = spec.member_matrix(cap)
+    return [
+        IndexSet(tuple(int(v) + 1 for v in M[i]), spec.n)
+        for i in _greedy(M, radius, np.less_equal)
+    ]
 
 
 def packing_estimate(spec: SetClass, t: float, cap: int | None = None) -> int:
     """Size of the greedy maximal t-separated subset in canonical order."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError("t must be nonnegative")
-    M = spec.member_matrix(cap)
-    N, K = M.shape
-    excluded = np.zeros(N, dtype=bool)
-    count = 0
-    for i in range(N):
-        if excluded[i]:
-            continue
-        count += 1
-        ov = np.isin(M, M[i]).sum(axis=1)
-        excluded |= np.sqrt(2.0 * (K - ov)) < t  # keep members at distance >= t
-    return count
+    # members at distance >= t from every kept one stay eligible
+    return len(_greedy(spec.member_matrix(cap), t, np.less))
 
 
 def dudley_bound(
@@ -215,17 +208,23 @@ def dudley_bound(
     The integrand vanishes beyond the class diameter (cover size 1), so the
     upper limit sqrt(2K) >= diam adds nothing.
     """
-    if constant <= 0:
+    if not constant > 0:
         raise ValueError("constant must be positive")
     if grid_points < 1:
         raise ValueError("grid_points must be >= 1")
     hi = math.sqrt(2.0 * spec.K)
     h = hi / grid_points
+    # a cover depends on its radius only through which of the K+1 possible
+    # distances sqrt(2j) it reaches, so each distinct cover is built once
+    distances = np.sqrt(2.0 * np.arange(spec.K + 1))
+    sizes: dict[int, int] = {}
     total = 0.0
     for i in range(grid_points):
         t = (i + 0.5) * h
-        size = len(greedy_cover(spec, t, cap))
-        total += math.sqrt(math.log(size)) * h
+        reached = int(np.count_nonzero(distances <= t))
+        if reached not in sizes:
+            sizes[reached] = len(greedy_cover(spec, t, cap))
+        total += math.sqrt(math.log(sizes[reached])) * h
     return constant * total
 
 
@@ -234,7 +233,7 @@ def vc_cover_bound(n: int, V: int, t: float) -> float:
     VC dimension V in the canonical metric."""
     if V < 1:
         raise ValueError("V must be >= 1")
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be positive")
     return math.e * (V + 1) * (2.0 * math.e * n / t**2) ** V
 

@@ -1,9 +1,8 @@
 """Command line laboratory.
 
 Every subcommand takes --seed and is bit-reproducible: the same command line
-writes the same bytes, independent of --workers.  Numbers are serialized with
-17 significant digits, files are UTF-8 with LF line ends, and no output
-carries a timestamp.
+writes the same bytes, independent of --workers.  Every document uses the one
+envelope of ``_output``, in UTF-8, and none carries a timestamp.
 
 Exit codes: 0 success, 2 invalid configuration, 3 enumeration cap exceeded.
 """
@@ -12,24 +11,23 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from ._version import __version__
-from .bounds import PROPS, BoundReport, evaluate_bound, pairs_risk_lower_bound, greedy_cover
+from ._output import render
+from .bounds import PROPS, evaluate_bound, pairs_risk_lower_bound, greedy_cover
 from .classes import FAMILIES, SetClass, estimate_overlap_mgf, make_class
 from .core import CapExceededError, ProblemInstance, SeededRng
 from .risk import (
-    curve_to_csv,
-    curve_to_json,
     emax_upper_cap,
     estimate_emax0,
     estimate_risk,
-    fmt17,
     nonmonotonicity_demo,
-    risk_rows_to_csv,
-    risk_rows_to_json,
+    render_curve,
+    render_risk_rows,
     scan_critical_mu,
 )
 from .rules import TESTS
@@ -68,13 +66,16 @@ def _class_from_args(args) -> SetClass:
     return make_class(args.family, **params)
 
 
-def _class_config(args) -> dict:
-    cfg = {"class": args.family}
-    for _, dest in _CLASS_PARAM_FLAGS:
-        v = getattr(args, dest)
-        if v is not None:
-            cfg[dest] = v
-    return cfg
+def _config(args, *dests: str) -> dict:
+    """A document's config: the command, the seed, the class flags given and
+    the named flags."""
+    cfg = {"command": args.command, "seed": args.seed}
+    if getattr(args, "family", None) is not None:
+        cfg["class"] = args.family
+        for _, dest in _CLASS_PARAM_FLAGS:
+            if getattr(args, dest) is not None:
+                cfg[dest] = getattr(args, dest)
+    return cfg | {dest: getattr(args, dest) for dest in dests}
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -82,6 +83,8 @@ def _parse_grid(text: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError("--mu-grid must be start:stop:count")
     start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError("--mu-grid endpoints must be finite")
     if count < 2:
         raise ValueError("--mu-grid needs count >= 2")
     return [float(v) for v in np.linspace(start, stop, count)]
@@ -150,48 +153,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _kv_csv(pairs: list[tuple[str, object]], config: dict, schema: str) -> str:
-    lines = [
-        f"#schema={schema}",
-        f"#version={__version__}",
-        "#config=" + json.dumps(config, sort_keys=True, separators=(",", ":")),
-        "key,value",
-    ]
-    for k, v in pairs:
-        if isinstance(v, float):
-            v = fmt17(v)
-        lines.append(f"{k},{v}")
-    return "\n".join(lines) + "\n"
-
-
-def _flatten(prefix: str, obj: dict) -> list[tuple[str, object]]:
-    out = []
-    for k in sorted(obj):
-        v = obj[k]
-        if isinstance(v, dict):
-            out.extend(_flatten(f"{prefix}{k}.", v))
-        else:
-            out.append((f"{prefix}{k}", v))
-    return out
-
-
-def _bound_output(report: BoundReport, fmt: str) -> str:
-    if fmt == "json":
-        return report.to_json()
-    pairs = [
-        ("name", report.name),
-        ("direction", report.direction),
-        ("value", report.value),
-        ("degenerate", report.degenerate),
-    ] + _flatten("extras.", report.extras)
-    return _kv_csv(pairs, report.inputs, "combidetect.bound.v1")
-
-
-def _run_risk(args) -> str:
+def _risk_setup(args, *dests: str):
+    # the class, the maximum test's emax0 (the analytic cap unless given) and
+    # the config shared by risk and scan
     spec = _class_from_args(args)
     emax0 = args.emax0
     if args.test == "maximum" and emax0 is None:
         emax0 = emax_upper_cap(spec)
+    config = _config(args, *dests, "test", "trials")
+    if emax0 is not None:
+        config["emax0"] = emax0
+    return spec, emax0, config
+
+
+def _run_risk(args) -> str:
+    spec, emax0, config = _risk_setup(args, "mu")
     rng = SeededRng(args.seed)
     rows = []
     for i, mu in enumerate(args.mu):
@@ -200,36 +176,17 @@ def _run_risk(args) -> str:
             emax0=emax0, cap=args.cap, workers=args.workers,
         )
         rows.append((mu, est))
-    config = _class_config(args) | {
-        "command": "risk", "mu": args.mu, "seed": args.seed,
-        "test": args.test, "trials": args.trials,
-    }
-    if emax0 is not None:
-        config["emax0"] = emax0
-    if args.format == "json":
-        return risk_rows_to_json(rows, config, "combidetect.risk.v1")
-    return risk_rows_to_csv(rows, config, "combidetect.risk.v1")
+    return render_risk_rows(args.format, rows, config, "combidetect.risk.v1")
 
 
 def _run_scan(args) -> str:
-    spec = _class_from_args(args)
     grid = _parse_grid(args.mu_grid)
-    emax0 = args.emax0
-    if args.test == "maximum" and emax0 is None:
-        emax0 = emax_upper_cap(spec)
+    spec, emax0, config = _risk_setup(args, "mu_grid")
     curve = scan_critical_mu(
         spec, args.test, grid, args.trials, SeededRng(args.seed),
         emax0=emax0, cap=args.cap, workers=args.workers,
     )
-    config = _class_config(args) | {
-        "command": "scan", "mu_grid": args.mu_grid, "seed": args.seed,
-        "test": args.test, "trials": args.trials,
-    }
-    if emax0 is not None:
-        config["emax0"] = emax0
-    if args.format == "json":
-        return curve_to_json(curve, config)
-    return curve_to_csv(curve, config)
+    return render_curve(args.format, curve, config)
 
 
 def _run_bounds(args) -> str:
@@ -244,28 +201,16 @@ def _run_bounds(args) -> str:
         args.prop, params, spec=spec, rng=SeededRng(args.seed),
         trials=args.trials, cap=args.cap, workers=args.workers,
     )
-    return _bound_output(report, args.format)
+    return report.render(args.format)
 
 
 def _run_overlap(args) -> str:
     spec = _class_from_args(args)
     mgf, se = estimate_overlap_mgf(spec, args.mu, args.pairs, SeededRng(args.seed))
     lower = pairs_risk_lower_bound(max(mgf, 1.0))
-    config = _class_config(args) | {
-        "command": "overlap", "mu": args.mu, "pairs": args.pairs,
-        "seed": args.seed,
-    }
-    pairs = [
-        ("mgf", mgf), ("mgf_se", se), ("exact", se == 0.0),
-        ("risk_lower_bound", lower),
-    ]
-    if args.format == "json":
-        doc = {
-            "schema": "combidetect.overlap.v1", "version": __version__,
-            "config": config,
-        } | dict(pairs)
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    return _kv_csv(pairs, config, "combidetect.overlap.v1")
+    config = _config(args, "mu", "pairs")
+    body = {"mgf": mgf, "mgf_se": se, "exact": se == 0.0, "risk_lower_bound": lower}
+    return render(args.format, "combidetect.overlap.v1", config, body)
 
 
 def _run_emax(args) -> str:
@@ -274,46 +219,22 @@ def _run_emax(args) -> str:
         spec, args.trials, SeededRng(args.seed), cap=args.cap,
         workers=args.workers,
     )
-    config = _class_config(args) | {
-        "command": "emax", "seed": args.seed, "trials": args.trials,
-    }
-    pairs = [
-        ("emax0", est.emax), ("se", est.std_error),
-        ("gaussian_cap", est.gaussian_cap),
-    ]
-    if args.format == "json":
-        doc = {
-            "schema": "combidetect.emax.v1", "version": __version__,
-            "config": config,
-        } | dict(pairs)
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    return _kv_csv(pairs, config, "combidetect.emax.v1")
+    config = _config(args, "trials")
+    body = {"emax0": est.emax, "se": est.std_error, "gaussian_cap": est.gaussian_cap}
+    return render(args.format, "combidetect.emax.v1", config, body)
 
 
 def _run_cover(args) -> str:
     spec = _class_from_args(args)
     members = greedy_cover(spec, args.radius, args.cap)
-    config = _class_config(args) | {
-        "command": "cover", "radius": args.radius, "seed": args.seed,
-    }
-    if args.format == "json":
-        doc = {
-            "schema": "combidetect.cover.v1", "version": __version__,
-            "config": config, "cover_size": len(members),
-            "members": [s.encode() for s in members],
-        }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    lines = [
-        "#schema=combidetect.cover.v1",
-        f"#version={__version__}",
-        "#config=" + json.dumps(config, sort_keys=True, separators=(",", ":")),
-        "set_id,indices",
-    ]
+    config = _config(args, "radius")
+    body = {"cover_size": len(members), "members": [s.encode() for s in members]}
     # semicolon joined so the field needs no CSV quoting
-    for i, s in enumerate(members, start=1):
-        lines.append(f"{i},{';'.join(str(v) for v in s.indices)}")
-    lines.append(f"#cover_size={len(members)}")
-    return "\n".join(lines) + "\n"
+    rows = [(i, ";".join(str(v) for v in s.indices)) for i, s in enumerate(members, start=1)]
+    return render(
+        args.format, "combidetect.cover.v1", config, body,
+        table=(("set_id", "indices"), rows), footer={"cover_size": len(members)},
+    )
 
 
 def _run_nonmono(args) -> str:
@@ -321,32 +242,18 @@ def _run_nonmono(args) -> str:
         args.K, args.epsilon, args.trials, SeededRng(args.seed),
         workers=args.workers,
     )
-    config = {
-        "K": args.K, "command": "nonmono", "epsilon": args.epsilon,
-        "seed": args.seed, "trials": args.trials,
+    config = _config(args, "K", "epsilon", "trials")
+    # nested keys are joined with '.' in CSV and '_' in JSON
+    sep = "_" if args.format == "json" else "."
+    body = {
+        "mu": rep.mu, "n": rep.n, "gap": rep.gap, "gap_se": rep.gap_se,
+        "side_condition_holds": rep.side_condition_holds,
+        "side_condition_lhs": rep.side_condition_lhs,
+        "side_condition_rhs": rep.side_condition_rhs,
     }
-    def est_pairs(tag, e):
-        return [
-            (f"{tag}.type1", e.type1), (f"{tag}.se1", e.se_type1),
-            (f"{tag}.type2", e.type2), (f"{tag}.se2", e.se_type2),
-            (f"{tag}.total", e.total), (f"{tag}.se_total", e.se_total),
-        ]
-    pairs = (
-        [("mu", rep.mu), ("n", rep.n), ("gap", rep.gap), ("gap_se", rep.gap_se),
-         ("side_condition_holds", rep.side_condition_holds),
-         ("side_condition_lhs", rep.side_condition_lhs),
-         ("side_condition_rhs", rep.side_condition_rhs)]
-        + est_pairs("risk_disjoint", rep.risk_disjoint)
-        + est_pairs("risk_union", rep.risk_union)
-        + est_pairs("risk_witness_averaging", rep.risk_witness_averaging)
-    )
-    if args.format == "json":
-        doc = {
-            "schema": "combidetect.nonmono.v1", "version": __version__,
-            "config": config,
-        } | {k.replace(".", "_"): v for k, v in pairs}
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    return _kv_csv(pairs, config, "combidetect.nonmono.v1")
+    for tag in ("risk_disjoint", "risk_union", "risk_witness_averaging"):
+        body |= {f"{tag}{sep}{k}": v for k, v in getattr(rep, tag).rates().items()}
+    return render(args.format, "combidetect.nonmono.v1", config, body)
 
 
 _RUNNERS = {
@@ -366,9 +273,18 @@ def _emit_error(exc: BaseException, code: int) -> int:
     return code
 
 
+def _check_finite(args) -> None:
+    # argparse's float() accepts nan and inf; no flag of any command means them
+    for dest, value in vars(args).items():
+        values = value if isinstance(value, list) else [value]
+        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+            raise ValueError(f"--{dest.replace('_', '-')} must be finite")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_finite(args)
         text = _RUNNERS[args.command](args)
     except CapExceededError as exc:
         return _emit_error(exc, 3)

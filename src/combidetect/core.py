@@ -243,13 +243,15 @@ class Observation:
 
 
 def as_vector(x: "Observation | np.ndarray | Iterable[float]", n: int) -> np.ndarray:
-    """Coerce an observation-like input to a validated length-n float vector."""
+    """Coerce an observation-like input to a validated finite length-n float vector."""
     if isinstance(x, Observation):
         v = x.values
     else:
         v = np.asarray(x, dtype=np.float64)
     if v.ndim != 1 or v.size != n:
         raise DimensionMismatchError(f"expected a length-{n} vector, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("observation must be finite")
     return v
 
 

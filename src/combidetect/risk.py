@@ -9,7 +9,6 @@ are written into a preallocated array and reduced once, in index order.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -17,18 +16,13 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from ._version import __version__
+from ._output import fmt17, render  # noqa: F401  (fmt17 is re-exported)
 from .classes import ExplicitClass, SetClass
 from .core import AsymmetricClassError, IndexSet, ProblemInstance, SeededRng
 from .rules import batch_rejections
 
 _NULL_ARM = 0
 _MIXTURE_ARM = 1
-
-
-def fmt17(x: float) -> str:
-    """17 significant digits: exact round trip for IEEE doubles."""
-    return format(float(x), ".17g")
 
 
 @dataclass(frozen=True)
@@ -48,6 +42,15 @@ class RiskEstimate:
         se1 = math.sqrt(t1 * (1 - t1) / trials)
         se2 = math.sqrt(t2 * (1 - t2) / trials)
         return cls(t1, se1, t2, se2, t1 + t2, math.sqrt(se1**2 + se2**2), trials)
+
+    def rates(self) -> dict:
+        """The error rates and their standard errors, keyed as in every
+        document."""
+        return {
+            "type1": self.type1, "se1": self.se_type1,
+            "type2": self.type2, "se2": self.se_type2,
+            "total": self.total, "se_total": self.se_total,
+        }
 
 
 @dataclass(frozen=True)
@@ -446,80 +449,37 @@ def nonmonotonicity_demo(
 _CURVE_COLUMNS = ("mu", "type1", "se1", "type2", "se2", "total", "se_total", "trials")
 
 
-def _config_line(config: dict) -> str:
-    return json.dumps(config, sort_keys=True, separators=(",", ":"))
-
-
-def risk_rows_to_csv(
+def render_risk_rows(
+    fmt: str,
     rows: Sequence[tuple[float, RiskEstimate]],
     config: dict,
     schema: str,
     critical_mu: float | None = ...,
 ) -> str:
-    """CSV with schema/version/config comment header; 17-significant-digit
-    numbers, LF line ends, '.' decimal separator."""
-    lines = [
-        f"#schema={schema}",
-        f"#version={__version__}",
-        f"#config={_config_line(config)}",
-        ",".join(_CURVE_COLUMNS),
-    ]
-    for mu, e in rows:
-        lines.append(
-            ",".join(
-                [
-                    fmt17(mu),
-                    fmt17(e.type1),
-                    fmt17(e.se_type1),
-                    fmt17(e.type2),
-                    fmt17(e.se_type2),
-                    fmt17(e.total),
-                    fmt17(e.se_total),
-                    str(e.trials),
-                ]
-            )
-        )
+    """One risk row per mu, as a CSV table or a JSON ``results`` list.
+
+    A given ``critical_mu`` (None when the curve never crosses 1/2) adds a
+    ``#critical_mu=`` CSV footer, ``none`` for None, and a JSON key.
+    """
+    results = [{"mu": mu} | e.rates() | {"trials": e.trials} for mu, e in rows]
+    table = (_CURVE_COLUMNS, [tuple(r.values()) for r in results])
+    body = {"results": results}
+    footer = None
     if critical_mu is not ...:
-        value = "none" if critical_mu is None else fmt17(critical_mu)
-        lines.append(f"#critical_mu={value}")
-    return "\n".join(lines) + "\n"
+        body["critical_mu"] = critical_mu
+        footer = {"critical_mu": "none" if critical_mu is None else critical_mu}
+    return render(fmt, schema, config, body, table=table, footer=footer)
 
 
-def _estimate_dict(mu: float, e: RiskEstimate) -> dict:
-    return {
-        "mu": mu,
-        "type1": e.type1,
-        "se1": e.se_type1,
-        "type2": e.type2,
-        "se2": e.se_type2,
-        "total": e.total,
-        "se_total": e.se_total,
-        "trials": e.trials,
-    }
-
-
-def risk_rows_to_json(
-    rows: Sequence[tuple[float, RiskEstimate]],
-    config: dict,
-    schema: str,
-    critical_mu: float | None = ...,
-) -> str:
-    doc = {
-        "schema": schema,
-        "version": __version__,
-        "config": config,
-        "results": [_estimate_dict(mu, e) for mu, e in rows],
-    }
-    if critical_mu is not ...:
-        doc["critical_mu"] = critical_mu
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+def render_curve(fmt: str, curve: RiskCurve, config: dict) -> str:
+    """A scan's risk rows and crossing as a ``combidetect.scan.v1`` document."""
+    rows = list(zip(curve.mu_grid, curve.estimates))
+    return render_risk_rows(fmt, rows, config, "combidetect.scan.v1", curve.critical_mu)
 
 
 def curve_to_csv(curve: RiskCurve, config: dict) -> str:
-    rows = list(zip(curve.mu_grid, curve.estimates))
-    return risk_rows_to_csv(rows, config, "combidetect.scan.v1", curve.critical_mu)
+    return render_curve("csv", curve, config)
 
 
 def curve_to_json(curve: RiskCurve, config: dict) -> str:
-    rows = list(zip(curve.mu_grid, curve.estimates))
-    return risk_rows_to_json(rows, config, "combidetect.scan.v1", curve.critical_mu)
+    return render_curve("json", curve, config)

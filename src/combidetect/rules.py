@@ -22,18 +22,48 @@ class Decision:
     threshold: float
 
 
+def _decide(
+    test: str,
+    instance: ProblemInstance,
+    X: np.ndarray,
+    emax0: float | None,
+    cap: int | None,
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """(statistics, threshold, rejections) of one rule on a (B, n) block.
+
+    The scalar rules are this on a block of one row, so they match the
+    batch path bit for bit.
+    """
+    sc = instance.set_class
+    mu, K = instance.mu, instance.K
+    if test == "averaging":
+        if mu == 0.0:
+            raise DegenerateParameterError("averaging test is undefined at mu = 0")
+        stat, thr = X.sum(axis=1), mu * K / 2.0
+        return stat, thr, stat > thr
+    if test == "maximum":
+        if emax0 is None or not np.isfinite(emax0):
+            raise ValueError("maximum test requires a finite emax0")
+        stat, thr = sc.max_values_batch(X, cap), (mu * K + emax0) / 2.0
+        return stat, thr, stat >= thr  # ties reject
+    if test == "optimal":
+        stat = sc.log_mean_exp_batch(mu, X, cap) - K * mu**2 / 2.0
+        return stat, 0.0, stat > 0.0  # ties accept
+    raise ValueError(f"unknown test {test!r}, expected averaging, maximum or optimal")
+
+
+def _decide_one(test, x, instance, emax0=None, cap=None) -> Decision:
+    stat, thr, rej = _decide(test, instance, as_vector(x, instance.n)[None, :], emax0, cap)
+    return Decision(bool(rej[0]), float(stat[0]), float(thr))
+
+
 def averaging_test(x: Observation | np.ndarray, instance: ProblemInstance) -> Decision:
     """Reject when the coordinate sum strictly exceeds mu*K/2.
 
     Refuses mu = 0: the rule's threshold degenerates and both error rates are
     pinned at 1/2 regardless of the data.
     """
-    if instance.mu == 0.0:
-        raise DegenerateParameterError("averaging test is undefined at mu = 0")
-    v = as_vector(x, instance.n)
-    stat = float(v.sum())
-    thr = instance.mu * instance.K / 2.0
-    return Decision(stat > thr, stat, thr)
+    return _decide_one("averaging", x, instance)
 
 
 def maximum_test(
@@ -47,12 +77,7 @@ def maximum_test(
     ``emax0`` is a caller-supplied stand-in for the null expectation of the
     maximum; any upper bound on it is admissible.
     """
-    if not np.isfinite(emax0):
-        raise ValueError("emax0 must be finite")
-    v = as_vector(x, instance.n)
-    stat = float(instance.set_class.max_values_batch(v[None, :], cap)[0])
-    thr = (instance.mu * instance.K + emax0) / 2.0
-    return Decision(stat >= thr, stat, thr)
+    return _decide_one("maximum", x, instance, emax0, cap)
 
 
 def log_likelihood_ratio(
@@ -67,9 +92,7 @@ def log_likelihood_ratio(
 
     Finite for any finite input; mu = 0 gives exactly 0.
     """
-    v = as_vector(x, instance.n)
-    lme = float(instance.set_class.log_mean_exp_batch(instance.mu, v[None, :], cap)[0])
-    return lme - instance.K * instance.mu**2 / 2.0
+    return optimal_test(x, instance, cap).statistic
 
 
 def optimal_test(
@@ -78,8 +101,7 @@ def optimal_test(
     cap: int | None = None,
 ) -> Decision:
     """Likelihood-ratio rule: reject iff log L > 0; ties accept."""
-    stat = log_likelihood_ratio(x, instance, cap)
-    return Decision(stat > 0.0, stat, 0.0)
+    return _decide_one("optimal", x, instance, cap=cap)
 
 
 def batch_rejections(
@@ -91,24 +113,9 @@ def batch_rejections(
 ) -> np.ndarray:
     """Vectorized decisions for a (B, n) block; one bool per row.
 
-    Matches the scalar rules bit for bit; the Monte Carlo estimators run on
-    this path.
+    The Monte Carlo estimators run on this path.
     """
-    sc = instance.set_class
-    mu, K = instance.mu, instance.K
-    if test == "averaging":
-        if mu == 0.0:
-            raise DegenerateParameterError("averaging test is undefined at mu = 0")
-        return X.sum(axis=1) > mu * K / 2.0
-    if test == "maximum":
-        if emax0 is None:
-            raise ValueError("maximum test requires emax0")
-        if not np.isfinite(emax0):
-            raise ValueError("emax0 must be finite")
-        return sc.max_values_batch(X, cap) >= (mu * K + emax0) / 2.0
-    if test == "optimal":
-        return sc.log_mean_exp_batch(mu, X, cap) - K * mu**2 / 2.0 > 0.0
-    raise ValueError(f"unknown test {test!r}, expected averaging, maximum or optimal")
+    return _decide(test, instance, X, emax0, cap)[2]
 
 
 TESTS = ("averaging", "maximum", "optimal")

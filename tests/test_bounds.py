@@ -25,6 +25,7 @@ from combidetect import (
     universal_threshold,
     vc_cover_bound,
 )
+from combidetect import bounds as bounds_module
 from combidetect.bounds import PROPS, clique_admissible
 
 
@@ -253,10 +254,11 @@ class TestCoverAndPacking:
         assert ranks == sorted(ranks)
 
     def test_negative_radius_refused(self):
-        with pytest.raises(ValueError):
-            greedy_cover(make_class("stars", m=4), -0.1)
-        with pytest.raises(ValueError):
-            packing_estimate(make_class("stars", m=4), -0.1)
+        for radius in (-0.1, math.nan):
+            with pytest.raises(ValueError):
+                greedy_cover(make_class("stars", m=4), radius)
+            with pytest.raises(ValueError):
+                packing_estimate(make_class("stars", m=4), radius)
 
 
 class TestDudley:
@@ -272,10 +274,24 @@ class TestDudley:
         spec = make_class("stars", m=6)
         assert dudley_bound(spec, 3.0) == pytest.approx(3 * dudley_bound(spec, 1.0))
 
+    def test_one_cover_per_reached_distance(self, monkeypatch):
+        # KSets(12,3) has 4 distinct distances, so the 64 grid radii need at
+        # most 4 covers; the value is the one a fresh cover per radius gives
+        spec = make_class("ksets", n=12, K=3)
+        calls = []
+        real = bounds_module.greedy_cover
+        monkeypatch.setattr(
+            bounds_module, "greedy_cover", lambda *a: calls.append(a) or real(*a)
+        )
+        assert dudley_bound(spec, 1.0) == 4.795895440198799
+        assert len(calls) <= 4
+
     def test_validation(self):
         spec = make_class("stars", m=4)
         with pytest.raises(ValueError):
             dudley_bound(spec, 0.0)
+        with pytest.raises(ValueError):
+            dudley_bound(spec, math.nan)
         with pytest.raises(ValueError):
             dudley_bound(spec, 1.0, grid_points=0)
 
@@ -292,6 +308,8 @@ class TestVcCover:
             vc_cover_bound(50, 0, 1.0)
         with pytest.raises(ValueError):
             vc_cover_bound(50, 2, 0.0)
+        with pytest.raises(ValueError):
+            vc_cover_bound(50, 2, math.nan)
 
 
 class TestType1CoverThreshold:
@@ -345,7 +363,7 @@ class TestEvaluateBound:
             r = evaluate_bound(prop, params, spec=spec, rng=rng, trials=500)
             assert r.name == prop
             assert math.isnan(r.value) or np.isfinite(r.value)
-            doc = json.loads(r.to_json())
+            doc = json.loads(r.render("json"))
             assert doc["schema"] == "combidetect.bound.v1"
 
     def test_missing_parameters_are_named(self):

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import math
@@ -146,6 +147,24 @@ class TestErrorExits:
         )
         assert code == 3  # N = 120 > 50
         assert "120" in json.loads(err)["error"]["message"]
+
+    @pytest.mark.parametrize("argv", [
+        "bounds --prop dudley --class ksets --n 6 --K 2 --constant nan",
+        "bounds --prop vc-cover --n 100 --V 2 --t nan",
+        "bounds --prop pairs --mgf inf",
+        "cover --class ksets --n 6 --K 2 --radius nan",
+        "risk --class stars --m 4 --test optimal --mu 1.0 --mu inf --trials 10",
+        "risk --class stars --m 4 --test maximum --mu 1.0 --emax0=-inf --trials 10",
+        "scan --class stars --m 4 --test optimal --mu-grid nan:1:3 --trials 10",
+        "scan --class stars --m 4 --test optimal --mu-grid 0:inf:3 --trials 10",
+        "overlap --class stars --m 4 --mu nan",
+        "nonmono --K 3 --epsilon nan --trials 10",
+    ])
+    def test_non_finite_float_is_config_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split(), "--seed", "1")
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError" and "finite" in error["message"]
 
     def test_missing_seed_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -341,3 +360,28 @@ class TestEntryPoint:
         proc = subprocess.run(["combidetect", *CONSOLE_ARGS], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["name"] == "universal"
+
+
+def _json_dumps_sites(node, owner=None):
+    # the name of the innermost function around each json.dumps call
+    for child in ast.iter_child_nodes(node):
+        if (isinstance(child, ast.Attribute) and child.attr == "dumps"
+                and isinstance(child.value, ast.Name) and child.value.id == "json"):
+            yield owner
+        inner = child.name if isinstance(child, ast.FunctionDef) else owner
+        yield from _json_dumps_sites(child, inner)
+
+
+class TestOutputEnvelope:
+    def test_envelope_lives_in_one_module(self):
+        # every document goes through _output.render; the one other dump is
+        # the stderr error document of cli._emit_error
+        src = Path(importlib.import_module("combidetect").__file__).parent
+        sites = []
+        for path in sorted(src.glob("*.py")):
+            if path.name == "_output.py":
+                continue
+            text = path.read_text(encoding="utf-8")
+            assert "#schema=" not in text, path.name
+            sites += [(path.name, fn) for fn in _json_dumps_sites(ast.parse(text))]
+        assert sites == [("cli.py", "_emit_error")]

@@ -148,6 +148,9 @@ class TestObservation:
         np.testing.assert_array_equal(as_vector(Observation(np.ones(2)), 2), [1.0, 1.0])
         with pytest.raises(DimensionMismatchError):
             as_vector([1.0, 2.0], 3)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                as_vector([1.0, bad, 2.0], 3)
 
 
 class TestProblemInstance:

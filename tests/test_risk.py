@@ -29,8 +29,7 @@ from combidetect.risk import (
     _draw_block,
     _interpolate_half,
     fmt17,
-    risk_rows_to_csv,
-    risk_rows_to_json,
+    render_risk_rows,
 )
 
 
@@ -264,7 +263,7 @@ class TestSerialization:
 
     def test_csv_golden_snapshot(self):
         rows = [(0.5, RiskEstimate.from_counts(1, 1, 4))]
-        got = risk_rows_to_csv(rows, {"a": 1}, "combidetect.risk.v1")
+        got = render_risk_rows("csv", rows, {"a": 1}, "combidetect.risk.v1")
         assert got == (
             "#schema=combidetect.risk.v1\n"
             "#version=0.1.0\n"
@@ -276,7 +275,7 @@ class TestSerialization:
 
     def test_csv_has_lf_endings_and_no_timestamp(self):
         rows = [(1.0, RiskEstimate.from_counts(3, 2, 10))]
-        text = risk_rows_to_csv(rows, {}, "combidetect.risk.v1")
+        text = render_risk_rows("csv", rows, {}, "combidetect.risk.v1")
         assert "\r" not in text
         assert "20" not in text.split("\n")[0]  # schema line carries no date
 
@@ -293,7 +292,7 @@ class TestSerialization:
 
     def test_json_round_trip(self):
         rows = [(0.7, RiskEstimate.from_counts(5, 9, 50))]
-        doc = json.loads(risk_rows_to_json(rows, {"seed": 3}, "combidetect.risk.v1"))
+        doc = json.loads(render_risk_rows("json", rows, {"seed": 3}, "combidetect.risk.v1"))
         assert doc["config"] == {"seed": 3}
         r = doc["results"][0]
         assert r["mu"] == 0.7
@@ -302,7 +301,7 @@ class TestSerialization:
 
     def test_csv_rows_parse_back_to_exact_floats(self):
         e = RiskEstimate.from_counts(7, 13, 97)
-        text = risk_rows_to_csv([(0.123456789, e)], {}, "combidetect.risk.v1")
+        text = render_risk_rows("csv", [(0.123456789, e)], {}, "combidetect.risk.v1")
         data = text.strip().split("\n")[-1].split(",")
         assert float(data[0]) == 0.123456789
         assert float(data[1]) == e.type1

@@ -42,6 +42,15 @@ class TestAveraging:
         d = averaging_test(Observation(np.full(4, 2.0)), inst(mu=1.0))
         assert d.reject
 
+    def test_refuses_non_finite_vectors(self):
+        pi = inst("disjoint", mu=1.0, N=2, K=3)
+        x = [np.nan, 0.0, 0.0, 0.0, 0.0, 0.0]
+        for rule in (averaging_test, optimal_test, log_likelihood_ratio):
+            with pytest.raises(ValueError, match="finite"):
+                rule(x, pi)
+        with pytest.raises(ValueError, match="finite"):
+            maximum_test(x, pi, emax0=1.0)
+
 
 class TestMaximum:
     def test_statistic_is_best_member_sum(self):
