@@ -1,9 +1,6 @@
-"""Exact maximum-weight perfect matching on a dense square weight matrix.
+"""Exact maximum perfect-matching weight of a dense square weight matrix.
 
-Shortest-augmenting-path assignment with dual potentials, O(m^3).  The duals
-are kept because they certify optimality edge by edge: every optimal matching
-lives inside the tight subgraph {(i, j): u_i + v_j = w_ij}, which is what the
-lexicographic tie canonicalization walks.
+Shortest-augmenting-path assignment with dual potentials, O(m^3).
 """
 
 from __future__ import annotations
@@ -13,12 +10,8 @@ import numpy as np
 _INF = float("inf")
 
 
-def max_weight_assignment(w: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
-    """Solve max sum_i w[i, sigma(i)] over permutations sigma.
-
-    Returns (sigma, value, u, v) with u[i] + v[j] >= w[i, j] everywhere and
-    equality on matched edges.
-    """
+def assignment_value(w: np.ndarray) -> float:
+    """max sum_i w[i, sigma(i)] over permutations sigma, summed in row order."""
     w = np.asarray(w, dtype=np.float64)
     m = w.shape[0]
     if w.shape != (m, m):
@@ -61,75 +54,4 @@ def max_weight_assignment(w: np.ndarray) -> tuple[np.ndarray, float, np.ndarray,
     sigma = np.empty(m, dtype=np.int64)
     for j in range(1, m + 1):
         sigma[p[j] - 1] = j - 1
-    value = float(w[np.arange(m), sigma].sum())
-    # Duals for the max form: u_max[i] + v_max[j] >= w[i, j].
-    return sigma, value, -u[1:], -v[1:]
-
-
-def assignment_value(w: np.ndarray) -> float:
-    """Max matching weight only (no canonicalization)."""
-    return max_weight_assignment(w)[1]
-
-
-def _kuhn_feasible(adj: list[np.ndarray], rows: list[int], free_cols: np.ndarray) -> bool:
-    """Perfect matching of ``rows`` into free columns of a bipartite graph."""
-    match_col = {}
-    for r in rows:
-        seen = set()
-
-        def try_row(i) -> bool:
-            for j in adj[i]:
-                jj = int(j)
-                if not free_cols[jj] or jj in seen:
-                    continue
-                seen.add(jj)
-                if jj not in match_col or try_row(match_col[jj]):
-                    match_col[jj] = i
-                    return True
-            return False
-
-        if not try_row(r):
-            return False
-    return True
-
-
-def lexmin_max_weight_assignment(w: np.ndarray) -> tuple[np.ndarray, float]:
-    """Max-weight assignment; under ties, the lexicographically least sigma.
-
-    sigma is compared as the sequence (sigma(0), sigma(1), ...), which equals
-    lexicographic order on the induced edge-index sets of K_{m,m}.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    m = w.shape[0]
-    sigma, value, u, v = max_weight_assignment(w)
-    scale = max(1.0, float(np.abs(w).max()) if w.size else 1.0)
-    tol = 1e-9 * scale
-    tight = (u[:, None] + v[None, :] - w) <= tol
-
-    # Generic weights: the tight graph is exactly the unique optimum.
-    if tight.sum() == m:
-        return sigma, value
-
-    adj = [np.flatnonzero(tight[i]) for i in range(m)]
-    free = np.ones(m, dtype=bool)
-    chosen = np.empty(m, dtype=np.int64)
-    for i in range(m):
-        rest = list(range(i + 1, m))
-        picked = False
-        for j in adj[i]:
-            jj = int(j)
-            if not free[jj]:
-                continue
-            free[jj] = False
-            if _kuhn_feasible(adj, rest, free):
-                chosen[i] = jj
-                picked = True
-                break
-            free[jj] = True
-        if not picked:
-            # Tolerance artifact: fall back to the certified optimum.
-            return sigma, value
-    forced_value = float(w[np.arange(m), chosen].sum())
-    if forced_value < value - tol * (m + 1):
-        return sigma, value
-    return chosen, value
+    return float(w[np.arange(m), sigma].sum())

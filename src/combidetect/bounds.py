@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _output
 from .classes import ExplicitClass, SetClass
-from .core import IndexSet, SeededRng
+from .core import DegenerateParameterError, IndexSet, SeededRng
 from .risk import estimate_emax0
 
 #: direction literals for BoundReport
@@ -121,20 +121,20 @@ def random_subclass_bound(K: int, M: int, t: float) -> BoundReport:
     The second term of the published minimum carries a nonpositive constant
     log(sqrt(3)/8); it is evaluated verbatim, reported, and flagged
     degenerate.  The usable value is the first term, which is also the whole
-    bound when t^2 = 2K (the median-zero-overlap case).
+    bound when t^2 = 2K (the median-zero-overlap case).  M <= 16 makes
+    log(M/16) nonpositive, so there is no first term and the bound is refused.
     """
     if K < 1 or M < 2:
         raise ValueError("need K >= 1 and M >= 2")
     if not (t >= 0 and t * t <= 2 * K + 1e-9):
         raise ValueError("need 0 <= t <= sqrt(2K)")
+    if M <= 16:
+        raise DegenerateParameterError(
+            "M <= 16 makes log(M/16) nonpositive; the random-subclass bound has no usable first term"
+        )
     degenerate = False
     extras: dict = {}
-    if M <= 16:
-        first = float("nan")
-        degenerate = True
-        extras["note"] = "M <= 16 makes log(M/16) nonpositive; no usable first term"
-    else:
-        first = math.sqrt(math.log(M / 16.0) / K)
+    first = math.sqrt(math.log(M / 16.0) / K)
     denom_sq = K - t * t / 2.0
     if denom_sq <= 0.0:
         second = None
@@ -142,7 +142,7 @@ def random_subclass_bound(K: int, M: int, t: float) -> BoundReport:
     else:
         second = 8.0 * math.log(math.sqrt(3.0) / 8.0) / math.sqrt(denom_sq)
         extras["second_term"] = second
-        extras["verbatim_min"] = min(first, second) if not math.isnan(first) else second
+        extras["verbatim_min"] = min(first, second)
         degenerate = True  # second term is negative, the verbatim minimum is vacuous
     extras["first_term"] = first
     return BoundReport(

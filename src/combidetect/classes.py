@@ -2,10 +2,14 @@
 
 Each family describes a class C of K-element subsets of {1..n} with exact
 cardinality, an exactly-uniform sampler, canonical (lexicographic) member
-enumeration under a cap, an exact maximum-weight member, and the batch hooks
-the risk estimators run on.  Graph families live on the complete graph K_m
-(edges numbered lexicographically by endpoint pair, 1-based) or on the
-complete bipartite graph K_{m,m} (edge (i, j) numbered (i-1)m + j).
+enumeration under a cap, and the batch hooks the risk estimators run on.
+Graph families live on the complete graph K_m (edges numbered
+lexicographically by endpoint pair, 1-based) or on the complete bipartite
+graph K_{m,m} (edge (i, j) numbered (i-1)m + j).
+
+Inside the package a member is a sorted 0-based index array, the form of one
+``member_matrix`` row, and ``sample_rows`` draws it.  ``IndexSet`` appears
+only at the public edge: ``sample``, ``enumerate_members`` and ``contains``.
 
 The batch hooks enumerate members by default.  Families with an exact
 structured kernel override them: an elementary-symmetric-polynomial DP for
@@ -25,7 +29,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ._assignment import assignment_value, lexmin_max_weight_assignment
+from ._assignment import assignment_value
 from .core import (
     DEFAULT_ENUMERATION_CAP,
     CapExceededError,
@@ -72,7 +76,7 @@ def complete_graph_edges(m: int) -> np.ndarray:
 
 class SetClass:
     """Base class: a family of equal-size index sets with sampling,
-    enumeration, and maximization capabilities."""
+    enumeration and the batch hooks of the tests."""
 
     family = "abstract"
     is_symmetric = False
@@ -83,9 +87,16 @@ class SetClass:
     def cardinality(self) -> int:
         raise NotImplementedError
 
-    def sample(self, rng: SeededRng | np.random.Generator) -> IndexSet:
-        """Draw one member, exactly uniformly."""
+    def sample_rows(self, gen: np.random.Generator) -> np.ndarray:
+        """Draw one member, exactly uniformly, as a sorted 0-based index array.
+
+        The array may be a read-only view of the class's own tables.
+        """
         raise NotImplementedError
+
+    def sample(self, rng: SeededRng | np.random.Generator) -> IndexSet:
+        """Draw one member, exactly uniformly, with the draws of ``sample_rows``."""
+        return IndexSet(tuple((self.sample_rows(_as_generator(rng)) + 1).tolist()), self.n)
 
     def contains(self, s: IndexSet) -> bool:
         raise NotImplementedError
@@ -153,26 +164,6 @@ class SetClass:
             hi = top
         return hi + np.log(acc) - math.log(self.cardinality())
 
-    def max_weight(self, x: np.ndarray, cap: int | None = None) -> tuple[IndexSet, float]:
-        """Exact argmax_S X_S with lexicographic tie-breaking.
-
-        Canonical enumeration order is lexicographic, so the first maximum in
-        order is the tie winner.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        best_val = -np.inf
-        best_row = -1
-        offset = 0
-        for blk in self.member_sums_iter(x[None, :], cap):
-            vals = blk[0]
-            j = int(np.argmax(vals))
-            if vals[j] > best_val:
-                best_val = float(vals[j])
-                best_row = offset + j
-            offset += vals.size
-        row = self.member_matrix(cap)[best_row]
-        return IndexSet(tuple(int(i) + 1 for i in row), self.n), best_val
-
     def overlap_pmf(self) -> tuple[np.ndarray, np.ndarray] | None:
         """Exact law of |S ∩ S'| for two independent uniform members, when known."""
         return None
@@ -197,10 +188,9 @@ class DisjointSets(SetClass):
     def to_params(self) -> dict:
         return {"family": self.family, "N": self.N, "K": self.K}
 
-    def sample(self, rng):
-        gen = _as_generator(rng)
+    def sample_rows(self, gen):
         j = int(gen.integers(self.N))
-        return IndexSet(tuple(range(j * self.K + 1, (j + 1) * self.K + 1)), self.n)
+        return np.arange(j * self.K, (j + 1) * self.K)
 
     def contains(self, s: IndexSet) -> bool:
         if s.n != self.n or len(s) != self.K:
@@ -240,10 +230,8 @@ class KSets(SetClass):
     def to_params(self) -> dict:
         return {"family": self.family, "n": self.n, "K": self.K}
 
-    def sample(self, rng):
-        gen = _as_generator(rng)
-        idx = np.sort(gen.choice(self.n, size=self.K, replace=False))
-        return IndexSet(tuple(int(i) + 1 for i in idx), self.n)
+    def sample_rows(self, gen):
+        return np.sort(gen.choice(self.n, size=self.K, replace=False))
 
     def contains(self, s: IndexSet) -> bool:
         return s.n == self.n and len(s) == self.K
@@ -254,13 +242,6 @@ class KSets(SetClass):
             dtype=np.int32,
         )
         return combos.reshape(-1, self.K)
-
-    def max_weight(self, x, cap=None):
-        x = np.asarray(x, dtype=np.float64)
-        # stable greedy: value descending, index ascending; lex-least under ties
-        order = np.lexsort((np.arange(self.n), -x))
-        top = np.sort(order[: self.K])
-        return IndexSet(tuple(int(i) + 1 for i in top), self.n), float(x[top].sum())
 
     def max_values_batch(self, X, cap=None):
         if self.K == self.n:
@@ -309,6 +290,7 @@ class Stars(SetClass):
         inc = np.empty((self.m, self.K), dtype=np.int32)
         for c in range(self.m):
             inc[c] = np.flatnonzero((self.edges[:, 0] == c) | (self.edges[:, 1] == c))
+        inc.setflags(write=False)  # sample_rows hands out its rows
         self.incident = inc
 
     def cardinality(self) -> int:
@@ -317,10 +299,8 @@ class Stars(SetClass):
     def to_params(self) -> dict:
         return {"family": self.family, "m": self.m}
 
-    def sample(self, rng):
-        gen = _as_generator(rng)
-        c = int(gen.integers(self.m))
-        return IndexSet(tuple(int(e) + 1 for e in self.incident[c]), self.n)
+    def sample_rows(self, gen):
+        return self.incident[int(gen.integers(self.m))]
 
     def contains(self, s: IndexSet) -> bool:
         if s.n != self.n or len(s) != self.K:
@@ -332,16 +312,8 @@ class Stars(SetClass):
     def _build_member_matrix(self) -> np.ndarray:
         return self.incident
 
-    def _center_sums(self, X: np.ndarray) -> np.ndarray:
-        return X[:, self.incident].sum(axis=2)
-
     def member_sums_iter(self, X, cap=None):
-        yield self._center_sums(X)
-
-    def max_weight(self, x, cap=None):
-        sums = self._center_sums(np.asarray(x, dtype=np.float64)[None, :])[0]
-        c = int(np.argmax(sums))  # first max: smaller center wins, which is lex-least
-        return IndexSet(tuple(int(e) + 1 for e in self.incident[c]), self.n), float(sums[c])
+        yield X[:, self.incident].sum(axis=2)
 
     def overlap_pmf(self):
         # same center w.p. 1/m (full overlap), else exactly the shared edge
@@ -368,11 +340,8 @@ class PerfectMatchings(SetClass):
     def to_params(self) -> dict:
         return {"family": self.family, "m": self.m}
 
-    def sample(self, rng):
-        gen = _as_generator(rng)
-        sigma = gen.permutation(self.m)
-        ids = np.arange(self.m) * self.m + sigma
-        return IndexSet(tuple(int(e) + 1 for e in ids), self.n)
+    def sample_rows(self, gen):
+        return np.arange(self.m) * self.m + gen.permutation(self.m)
 
     def contains(self, s: IndexSet) -> bool:
         if s.n != self.n or len(s) != self.K:
@@ -388,14 +357,6 @@ class PerfectMatchings(SetClass):
             dtype=np.int32,
         ).reshape(-1, self.m)
         return (np.arange(self.m, dtype=np.int32) * self.m)[None, :] + perms
-
-    def _weight_matrix(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=np.float64).reshape(self.m, self.m)
-
-    def max_weight(self, x, cap=None):
-        sigma, value = lexmin_max_weight_assignment(self._weight_matrix(x))
-        ids = np.arange(self.m) * self.m + sigma
-        return IndexSet(tuple(int(e) + 1 for e in ids), self.n), value
 
     # -- subset DP over column masks -----------------------------------
 
@@ -455,7 +416,7 @@ class PerfectMatchings(SetClass):
     def max_values_batch(self, X, cap=None):
         # the cap does not apply: the DP's tables are small up to _MAX_DP_M
         if self.m > _MAX_DP_M:
-            return np.array([assignment_value(self._weight_matrix(row)) for row in X])
+            return np.array([assignment_value(row.reshape(self.m, self.m)) for row in X])
         m = self.m
         layers = self._mask_layers()
         out = np.empty(X.shape[0])
@@ -543,12 +504,11 @@ class SpanningTrees(SetClass):
     def to_params(self) -> dict:
         return {"family": self.family, "m": self.m}
 
-    def sample(self, rng):
+    def sample_rows(self, gen):
         # first-entrance edges of a simple random walk from a uniform start
-        gen = _as_generator(rng)
         m = self.m
         if m == 2:
-            return IndexSet((1,), self.n)
+            return np.zeros(1, dtype=np.int64)
         visited = np.zeros(m, dtype=bool)
         cur = int(gen.integers(m))
         visited[cur] = True
@@ -562,7 +522,7 @@ class SpanningTrees(SetClass):
                 count += 1
                 ids.append(int(self._pair_id0[cur, nxt]))
             cur = nxt
-        return IndexSet(tuple(e + 1 for e in sorted(ids)), self.n)
+        return np.array(sorted(ids))
 
     def _is_tree(self, edge_ids0) -> bool:
         uf = _UnionFind(self.m)
@@ -583,10 +543,10 @@ class SpanningTrees(SetClass):
         ]
         return np.array(rows, dtype=np.int32)
 
-    def _kruskal(self, x: np.ndarray) -> tuple[np.ndarray, float]:
-        # weight descending, edge id ascending; greedy basis of the graphic
-        # matroid is the lex-least maximizer under ties
-        order = np.lexsort((np.arange(self.n), -x))
+    def _kruskal(self, x: np.ndarray) -> float:
+        # greedy basis of the graphic matroid, weight descending and edge id
+        # ascending, summed in edge id order
+        order = np.argsort(-x, kind="stable")
         uf = _UnionFind(self.m)
         chosen = []
         for e in order:
@@ -595,16 +555,10 @@ class SpanningTrees(SetClass):
                 chosen.append(int(e))
                 if len(chosen) == self.K:
                     break
-        ids = np.sort(np.array(chosen, dtype=np.int64))
-        return ids, float(x[ids].sum())
-
-    def max_weight(self, x, cap=None):
-        x = np.asarray(x, dtype=np.float64)
-        ids, value = self._kruskal(x)
-        return IndexSet(tuple(int(e) + 1 for e in ids), self.n), value
+        return float(x[np.sort(chosen)].sum())
 
     def max_values_batch(self, X, cap=None):
-        return np.array([self._kruskal(row)[1] for row in X])
+        return np.array([self._kruskal(row) for row in X])
 
     def log_mean_exp_batch(self, mu, X, cap=None):
         # weighted matrix-tree theorem: the tree polynomial is the determinant
@@ -665,11 +619,9 @@ class Cliques(SetClass):
     def _vertices_to_member(self, vs: np.ndarray) -> np.ndarray:
         return self._pair_id0[vs[self._ia], vs[self._ib]]
 
-    def sample(self, rng):
-        gen = _as_generator(rng)
-        vs = np.sort(gen.choice(self.m, size=self.k, replace=False))
-        ids = self._vertices_to_member(vs)
-        return IndexSet(tuple(int(e) + 1 for e in ids), self.n)
+    def sample_rows(self, gen):
+        # sorted vertices give lexicographic pairs, hence sorted edge ids
+        return self._vertices_to_member(np.sort(gen.choice(self.m, size=self.k, replace=False)))
 
     def contains(self, s: IndexSet) -> bool:
         if s.n != self.n or len(s) != self.K:
@@ -728,11 +680,10 @@ class GridSquares(SetClass):
         cols = np.arange(c0, c0 + self.sqrt_K)
         return (rows[:, None] * self.sqrt_n + cols[None, :]).ravel()
 
-    def sample(self, rng):
-        gen = _as_generator(rng)
+    def sample_rows(self, gen):
         r0 = int(gen.integers(self.side))
         c0 = int(gen.integers(self.side))
-        return IndexSet(tuple(int(i) + 1 for i in self._member_ids0(r0, c0)), self.n)
+        return self._member_ids0(r0, c0)
 
     def contains(self, s: IndexSet) -> bool:
         if s.n != self.n or len(s) != self.K:
@@ -799,6 +750,7 @@ class ExplicitClass(SetClass):
         self.members = tuple(members)
         self._key_set = frozenset(keys)
         self._member_cache = np.array([s.zero_based() for s in members], dtype=np.int32)
+        self._member_cache.setflags(write=False)  # sample_rows hands out its rows
 
     def cardinality(self) -> int:
         return len(self.members)
@@ -806,9 +758,8 @@ class ExplicitClass(SetClass):
     def to_params(self) -> dict:
         return {"family": self.family, "n": self.n, "K": self.K, "N": len(self.members)}
 
-    def sample(self, rng):
-        gen = _as_generator(rng)
-        return self.members[int(gen.integers(len(self.members)))]
+    def sample_rows(self, gen):
+        return self._member_cache[int(gen.integers(len(self.members)))]
 
     def contains(self, s: IndexSet) -> bool:
         return s.n == self.n and s.indices in self._key_set
@@ -873,10 +824,12 @@ def sample_overlap_pair(spec: SetClass, rng: SeededRng | np.random.Generator) ->
     A SeededRng names a fixed stream, so repeated calls with the same SeededRng
     repeat the same pair; pass rng.child(i) per draw, or a Generator, to sweep.
     """
-    gen = _as_generator(rng)
-    s = spec.sample(gen)
-    t = spec.sample(gen)
-    return OverlapSample(len(set(s.indices) & set(t.indices)))
+    return OverlapSample(_row_overlap(spec, _as_generator(rng)))
+
+
+def _row_overlap(spec: SetClass, gen: np.random.Generator) -> int:
+    """|S ∩ S'| of the next two members ``gen`` draws."""
+    return len(set(spec.sample_rows(gen).tolist()) & set(spec.sample_rows(gen).tolist()))
 
 
 def exact_overlap_mgf(spec: SetClass, mu: float) -> float | None:
@@ -903,10 +856,8 @@ def estimate_overlap_mgf(
         raise ValueError("pairs must be >= 2")
     if isinstance(spec, (DisjointSets, Stars, PerfectMatchings)):
         return exact_overlap_mgf(spec, mu), 0.0
-    gen = rng.generator() if isinstance(rng, SeededRng) else rng
-    zs = np.empty(pairs)
-    for i in range(pairs):
-        zs[i] = sample_overlap_pair(spec, gen).z
+    gen = _as_generator(rng)
+    zs = np.array([_row_overlap(spec, gen) for _ in range(pairs)], dtype=np.float64)
     vals = np.exp(mu * mu * zs)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(pairs))
 

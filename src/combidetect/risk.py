@@ -87,9 +87,9 @@ def _draw_block(
     for x, state in zip(X, rng.child(arm).child_states(lo, hi)):
         bitgen.state = state
         if arm == _MIXTURE_ARM:
-            s = instance.set_class.sample(gen)
+            rows = instance.set_class.sample_rows(gen)
             gen.standard_normal(out=x)
-            x[s.zero_based()] += instance.mu
+            x[rows] += instance.mu
         else:
             gen.standard_normal(out=x)
     return X

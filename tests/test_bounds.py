@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from combidetect import (
+    DegenerateParameterError,
     SeededRng,
     averaging_threshold,
     clique_bounds,
@@ -152,9 +153,8 @@ class TestRandomSubclassBound:
         assert r.value == pytest.approx(0.47985259121880812, rel=1e-13)
 
     def test_small_subclass_is_degenerate(self):
-        r = random_subclass_bound(5, 16, math.sqrt(10.0))
-        assert r.degenerate
-        assert math.isnan(r.value)
+        with pytest.raises(DegenerateParameterError, match="M <= 16"):
+            random_subclass_bound(5, 16, math.sqrt(10.0))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -362,7 +362,7 @@ class TestEvaluateBound:
         for prop, params in cases.items():
             r = evaluate_bound(prop, params, spec=spec, rng=rng, trials=500)
             assert r.name == prop
-            assert math.isnan(r.value) or np.isfinite(r.value)
+            assert np.isfinite(r.value)
             doc = json.loads(r.render("json"))
             assert doc["schema"] == "combidetect.bound.v1"
 

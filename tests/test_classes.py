@@ -22,7 +22,7 @@ from combidetect import (
     make_class,
     sample_overlap_pair,
 )
-from combidetect.classes import complete_graph_edges
+from combidetect.classes import FAMILIES, complete_graph_edges
 
 # family name -> (constructor kwargs, expected n, K, N)
 SMALL = {
@@ -34,6 +34,10 @@ SMALL = {
     "cliques": (dict(m=6, k=3), 15, 3, 20),
     "grid": (dict(sqrt_n=4, sqrt_K=2), 16, 4, 9),
 }
+
+
+#: a class given by its member list, sampled by rank
+EXPLICIT = ExplicitClass(6, [IndexSet((3, 4), 6), IndexSet((1, 2), 6), IndexSet((2, 5), 6)])
 
 
 def small(family):
@@ -154,69 +158,24 @@ class TestSampling:
         b = spec.sample(SeededRng(9).child(4))
         assert a == b
 
-
-def brute_lexmin_max(spec, x):
-    x = np.asarray(x, dtype=np.float64)
-    best_set, best_val = None, -np.inf
-    for s in spec.enumerate_members():
-        v = float(x[s.zero_based()].sum())
-        if v > best_val:
-            best_set, best_val = s, v
-    return best_set, best_val
-
-
-class TestMaxWeight:
-    def test_matches_bruteforce_on_gaussian_weights(self, family):
-        spec = small(family)
-        gen = SeededRng(202).child(sorted(SMALL).index(family)).generator()
-        for _ in range(60):
-            x = gen.standard_normal(spec.n)
-            s, v = spec.max_weight(x)
-            bs, bv = brute_lexmin_max(spec, x)
-            assert s == bs
-            assert v == pytest.approx(bv, abs=1e-9)
-            assert spec.contains(s)
-
-    def test_lexicographic_tie_break_on_integer_weights(self, family):
-        spec = small(family)
-        gen = SeededRng(203).child(sorted(SMALL).index(family)).generator()
-        for _ in range(120):
-            x = gen.integers(-2, 3, size=spec.n).astype(np.float64)
-            s, v = spec.max_weight(x)
-            bs, bv = brute_lexmin_max(spec, x)
-            assert v == bv
-            assert s == bs, f"{family}: tie broken away from lexicographic minimum"
-
-    def test_all_equal_weights_give_first_member(self, family):
-        spec = small(family)
-        s, v = spec.max_weight(np.ones(spec.n))
-        assert s == next(spec.enumerate_members())
-        assert v == spec.K
-
-    def test_matchings_lexmin_against_full_permutation_scan(self):
-        # the assignment solver does its own tie canonicalization; hammer it
-        spec = make_class("matchings", m=4)
-        gen = SeededRng(204).generator()
-        for _ in range(300):
-            x = gen.integers(-2, 3, size=16).astype(np.float64)
-            assert spec.max_weight(x) == brute_lexmin_max(spec, x)
-
-    def test_trees_kruskal_against_full_scan(self):
-        spec = make_class("trees", m=5)
-        gen = SeededRng(205).generator()
+    @pytest.mark.parametrize("name", [*sorted(SMALL), "explicit"])
+    def test_sample_rows_replays_sample(self, name):
+        spec = EXPLICIT if name == "explicit" else small(name)
+        members = {tuple(r) for r in spec.member_matrix().tolist()}
+        g1 = SeededRng(78).child(len(name)).generator()
+        g2 = SeededRng(78).child(len(name)).generator()
         for _ in range(200):
-            x = gen.integers(-1, 2, size=10).astype(np.float64)
-            s, v = spec.max_weight(x)
-            bs, bv = brute_lexmin_max(spec, x)
-            assert (s, v) == (bs, bv)
+            row = spec.sample_rows(g1)
+            np.testing.assert_array_equal(row, spec.sample(g2).zero_based())
+            assert g1.bit_generator.state == g2.bit_generator.state
+            assert np.all(np.diff(row) > 0)
+            assert tuple(row.tolist()) in members
 
-    def test_ksets_beyond_enumeration_cap(self):
-        spec = make_class("ksets", n=200, K=30)  # C(200,30) is astronomical
-        gen = SeededRng(206).generator()
-        x = gen.standard_normal(200)
-        s, v = spec.max_weight(x)
-        assert v == pytest.approx(np.sort(x)[-30:].sum())
-        assert spec.contains(s)
+    def test_one_sampler_path(self):
+        # families define sample_rows; only the base class turns it into an IndexSet
+        for cls in [*FAMILIES.values(), ExplicitClass]:
+            assert "sample" not in vars(cls), cls.__name__
+            assert "sample_rows" in vars(cls), cls.__name__
 
 
 class TestBatchEvaluation:
@@ -232,10 +191,18 @@ class TestBatchEvaluation:
     def test_max_values_batch_matches_scalar(self, family):
         spec = small(family)
         gen = SeededRng(302).child(sorted(SMALL).index(family)).generator()
-        X = gen.standard_normal((9, spec.n))
-        vals = spec.max_values_batch(X)
-        for i in range(X.shape[0]):
-            assert vals[i] == pytest.approx(spec.max_weight(X[i])[1], abs=1e-9)
+        X = gen.standard_normal((60, spec.n))
+        oracle = X[:, spec.member_matrix()].sum(axis=2).max(axis=1)
+        assert spec.max_values_batch(X) == pytest.approx(oracle, abs=1e-9)
+        # integer weights tie often; every summation order gives the exact value
+        Z = gen.integers(-2, 3, size=(120, spec.n)).astype(np.float64)
+        oracle = Z[:, spec.member_matrix()].sum(axis=2).max(axis=1)
+        np.testing.assert_array_equal(spec.max_values_batch(Z), oracle)
+
+    def test_ksets_beyond_enumeration_cap(self):
+        spec = make_class("ksets", n=200, K=30)  # C(200,30) is astronomical
+        x = SeededRng(206).generator().standard_normal(200)
+        assert spec.max_values_batch(x[None, :])[0] == pytest.approx(np.sort(x)[-30:].sum())
 
     def test_log_mean_exp_matches_logsumexp(self, family):
         spec = small(family)

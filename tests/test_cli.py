@@ -166,6 +166,16 @@ class TestErrorExits:
         error = json.loads(err)["error"]
         assert error["type"] == "ValueError" and "finite" in error["message"]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_small_random_subclass_is_degenerate_error(self, capsys, fmt):
+        code, out, err = run(
+            capsys, "bounds", "--prop", "random-subclass", "--K", "10", "--M", "10",
+            "--t", "4.0", "--seed", "1", "--format", fmt,
+        )
+        assert code == 2 and out == ""
+        assert '"type": "DegenerateParameterError"' in err
+        assert "M <= 16" in json.loads(err)["error"]["message"]
+
     def test_missing_seed_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["risk", "--class", "stars", "--m", "4", "--test", "optimal",

@@ -15,8 +15,9 @@ them must reproduce those bytes too.
 Every ``bounds`` proposition, ``overlap`` on an exact and on a Monte Carlo
 family, ``emax`` in JSON, ``cover`` and ``nonmono`` were recorded in both
 formats from per-command envelopes, before one writer replaced them.  They
-include the degenerate ``random-subclass`` documents that print ``nan`` (in
-JSON, ``NaN``) and ``None``.
+include the degenerate ``random-subclass`` document whose second term is
+``None``.  A ``random-subclass`` call with M <= 16 has no value and exits with
+a typed error instead (see ``test_cli.py``).
 """
 
 import pytest
@@ -398,43 +399,6 @@ GOLDEN = {
         '  "name": "cliques",\n'
         '  "schema": "combidetect.bound.v1",\n'
         '  "value": 3.990280374480414,\n'
-        '  "version": "0.1.0"\n'
-        '}\n',
-    ),
-    'bounds-random-subclass-nan': (
-        'bounds --prop random-subclass --K 10 --M 10 --t 4.0 --seed 1',
-        '#schema=combidetect.bound.v1\n'
-        '#version=0.1.0\n'
-        '#config={"K":10,"M":10,"t":4.0}\n'
-        'key,value\n'
-        'name,random-subclass\n'
-        'direction,mu_threshold_for_risk_ge_delta\n'
-        'value,nan\n'
-        'degenerate,True\n'
-        'extras.first_term,nan\n'
-        'extras.note,M <= 16 makes log(M/16) nonpositive; no usable first term\n'
-        'extras.second_term,-8.6557529247741929\n'
-        'extras.verbatim_min,-8.6557529247741929\n',
-    ),
-    'bounds-random-subclass-nan-json': (
-        'bounds --prop random-subclass --K 10 --M 10 --t 4.0 --seed 1 --format json',
-        '{\n'
-        '  "degenerate": true,\n'
-        '  "direction": "mu_threshold_for_risk_ge_delta",\n'
-        '  "extras": {\n'
-        '    "first_term": NaN,\n'
-        '    "note": "M <= 16 makes log(M/16) nonpositive; no usable first term",\n'
-        '    "second_term": -8.655752924774193,\n'
-        '    "verbatim_min": -8.655752924774193\n'
-        '  },\n'
-        '  "inputs": {\n'
-        '    "K": 10,\n'
-        '    "M": 10,\n'
-        '    "t": 4.0\n'
-        '  },\n'
-        '  "name": "random-subclass",\n'
-        '  "schema": "combidetect.bound.v1",\n'
-        '  "value": NaN,\n'
         '  "version": "0.1.0"\n'
         '}\n',
     ),
