@@ -228,6 +228,25 @@ class TestSubclassComparisons:
         assert not rep.any_violation
         assert len(rep.subclass_risk) == len(rep.class_risk) == 3
 
+    def test_monotonicity_check_golden_repr(self):
+        # no CLI path runs monotonicity_check, so its exact report is pinned
+        # here: the drawn subclass, both risk streams and the verdicts
+        rep = monotonicity_check(make_class("ksets", n=8, K=2), 0.4, [0.5, 1.5], 300, SeededRng(5))
+        assert repr(rep) == (
+            "MonotonicityReport(mu_grid=(0.5, 1.5), class_size=28, subclass_size=11, "
+            "subclass_risk=(RiskEstimate(type1=0.37, se_type1=0.027874719729532708, "
+            "type2=0.4066666666666667, se_type2=0.028360118058574725, total=0.7766666666666666, "
+            "se_total=0.03976551642184842, trials=300), RiskEstimate(type1=0.21, "
+            "se_type1=0.023515952032609692, type2=0.29, se_type2=0.026197964297504744, "
+            "total=0.5, se_total=0.03520416642008916, trials=300)), "
+            "class_risk=(RiskEstimate(type1=0.43666666666666665, se_type1=0.028634995424531903, "
+            "type2=0.49, se_type2=0.028861739379323625, total=0.9266666666666666, "
+            "se_total=0.04065664721743498, trials=300), RiskEstimate(type1=0.23, "
+            "se_type1=0.02429677619218923, type2=0.22666666666666666, "
+            "se_type2=0.024172221583799374, total=0.45666666666666667, "
+            "se_total=0.034272870169123996, trials=300)), violated=(False, False))"
+        )
+
     def test_monotonicity_refuses_asymmetric_class(self):
         with pytest.raises(AsymmetricClassError):
             monotonicity_check(make_class("trees", m=4), 0.5, [0.5], 10, SeededRng(0))
