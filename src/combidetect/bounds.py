@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _output
 from .classes import ExplicitClass, SetClass
-from .core import DegenerateParameterError, IndexSet, SeededRng
+from .core import DegenerateParameterError, SeededRng
 from .risk import estimate_emax0
 
 #: direction literals for BoundReport
@@ -175,17 +175,14 @@ def _greedy(M: np.ndarray, t: float, within) -> list[int]:
     return kept
 
 
-def greedy_cover(spec: SetClass, radius: float, cap: int | None = None) -> list[IndexSet]:
-    """Cover of the class at the given canonical radius: walk members in
-    canonical order, keep each one not yet within ``radius`` of a kept
-    member.  Size upper-bounds the true covering number."""
+def greedy_cover(spec: SetClass, radius: float, cap: int | None = None) -> list[int]:
+    """Cover of the class at the given canonical radius, as ``member_matrix``
+    row numbers: walk members in canonical order, keep each one not yet
+    within ``radius`` of a kept member.  Size upper-bounds the true covering
+    number."""
     if not radius >= 0:
         raise ValueError("radius must be nonnegative")
-    M = spec.member_matrix(cap)
-    return [
-        IndexSet(tuple(int(v) + 1 for v in M[i]), spec.n)
-        for i in _greedy(M, radius, np.less_equal)
-    ]
+    return _greedy(spec.member_matrix(cap), radius, np.less_equal)
 
 
 def packing_estimate(spec: SetClass, t: float, cap: int | None = None) -> int:
@@ -355,7 +352,7 @@ def type1_bound_threshold(
     _check_delta(delta)
     K = spec.K
     cover = greedy_cover(spec, math.sqrt(K) / 2.0, cap)
-    cover_class = ExplicitClass(spec.n, cover)
+    cover_class = ExplicitClass(spec.n, spec.member_matrix(cap)[cover])
     est = estimate_emax0(cover_class, trials, rng, cap=cap, workers=workers)
     value = 2.0 / K * est.emax + math.sqrt(32.0 * math.log(2.0 / delta) / K)
     size = len(cover)

@@ -8,8 +8,9 @@ lexicographically by endpoint pair, 1-based) or on the complete bipartite
 graph K_{m,m} (edge (i, j) numbered (i-1)m + j).
 
 Inside the package a member is a sorted 0-based index array, the form of one
-``member_matrix`` row, and ``sample_rows`` draws it.  ``IndexSet`` appears
-only at the public edge: ``sample``, ``enumerate_members`` and ``contains``.
+``member_matrix`` row: ``sample_rows`` draws it and ``ExplicitClass`` is built
+from such rows.  ``IndexSet`` appears only at the public edge: ``sample``,
+``enumerate_members`` and ``contains``.
 
 The batch hooks enumerate members by default.  Families with an exact
 structured kernel override them: an elementary-symmetric-polynomial DP for
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
@@ -34,10 +34,8 @@ from .core import (
     DEFAULT_ENUMERATION_CAP,
     CapExceededError,
     IndexSet,
-    MTooLargeForClassError,
     SeededRng,
     _as_generator,
-    canonical_distance,
 )
 
 #: soft ceiling on elements touched per member-sum block, keeps temporaries small
@@ -728,44 +726,46 @@ class GridSquares(SetClass):
 
 
 class ExplicitClass(SetClass):
-    """A class given by an explicit member list (e.g. a sampled subclass)."""
+    """A class given by an explicit member list (e.g. a sampled subclass):
+    an (N, K) integer array of 0-based rows, kept sorted as its member matrix."""
 
     family = "explicit"
     is_symmetric = False
 
-    def __init__(self, n: int, members: list[IndexSet] | tuple[IndexSet, ...]):
-        members = sorted(members, key=lambda s: s.indices)
-        if not members:
-            raise ValueError("ExplicitClass requires at least one member")
-        sizes = {len(s) for s in members}
-        if len(sizes) != 1:
-            raise ValueError("all members must have equal size")
-        if any(s.n != n for s in members):
-            raise ValueError("all members must share the ambient dimension")
-        keys = [s.indices for s in members]
-        if len(set(keys)) != len(keys):
+    def __init__(self, n: int, rows: np.ndarray):
+        M = np.asarray(rows)
+        if M.ndim != 2 or M.size == 0:
+            raise ValueError("ExplicitClass requires a nonempty (N, K) array of member rows")
+        if M.dtype.kind not in "iu":
+            raise ValueError(f"member rows must be integers, got dtype {M.dtype}")
+        M = np.sort(M, axis=1)
+        if M[:, 0].min() < 0 or M[:, -1].max() >= n:
+            raise ValueError(f"indices must lie in [0, {n})")
+        if np.any(M[:, 1:] == M[:, :-1]):
+            raise ValueError("indices within a member must be distinct")
+        M = M[np.lexsort(M.T[::-1])]  # lexicographic row order
+        if np.any(np.all(M[1:] == M[:-1], axis=1)):
             raise ValueError("members must be distinct")
         self.n = int(n)
-        self.K = len(members[0])
-        self.members = tuple(members)
-        self._key_set = frozenset(keys)
-        self._member_cache = np.array([s.zero_based() for s in members], dtype=np.int32)
-        self._member_cache.setflags(write=False)  # sample_rows hands out its rows
+        self.K = M.shape[1]
+        # the cache member_matrix returns, read-only since sample_rows hands
+        # out its rows
+        self._member_cache = M.astype(np.int32)
+        self._member_cache.setflags(write=False)
 
     def cardinality(self) -> int:
-        return len(self.members)
+        return self._member_cache.shape[0]
 
     def to_params(self) -> dict:
-        return {"family": self.family, "n": self.n, "K": self.K, "N": len(self.members)}
+        return {"family": self.family, "n": self.n, "K": self.K, "N": self.cardinality()}
 
     def sample_rows(self, gen):
-        return self._member_cache[int(gen.integers(len(self.members)))]
+        return self._member_cache[int(gen.integers(self.cardinality()))]
 
     def contains(self, s: IndexSet) -> bool:
-        return s.n == self.n and s.indices in self._key_set
-
-    def _build_member_matrix(self) -> np.ndarray:
-        return self._member_cache
+        if s.n != self.n or len(s) != self.K:
+            return False
+        return bool((self._member_cache == s.zero_based()).all(axis=1).any())
 
 
 FAMILIES: dict[str, type[SetClass]] = {
@@ -803,33 +803,7 @@ def make_class(family: str, **params) -> SetClass:
     return FAMILIES[family](**{p: int(params[p]) for p in wanted})
 
 
-# -- pairwise overlap sampling and derived estimates ---------------------
-
-
-@dataclass(frozen=True)
-class OverlapSample:
-    """Overlap of one independently drawn pair of members."""
-
-    z: int
-    pair_count: int = 1
-
-    def __post_init__(self):
-        if self.z < 0:
-            raise ValueError("overlap must be nonnegative")
-
-
-def sample_overlap_pair(spec: SetClass, rng: SeededRng | np.random.Generator) -> OverlapSample:
-    """|S ∩ S'| for two independent uniform members.
-
-    A SeededRng names a fixed stream, so repeated calls with the same SeededRng
-    repeat the same pair; pass rng.child(i) per draw, or a Generator, to sweep.
-    """
-    return OverlapSample(_row_overlap(spec, _as_generator(rng)))
-
-
-def _row_overlap(spec: SetClass, gen: np.random.Generator) -> int:
-    """|S ∩ S'| of the next two members ``gen`` draws."""
-    return len(set(spec.sample_rows(gen).tolist()) & set(spec.sample_rows(gen).tolist()))
+# -- pairwise overlap ----------------------------------------------------
 
 
 def exact_overlap_mgf(spec: SetClass, mu: float) -> float | None:
@@ -857,53 +831,10 @@ def estimate_overlap_mgf(
     if isinstance(spec, (DisjointSets, Stars, PerfectMatchings)):
         return exact_overlap_mgf(spec, mu), 0.0
     gen = _as_generator(rng)
-    zs = np.array([_row_overlap(spec, gen) for _ in range(pairs)], dtype=np.float64)
+    draw = spec.sample_rows
+    zs = np.array(
+        [len(set(draw(gen).tolist()) & set(draw(gen).tolist())) for _ in range(pairs)],
+        dtype=np.float64,
+    )
     vals = np.exp(mu * mu * zs)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(pairs))
-
-
-def estimate_tC(
-    spec: SetClass,
-    M: int,
-    rng: SeededRng,
-    repetitions: int = 101,
-    cap: int | None = None,
-) -> float:
-    """Median (over repetitions) of the minimum pairwise canonical distance
-    among M members sampled uniformly without replacement.
-
-    Rejection sampling needs slack (N >= 4M); below that the class must be
-    enumerable so the M distinct members can be drawn by rank.
-    """
-    if M < 2:
-        raise ValueError("M must be >= 2")
-    N = spec.cardinality()
-    if M > N:
-        raise MTooLargeForClassError(f"M = {M} exceeds class cardinality {N}")
-    by_rank = N < 4 * M
-    if by_rank:
-        try:
-            spec.member_matrix(cap)
-        except CapExceededError as exc:
-            raise MTooLargeForClassError(
-                f"N = {N} < 4M = {4 * M} and the class is not enumerable: {exc}"
-            ) from exc
-
-    mins = np.empty(repetitions)
-    for r in range(repetitions):
-        gen = rng.child(r).generator() if isinstance(rng, SeededRng) else rng
-        if by_rank:
-            ranks = gen.choice(int(N), size=M, replace=False)
-            rows = spec.member_matrix(cap)[np.sort(ranks)]
-            members = [IndexSet(tuple(int(i) + 1 for i in row), spec.n) for row in rows]
-        else:
-            seen: dict[tuple, IndexSet] = {}
-            while len(seen) < M:
-                s = spec.sample(gen)
-                seen.setdefault(s.indices, s)
-            members = list(seen.values())
-        dmin = math.inf
-        for a, b in itertools.combinations(members, 2):
-            dmin = min(dmin, canonical_distance(a, b))
-        mins[r] = dmin
-    return float(np.median(mins))

@@ -226,11 +226,12 @@ def _run_emax(args) -> str:
 
 def _run_cover(args) -> str:
     spec = _class_from_args(args)
-    members = greedy_cover(spec, args.radius, args.cap)
+    cover = greedy_cover(spec, args.radius, args.cap)
+    members = (spec.member_matrix(args.cap)[cover] + 1).tolist()
     config = _config(args, "radius")
-    body = {"cover_size": len(members), "members": [s.encode() for s in members]}
+    body = {"cover_size": len(members), "members": [",".join(map(str, s)) for s in members]}
     # semicolon joined so the field needs no CSV quoting
-    rows = [(i, ";".join(str(v) for v in s.indices)) for i, s in enumerate(members, start=1)]
+    rows = [(i, ";".join(map(str, s))) for i, s in enumerate(members, start=1)]
     return render(
         args.format, "combidetect.cover.v1", config, body,
         table=(("set_id", "indices"), rows), footer={"cover_size": len(members)},

@@ -3,7 +3,8 @@
 An observation is a length-n real vector.  Under the null every coordinate is
 standard normal.  Under a contaminated hypothesis the coordinates inside one
 member S of a class of K-element index sets get mean mu > 0, variance stays 1.
-Index sets are 1-based everywhere, including file output.
+An ``IndexSet`` is 1-based, as in file output; inside the package a member is
+a sorted array of 0-based indices, one ``member_matrix`` row.
 """
 
 from __future__ import annotations
@@ -37,10 +38,6 @@ class CapExceededError(RuntimeError):
         super().__init__(
             f"class has {cardinality} members, enumeration capped at {cap}"
         )
-
-
-class MTooLargeForClassError(ValueError):
-    """Requested without-replacement sample is too large for the class."""
 
 
 class AsymmetricClassError(ValueError):
@@ -81,23 +78,6 @@ class IndexSet:
     @classmethod
     def decode(cls, text: str, n: int) -> "IndexSet":
         return cls(tuple(int(t) for t in text.split(",")), n)
-
-
-def overlap(s: IndexSet, t: IndexSet) -> int:
-    """|S ∩ T|.  Both sets must share the ambient dimension."""
-    if s.n != t.n:
-        raise DimensionMismatchError(f"ambient dimensions differ: {s.n} != {t.n}")
-    return len(set(s.indices) & set(t.indices))
-
-
-def canonical_distance(s: IndexSet, t: IndexSet) -> float:
-    """sqrt of the symmetric-difference size; for equal sizes equals
-    sqrt(2(K - |S ∩ T|))."""
-    if s.n != t.n:
-        raise DimensionMismatchError(f"ambient dimensions differ: {s.n} != {t.n}")
-    if len(s) != len(t):
-        raise ValueError("canonical distance is defined for equal-size sets only")
-    return float(np.sqrt(len(s) + len(t) - 2 * overlap(s, t)))
 
 
 @dataclass(frozen=True)
@@ -274,33 +254,3 @@ class ProblemInstance:
     @property
     def K(self) -> int:
         return self.set_class.K
-
-
-def gaussian_sample(
-    instance: ProblemInstance,
-    hypothesis: IndexSet | None,
-    rng: "SeededRng | np.random.Generator",
-) -> Observation:
-    """Draw one observation: i.i.d. N(0,1), plus mu on ``hypothesis`` if given.
-
-    ``hypothesis`` None means the null.  A non-null hypothesis must be a
-    member of the instance's class (membership is cheaply decidable for every
-    built-in family).
-    """
-    gen = _as_generator(rng)
-    n = instance.n
-    if hypothesis is not None:
-        if hypothesis.n != n:
-            raise DimensionMismatchError(
-                f"hypothesis ambient dimension {hypothesis.n} != instance n {n}"
-            )
-        if len(hypothesis) != instance.K:
-            raise ValueError(
-                f"hypothesis has {len(hypothesis)} indices, class members have {instance.K}"
-            )
-        if not instance.set_class.contains(hypothesis):
-            raise ValueError(f"{hypothesis.encode()} is not a member of the class")
-    x = gen.standard_normal(n)
-    if hypothesis is not None and instance.mu != 0.0:
-        x[hypothesis.zero_based()] += instance.mu
-    return Observation(x)

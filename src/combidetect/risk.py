@@ -16,9 +16,9 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from ._output import fmt17, render  # noqa: F401  (fmt17 is re-exported)
+from ._output import render
 from .classes import ExplicitClass, SetClass
-from .core import AsymmetricClassError, IndexSet, ProblemInstance, SeededRng
+from .core import AsymmetricClassError, ProblemInstance, SeededRng
 from .rules import batch_rejections
 
 _NULL_ARM = 0
@@ -315,15 +315,11 @@ def monotonicity_check(
     if not 0.0 < subclass_fraction <= 1.0:
         raise ValueError("subclass_fraction must be in (0, 1]")
     N = spec.cardinality()
-    spec.member_matrix(cap)  # enumerability gate
+    M = spec.member_matrix(cap)  # enumerability gate
     size = max(1, round(subclass_fraction * N))
     gen = rng.child(0).generator()
     ranks = np.sort(gen.choice(int(N), size=size, replace=False))
-    members = [
-        IndexSet(tuple(int(i) + 1 for i in row), spec.n)
-        for row in spec.member_matrix(cap)[ranks]
-    ]
-    sub = ExplicitClass(spec.n, members)
+    sub = ExplicitClass(spec.n, M[ranks])
 
     grid = [float(m) for m in mu_grid]
     sub_est, full_est, violated = [], [], []
@@ -359,16 +355,12 @@ class NonmonotonicityReport:
     side_condition_rhs: float
 
 
-def _shifted_partition(K: int) -> list[IndexSet]:
-    # K+1 cyclic blocks of K+1 consecutive residues starting at j(K+1)+2;
-    # for K >= 2 no block contains {1..K}, so the blocks avoid the witness
-    # family entirely
+def _shifted_partition(K: int) -> np.ndarray:
+    # K+1 cyclic blocks of K+1 consecutive residues mod n, block j starting
+    # at j(K+1)+1; for K >= 2 no block contains {0..K-1}, so the blocks
+    # avoid the witness family entirely
     n = (K + 1) ** 2
-    blocks = []
-    for j in range(K + 1):
-        start = j * (K + 1) + 1  # 0-based
-        blocks.append(IndexSet(tuple((start + t) % n + 1 for t in range(K + 1)), n))
-    return blocks
+    return (np.arange(n).reshape(K + 1, K + 1) + 1) % n
 
 
 def nonmonotonicity_demo(
@@ -398,14 +390,12 @@ def nonmonotonicity_demo(
     mu = math.sqrt(math.log(arg) / (K + 1))
 
     blocks = _shifted_partition(K)
-    witness = [
-        IndexSet(tuple(range(1, K + 1)) + (i,), n) for i in range(K + 1, n + 1)
-    ]
-    block_keys = {b.indices for b in blocks}
-    assert all(w.indices not in block_keys for w in witness)
+    # the witness sets {0..K-1, i}, one per i >= K
+    witness = np.column_stack([np.tile(np.arange(K), (n - K, 1)), np.arange(K, n)])
+    assert np.all((blocks < K).sum(axis=1) < K)
 
     sub = ExplicitClass(n, blocks)
-    full = ExplicitClass(n, blocks + witness)
+    full = ExplicitClass(n, np.vstack([blocks, witness]))
 
     risk_a = estimate_risk(
         "optimal", ProblemInstance(sub, mu), trials, rng.child(0), workers=workers
@@ -475,11 +465,3 @@ def render_curve(fmt: str, curve: RiskCurve, config: dict) -> str:
     """A scan's risk rows and crossing as a ``combidetect.scan.v1`` document."""
     rows = list(zip(curve.mu_grid, curve.estimates))
     return render_risk_rows(fmt, rows, config, "combidetect.scan.v1", curve.critical_mu)
-
-
-def curve_to_csv(curve: RiskCurve, config: dict) -> str:
-    return render_curve("csv", curve, config)
-
-
-def curve_to_json(curve: RiskCurve, config: dict) -> str:
-    return render_curve("json", curve, config)

@@ -7,10 +7,10 @@ import pytest
 
 from combidetect import (
     DegenerateParameterError,
+    IndexSet,
     SeededRng,
     averaging_threshold,
     clique_bounds,
-    canonical_distance,
     dudley_bound,
     evaluate_bound,
     exact_overlap_mgf,
@@ -166,13 +166,14 @@ class TestRandomSubclassBound:
 
 
 def distance_matrix(spec):
-    members = list(spec.enumerate_members())
+    # canonical distances sqrt(2(K - |S ∩ T|)) between member_matrix rows
+    members = [set(row) for row in spec.member_matrix().tolist()]
     N = len(members)
     D = np.zeros((N, N))
     for i in range(N):
         for j in range(N):
-            D[i, j] = canonical_distance(members[i], members[j])
-    return members, D
+            D[i, j] = math.sqrt(2 * (spec.K - len(members[i] & members[j])))
+    return D
 
 
 def exact_cover_number(D, t):
@@ -198,22 +199,20 @@ def exact_packing_number(D, t):
 class TestCoverAndPacking:
     def test_greedy_cover_actually_covers(self):
         spec = make_class("ksets", n=6, K=3)
-        members, D = distance_matrix(spec)
-        index = {s.indices: i for i, s in enumerate(members)}
+        D = distance_matrix(spec)
         for t in (0.5, 1.2, 1.5, 2.0, 2.4):
-            cover = greedy_cover(spec, t)
-            rows = [index[c.indices] for c in cover]
-            assert np.all(D[rows].min(axis=0) <= t + 1e-12)
+            cover = greedy_cover(spec, t)  # member_matrix row numbers
+            assert np.all(D[cover].min(axis=0) <= t + 1e-12)
 
     def test_greedy_cover_upper_bounds_exact_covering_number(self):
         spec = make_class("cliques", m=5, k=3)
-        members, D = distance_matrix(spec)
+        D = distance_matrix(spec)
         for t in (1.0, 1.5, 2.0, 2.2):
             assert len(greedy_cover(spec, t)) >= exact_cover_number(D, t)
 
     def test_greedy_packing_is_separated_and_below_exact_maximum(self):
         spec = make_class("cliques", m=5, k=3)
-        members, D = distance_matrix(spec)
+        D = distance_matrix(spec)
         for t in (1.0, 1.5, 2.0, 2.2):
             got = packing_estimate(spec, t)
             assert got <= exact_packing_number(D, t)
@@ -221,7 +220,7 @@ class TestCoverAndPacking:
     def test_exact_sandwich_on_small_class(self):
         # covering <= packing <= covering at half radius
         spec = make_class("cliques", m=5, k=3)
-        _, D = distance_matrix(spec)
+        D = distance_matrix(spec)
         for t in (1.4, 2.0, 2.4):
             nt = exact_cover_number(D, t)
             mt = exact_packing_number(D, t)
@@ -246,12 +245,9 @@ class TestCoverAndPacking:
     def test_cover_members_come_from_class_in_canonical_order(self):
         spec = make_class("grid", sqrt_n=4, sqrt_K=2)
         cover = greedy_cover(spec, 1.0)
-        ranks = []
-        all_members = [s.indices for s in spec.enumerate_members()]
-        for c in cover:
-            assert spec.contains(c)
-            ranks.append(all_members.index(c.indices))
-        assert ranks == sorted(ranks)
+        for row in spec.member_matrix()[cover]:
+            assert spec.contains(IndexSet(tuple((row + 1).tolist()), spec.n))
+        assert cover == sorted(set(cover))  # distinct rows, in canonical order
 
     def test_negative_radius_refused(self):
         for radius in (-0.1, math.nan):

@@ -12,15 +12,12 @@ from combidetect import (
     ExplicitClass,
     IndexSet,
     KSets,
-    MTooLargeForClassError,
     SeededRng,
     SpanningTrees,
     Stars,
     estimate_overlap_mgf,
-    estimate_tC,
     exact_overlap_mgf,
     make_class,
-    sample_overlap_pair,
 )
 from combidetect.classes import FAMILIES, complete_graph_edges
 
@@ -36,8 +33,8 @@ SMALL = {
 }
 
 
-#: a class given by its member list, sampled by rank
-EXPLICIT = ExplicitClass(6, [IndexSet((3, 4), 6), IndexSet((1, 2), 6), IndexSet((2, 5), 6)])
+#: a class given by its member rows, sampled by rank
+EXPLICIT = ExplicitClass(6, np.array([[2, 3], [0, 1], [1, 4]]))
 
 
 def small(family):
@@ -354,38 +351,6 @@ class TestOverlapLaws:
         assert se > 0
         assert abs(est - exact) < 5 * se
 
-    def test_pair_sampler_draws_independent_members(self):
-        spec = small("stars")
-        samples = [sample_overlap_pair(spec, SeededRng(4).child(i)) for i in range(500)]
-        zs = np.array([s.z for s in samples])
-        # same-center pairs have overlap K, others exactly 1
-        assert set(np.unique(zs)) <= {1, spec.K}
-        frac_full = float(np.mean(zs == spec.K))
-        assert abs(frac_full - 1 / 5) < 0.07
-
-
-class TestSubclassDistance:
-    def test_disjoint_distance_is_constant(self):
-        spec = make_class("disjoint", N=6, K=3)
-        t = estimate_tC(spec, 4, SeededRng(21))
-        assert t == pytest.approx(math.sqrt(6.0))
-
-    def test_stars_distance_is_constant(self):
-        spec = make_class("stars", m=6)
-        t = estimate_tC(spec, 6, SeededRng(22))  # forces the by-rank path, M = N
-        assert t == pytest.approx(math.sqrt(2 * (spec.K - 1)))
-
-    def test_rejection_path_is_reproducible(self):
-        spec = make_class("ksets", n=30, K=5)
-        a = estimate_tC(spec, 10, SeededRng(23))
-        b = estimate_tC(spec, 10, SeededRng(23))
-        assert a == b
-        assert 0 < a <= math.sqrt(2 * spec.K)
-
-    def test_oversized_subclass_is_refused(self):
-        with pytest.raises(MTooLargeForClassError):
-            estimate_tC(make_class("stars", m=5), 6, SeededRng(1))
-
 
 class TestCapsAndExplicit:
     def test_member_matrix_respects_cap(self):
@@ -402,19 +367,34 @@ class TestCapsAndExplicit:
             spec.member_matrix()
 
     def test_explicit_class_validation(self):
-        a = IndexSet((1, 2), 6)
-        b = IndexSet((3, 4), 6)
-        spec = ExplicitClass(6, [b, a])
+        # rows are 0-based; each is sorted and the rows put in lexicographic order
+        spec = ExplicitClass(6, np.array([[3, 2], [0, 1]]))
         assert [s.indices for s in spec.enumerate_members()] == [(1, 2), (3, 4)]
-        assert spec.contains(a) and not spec.contains(IndexSet((1, 3), 6))
+        np.testing.assert_array_equal(spec.member_matrix(), [[0, 1], [2, 3]])
+        assert spec.contains(IndexSet((1, 2), 6)) and not spec.contains(IndexSet((1, 3), 6))
+        assert not spec.contains(IndexSet((1, 2), 7))
+        assert not spec.contains(IndexSet((1, 2, 3), 6))
         with pytest.raises(ValueError):
-            ExplicitClass(6, [a, a])
+            ExplicitClass(6, np.array([[0, 1], [0, 1]]))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0, 1], [-1, 2]],  # below the range
+            [[0, 1], [2, 6]],  # index n
+            [[0, 0], [1, 2]],  # repeated index within a row
+            [[0, 1], [1, 0]],  # one member given twice, in two orders
+            np.array([[0.0, 1.5], [2.0, 3.0]]),  # floats are not truncated
+            np.array([[0.0, 1.0], [2.0, 3.0]]),  # integral floats are refused too
+            [0, 1, 2],  # 1-D
+            np.empty((0, 2), dtype=np.int64),  # no members
+            [],
+            [[0, 1], [2]],  # ragged
+        ],
+    )
+    def test_explicit_class_refuses_bad_rows(self, rows):
         with pytest.raises(ValueError):
-            ExplicitClass(6, [a, IndexSet((1, 2, 3), 6)])
-        with pytest.raises(ValueError):
-            ExplicitClass(7, [a])
-        with pytest.raises(ValueError):
-            ExplicitClass(6, [])
+            ExplicitClass(6, rows)
 
     def test_symmetry_flags(self):
         assert make_class("ksets", n=5, K=2).is_symmetric

@@ -372,14 +372,23 @@ class TestEntryPoint:
         assert json.loads(proc.stdout)["name"] == "universal"
 
 
-def _json_dumps_sites(node, owner=None):
-    # the name of the innermost function around each json.dumps call
+def _sites(node, match, owner=None):
+    # the name of the innermost function around each node that ``match`` accepts
     for child in ast.iter_child_nodes(node):
-        if (isinstance(child, ast.Attribute) and child.attr == "dumps"
-                and isinstance(child.value, ast.Name) and child.value.id == "json"):
+        if match(child):
             yield owner
         inner = child.name if isinstance(child, ast.FunctionDef) else owner
-        yield from _json_dumps_sites(child, inner)
+        yield from _sites(child, match, inner)
+
+
+def _is_json_dumps(node):
+    return (isinstance(node, ast.Attribute) and node.attr == "dumps"
+            and isinstance(node.value, ast.Name) and node.value.id == "json")
+
+
+def _is_index_set_call(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "IndexSet")
 
 
 class TestOutputEnvelope:
@@ -393,5 +402,48 @@ class TestOutputEnvelope:
                 continue
             text = path.read_text(encoding="utf-8")
             assert "#schema=" not in text, path.name
-            sites += [(path.name, fn) for fn in _json_dumps_sites(ast.parse(text))]
+            sites += [(path.name, fn) for fn in _sites(ast.parse(text), _is_json_dumps)]
         assert sites == [("cli.py", "_emit_error")]
+
+
+#: public names removed because no estimator, CLI path or bound used them,
+#: with the module that held each
+DELETED = {
+    "estimate_tC": "classes",
+    "sample_overlap_pair": "classes",
+    "OverlapSample": "classes",
+    "MTooLargeForClassError": "core",
+    "canonical_distance": "core",
+    "overlap": "core",
+    "gaussian_sample": "core",
+    "curve_to_csv": "risk",
+    "curve_to_json": "risk",
+    "fmt17": "risk",
+}
+
+
+class TestPublicSurface:
+    def test_index_sets_are_built_only_at_the_public_edge(self):
+        # inside the package a member is a member_matrix row; IndexSet is
+        # made only where sample and enumerate_members hand members out
+        src = Path(importlib.import_module("combidetect").__file__).parent
+        sites = []
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            sites += [(path.name, fn) for fn in _sites(tree, _is_index_set_call)]
+        assert sorted(sites) == [("classes.py", "enumerate_members"), ("classes.py", "sample")]
+
+    def test_every_exported_name_resolves(self):
+        package = importlib.import_module("combidetect")
+        assert len(set(package.__all__)) == len(package.__all__)
+        for name in package.__all__:
+            assert getattr(package, name) is not None, name
+
+    @pytest.mark.parametrize("name", sorted(DELETED))
+    def test_deleted_name_is_gone(self, name):
+        package = importlib.import_module("combidetect")
+        assert name not in package.__all__
+        with pytest.raises(AttributeError):
+            getattr(package, name)
+        with pytest.raises(AttributeError):
+            getattr(importlib.import_module(f"combidetect.{DELETED[name]}"), name)

@@ -7,12 +7,10 @@ from combidetect import (
     Observation,
     ProblemInstance,
     SeededRng,
-    canonical_distance,
-    gaussian_sample,
     make_class,
-    overlap,
 )
 from combidetect.core import as_vector
+from combidetect.risk import _MIXTURE_ARM, _NULL_ARM, _draw_block
 
 
 class TestIndexSet:
@@ -41,34 +39,6 @@ class TestIndexSet:
         assert hash(s) == hash(IndexSet((2, 1), 5))
         with pytest.raises(AttributeError):
             s.n = 6
-
-
-class TestSetAlgebra:
-    def test_overlap(self):
-        a = IndexSet((1, 2, 3), 8)
-        b = IndexSet((3, 4, 5), 8)
-        assert overlap(a, b) == 1
-        assert overlap(a, a) == 3
-
-    def test_overlap_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            overlap(IndexSet((1,), 4), IndexSet((1,), 5))
-
-    def test_distance_matches_symmetric_difference(self):
-        a = IndexSet((1, 2, 3), 8)
-        b = IndexSet((3, 4, 5), 8)
-        # |A Δ B| = 4
-        assert canonical_distance(a, b) == pytest.approx(2.0)
-        assert canonical_distance(a, a) == 0.0
-
-    def test_distance_equals_sqrt_2K_when_disjoint(self):
-        a = IndexSet((1, 2), 8)
-        b = IndexSet((5, 6), 8)
-        assert canonical_distance(a, b) == pytest.approx(np.sqrt(4.0))
-
-    def test_distance_requires_equal_sizes(self):
-        with pytest.raises(ValueError):
-            canonical_distance(IndexSet((1,), 5), IndexSet((1, 2), 5))
 
 
 class TestSeededRng:
@@ -167,32 +137,27 @@ class TestProblemInstance:
 
 
 class TestGaussianSample:
+    # the risk estimators draw every observation through risk._draw_block
     def test_null_draw_is_standard_normal_stream(self):
-        spec = make_class("disjoint", N=2, K=2)
-        inst = ProblemInstance(spec, 1.0)
-        rng = SeededRng(3).child(8)
-        x = gaussian_sample(inst, None, rng)
-        expected = rng.generator().standard_normal(4)
-        np.testing.assert_array_equal(x.values, expected)
+        inst = ProblemInstance(make_class("disjoint", N=2, K=2), 1.0)
+        rng = SeededRng(3)
+        X = _draw_block(inst, _NULL_ARM, 8, 9, rng)
+        expected = rng.child(_NULL_ARM, 8).generator().standard_normal(4)
+        np.testing.assert_array_equal(X[0], expected)
 
     def test_shift_lands_on_hypothesis_only(self):
-        spec = make_class("disjoint", N=2, K=2)
-        inst = ProblemInstance(spec, 5.0)
-        s = IndexSet((3, 4), 4)
-        rng = SeededRng(3).child(9)
-        x = gaussian_sample(inst, s, rng)
-        noise = rng.generator().standard_normal(4)
-        np.testing.assert_array_equal(x.values[:2], noise[:2])
-        np.testing.assert_allclose(x.values[2:], noise[2:] + 5.0)
-
-    def test_rejects_foreign_hypothesis(self):
-        spec = make_class("disjoint", N=2, K=2)
-        inst = ProblemInstance(spec, 1.0)
-        with pytest.raises(ValueError):
-            gaussian_sample(inst, IndexSet((1, 3), 4), SeededRng(0))
-
-    def test_rejects_wrong_dimension(self):
-        spec = make_class("disjoint", N=2, K=2)
-        inst = ProblemInstance(spec, 1.0)
-        with pytest.raises(DimensionMismatchError):
-            gaussian_sample(inst, IndexSet((1, 2), 5), SeededRng(0))
+        # the mixture arm draws a member (block j is {2j, 2j+1}), then the
+        # noise, and shifts the member's coordinates alone
+        inst = ProblemInstance(make_class("disjoint", N=2, K=2), 5.0)
+        rng = SeededRng(3)
+        X = _draw_block(inst, _MIXTURE_ARM, 0, 40, rng)
+        hit = set()
+        for t, x in enumerate(X):
+            gen = rng.child(_MIXTURE_ARM, t).generator()
+            j = int(gen.integers(2))
+            noise = gen.standard_normal(4)
+            inside = np.isin(np.arange(4), [2 * j, 2 * j + 1])
+            np.testing.assert_array_equal(x[~inside], noise[~inside])
+            np.testing.assert_allclose(x[inside], noise[inside] + 5.0)
+            hit.add(j)
+        assert hit == {0, 1}

@@ -11,8 +11,6 @@ from combidetect import (
     ProblemInstance,
     RiskEstimate,
     SeededRng,
-    curve_to_csv,
-    curve_to_json,
     emax_upper_cap,
     estimate_bayes_risk,
     estimate_bhattacharyya,
@@ -23,12 +21,13 @@ from combidetect import (
     nonmonotonicity_demo,
     scan_critical_mu,
 )
+from combidetect._output import fmt17
 from combidetect.risk import (
     _MIXTURE_ARM,
     _NULL_ARM,
     _draw_block,
     _interpolate_half,
-    fmt17,
+    render_curve,
     render_risk_rows,
 )
 
@@ -301,11 +300,11 @@ class TestSerialization:
     def test_curve_csv_footer_carries_critical_mu(self):
         spec = make_class("disjoint", N=2, K=2)
         curve = scan_critical_mu(spec, "averaging", [0.1, 5.0], 400, SeededRng(96))
-        text = curve_to_csv(curve, {"seed": 96})
+        text = render_curve("csv", curve, {"seed": 96})
         last = text.rstrip("\n").split("\n")[-1]
         assert last.startswith("#critical_mu=")
         assert last != "#critical_mu=none"
-        parsed = json.loads(curve_to_json(curve, {"seed": 96}))
+        parsed = json.loads(render_curve("json", curve, {"seed": 96}))
         assert parsed["critical_mu"] == pytest.approx(curve.critical_mu)
         assert parsed["schema"] == "combidetect.scan.v1"
 
