@@ -10,7 +10,10 @@ of 2**32 or more, which numpy's SeedSequence splits into two uint32 words.
 The ``risk`` maximum test on matchings, the ``scan`` likelihood-ratio test on
 spanning trees and ``emax`` on matchings were recorded from the enumeration and
 Hungarian-solver kernels, so the subset-DP and matrix-tree kernels that replace
-them must reproduce those bytes too.
+them must reproduce those bytes too.  The clique ``risk`` cases (the
+likelihood ratio over three trial chunks, also replayed with ``--workers 2``,
+and the maximum) and ``emax`` on cliques were recorded from full enumeration,
+before the dense-contraction likelihood ratio and the member-major gather.
 
 Every ``bounds`` proposition, ``overlap`` on an exact and on a Monte Carlo
 family, ``emax`` in JSON, ``cover`` and ``nonmono`` were recorded in both
@@ -753,6 +756,34 @@ GOLDEN = {
         '  "version": "0.1.0"\n'
         '}\n',
     ),
+    'risk-cliques-optimal-chunks': (
+        'risk --class cliques --m 12 --k 4 --test optimal --mu 0.6 --mu 1.2 --trials 2100 --seed 53',
+        '#schema=combidetect.risk.v1\n'
+        '#version=0.1.0\n'
+        '#config={"class":"cliques","command":"risk","k":4,"m":12,"mu":[0.6,1.2],"seed":53,"test":"optimal","trials":2100}\n'
+        'mu,type1,se1,type2,se2,total,se_total,trials\n'
+        '0.59999999999999998,0.39238095238095239,0.010655160622899819,0.40523809523809523,0.010713146827855409,0.79761904761904767,0.01510973073403306,2100\n'
+        '1.2,0.22952380952380952,0.009176642979545499,0.27523809523809523,0.0097463567348889148,0.50476190476190474,0.013386644313559549,2100\n',
+    ),
+    'risk-cliques-maximum': (
+        'risk --class cliques --m 12 --k 4 --test maximum --mu 1.0 --mu 2.0 --trials 400 --seed 59',
+        '#schema=combidetect.risk.v1\n'
+        '#version=0.1.0\n'
+        '#config={"class":"cliques","command":"risk","emax0":8.628713296362575,"k":4,"m":12,"mu":[1.0,2.0],"seed":59,"test":"maximum","trials":400}\n'
+        'mu,type1,se1,type2,se2,total,se_total,trials\n'
+        '1,0.28999999999999998,0.022688102609076853,0.33500000000000002,0.023599523300270285,0.625,0.032736638495728304,400\n'
+        '2,0.0074999999999999997,0.0043138584816843498,0.20749999999999999,0.020275832288712589,0.215,0.02072965870437813,400\n',
+    ),
+    'emax-cliques': (
+        'emax --class cliques --m 12 --k 4 --trials 500 --seed 61',
+        '#schema=combidetect.emax.v1\n'
+        '#version=0.1.0\n'
+        '#config={"class":"cliques","command":"emax","k":4,"m":12,"seed":61,"trials":500}\n'
+        'key,value\n'
+        'emax0,6.5983306430150517\n'
+        'se,0.054849097508807537\n'
+        'gaussian_cap,8.6287132963625748\n',
+    ),
 }
 
 
@@ -771,4 +802,9 @@ def test_stdout_bytes_match_golden(capsys, name):
 
 def test_workers_replay_golden_bytes(capsys):
     command, expected = GOLDEN["risk-disjoint-chunks"]
+    assert run(capsys, command.split() + ["--workers", "2"]) == expected
+
+
+def test_workers_replay_clique_golden_bytes(capsys):
+    command, expected = GOLDEN["risk-cliques-optimal-chunks"]
     assert run(capsys, command.split() + ["--workers", "2"]) == expected
