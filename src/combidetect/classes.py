@@ -12,12 +12,13 @@ Inside the package a member is a sorted 0-based index array, the form of one
 from such rows.  ``IndexSet`` appears only at the public edge: ``sample``,
 ``enumerate_members`` and ``contains``.
 
-The batch hooks enumerate members by default.  Families with an exact
-structured kernel override them: an elementary-symmetric-polynomial DP for
-k-sets, a subset DP over column masks for matchings (one recurrence in the
-(logaddexp, +) and (max, +) semirings), and a log-domain matrix-tree
-elimination for spanning trees.  Enumeration stays the reference they are
-tested against.
+The batch hooks enumerate members by default, gathering member sums
+member-major.  Families with an exact structured kernel override them: an
+elementary-symmetric-polynomial DP for k-sets, a subset DP over column masks
+for matchings (one recurrence in the (logaddexp, +) and (max, +) semirings), a
+log-domain matrix-tree elimination for spanning trees, and a dense
+contraction over vertex pairs for the likelihood ratio of 3- and 4-cliques.
+Enumeration stays the reference they are tested against.
 """
 
 from __future__ import annotations
@@ -38,8 +39,12 @@ from .core import (
     _as_generator,
 )
 
-#: soft ceiling on elements touched per member-sum block, keeps temporaries small
+#: soft ceiling on rows x members x K per member-sum block.  It sets the
+#: chunk boundaries, and with them the bits of the streaming log-sum-exp.
 _BLOCK_BUDGET = 8_000_000
+
+#: elements per piece of a member-sum block, filled while they stay in L2
+_GATHER_PIECE = 1 << 16
 
 #: ceiling on rows x widest layer per sub-block of the matchings DP, whose
 #: gathers run faster while they stay in cache
@@ -51,6 +56,12 @@ _DP_BLOCK_BUDGET = 1 << 17
 #: 480 us and 740-1030 us; at m = 13 the two were even, and at m = 14 the DP
 #: took twice as long.
 _MAX_DP_M = 12
+
+#: smallest shifted clique sum the contraction trusts.  Above it, the terms
+#: that underflowed on the way (each below 2**-1022) add less than
+#: N * 2**-122 of the sum, far below one rounding error for every class the
+#: contraction runs on (N < 2**25).
+_CONTRACTION_FLOOR = 2.0**-900
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -135,12 +146,31 @@ class SetClass:
     # -- batch evaluation hooks ----------------------------------------
 
     def member_sums_iter(self, X: np.ndarray, cap: int | None = None) -> Iterator[np.ndarray]:
-        """Yield (B, chunk) blocks of member sums X_S over canonical order."""
+        """Yield (B, chunk) blocks of member sums X_S over canonical order.
+
+        Member-major: each block is the transpose of a C-contiguous
+        (chunk, B) array, filled piece by piece from the rows of X.T.  A
+        member's sum starts from its first index and adds the others left to
+        right.  numpy's ``X[:, rows].sum(axis=2)`` adds in that order for
+        B > 1, so the two agree bit for bit.  For one row and K >= 8 numpy
+        sums pairwise instead; a lone row here gets the sums it has in a block.
+        """
         M = self.member_matrix(cap)
         B = X.shape[0]
         chunk = max(1, _BLOCK_BUDGET // max(1, B * self.K))
+        piece = max(1, _GATHER_PIECE // max(1, B))
+        XT = np.ascontiguousarray(X.T)
+        term = np.empty((min(piece, M.shape[0]), B), dtype=XT.dtype)
         for s in range(0, M.shape[0], chunk):
-            yield X[:, M[s : s + chunk]].sum(axis=2)
+            rows = M[s : s + chunk]
+            out = np.empty((rows.shape[0], B), dtype=XT.dtype)
+            for p in range(0, rows.shape[0], piece):
+                idx = rows[p : p + piece]
+                acc = out[p : p + piece]
+                np.take(XT, idx[:, 0], axis=0, out=acc)
+                for j in range(1, self.K):
+                    acc += np.take(XT, idx[:, j], axis=0, out=term[: idx.shape[0]])
+            yield out.T
 
     def max_values_batch(self, X: np.ndarray, cap: int | None = None) -> np.ndarray:
         """max_S X_S per row of X."""
@@ -637,6 +667,54 @@ class Cliques(SetClass):
             dtype=np.int32,
         ).reshape(-1, self.k)
         return self._pair_id0[vc[:, self._ia], vc[:, self._ib]]
+
+    def log_mean_exp_batch(self, mu, X, cap=None):
+        # dense contraction of W = exp(mu x - top) over vertex pairs, zero on
+        # the diagonal, so every weight is at most 1.  k = 3: each triangle is
+        # one of 6 ordered triples in ((W @ W) * W).sum().  k = 4: for a pair
+        # a < b, V[ab] = W[a] * W[b] and (U * V)[ab, d] with U = V @ W sums
+        # W_ac W_bc W_cd W_ad W_bd over c; weighting by W_ab counts each
+        # 4-clique once per pair and ordered (c, d), 12 times.
+        if mu == 0.0:
+            return np.zeros(X.shape[0])
+        # the work set is the largest per-row array: (m, m) for k = 3 and
+        # (C(m,2), m) for k = 4
+        m, a, b = self.m, self.edges[:, 0], self.edges[:, 1]
+        rows = self.n if self.k == 4 else m
+        limit = DEFAULT_ENUMERATION_CAP if cap is None else int(cap)
+        if self.k not in (3, 4) or rows * m > limit:
+            return super().log_mean_exp_batch(mu, X, cap)
+        diag = np.arange(m)
+        shift = np.empty(X.shape[0])
+        total = np.empty(X.shape[0])
+        # per-row work arrays, allocated once: fresh ones page-fault every row
+        W = np.empty((m, m))
+        V, U, T = (np.empty((rows, m)) for _ in range(3))
+        for r, x in enumerate(X):
+            t = mu * x
+            shift[r] = t.max()
+            w = np.exp(t - shift[r])
+            np.take(w, self._pair_id0, out=W)
+            W[diag, diag] = 0.0
+            if self.k == 3:
+                np.matmul(W, W, out=U)
+                U *= W
+                total[r] = U.sum() / 6
+            else:
+                np.take(W, a, axis=0, out=V)
+                V *= np.take(W, b, axis=0, out=T)
+                np.matmul(V, W, out=U)
+                U *= V
+                total[r] = U.sum(axis=1) @ w / 12
+        out = np.empty(X.shape[0])
+        # the declared fallback: a shifted sum this small may have lost
+        # digits to underflow, so those rows enumerate in the log domain
+        low = ~(total >= _CONTRACTION_FLOOR)
+        if low.any():
+            out[low] = super().log_mean_exp_batch(mu, X[low], cap)
+        ok = ~low
+        out[ok] = np.log(total[ok]) + self.K * shift[ok] - math.log(self.cardinality())
+        return out
 
     def overlap_pmf(self):
         # shared vertices Y are hypergeometric; shared edges are C(Y, 2)

@@ -42,7 +42,11 @@ def _add_common(p: argparse.ArgumentParser, *, trials_default: int | None = 10_0
     p.add_argument("--seed", type=int, required=True, help="master seed (required)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None, help="output file (default stdout)")
-    p.add_argument("--cap", type=int, default=None, help="enumeration cap override")
+    p.add_argument(
+        "--cap", type=int, default=None,
+        help="bound on the members enumerated or on a structured kernel's "
+        "work set (default 2,000,000)",
+    )
     p.add_argument(
         "--workers", type=int, default=1,
         help="threads over trial chunks; they speed up kernel-bound families "

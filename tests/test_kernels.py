@@ -1,10 +1,12 @@
 """Structured kernels against the enumeration path they replace.
 
 ``PerfectMatchings`` evaluates both batch hooks by a subset DP over column
-masks, and ``SpanningTrees`` evaluates the likelihood ratio by a log-domain
-matrix-tree elimination.  Enumeration (``SetClass``'s generic hooks over
+masks, ``SpanningTrees`` evaluates the likelihood ratio by a log-domain
+matrix-tree elimination, and ``Cliques`` with k = 3, 4 by a dense contraction
+over vertex pairs.  Enumeration (``SetClass``'s generic hooks over
 ``member_matrix``) and a 50-digit ``mpmath`` sum are the references; the
 Hungarian solver is the reference for the matchings maximum, bit for bit.
+The enumeration path itself is pinned to numpy's 3-D gather sum, bit for bit.
 """
 
 import functools
@@ -20,16 +22,22 @@ from hypothesis import strategies as st
 from combidetect import ProblemInstance, SeededRng, estimate_bayes_risk, estimate_risk
 from combidetect import classes
 from combidetect._assignment import assignment_value
-from combidetect.classes import PerfectMatchings, SetClass, SpanningTrees
+from combidetect.classes import Cliques, ExplicitClass, KSets, PerfectMatchings, SetClass, SpanningTrees
 from combidetect.cli import main
 from combidetect.core import CapExceededError
 
-FAMILIES = {"matchings": PerfectMatchings, "trees": SpanningTrees}
+FAMILIES = {"matchings": PerfectMatchings, "trees": SpanningTrees, "cliques": Cliques}
+
+#: (family, parameters) of every class the differential test draws from
+KERNEL_CASES = [
+    *((family, (m,)) for family in ("matchings", "trees") for m in range(2, 8)),
+    *(("cliques", (m, k)) for k in (3, 4) for m in range(4, 9)),
+]
 
 
 @functools.cache
-def spec_of(family: str, m: int) -> SetClass:
-    spec = FAMILIES[family](m)
+def spec_of(family: str, *params: int) -> SetClass:
+    spec = FAMILIES[family](*params)
     spec.member_matrix()  # build the enumeration reference once
     return spec
 
@@ -48,24 +56,31 @@ def kernel_log_mean_exp(spec: SetClass, mu: float, X: np.ndarray) -> np.ndarray:
     return got
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
-    family=st.sampled_from(sorted(FAMILIES)),
-    m=st.integers(2, 7),
+    case=st.sampled_from(KERNEL_CASES),
     mu=st.floats(0.0, 50.0),
     seed=st.integers(0, 2**32 - 1),
     scale=st.sampled_from([0.01, 1.0, 4.0]),
 )
-def test_log_mean_exp_matches_enumeration(family, m, mu, seed, scale):
-    spec = spec_of(family, m)
+def test_log_mean_exp_matches_enumeration(case, mu, seed, scale):
+    spec = spec_of(case[0], *case[1])
     X = scale * np.random.default_rng(seed).standard_normal((4, spec.n))
     got = kernel_log_mean_exp(spec, mu, X)
     np.testing.assert_allclose(got, enumerated_log_mean_exp(spec, mu, X), rtol=1e-10, atol=1e-12)
 
 
-@pytest.mark.parametrize("family,m", [("trees", 5), ("matchings", 4)])
-def test_log_mean_exp_matches_50_digit_reference(family, m):
-    spec = spec_of(family, m)
+@pytest.mark.parametrize(
+    "family,params",
+    [
+        pytest.param("trees", (5,), id="trees-5"),
+        pytest.param("matchings", (4,), id="matchings-4"),
+        pytest.param("cliques", (6, 3), id="cliques-6-3"),
+        pytest.param("cliques", (7, 4), id="cliques-7-4"),
+    ],
+)
+def test_log_mean_exp_matches_50_digit_reference(family, params):
+    spec = spec_of(family, *params)
     members = spec.member_matrix()
     gen = np.random.default_rng(3437)
     worst = 0.0
@@ -117,12 +132,14 @@ def test_row_sub_blocks_do_not_change_values(monkeypatch):
 @pytest.mark.parametrize("x", [-0.7, 0.0, 1.25])
 def test_constant_weights_beyond_enumeration(x):
     mu = 2.0
-    pm, st30 = PerfectMatchings(12), SpanningTrees(30)
-    for spec in (pm, st30):
+    # Cliques(120,4) has 8,214,570 members; its contraction holds 120 x C(120,2)
+    pm, st30, cl = PerfectMatchings(12), SpanningTrees(30), Cliques(120, 4)
+    for spec in (pm, st30, cl):
         with pytest.raises(CapExceededError):
             spec.member_matrix()
         X = np.full((3, spec.n), x)
         np.testing.assert_allclose(kernel_log_mean_exp(spec, mu, X), mu * spec.K * x, rtol=1e-12, atol=1e-12)
+        assert not hasattr(spec, "_member_cache")
     assert np.allclose(pm.max_values_batch(np.full((2, pm.n), x)), pm.K * x, rtol=1e-12, atol=1e-12)
 
 
@@ -137,9 +154,82 @@ def test_matchings_cap_bounds_the_dp_states():
     assert np.array_equal(spec.max_values_batch(X, cap=100), spec.max_values_batch(X))
 
 
+def test_clique_cap_bounds_the_contraction_work_set():
+    spec = Cliques(12, 4)  # 495 members; the contraction holds 12 x 66 = 792 entries per array
+    X = np.random.default_rng(6).standard_normal((20, spec.n))
+    with pytest.raises(CapExceededError):
+        spec.log_mean_exp_batch(1.0, X, cap=400)  # below both: the fallback enumerates, and refuses
+    # between the two the contraction gives way to enumeration
+    np.testing.assert_allclose(
+        spec.log_mean_exp_batch(1.0, X, cap=600), spec.log_mean_exp_batch(1.0, X), rtol=1e-12, atol=1e-12
+    )
+    assert np.array_equal(spec.log_mean_exp_batch(1.0, X, cap=792), spec.log_mean_exp_batch(1.0, X))
+
+
+@pytest.mark.parametrize("m,k", [(6, 3), (7, 4)])
+def test_clique_contraction_falls_back_to_enumeration_on_underflow(m, k):
+    spec = spec_of("cliques", m, k)
+    mu = 2000.0
+    gen = np.random.default_rng(11)
+    # wide rows underflow the shifted sum; the narrow ones stay on the contraction
+    X = np.concatenate([4.0 * gen.standard_normal((3, spec.n)), 1e-3 * gen.standard_normal((2, spec.n))])
+    got = kernel_log_mean_exp(spec, mu, X)
+    np.testing.assert_allclose(got, enumerated_log_mean_exp(spec, mu, X), rtol=1e-10, atol=1e-12)
+    shifted = np.exp(mu * (X[:, spec.member_matrix()].sum(axis=2) - spec.K * X.max(axis=1)[:, None])).sum(axis=1)
+    assert np.all(shifted[:3] < classes._CONTRACTION_FLOOR) and np.all(shifted[3:] >= classes._CONTRACTION_FLOOR)
+    assert np.array_equal(got[:3], SetClass.log_mean_exp_batch(spec, mu, X[:3]))
+    # a row alone has the value it has inside the block
+    for r in range(X.shape[0]):
+        assert np.array_equal(spec.log_mean_exp_batch(mu, X[r : r + 1]), got[r : r + 1])
+
+
+def test_numpy_sums_a_short_last_axis_left_to_right():
+    # (1e16 + 1) + 1 rounds to 1e16 twice; any other grouping gives 1e16 + 2
+    assert np.array([[1e16, 1.0, 1.0]]).sum(axis=1)[0] == 1e16
+
+
+@pytest.mark.parametrize("B", [1, 7, 300])
+@pytest.mark.parametrize("weights", ["gaussian", "integer"])
+def test_member_sums_match_the_gather_sum_bit_for_bit(monkeypatch, B, weights):
+    gen = np.random.default_rng(B)
+    rows = np.unique(np.sort([gen.choice(12, size=4, replace=False) for _ in range(40)], axis=1), axis=0)
+    explicit = ExplicitClass(12, rows)
+    for spec in (explicit, Cliques(7, 3), KSets(9, 3)):
+        # chunks of 10 members, each filled in pieces of 3, 3, 3 and 1
+        monkeypatch.setattr(classes, "_BLOCK_BUDGET", 10 * B * spec.K)
+        monkeypatch.setattr(classes, "_GATHER_PIECE", 3 * B)
+        if weights == "gaussian":
+            X = gen.standard_normal((B, spec.n)) * 10.0 ** gen.integers(-6, 7, size=(B, spec.n))
+        else:
+            X = gen.integers(-2, 3, size=(B, spec.n)).astype(np.float64)
+        M = spec.member_matrix()
+        blocks = list(SetClass.member_sums_iter(spec, X))
+        assert len(blocks) == -(-M.shape[0] // 10) > 1
+        for i, blk in enumerate(blocks):
+            ref = X[:, M[10 * i : 10 * (i + 1)]].sum(axis=2)
+            assert np.array_equal(blk, ref) and blk.shape == ref.shape and blk.dtype == ref.dtype
+            # a length-1 axis has no meaningful stride: for B = 1 compare layouts
+            assert blk.strides == ref.strides or B == 1
+            assert blk.flags.f_contiguous == ref.flags.f_contiguous
+            assert blk.flags.c_contiguous == ref.flags.c_contiguous
+
+
+def test_a_lone_row_has_the_member_sums_of_a_block():
+    # numpy sums a lone row's contiguous (1, N, K) gather pairwise once K >= 8,
+    # but a block's gather left to right; member-major sums add left to right
+    # for every row count
+    gen = np.random.default_rng(8)
+    spec = Cliques(9, 5)  # K = 10
+    X = gen.standard_normal((5, spec.n)) * 10.0 ** gen.integers(-6, 7, size=(5, spec.n))
+    block = np.concatenate(list(spec.member_sums_iter(X)), axis=1)
+    assert np.array_equal(block, X[:, spec.member_matrix()].sum(axis=2))
+    for r in range(X.shape[0]):
+        assert np.array_equal(np.concatenate(list(spec.member_sums_iter(X[r : r + 1])), axis=1), block[r : r + 1])
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_workers_give_the_same_values(family):
-    spec = FAMILIES[family](5)
+    spec = Cliques(7, 4) if family == "cliques" else FAMILIES[family](5)
     inst = ProblemInstance(spec, 1.1)
     one = estimate_bayes_risk(inst, 2100, SeededRng(77), workers=1)
     two = estimate_bayes_risk(inst, 2100, SeededRng(77), workers=2)
