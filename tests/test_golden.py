@@ -14,6 +14,11 @@ them must reproduce those bytes too.  The clique ``risk`` cases (the
 likelihood ratio over three trial chunks, also replayed with ``--workers 2``,
 and the maximum) and ``emax`` on cliques were recorded from full enumeration,
 before the dense-contraction likelihood ratio and the member-major gather.
+The spanning-tree ``scan`` maximum (two trial chunks, also replayed with
+``--workers 2``), ``overlap`` and ``emax`` on trees and the trees ``cover`` were
+recorded from the one-call-per-step random walk, Kruskal's algorithm and the
+member matrix filtered from all edge combinations, before the batched walk,
+Prim's algorithm and the Prüfer-built member matrix.
 
 Every ``bounds`` proposition, ``overlap`` on an exact and on a Monte Carlo
 family, ``emax`` in JSON, ``cover`` and ``nonmono`` were recorded in both
@@ -784,6 +789,67 @@ GOLDEN = {
         'se,0.054849097508807537\n'
         'gaussian_cap,8.6287132963625748\n',
     ),
+    'scan-trees-maximum-chunks': (
+        'scan --class trees --m 12 --test maximum --mu-grid 0.5:2.0:3 --trials 1100 --seed 23',
+        '#schema=combidetect.scan.v1\n'
+        '#version=0.1.0\n'
+        '#config={"class":"trees","command":"scan","emax0":23.381177535645207,"m":12,"mu_grid":"0.5:2.0:3","seed":23,"test":"maximum","trials":1100}\n'
+        'mu,type1,se1,type2,se2,total,se_total,trials\n'
+        '0.5,0.71818181818181814,0.013564549190474279,0.1409090909090909,0.010490416362664477,0.85909090909090902,0.017147764583258514,1100\n'
+        '1.25,0.082727272727272733,0.008305719336937769,0.24909090909090909,0.013039960544390029,0.33181818181818179,0.015460450986411446,1100\n'
+        '2,0,0,0.19090909090909092,0.011849925581559779,0.19090909090909092,0.011849925581559779,1100\n'
+        '#critical_mu=1.0107758620689655\n',
+    ),
+    'overlap-trees': (
+        'overlap --class trees --m 7 --mu 0.8 --pairs 2000 --seed 29',
+        '#schema=combidetect.overlap.v1\n'
+        '#version=0.1.0\n'
+        '#config={"class":"trees","command":"overlap","m":7,"mu":0.8,"pairs":2000,"seed":29}\n'
+        'key,value\n'
+        'mgf,3.6691710051616018\n'
+        'mgf_se,0.060529353210169293\n'
+        'exact,False\n'
+        'risk_lower_bound,0.18312011207864809\n',
+    ),
+    'emax-trees': (
+        'emax --class trees --m 7 --trials 1100 --seed 31',
+        '#schema=combidetect.emax.v1\n'
+        '#version=0.1.0\n'
+        '#config={"class":"trees","command":"emax","m":7,"seed":31,"trials":1100}\n'
+        'key,value\n'
+        'emax0,6.451600737900395\n'
+        'se,0.053229645200538626\n'
+        'gaussian_cap,10.805304666843911\n',
+    ),
+    'cover-trees': (
+        'cover --class trees --m 6 --radius 2 --seed 1',
+        '#schema=combidetect.cover.v1\n'
+        '#version=0.1.0\n'
+        '#config={"class":"trees","command":"cover","m":6,"radius":2.0,"seed":1}\n'
+        'set_id,indices\n'
+        '1,1;2;3;4;5\n'
+        '2,1;2;7;8;9\n'
+        '3,1;2;10;11;12\n'
+        '4,1;3;6;8;12\n'
+        '5,1;3;9;10;13\n'
+        '6,1;3;11;14;15\n'
+        '7,1;4;6;7;14\n'
+        '8,1;4;12;13;15\n'
+        '9,1;5;6;10;15\n'
+        '10,1;5;7;11;13\n'
+        '11,2;3;6;9;11\n'
+        '12,2;3;7;12;13\n'
+        '13,2;4;7;10;15\n'
+        '14,2;4;8;12;14\n'
+        '15,2;5;6;8;13\n'
+        '16,2;5;9;14;15\n'
+        '17,3;5;7;8;10\n'
+        '18,4;5;7;9;12\n'
+        '19,4;6;8;9;10\n'
+        '20,4;9;11;13;14\n'
+        '21,5;6;11;12;14\n'
+        '#cover_size=21\n',
+    ),
 }
 
 
@@ -807,4 +873,9 @@ def test_workers_replay_golden_bytes(capsys):
 
 def test_workers_replay_clique_golden_bytes(capsys):
     command, expected = GOLDEN["risk-cliques-optimal-chunks"]
+    assert run(capsys, command.split() + ["--workers", "2"]) == expected
+
+
+def test_workers_replay_trees_golden_bytes(capsys):
+    command, expected = GOLDEN["scan-trees-maximum-chunks"]
     assert run(capsys, command.split() + ["--workers", "2"]) == expected
