@@ -16,9 +16,9 @@ The batch hooks enumerate members by default, gathering member sums
 member-major.  Families with an exact structured kernel override them: an
 elementary-symmetric-polynomial DP for k-sets, a subset DP over column masks
 for matchings (one recurrence in the (logaddexp, +) and (max, +) semirings), a
-log-domain matrix-tree elimination for spanning trees, and a dense
-contraction over vertex pairs for the likelihood ratio of 3- and 4-cliques.
-Enumeration stays the reference they are tested against.
+log-domain matrix-tree elimination and Prim's algorithm for spanning trees,
+and a dense contraction over vertex pairs for the likelihood ratio of 3- and
+4-cliques.  Enumeration stays the reference they are tested against.
 """
 
 from __future__ import annotations
@@ -489,25 +489,6 @@ class PerfectMatchings(SetClass):
         return np.array(zs), np.array(probs)
 
 
-class _UnionFind:
-    def __init__(self, m: int):
-        self.parent = list(range(m))
-
-    def find(self, a: int) -> int:
-        p = self.parent
-        while p[a] != a:
-            p[a] = p[p[a]]
-            a = p[a]
-        return a
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
-
-
 class SpanningTrees(SetClass):
     """All m^(m-2) spanning trees of K_m, as (m-1)-element edge sets."""
 
@@ -525,6 +506,9 @@ class SpanningTrees(SetClass):
         pid[self.edges[:, 0], self.edges[:, 1]] = np.arange(self.n, dtype=np.int32)
         pid += pid.T
         self._pair_id0 = pid
+        self._pair_rows = pid.tolist()  # the walk's per-step lookups
+        # walk steps drawn per generator call: about the cover time m H_{m-1}
+        self._walk_batch = max(1, round(self.m * sum(1.0 / j for j in range(1, self.m))))
 
     def cardinality(self) -> int:
         return self.m ** (self.m - 2)
@@ -533,60 +517,98 @@ class SpanningTrees(SetClass):
         return {"family": self.family, "m": self.m}
 
     def sample_rows(self, gen):
-        # first-entrance edges of a simple random walk from a uniform start
+        # first-entrance edges of a simple random walk from a uniform start.
+        # The steps come in batches of gen.integers(m - 1, size=batch), which
+        # draws what as many scalar calls would; the batch that finishes the
+        # walk is redrawn from its saved state up to the last step used, so
+        # the generator ends where a one-call-per-step walk leaves it.
         m = self.m
         if m == 2:
             return np.zeros(1, dtype=np.int64)
-        visited = np.zeros(m, dtype=bool)
+        pid = self._pair_rows
+        bitgen = gen.bit_generator
+        visited = [False] * m
         cur = int(gen.integers(m))
         visited[cur] = True
-        count = 1
+        left = m - 1
         ids = []
-        while count < m:
-            r = int(gen.integers(m - 1))
-            nxt = r + (r >= cur)
-            if not visited[nxt]:
-                visited[nxt] = True
-                count += 1
-                ids.append(int(self._pair_id0[cur, nxt]))
-            cur = nxt
-        return np.array(sorted(ids))
-
-    def _is_tree(self, edge_ids0) -> bool:
-        uf = _UnionFind(self.m)
-        for e in edge_ids0:
-            a, b = self.edges[e]
-            if not uf.union(int(a), int(b)):
-                return False
-        return True
+        while True:
+            saved = bitgen.state
+            steps = gen.integers(m - 1, size=self._walk_batch).tolist()
+            for used, r in enumerate(steps, 1):
+                nxt = r + (r >= cur)
+                if not visited[nxt]:
+                    visited[nxt] = True
+                    ids.append(pid[cur][nxt])
+                    left -= 1
+                    if not left:
+                        if used < len(steps):
+                            bitgen.state = saved
+                            gen.integers(m - 1, size=used)
+                        ids.sort()
+                        return np.array(ids, dtype=np.int64)
+                cur = nxt
 
     def contains(self, s: IndexSet) -> bool:
-        return s.n == self.n and len(s) == self.K and self._is_tree(s.zero_based())
+        if s.n != self.n or len(s) != self.K:
+            return False
+        # matrix-tree theorem: m - 1 distinct edges span exactly det(L') trees
+        # (L' the Laplacian without its last row and column), 1 for a tree, 0
+        # for any other graph
+        a, b = self.edges[s.zero_based()].T
+        lap = np.diag(np.bincount(np.concatenate([a, b]), minlength=self.m).astype(np.float64))
+        lap[a, b] = lap[b, a] = -1.0
+        return round(float(np.linalg.det(lap[:-1, :-1]))) == 1
 
     def _build_member_matrix(self) -> np.ndarray:
-        rows = [
-            combo
-            for combo in itertools.combinations(range(self.n), self.K)
-            if self._is_tree(combo)
-        ]
-        return np.array(rows, dtype=np.int32)
-
-    def _kruskal(self, x: np.ndarray) -> float:
-        # greedy basis of the graphic matroid, weight descending and edge id
-        # ascending, summed in edge id order
-        order = np.argsort(-x, kind="stable")
-        uf = _UnionFind(self.m)
-        chosen = []
-        for e in order:
-            a, b = self.edges[e]
-            if uf.union(int(a), int(b)):
-                chosen.append(int(e))
-                if len(chosen) == self.K:
-                    break
-        return float(x[np.sort(chosen)].sum())
+        # decode every Pruefer sequence at once: each step joins the smallest
+        # leaf to the next entry, and the last two leaves close the tree
+        m, count = self.m, self.cardinality()
+        seqs = np.indices((m,) * (m - 2), dtype=np.int8).reshape(m - 2, count)  # one column each
+        rows = np.arange(count)
+        degree = np.ones((count, m), dtype=np.int8)
+        for entry in seqs:
+            degree[rows, entry] += 1
+        ids = np.empty((count, m - 1), dtype=np.int32)
+        for j, entry in enumerate(seqs):
+            leaf = np.argmax(degree == 1, axis=1)
+            ids[:, j] = self._pair_id0[leaf, entry]
+            degree[rows, leaf] = 0
+            degree[rows, entry] -= 1
+        last = degree == 1
+        ids[:, -1] = self._pair_id0[np.argmax(last, axis=1), m - 1 - np.argmax(last[:, ::-1], axis=1)]
+        ids.sort(axis=1)
+        return ids[np.lexsort(ids.T[::-1])]
 
     def max_values_batch(self, X, cap=None):
-        return np.array([self._kruskal(row) for row in X])
+        # Prim's algorithm from vertex 0, one step per vertex, over a block of
+        # rows at once.  The chosen edges are summed in edge id order, so a
+        # row whose maximum tree is unique gets the bits of the enumeration.
+        m = self.m
+        pid = self._pair_id0
+        out = np.empty(X.shape[0])
+        for blk in _row_blocks(X.shape[0], m * m, _BLOCK_BUDGET):
+            x = X[blk]
+            rows = np.arange(x.shape[0])
+            W = x[:, pid]
+            key = W[:, 0].copy()
+            parent = np.zeros((x.shape[0], m), dtype=np.intp)
+            free = np.ones((x.shape[0], m), dtype=bool)
+            free[:, 0] = False
+            key[:, 0] = -np.inf
+            ids = np.empty((x.shape[0], m - 1), dtype=np.intp)
+            for j in range(m - 1):
+                v = np.argmax(key, axis=1)
+                ids[:, j] = pid[parent[rows, v], v]
+                free[rows, v] = False
+                key[rows, v] = -np.inf
+                wv = W[rows, v]
+                better = free & (wv > key)
+                np.copyto(key, wv, where=better)
+                np.copyto(parent, v[:, None], where=better)
+            ids.sort(axis=1)
+            out[blk] = np.take_along_axis(x, ids, axis=1).sum(axis=1)
+        return out
 
     def log_mean_exp_batch(self, mu, X, cap=None):
         # weighted matrix-tree theorem: the tree polynomial is the determinant

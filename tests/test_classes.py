@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -35,6 +36,59 @@ SMALL = {
 
 #: a class given by its member rows, sampled by rank
 EXPLICIT = ExplicitClass(6, np.array([[2, 3], [0, 1], [1, 4]]))
+
+#: spanning-tree classes past enumeration, sampled next to the small ones
+BIG_TREES = {"trees-12": SpanningTrees(12), "trees-20": SpanningTrees(20)}
+
+
+def edge_ids(m):
+    return {(int(a), int(b)): i for i, (a, b) in enumerate(complete_graph_edges(m))}
+
+
+def per_step_tree_walk(spec, gen):
+    """The first-entrance walk with one generator call per step: the oracle
+    of the batched walk in ``SpanningTrees.sample_rows``."""
+    m = spec.m
+    if m == 2:
+        return np.zeros(1, dtype=np.int64)
+    eid = edge_ids(m)
+    visited = np.zeros(m, dtype=bool)
+    cur = int(gen.integers(m))
+    visited[cur] = True
+    count = 1
+    ids = []
+    while count < m:
+        r = int(gen.integers(m - 1))
+        nxt = r + (r >= cur)
+        if not visited[nxt]:
+            visited[nxt] = True
+            count += 1
+            ids.append(eid[min(cur, nxt), max(cur, nxt)])
+        cur = nxt
+    return np.array(sorted(ids))
+
+
+def filtered_tree_members(m):
+    """Every (m-1)-edge combination of K_m without a cycle, in combination
+    order: the oracle of the Pruefer-built member matrix."""
+    edges = complete_graph_edges(m)
+    rows = []
+    for combo in itertools.combinations(range(len(edges)), m - 1):
+        parent = list(range(m))
+
+        def find(a):
+            while parent[a] != a:
+                a = parent[a]
+            return a
+
+        for e in combo:
+            ra, rb = find(int(edges[e, 0])), find(int(edges[e, 1]))
+            if ra == rb:
+                break
+            parent[ra] = rb
+        else:
+            rows.append(combo)
+    return np.array(rows, dtype=np.int32).reshape(-1, m - 1)
 
 
 def small(family):
@@ -155,18 +209,44 @@ class TestSampling:
         b = spec.sample(SeededRng(9).child(4))
         assert a == b
 
-    @pytest.mark.parametrize("name", [*sorted(SMALL), "explicit"])
+    @pytest.mark.parametrize("name", [*sorted(SMALL), "explicit", *BIG_TREES])
     def test_sample_rows_replays_sample(self, name):
-        spec = EXPLICIT if name == "explicit" else small(name)
-        members = {tuple(r) for r in spec.member_matrix().tolist()}
+        spec = EXPLICIT if name == "explicit" else BIG_TREES.get(name) or small(name)
+        if name in BIG_TREES:
+            members = None
+        else:
+            members = {tuple(r) for r in spec.member_matrix().tolist()}
         g1 = SeededRng(78).child(len(name)).generator()
         g2 = SeededRng(78).child(len(name)).generator()
+        g3 = SeededRng(78).child(len(name)).generator()
         for _ in range(200):
             row = spec.sample_rows(g1)
             np.testing.assert_array_equal(row, spec.sample(g2).zero_based())
             assert g1.bit_generator.state == g2.bit_generator.state
+            if isinstance(spec, SpanningTrees):
+                # same rows and same end state as one generator call per step
+                np.testing.assert_array_equal(row, per_step_tree_walk(spec, g3))
+                assert g1.bit_generator.state == g3.bit_generator.state
             assert np.all(np.diff(row) > 0)
-            assert tuple(row.tolist()) in members
+            if members is None:
+                assert spec.contains(IndexSet(tuple((row + 1).tolist()), spec.n))
+            else:
+                assert tuple(row.tolist()) in members
+
+    @pytest.mark.parametrize("warmup", [0, 1], ids=["aligned", "half-word-buffered"])
+    @pytest.mark.parametrize("j", [1, 7, SpanningTrees(12)._walk_batch, SpanningTrees(20)._walk_batch])
+    def test_one_integers_call_draws_what_scalar_calls_draw(self, j, warmup):
+        # the batched tree walk relies on this numpy behaviour: one
+        # integers(k, size=j) call gives the values and the PCG64 end state
+        # (buffered half word included) of j scalar calls
+        for k in (11, 19):
+            g1 = SeededRng(41).child(k, j).generator()
+            g2 = SeededRng(41).child(k, j).generator()
+            for _ in range(warmup):
+                assert g1.integers(k) == g2.integers(k)
+            batch = g1.integers(k, size=j)
+            assert batch.tolist() == [int(g2.integers(k)) for _ in range(j)]
+            assert g1.bit_generator.state == g2.bit_generator.state
 
     def test_one_sampler_path(self):
         # families define sample_rows; only the base class turns it into an IndexSet
@@ -293,6 +373,42 @@ class TestSpanningTreeLaw:
                         seen.add(w)
                         stack.append(w)
             assert len(seen) == 5 and len(s) == 4
+
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_pruefer_matrix_is_the_filtered_combinations(self, m):
+        M = SpanningTrees(m).member_matrix()
+        ref = filtered_tree_members(m)
+        assert M.dtype == ref.dtype and np.array_equal(M, ref)
+
+    def test_pruefer_matrix_has_every_tree_once(self):
+        spec = SpanningTrees(8)
+        M = spec.member_matrix()
+        assert M.shape == (8**6, 7) and len(np.unique(M, axis=0)) == 8**6
+        assert np.all(M[:, 1:] > M[:, :-1])
+        assert np.all(np.diff(M[:, 0]) >= 0)
+
+    @pytest.mark.parametrize("m", [2, 3, 6])
+    def test_contains_accepts_every_member_row(self, m):
+        spec = SpanningTrees(m)
+        for row in spec.member_matrix():
+            assert spec.contains(IndexSet(tuple((row + 1).tolist()), spec.n))
+
+    def test_contains_refuses_a_cycle_and_a_wrong_size(self):
+        spec = SpanningTrees(5)
+        eid = edge_ids(5)
+
+        def edge_set(*pairs):
+            return IndexSet(tuple(eid[p] + 1 for p in pairs), spec.n)
+
+        path = [(0, 1), (1, 2), (2, 3), (3, 4)]
+        assert spec.contains(edge_set(*path))
+        # four edges, a triangle on 0, 1, 2 and vertex 4 cut off
+        assert not spec.contains(edge_set((0, 1), (1, 2), (0, 2), (2, 3)))
+        assert not spec.contains(edge_set(*path[:3]))
+        assert not spec.contains(edge_set(*path, (0, 4)))
+        big = SpanningTrees(40)
+        row = big.sample_rows(SeededRng(3).generator())
+        assert big.contains(IndexSet(tuple((row + 1).tolist()), big.n))
 
     @pytest.mark.parametrize("m,expected", [(4, Fraction(2, 4)), (5, Fraction(2, 5))])
     def test_edge_frequency_is_two_over_m(self, m, expected):

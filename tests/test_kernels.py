@@ -2,10 +2,12 @@
 
 ``PerfectMatchings`` evaluates both batch hooks by a subset DP over column
 masks, ``SpanningTrees`` evaluates the likelihood ratio by a log-domain
-matrix-tree elimination, and ``Cliques`` with k = 3, 4 by a dense contraction
-over vertex pairs.  Enumeration (``SetClass``'s generic hooks over
-``member_matrix``) and a 50-digit ``mpmath`` sum are the references; the
-Hungarian solver is the reference for the matchings maximum, bit for bit.
+matrix-tree elimination and the maximum by Prim's algorithm, and ``Cliques``
+with k = 3, 4 by a dense contraction over vertex pairs.  Enumeration
+(``SetClass``'s generic hooks over ``member_matrix``) and a 50-digit
+``mpmath`` sum are the references; the Hungarian solver is the reference for
+the matchings maximum, and enumeration and Kruskal's algorithm for the trees
+maximum, bit for bit.
 The enumeration path itself is pinned to numpy's 3-D gather sum, bit for bit.
 """
 
@@ -19,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from combidetect import ProblemInstance, SeededRng, estimate_bayes_risk, estimate_risk
+from combidetect import ProblemInstance, SeededRng, estimate_bayes_risk, estimate_emax0, estimate_risk
 from combidetect import classes
 from combidetect._assignment import assignment_value
 from combidetect.classes import Cliques, ExplicitClass, KSets, PerfectMatchings, SetClass, SpanningTrees
@@ -117,14 +119,75 @@ def test_matchings_max_matches_enumeration(m):
     np.testing.assert_allclose(spec.max_values_batch(X), SetClass.max_values_batch(spec, X), rtol=0, atol=1e-12)
 
 
+def enumerated_max(spec: SetClass, X: np.ndarray, rows_per_gather: int = 50) -> np.ndarray:
+    M = spec.member_matrix()
+    return np.concatenate([
+        X[lo : lo + rows_per_gather, M].sum(axis=2).max(axis=1) for lo in range(0, X.shape[0], rows_per_gather)
+    ])
+
+
+def kruskal_max(spec: SpanningTrees, x: np.ndarray) -> float:
+    """Kruskal's algorithm with a union-find, the chosen edges summed in edge
+    id order: the trees maximum before Prim's algorithm replaced it."""
+    parent = list(range(spec.m))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    chosen = []
+    for e in np.argsort(-x, kind="stable"):
+        ra, rb = find(int(spec.edges[e, 0])), find(int(spec.edges[e, 1]))
+        if ra != rb:
+            parent[ra] = rb
+            chosen.append(int(e))
+    return float(x[np.sort(chosen)].sum())
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_trees_max_is_bitwise_the_enumerated_max(m):
+    spec = spec_of("trees", m)
+    gen = np.random.default_rng(200 + m)
+    rows = 2000 if m <= 6 else 500
+    X = gen.standard_normal((rows, spec.n)) * 10.0 ** gen.integers(-3, 4, size=(rows, spec.n))
+    assert np.array_equal(spec.max_values_batch(X), enumerated_max(spec, X))
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_trees_max_matches_enumeration_on_ties(m):
+    # integer weights tie many trees; every maximum tree has the same sum
+    spec = spec_of("trees", m)
+    X = np.random.default_rng(300 + m).integers(-2, 3, size=(500, spec.n)).astype(np.float64)
+    assert np.array_equal(spec.max_values_batch(X), enumerated_max(spec, X))
+
+
+@pytest.mark.parametrize("m", [12, 20])
+def test_trees_max_is_bitwise_kruskal_past_enumeration(m):
+    # K >= 8: numpy sums each chosen row pairwise, as Kruskal's 1-D sum did
+    spec = SpanningTrees(m)
+    X = np.random.default_rng(400 + m).standard_normal((300, spec.n))
+    assert np.array_equal(spec.max_values_batch(X), [kruskal_max(spec, x) for x in X])
+
+
 def test_row_sub_blocks_do_not_change_values(monkeypatch):
     X = np.random.default_rng(9).standard_normal((37, 49))
     pm, st7 = PerfectMatchings(7), SpanningTrees(7)
     X_tree = X[:, : st7.n]
-    whole = (pm.max_values_batch(X), pm.log_mean_exp_batch(1.3, X), st7.log_mean_exp_batch(1.3, X_tree))
+    whole = (
+        pm.max_values_batch(X),
+        pm.log_mean_exp_batch(1.3, X),
+        st7.log_mean_exp_batch(1.3, X_tree),
+        st7.max_values_batch(X_tree),
+    )
     monkeypatch.setattr(classes, "_BLOCK_BUDGET", 1000)  # a few rows per sub-block
     monkeypatch.setattr(classes, "_DP_BLOCK_BUDGET", 1000)
-    split = (pm.max_values_batch(X), pm.log_mean_exp_batch(1.3, X), st7.log_mean_exp_batch(1.3, X_tree))
+    split = (
+        pm.max_values_batch(X),
+        pm.log_mean_exp_batch(1.3, X),
+        st7.log_mean_exp_batch(1.3, X_tree),
+        st7.max_values_batch(X_tree),
+    )
     for a, b in zip(whole, split):
         assert np.array_equal(a, b)
 
@@ -140,7 +203,8 @@ def test_constant_weights_beyond_enumeration(x):
         X = np.full((3, spec.n), x)
         np.testing.assert_allclose(kernel_log_mean_exp(spec, mu, X), mu * spec.K * x, rtol=1e-12, atol=1e-12)
         assert not hasattr(spec, "_member_cache")
-    assert np.allclose(pm.max_values_batch(np.full((2, pm.n), x)), pm.K * x, rtol=1e-12, atol=1e-12)
+    for spec in (pm, st30):
+        assert np.allclose(spec.max_values_batch(np.full((2, spec.n), x)), spec.K * x, rtol=1e-12, atol=1e-12)
 
 
 def test_matchings_cap_bounds_the_dp_states():
@@ -225,6 +289,16 @@ def test_a_lone_row_has_the_member_sums_of_a_block():
     assert np.array_equal(block, X[:, spec.member_matrix()].sum(axis=2))
     for r in range(X.shape[0]):
         assert np.array_equal(np.concatenate(list(spec.member_sums_iter(X[r : r + 1])), axis=1), block[r : r + 1])
+
+
+def test_trees_max_is_the_same_with_two_workers():
+    spec = SpanningTrees(12)
+    inst = ProblemInstance(spec, 1.5)
+    one = estimate_risk("maximum", inst, 2100, SeededRng(79), emax0=23.0, workers=1)
+    two = estimate_risk("maximum", inst, 2100, SeededRng(79), emax0=23.0, workers=2)
+    assert one == two
+    one = estimate_emax0(spec, 2100, SeededRng(80), workers=1)
+    assert one == estimate_emax0(spec, 2100, SeededRng(80), workers=2)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
