@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -235,6 +236,41 @@ def vc_cover_bound(n: int, V: int, t: float) -> float:
     return math.e * (V + 1) * (2.0 * math.e * n / t**2) ** V
 
 
+def _universal(K):
+    return universal_threshold(K), {"delta": 0.5}
+
+
+def _cliques(m, k, delta):
+    upper, lower = clique_bounds(m, k, delta)
+    return upper, {"lower_mu": lower, "lower_delta": 0.5}
+
+
+class _Prop(NamedTuple):
+    inputs: tuple[str, ...]
+    direction: str | None = None
+    # the closed form: the inputs in order to a value, or a value and extras
+    formula: Callable | None = None
+
+
+#: every proposition of ``evaluate_bound`` with the inputs it reads from
+#: ``params``; the last three are built by their own functions
+_PROPOSITIONS = {
+    "averaging": _Prop(("n", "K", "delta"), MU_FOR_RISK_LE, averaging_threshold),
+    "maxtest": _Prop(("emax0", "K", "delta"), MU_FOR_RISK_LE, max_test_threshold),
+    "universal": _Prop(("K",), MU_FOR_RISK_GE, _universal),
+    "pairs": _Prop(("mgf",), LOWER_ON_RISK, pairs_risk_lower_bound),
+    "symmetric": _Prop(("n", "K", "delta"), MU_FOR_RISK_GE, symmetric_threshold),
+    "negass": _Prop(("n", "K", "delta"), MU_FOR_RISK_GE, negass_threshold),
+    "cliques": _Prop(("m", "k", "delta"), MU_FOR_RISK_LE, _cliques),
+    "random-subclass": _Prop(("K", "M", "t")),
+    "vc-cover": _Prop(("n", "V", "t"), UPPER_ON_COVER, vc_cover_bound),
+    "dudley": _Prop(("constant",)),
+    "type1-cover": _Prop(("delta",)),
+}
+
+PROPS = tuple(_PROPOSITIONS)
+
+
 def evaluate_bound(
     prop: str,
     params: dict,
@@ -247,91 +283,31 @@ def evaluate_bound(
 ) -> BoundReport:
     """Uniform entry point for the named closed-form bounds.
 
-    ``params`` carries the scalar inputs each proposition needs; ``spec``
-    (and for type1-cover ``rng``) only matter for the class-dependent ones.
+    ``params`` carries the scalar inputs each proposition needs, and may
+    carry others, which are ignored; ``spec`` (and for type1-cover ``rng``)
+    only matter for the class-dependent ones.
     """
-
-    def need(*keys):
-        missing = [k for k in keys if k not in params]
-        if missing:
-            raise ValueError(f"{prop} needs parameters: {', '.join(missing)}")
-        return [params[k] for k in keys]
-
-    if prop == "averaging":
-        n, K, delta = need("n", "K", "delta")
-        return BoundReport(
-            "averaging", MU_FOR_RISK_LE, averaging_threshold(n, K, delta),
-            inputs={"n": n, "K": K, "delta": delta},
-        )
-    if prop == "maxtest":
-        emax0, K, delta = need("emax0", "K", "delta")
-        return BoundReport(
-            "maxtest", MU_FOR_RISK_LE, max_test_threshold(emax0, K, delta),
-            inputs={"emax0": emax0, "K": K, "delta": delta},
-        )
-    if prop == "universal":
-        (K,) = need("K")
-        return BoundReport(
-            "universal", MU_FOR_RISK_GE, universal_threshold(K),
-            inputs={"K": K}, extras={"delta": 0.5},
-        )
-    if prop == "pairs":
-        (mgf,) = need("mgf")
-        return BoundReport(
-            "pairs", LOWER_ON_RISK, pairs_risk_lower_bound(mgf),
-            inputs={"mgf": mgf},
-        )
-    if prop == "symmetric":
-        n, K, delta = need("n", "K", "delta")
-        return BoundReport(
-            "symmetric", MU_FOR_RISK_GE, symmetric_threshold(n, K, delta),
-            inputs={"n": n, "K": K, "delta": delta},
-        )
-    if prop == "negass":
-        n, K, delta = need("n", "K", "delta")
-        return BoundReport(
-            "negass", MU_FOR_RISK_GE, negass_threshold(n, K, delta),
-            inputs={"n": n, "K": K, "delta": delta},
-        )
-    if prop == "cliques":
-        m, k, delta = need("m", "k", "delta")
-        upper, lower = clique_bounds(m, k, delta)
-        return BoundReport(
-            "cliques", MU_FOR_RISK_LE, upper,
-            inputs={"m": m, "k": k, "delta": delta},
-            extras={"lower_mu": lower, "lower_delta": 0.5},
-        )
+    if prop not in _PROPOSITIONS:
+        raise ValueError(f"unknown proposition {prop!r}")
+    entry = _PROPOSITIONS[prop]
+    missing = [k for k in entry.inputs if k not in params]
+    if missing:
+        raise ValueError(f"{prop} needs parameters: {', '.join(missing)}")
+    inputs = {k: params[k] for k in entry.inputs}
     if prop == "random-subclass":
-        K, M, t = need("K", "M", "t")
-        return random_subclass_bound(K, M, t)
-    if prop == "vc-cover":
-        n, V, t = need("n", "V", "t")
-        return BoundReport(
-            "vc-cover", UPPER_ON_COVER, vc_cover_bound(n, V, t),
-            inputs={"n": n, "V": V, "t": t},
-        )
+        return random_subclass_bound(*inputs.values())
     if prop == "dudley":
-        (constant,) = need("constant")
         if spec is None:
             raise ValueError("dudley needs a set class")
-        return BoundReport(
-            "dudley", UPPER_ON_EMAX, dudley_bound(spec, constant, cap),
-            inputs={"class": spec.to_params(), "constant": constant},
-        )
+        value = dudley_bound(spec, inputs["constant"], cap)
+        return BoundReport(prop, UPPER_ON_EMAX, value, inputs={"class": spec.to_params()} | inputs)
     if prop == "type1-cover":
-        (delta,) = need("delta")
         if spec is None or rng is None:
             raise ValueError("type1-cover needs a set class and a seed")
-        return type1_bound_threshold(
-            spec, delta, trials, rng, cap=cap, workers=workers
-        )
-    raise ValueError(f"unknown proposition {prop!r}")
-
-
-PROPS = (
-    "averaging", "maxtest", "universal", "pairs", "symmetric", "negass",
-    "cliques", "random-subclass", "vc-cover", "dudley", "type1-cover",
-)
+        return type1_bound_threshold(spec, inputs["delta"], trials, rng, cap=cap, workers=workers)
+    out = entry.formula(*inputs.values())
+    value, extras = out if isinstance(out, tuple) else (out, {})
+    return BoundReport(prop, entry.direction, value, inputs=inputs, extras=extras)
 
 
 def type1_bound_threshold(

@@ -89,6 +89,8 @@ class SetClass:
 
     family = "abstract"
     is_symmetric = False
+    #: the constructor's arguments, which are also attributes of an instance
+    params: tuple[str, ...] = ()
 
     n: int
     K: int
@@ -111,7 +113,7 @@ class SetClass:
         raise NotImplementedError
 
     def to_params(self) -> dict:
-        raise NotImplementedError
+        return {"family": self.family} | {p: getattr(self, p) for p in self.params}
 
     def __repr__(self):
         items = ", ".join(f"{k}={v}" for k, v in self.to_params().items() if k != "family")
@@ -201,6 +203,7 @@ class DisjointSets(SetClass):
     """N pairwise-disjoint blocks of K consecutive indices; n = N*K."""
 
     family = "disjoint"
+    params = ("N", "K")
     is_symmetric = True
 
     def __init__(self, N: int, K: int):
@@ -212,9 +215,6 @@ class DisjointSets(SetClass):
 
     def cardinality(self) -> int:
         return self.N
-
-    def to_params(self) -> dict:
-        return {"family": self.family, "N": self.N, "K": self.K}
 
     def sample_rows(self, gen):
         j = int(gen.integers(self.N))
@@ -244,6 +244,7 @@ class KSets(SetClass):
     """All K-element subsets of {1..n}."""
 
     family = "ksets"
+    params = ("n", "K")
     is_symmetric = True
 
     def __init__(self, n: int, K: int):
@@ -254,9 +255,6 @@ class KSets(SetClass):
 
     def cardinality(self) -> int:
         return math.comb(self.n, self.K)
-
-    def to_params(self) -> dict:
-        return {"family": self.family, "n": self.n, "K": self.K}
 
     def sample_rows(self, gen):
         return np.sort(gen.choice(self.n, size=self.K, replace=False))
@@ -306,6 +304,7 @@ class Stars(SetClass):
     """All m stars of K_m: the m-1 edges incident to one center vertex."""
 
     family = "stars"
+    params = ("m",)
     is_symmetric = True
 
     def __init__(self, m: int):
@@ -324,9 +323,6 @@ class Stars(SetClass):
     def cardinality(self) -> int:
         return self.m
 
-    def to_params(self) -> dict:
-        return {"family": self.family, "m": self.m}
-
     def sample_rows(self, gen):
         return self.incident[int(gen.integers(self.m))]
 
@@ -340,9 +336,6 @@ class Stars(SetClass):
     def _build_member_matrix(self) -> np.ndarray:
         return self.incident
 
-    def member_sums_iter(self, X, cap=None):
-        yield X[:, self.incident].sum(axis=2)
-
     def overlap_pmf(self):
         # same center w.p. 1/m (full overlap), else exactly the shared edge
         return np.array([1, self.K]), np.array([1 - 1 / self.m, 1 / self.m])
@@ -353,6 +346,7 @@ class PerfectMatchings(SetClass):
     {(i-1)m + sigma(i)}."""
 
     family = "matchings"
+    params = ("m",)
     is_symmetric = True
 
     def __init__(self, m: int):
@@ -364,9 +358,6 @@ class PerfectMatchings(SetClass):
 
     def cardinality(self) -> int:
         return math.factorial(self.m)
-
-    def to_params(self) -> dict:
-        return {"family": self.family, "m": self.m}
 
     def sample_rows(self, gen):
         return np.arange(self.m) * self.m + gen.permutation(self.m)
@@ -493,6 +484,7 @@ class SpanningTrees(SetClass):
     """All m^(m-2) spanning trees of K_m, as (m-1)-element edge sets."""
 
     family = "trees"
+    params = ("m",)
     is_symmetric = False
 
     def __init__(self, m: int):
@@ -512,9 +504,6 @@ class SpanningTrees(SetClass):
 
     def cardinality(self) -> int:
         return self.m ** (self.m - 2)
-
-    def to_params(self) -> dict:
-        return {"family": self.family, "m": self.m}
 
     def sample_rows(self, gen):
         # first-entrance edges of a simple random walk from a uniform start.
@@ -644,6 +633,7 @@ class Cliques(SetClass):
     """Edge sets of k-cliques of K_m; K = C(k,2), N = C(m,k)."""
 
     family = "cliques"
+    params = ("m", "k")
     is_symmetric = True
 
     def __init__(self, m: int, k: int):
@@ -662,9 +652,6 @@ class Cliques(SetClass):
 
     def cardinality(self) -> int:
         return math.comb(self.m, self.k)
-
-    def to_params(self) -> dict:
-        return {"family": self.family, "m": self.m, "k": self.k}
 
     def _vertices_to_member(self, vs: np.ndarray) -> np.ndarray:
         return self._pair_id0[vs[self._ia], vs[self._ib]]
@@ -756,6 +743,7 @@ class GridSquares(SetClass):
     row-major 1-based cell numbering."""
 
     family = "grid"
+    params = ("sqrt_n", "sqrt_K")
     is_symmetric = False
 
     def __init__(self, sqrt_n: int, sqrt_K: int):
@@ -769,9 +757,6 @@ class GridSquares(SetClass):
 
     def cardinality(self) -> int:
         return self.side**2
-
-    def to_params(self) -> dict:
-        return {"family": self.family, "sqrt_n": self.sqrt_n, "sqrt_K": self.sqrt_K}
 
     def _member_ids0(self, r0: int, c0: int) -> np.ndarray:
         rows = np.arange(r0, r0 + self.sqrt_K)
@@ -878,22 +863,12 @@ FAMILIES: dict[str, type[SetClass]] = {
     "grid": GridSquares,
 }
 
-_FAMILY_PARAMS = {
-    "disjoint": ("N", "K"),
-    "ksets": ("n", "K"),
-    "stars": ("m",),
-    "matchings": ("m",),
-    "trees": ("m",),
-    "cliques": ("m", "k"),
-    "grid": ("sqrt_n", "sqrt_K"),
-}
-
 
 def make_class(family: str, **params) -> SetClass:
     """Build a family instance from flat parameters (CLI/serialization entry)."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}, expected one of {sorted(FAMILIES)}")
-    wanted = _FAMILY_PARAMS[family]
+    wanted = FAMILIES[family].params
     missing = [p for p in wanted if params.get(p) is None]
     if missing:
         raise ValueError(f"family {family!r} requires parameters {wanted}, missing {missing}")

@@ -32,10 +32,8 @@ from .risk import (
 )
 from .rules import TESTS
 
-_CLASS_PARAM_FLAGS = (
-    ("--n", "n"), ("--K", "K"), ("--N", "N"), ("--m", "m"), ("--k", "k"),
-    ("--sqrt-n", "sqrt_n"), ("--sqrt-K", "sqrt_K"),
-)
+#: every family's parameters, each given by the flag --<name> with _ as -
+_CLASS_PARAMS = tuple(dict.fromkeys(p for cls in FAMILIES.values() for p in cls.params))
 
 
 def _add_common(p: argparse.ArgumentParser, *, trials_default: int | None = 10_000):
@@ -61,13 +59,12 @@ def _add_class_flags(p: argparse.ArgumentParser, *, required: bool = True):
         "--class", dest="family", choices=sorted(FAMILIES), required=required,
         help="set class family",
     )
-    for flag, dest in _CLASS_PARAM_FLAGS:
-        p.add_argument(flag, dest=dest, type=int, default=None)
+    for dest in _CLASS_PARAMS:
+        p.add_argument("--" + dest.replace("_", "-"), dest=dest, type=int, default=None)
 
 
 def _class_from_args(args) -> SetClass:
-    params = {dest: getattr(args, dest) for _, dest in _CLASS_PARAM_FLAGS}
-    return make_class(args.family, **params)
+    return make_class(args.family, **{d: getattr(args, d) for d in _CLASS_PARAMS})
 
 
 def _config(args, *dests: str) -> dict:
@@ -76,9 +73,7 @@ def _config(args, *dests: str) -> dict:
     cfg = {"command": args.command, "seed": args.seed}
     if getattr(args, "family", None) is not None:
         cfg["class"] = args.family
-        for _, dest in _CLASS_PARAM_FLAGS:
-            if getattr(args, dest) is not None:
-                cfg[dest] = getattr(args, dest)
+        cfg |= {d: getattr(args, d) for d in _CLASS_PARAMS if getattr(args, d) is not None}
     return cfg | {dest: getattr(args, dest) for dest in dests}
 
 
@@ -194,12 +189,7 @@ def _run_scan(args) -> str:
 
 
 def _run_bounds(args) -> str:
-    params = {
-        k: getattr(args, k)
-        for k in ("n", "K", "N", "m", "k", "delta", "emax0", "mgf", "M", "t",
-                  "V", "constant")
-        if getattr(args, k, None) is not None
-    }
+    params = {k: v for k, v in vars(args).items() if v is not None}
     spec = _class_from_args(args) if args.family else None
     report = evaluate_bound(
         args.prop, params, spec=spec, rng=SeededRng(args.seed),

@@ -106,8 +106,6 @@ def _per_trial_values(
 ) -> np.ndarray:
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    # warm up caches (and surface cap errors) on this thread before fanning out
-    value_batch(np.zeros((1, instance.n)))
     out = np.empty(trials, dtype=out_dtype)
     chunk = _chunk_size(instance.n)
     spans = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
@@ -120,9 +118,22 @@ def _per_trial_values(
         for span in spans:
             run(span)
     else:
+        # warm up caches (and surface cap errors) on this thread before fanning out
+        value_batch(np.zeros((1, instance.n)))
         with ThreadPoolExecutor(max_workers=int(workers)) as pool:
             list(pool.map(run, spans))
     return out
+
+
+def _risk(
+    decide: Callable, instance: ProblemInstance, trials: int, rng: SeededRng, workers: int
+) -> RiskEstimate:
+    # rejections of ``decide`` on the null arm and on the mixture arm
+    rej_null = _per_trial_values(decide, instance, _NULL_ARM, trials, rng, workers, np.bool_)
+    rej_mix = _per_trial_values(decide, instance, _MIXTURE_ARM, trials, rng, workers, np.bool_)
+    return RiskEstimate.from_counts(
+        int(np.count_nonzero(rej_null)), trials - int(np.count_nonzero(rej_mix)), trials
+    )
 
 
 def estimate_risk(
@@ -142,11 +153,7 @@ def estimate_risk(
     def decide(X: np.ndarray) -> np.ndarray:
         return batch_rejections(test, instance, X, emax0=emax0, cap=cap)
 
-    rej_null = _per_trial_values(decide, instance, _NULL_ARM, trials, rng, workers, np.bool_)
-    rej_mix = _per_trial_values(decide, instance, _MIXTURE_ARM, trials, rng, workers, np.bool_)
-    return RiskEstimate.from_counts(
-        int(np.count_nonzero(rej_null)), trials - int(np.count_nonzero(rej_mix)), trials
-    )
+    return _risk(decide, instance, trials, rng, workers)
 
 
 def _loglik_batch(instance: ProblemInstance, cap: int | None):
@@ -158,8 +165,14 @@ def _loglik_batch(instance: ProblemInstance, cap: int | None):
     return values
 
 
-def _mean_se(values: np.ndarray) -> tuple[float, float]:
-    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
+def _null_mean(
+    values: Callable, instance: ProblemInstance, trials: int, rng: SeededRng, workers: int
+) -> tuple[float, float]:
+    # (mean, std_error) of the per-trial values over null draws
+    if trials < 2:
+        raise ValueError("trials must be >= 2")
+    v = _per_trial_values(values, instance, _NULL_ARM, trials, rng, workers)
+    return float(v.mean()), float(v.std(ddof=1) / math.sqrt(v.size))
 
 
 def estimate_bayes_risk(
@@ -173,15 +186,12 @@ def estimate_bayes_risk(
     """(estimate, std_error) of the optimum risk 1 - E|L - 1|/2 from null
     draws only.  Sharp near mu = 0; the per-trial variance blows up for
     large mu."""
-    if trials < 2:
-        raise ValueError("trials must be >= 2")
     loglik = _loglik_batch(instance, cap)
 
     def values(X: np.ndarray) -> np.ndarray:
         return 1.0 - 0.5 * np.abs(np.expm1(loglik(X)))
 
-    v = _per_trial_values(values, instance, _NULL_ARM, trials, rng, workers)
-    return _mean_se(v)
+    return _null_mean(values, instance, trials, rng, workers)
 
 
 def estimate_bhattacharyya(
@@ -193,15 +203,12 @@ def estimate_bhattacharyya(
     workers: int = 1,
 ) -> tuple[float, float]:
     """(estimate, std_error) of rho = E sqrt(L)/2 from null draws."""
-    if trials < 2:
-        raise ValueError("trials must be >= 2")
     loglik = _loglik_batch(instance, cap)
 
     def values(X: np.ndarray) -> np.ndarray:
         return 0.5 * np.exp(0.5 * loglik(X))
 
-    v = _per_trial_values(values, instance, _NULL_ARM, trials, rng, workers)
-    return _mean_se(v)
+    return _null_mean(values, instance, trials, rng, workers)
 
 
 def estimate_emax0(
@@ -214,15 +221,10 @@ def estimate_emax0(
 ) -> EmaxEstimate:
     """Null expectation of max_S X_S, with the analytic cap sqrt(2 K log N)
     reported alongside."""
-    if trials < 2:
-        raise ValueError("trials must be >= 2")
-    instance = ProblemInstance(spec, 0.0)
-
     def values(X: np.ndarray) -> np.ndarray:
         return spec.max_values_batch(X, cap)
 
-    v = _per_trial_values(values, instance, _NULL_ARM, trials, rng, workers)
-    mean, se = _mean_se(v)
+    mean, se = _null_mean(values, ProblemInstance(spec, 0.0), trials, rng, workers)
     return EmaxEstimate(mean, se, emax_upper_cap(spec))
 
 
@@ -411,11 +413,7 @@ def nonmonotonicity_demo(
     def witness_decide(X: np.ndarray) -> np.ndarray:
         return X[:, :K].sum(axis=1) >= thr
 
-    wrej0 = _per_trial_values(witness_decide, winst, _NULL_ARM, trials, rng.child(2), workers, np.bool_)
-    wrej1 = _per_trial_values(witness_decide, winst, _MIXTURE_ARM, trials, rng.child(2), workers, np.bool_)
-    risk_w = RiskEstimate.from_counts(
-        int(np.count_nonzero(wrej0)), trials - int(np.count_nonzero(wrej1)), trials
-    )
+    risk_w = _risk(witness_decide, winst, trials, rng.child(2), workers)
 
     side_rhs = math.sqrt(8.0 / K * math.log(2.0 / epsilon))
     return NonmonotonicityReport(

@@ -31,8 +31,11 @@ def _decide(
 ) -> tuple[np.ndarray, float, np.ndarray]:
     """(statistics, threshold, rejections) of one rule on a (B, n) block.
 
-    The scalar rules are this on a block of one row, so they match the
-    batch path bit for bit.
+    The scalar rules are this on a block of one row, and their statistics
+    and decisions equal the batch's, except for the enumerated likelihood
+    ratio (``SetClass.log_mean_exp_batch``): its log-sum-exp adds a lone
+    row's terms in another order than a block's, so the statistic may differ
+    in its last bits.
     """
     sc = instance.set_class
     mu, K = instance.mu, instance.K

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import importlib
 import json
@@ -9,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from combidetect import __version__, exact_overlap_mgf, make_class
-from combidetect.cli import main
+from combidetect import FAMILIES, __version__, exact_overlap_mgf, make_class
+from combidetect.bounds import _PROPOSITIONS, PROPS
+from combidetect.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -447,3 +449,46 @@ class TestPublicSurface:
             getattr(package, name)
         with pytest.raises(AttributeError):
             getattr(importlib.import_module(f"combidetect.{DELETED[name]}"), name)
+
+
+def _flags(command):
+    # the actions of one subcommand's parser, keyed by dest
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in sub.choices[command]._actions}
+
+
+class TestSingleDeclarations:
+    """Each family's parameters and each proposition's inputs are declared
+    once; the flags, the round trip and the branches follow from them."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_to_params_round_trips_through_make_class(self, family):
+        spec = make_class(family, **dict(zip(FAMILIES[family].params, (4, 3))))
+        params = spec.to_params()
+        assert list(params) == ["family", *FAMILIES[family].params]
+        assert repr(make_class(**params)) == repr(spec)
+
+    def test_family_params_are_int_flags(self):
+        flags = _flags("risk")
+        for cls in FAMILIES.values():
+            for name in cls.params:
+                action = flags[name]
+                assert action.option_strings == ["--" + name.replace("_", "-")]
+                assert action.type is int and action.default is None
+
+    def test_proposition_inputs_are_bounds_flags(self):
+        flags = _flags("bounds")
+        assert tuple(flags["prop"].choices) == PROPS == tuple(_PROPOSITIONS)
+        for prop in _PROPOSITIONS.values():
+            for name in prop.inputs:
+                assert flags[name].option_strings == [f"--{name}"]
+
+    def test_evaluate_bound_branches_only_where_a_table_row_cannot_serve(self):
+        path = Path(importlib.import_module("combidetect.bounds").__file__)
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        fn = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "evaluate_bound")
+        props = [n.comparators[0].value for n in ast.walk(fn)
+                 if isinstance(n, ast.Compare) and isinstance(n.ops[0], ast.Eq)
+                 and isinstance(n.left, ast.Name) and n.left.id == "prop"]
+        assert sorted(props) == ["dudley", "random-subclass", "type1-cover"]

@@ -24,9 +24,10 @@ from hypothesis import strategies as st
 from combidetect import ProblemInstance, SeededRng, estimate_bayes_risk, estimate_emax0, estimate_risk
 from combidetect import classes
 from combidetect._assignment import assignment_value
-from combidetect.classes import Cliques, ExplicitClass, KSets, PerfectMatchings, SetClass, SpanningTrees
+from combidetect.classes import Cliques, ExplicitClass, KSets, PerfectMatchings, SetClass, SpanningTrees, Stars
 from combidetect.cli import main
 from combidetect.core import CapExceededError
+from combidetect.rules import _decide, maximum_test
 
 FAMILIES = {"matchings": PerfectMatchings, "trees": SpanningTrees, "cliques": Cliques}
 
@@ -278,17 +279,21 @@ def test_member_sums_match_the_gather_sum_bit_for_bit(monkeypatch, B, weights):
             assert blk.flags.c_contiguous == ref.flags.c_contiguous
 
 
-def test_a_lone_row_has_the_member_sums_of_a_block():
+@pytest.mark.parametrize("spec", [Cliques(9, 5), Stars(12)], ids=["cliques", "stars"])
+def test_a_lone_row_has_the_member_sums_of_a_block(spec):
     # numpy sums a lone row's contiguous (1, N, K) gather pairwise once K >= 8,
     # but a block's gather left to right; member-major sums add left to right
-    # for every row count
+    # for every row count, so the maximum rule gives a lone row the block's
+    # statistic (K = 10 and 11 here)
     gen = np.random.default_rng(8)
-    spec = Cliques(9, 5)  # K = 10
     X = gen.standard_normal((5, spec.n)) * 10.0 ** gen.integers(-6, 7, size=(5, spec.n))
     block = np.concatenate(list(spec.member_sums_iter(X)), axis=1)
     assert np.array_equal(block, X[:, spec.member_matrix()].sum(axis=2))
+    inst = ProblemInstance(spec, 1.0)
+    batch = _decide("maximum", inst, X, 0.0, None)[0]
     for r in range(X.shape[0]):
         assert np.array_equal(np.concatenate(list(spec.member_sums_iter(X[r : r + 1])), axis=1), block[r : r + 1])
+        assert maximum_test(X[r], inst, 0.0).statistic == batch[r]
 
 
 def test_trees_max_is_the_same_with_two_workers():

@@ -22,11 +22,14 @@ from combidetect import (
     scan_critical_mu,
 )
 from combidetect._output import fmt17
+from combidetect.core import CapExceededError
 from combidetect.risk import (
     _MIXTURE_ARM,
     _NULL_ARM,
+    _chunk_size,
     _draw_block,
     _interpolate_half,
+    _per_trial_values,
     render_curve,
     render_risk_rows,
 )
@@ -181,6 +184,33 @@ class TestReproducibility:
                     x = gen.standard_normal(instance.n)
                 expect[t - lo] = x
             np.testing.assert_array_equal(_draw_block(instance, arm, lo, hi, rng), expect)
+
+    def test_serial_run_calls_the_kernel_once_per_trial_chunk(self):
+        # no warm-up call: that one is for threads only
+        instance = ProblemInstance(make_class("disjoint", N=2, K=1), 0.9)
+        chunk = _chunk_size(instance.n)
+        calls = []
+
+        def values(X):
+            calls.append(X.shape[0])
+            return X.sum(axis=1)
+
+        _per_trial_values(values, instance, _NULL_ARM, 2 * chunk + 5, SeededRng(84), 1)
+        assert calls == [chunk, chunk, 5]
+
+    @pytest.mark.parametrize("estimate", [estimate_bayes_risk, estimate_bhattacharyya, estimate_emax0])
+    def test_null_means_need_two_trials(self, estimate):
+        # one trial has no standard error
+        spec = make_class("disjoint", N=2, K=1)
+        arg = spec if estimate is estimate_emax0 else ProblemInstance(spec, 0.9)
+        with pytest.raises(ValueError, match="trials must be >= 2"):
+            estimate(arg, 1, SeededRng(86))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cap_error_reaches_the_caller(self, workers):
+        instance = ProblemInstance(make_class("cliques", m=9, k=5), 0.9)
+        with pytest.raises(CapExceededError):
+            estimate_risk("optimal", instance, 2100, SeededRng(85), cap=100, workers=workers)
 
 
 class TestScan:
