@@ -7,10 +7,9 @@ Graph families live on the complete graph K_m (edges numbered
 lexicographically by endpoint pair, 1-based) or on the complete bipartite
 graph K_{m,m} (edge (i, j) numbered (i-1)m + j).
 
-Inside the package a member is a sorted 0-based index array, the form of one
-``member_matrix`` row: ``sample_rows`` draws it and ``ExplicitClass`` is built
-from such rows.  ``IndexSet`` appears only at the public edge: ``sample``,
-``enumerate_members`` and ``contains``.
+A member is a sorted 0-based index array, the form of one ``member_matrix``
+row, so coordinate i above is index i - 1 there: ``sample_rows`` draws it and
+``ExplicitClass`` is built from such rows.
 
 The batch hooks enumerate members by default, gathering member sums
 member-major.  Families with an exact structured kernel override them: an
@@ -31,13 +30,7 @@ from typing import Iterator
 import numpy as np
 
 from ._assignment import assignment_value
-from .core import (
-    DEFAULT_ENUMERATION_CAP,
-    CapExceededError,
-    IndexSet,
-    SeededRng,
-    _as_generator,
-)
+from .core import DEFAULT_ENUMERATION_CAP, CapExceededError, SeededRng
 
 #: soft ceiling on rows x members x K per member-sum block.  It sets the
 #: chunk boundaries, and with them the bits of the streaming log-sum-exp.
@@ -83,6 +76,15 @@ def complete_graph_edges(m: int) -> np.ndarray:
     return np.stack([a, b], axis=1).astype(np.int32)
 
 
+def _pair_ids(m: int) -> np.ndarray:
+    """Symmetric (m, m) int32 table of the 0-based edge id of each vertex
+    pair of K_m; the diagonal holds 0 and is not an edge."""
+    a, b = np.triu_indices(m, 1)
+    pid = np.zeros((m, m), dtype=np.int32)
+    pid[a, b] = np.arange(a.size, dtype=np.int32)
+    return pid + pid.T
+
+
 class SetClass:
     """Base class: a family of equal-size index sets with sampling,
     enumeration and the batch hooks of the tests."""
@@ -103,13 +105,6 @@ class SetClass:
 
         The array may be a read-only view of the class's own tables.
         """
-        raise NotImplementedError
-
-    def sample(self, rng: SeededRng | np.random.Generator) -> IndexSet:
-        """Draw one member, exactly uniformly, with the draws of ``sample_rows``."""
-        return IndexSet(tuple((self.sample_rows(_as_generator(rng)) + 1).tolist()), self.n)
-
-    def contains(self, s: IndexSet) -> bool:
         raise NotImplementedError
 
     def to_params(self) -> dict:
@@ -139,11 +134,6 @@ class SetClass:
             cached = np.ascontiguousarray(self._build_member_matrix(), dtype=np.int32)
             self._member_cache = cached
         return cached
-
-    def enumerate_members(self, cap: int | None = None) -> Iterator[IndexSet]:
-        """Members in canonical order: lexicographic on the index sequence."""
-        for row in self.member_matrix(cap):
-            yield IndexSet(tuple(int(i) + 1 for i in row), self.n)
 
     # -- batch evaluation hooks ----------------------------------------
 
@@ -220,14 +210,6 @@ class DisjointSets(SetClass):
         j = int(gen.integers(self.N))
         return np.arange(j * self.K, (j + 1) * self.K)
 
-    def contains(self, s: IndexSet) -> bool:
-        if s.n != self.n or len(s) != self.K:
-            return False
-        first = s.indices[0]
-        if (first - 1) % self.K != 0:
-            return False
-        return s.indices == tuple(range(first, first + self.K))
-
     def _build_member_matrix(self) -> np.ndarray:
         return np.arange(self.n, dtype=np.int32).reshape(self.N, self.K)
 
@@ -258,9 +240,6 @@ class KSets(SetClass):
 
     def sample_rows(self, gen):
         return np.sort(gen.choice(self.n, size=self.K, replace=False))
-
-    def contains(self, s: IndexSet) -> bool:
-        return s.n == self.n and len(s) == self.K
 
     def _build_member_matrix(self) -> np.ndarray:
         combos = np.fromiter(
@@ -313,10 +292,8 @@ class Stars(SetClass):
         self.m = int(m)
         self.n = math.comb(self.m, 2)
         self.K = self.m - 1
-        self.edges = complete_graph_edges(self.m)
-        inc = np.empty((self.m, self.K), dtype=np.int32)
-        for c in range(self.m):
-            inc[c] = np.flatnonzero((self.edges[:, 0] == c) | (self.edges[:, 1] == c))
+        # row c: the ids of the edges at vertex c, increasing with the far end
+        inc = _pair_ids(self.m)[~np.eye(self.m, dtype=bool)].reshape(self.m, self.K)
         inc.setflags(write=False)  # sample_rows hands out its rows
         self.incident = inc
 
@@ -325,13 +302,6 @@ class Stars(SetClass):
 
     def sample_rows(self, gen):
         return self.incident[int(gen.integers(self.m))]
-
-    def contains(self, s: IndexSet) -> bool:
-        if s.n != self.n or len(s) != self.K:
-            return False
-        pairs = self.edges[s.zero_based()]
-        counts = np.bincount(pairs.ravel(), minlength=self.m)
-        return bool(counts.max() == self.K)
 
     def _build_member_matrix(self) -> np.ndarray:
         return self.incident
@@ -361,14 +331,6 @@ class PerfectMatchings(SetClass):
 
     def sample_rows(self, gen):
         return np.arange(self.m) * self.m + gen.permutation(self.m)
-
-    def contains(self, s: IndexSet) -> bool:
-        if s.n != self.n or len(s) != self.K:
-            return False
-        ids = s.zero_based()
-        rows = ids // self.m
-        cols = ids % self.m
-        return len(set(rows.tolist())) == self.m and len(set(cols.tolist())) == self.m
 
     def _build_member_matrix(self) -> np.ndarray:
         perms = np.fromiter(
@@ -493,12 +455,8 @@ class SpanningTrees(SetClass):
         self.m = int(m)
         self.n = math.comb(self.m, 2)
         self.K = self.m - 1
-        self.edges = complete_graph_edges(self.m)
-        pid = np.zeros((self.m, self.m), dtype=np.int32)
-        pid[self.edges[:, 0], self.edges[:, 1]] = np.arange(self.n, dtype=np.int32)
-        pid += pid.T
-        self._pair_id0 = pid
-        self._pair_rows = pid.tolist()  # the walk's per-step lookups
+        self._pair_id0 = _pair_ids(self.m)
+        self._pair_rows = self._pair_id0.tolist()  # the walk's per-step lookups
         # walk steps drawn per generator call: about the cover time m H_{m-1}
         self._walk_batch = max(1, round(self.m * sum(1.0 / j for j in range(1, self.m))))
 
@@ -537,17 +495,6 @@ class SpanningTrees(SetClass):
                         ids.sort()
                         return np.array(ids, dtype=np.int64)
                 cur = nxt
-
-    def contains(self, s: IndexSet) -> bool:
-        if s.n != self.n or len(s) != self.K:
-            return False
-        # matrix-tree theorem: m - 1 distinct edges span exactly det(L') trees
-        # (L' the Laplacian without its last row and column), 1 for a tree, 0
-        # for any other graph
-        a, b = self.edges[s.zero_based()].T
-        lap = np.diag(np.bincount(np.concatenate([a, b]), minlength=self.m).astype(np.float64))
-        lap[a, b] = lap[b, a] = -1.0
-        return round(float(np.linalg.det(lap[:-1, :-1]))) == 1
 
     def _build_member_matrix(self) -> np.ndarray:
         # decode every Pruefer sequence at once: each step joins the smallest
@@ -644,10 +591,7 @@ class Cliques(SetClass):
         self.n = math.comb(self.m, 2)
         self.K = math.comb(self.k, 2)
         self.edges = complete_graph_edges(self.m)
-        pid = np.zeros((self.m, self.m), dtype=np.int32)
-        pid[self.edges[:, 0], self.edges[:, 1]] = np.arange(self.n, dtype=np.int32)
-        pid += pid.T
-        self._pair_id0 = pid
+        self._pair_id0 = _pair_ids(self.m)
         self._ia, self._ib = np.triu_indices(self.k, 1)
 
     def cardinality(self) -> int:
@@ -659,16 +603,6 @@ class Cliques(SetClass):
     def sample_rows(self, gen):
         # sorted vertices give lexicographic pairs, hence sorted edge ids
         return self._vertices_to_member(np.sort(gen.choice(self.m, size=self.k, replace=False)))
-
-    def contains(self, s: IndexSet) -> bool:
-        if s.n != self.n or len(s) != self.K:
-            return False
-        pairs = self.edges[s.zero_based()]
-        vs = np.unique(pairs)
-        if vs.size != self.k:
-            return False
-        expect = np.sort(self._vertices_to_member(vs))
-        return bool(np.array_equal(expect, s.zero_based()))
 
     def _build_member_matrix(self) -> np.ndarray:
         vc = np.fromiter(
@@ -768,15 +702,6 @@ class GridSquares(SetClass):
         c0 = int(gen.integers(self.side))
         return self._member_ids0(r0, c0)
 
-    def contains(self, s: IndexSet) -> bool:
-        if s.n != self.n or len(s) != self.K:
-            return False
-        first = s.indices[0] - 1
-        r0, c0 = divmod(first, self.sqrt_n)
-        if r0 > self.side - 1 or c0 > self.side - 1:
-            return False
-        return bool(np.array_equal(self._member_ids0(r0, c0), s.zero_based()))
-
     def _build_member_matrix(self) -> np.ndarray:
         rows = [
             self._member_ids0(r0, c0)
@@ -847,11 +772,6 @@ class ExplicitClass(SetClass):
     def sample_rows(self, gen):
         return self._member_cache[int(gen.integers(self.cardinality()))]
 
-    def contains(self, s: IndexSet) -> bool:
-        if s.n != self.n or len(s) != self.K:
-            return False
-        return bool((self._member_cache == s.zero_based()).all(axis=1).any())
-
 
 FAMILIES: dict[str, type[SetClass]] = {
     "disjoint": DisjointSets,
@@ -905,7 +825,7 @@ def estimate_overlap_mgf(
         raise ValueError("pairs must be >= 2")
     if isinstance(spec, (DisjointSets, Stars, PerfectMatchings)):
         return exact_overlap_mgf(spec, mu), 0.0
-    gen = _as_generator(rng)
+    gen = rng.generator()
     draw = spec.sample_rows
     zs = np.array(
         [len(set(draw(gen).tolist()) & set(draw(gen).tolist())) for _ in range(pairs)],

@@ -276,10 +276,20 @@ def _check_finite(args) -> None:
             raise ValueError(f"--{dest.replace('_', '-')} must be finite")
 
 
+def _check_counts(args) -> None:
+    # --cap bounds a count of members or entries and --workers counts threads;
+    # neither means anything below 1
+    for dest in ("cap", "workers"):
+        value = getattr(args, dest)
+        if value is not None and value < 1:
+            raise ValueError(f"--{dest} must be at least 1, got {value}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_finite(args)
+        _check_counts(args)
         text = _RUNNERS[args.command](args)
     except CapExceededError as exc:
         return _emit_error(exc, 3)

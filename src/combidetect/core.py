@@ -3,8 +3,7 @@
 An observation is a length-n real vector.  Under the null every coordinate is
 standard normal.  Under a contaminated hypothesis the coordinates inside one
 member S of a class of K-element index sets get mean mu > 0, variance stays 1.
-An ``IndexSet`` is 1-based, as in file output; inside the package a member is
-a sorted array of 0-based indices, one ``member_matrix`` row.
+A member is a sorted array of 0-based indices, one ``member_matrix`` row.
 """
 
 from __future__ import annotations
@@ -42,42 +41,6 @@ class CapExceededError(RuntimeError):
 
 class AsymmetricClassError(ValueError):
     """Operation requires a symmetric class family."""
-
-
-@dataclass(frozen=True)
-class IndexSet:
-    """A set of distinct 1-based coordinate indices inside an ambient [1, n].
-
-    ``indices`` is stored sorted strictly increasing; the constructor accepts
-    any order and validates range and distinctness.
-    """
-
-    indices: tuple[int, ...]
-    n: int
-
-    def __post_init__(self):
-        idx = tuple(sorted(int(i) for i in self.indices))
-        if len(idx) == 0:
-            raise ValueError("index set must be nonempty")
-        if len(set(idx)) != len(idx):
-            raise ValueError("indices must be distinct")
-        if idx[0] < 1 or idx[-1] > self.n:
-            raise ValueError(f"indices must lie in [1, {self.n}], got {idx}")
-        object.__setattr__(self, "indices", idx)
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def zero_based(self) -> np.ndarray:
-        return np.asarray(self.indices, dtype=np.int64) - 1
-
-    def encode(self) -> str:
-        """Canonical text encoding: comma-separated increasing indices."""
-        return ",".join(str(i) for i in self.indices)
-
-    @classmethod
-    def decode(cls, text: str, n: int) -> "IndexSet":
-        return cls(tuple(int(t) for t in text.split(",")), n)
 
 
 @dataclass(frozen=True)
@@ -195,39 +158,9 @@ def _seed_sequence_state(words: list[np.ndarray]) -> np.ndarray:
     return out[:, 0::2] | (out[:, 1::2] << np.uint64(32))
 
 
-def _as_generator(rng: "SeededRng | np.random.Generator") -> np.random.Generator:
-    if isinstance(rng, SeededRng):
-        return rng.generator()
-    return rng
-
-
-@dataclass(frozen=True)
-class Observation:
-    """Validated length-n observation vector (read-only)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("observation must be a nonempty 1-D vector")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("observation must be finite")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def n(self) -> int:
-        return int(self.values.size)
-
-
-def as_vector(x: "Observation | np.ndarray | Iterable[float]", n: int) -> np.ndarray:
-    """Coerce an observation-like input to a validated finite length-n float vector."""
-    if isinstance(x, Observation):
-        v = x.values
-    else:
-        v = np.asarray(x, dtype=np.float64)
+def as_vector(x: "np.ndarray | Iterable[float]", n: int) -> np.ndarray:
+    """Coerce an observation to a validated finite length-n float vector."""
+    v = np.asarray(x, dtype=np.float64)
     if v.ndim != 1 or v.size != n:
         raise DimensionMismatchError(f"expected a length-{n} vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DegenerateParameterError, Observation, ProblemInstance, as_vector
+from .core import DegenerateParameterError, ProblemInstance, as_vector
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ def _decide_one(test, x, instance, emax0=None, cap=None) -> Decision:
     return Decision(bool(rej[0]), float(stat[0]), float(thr))
 
 
-def averaging_test(x: Observation | np.ndarray, instance: ProblemInstance) -> Decision:
+def averaging_test(x: np.ndarray, instance: ProblemInstance) -> Decision:
     """Reject when the coordinate sum strictly exceeds mu*K/2.
 
     Refuses mu = 0: the rule's threshold degenerates and both error rates are
@@ -70,7 +70,7 @@ def averaging_test(x: Observation | np.ndarray, instance: ProblemInstance) -> De
 
 
 def maximum_test(
-    x: Observation | np.ndarray,
+    x: np.ndarray,
     instance: ProblemInstance,
     emax0: float,
     cap: int | None = None,
@@ -84,7 +84,7 @@ def maximum_test(
 
 
 def log_likelihood_ratio(
-    x: Observation | np.ndarray,
+    x: np.ndarray,
     instance: ProblemInstance,
     cap: int | None = None,
 ) -> float:
@@ -99,7 +99,7 @@ def log_likelihood_ratio(
 
 
 def optimal_test(
-    x: Observation | np.ndarray,
+    x: np.ndarray,
     instance: ProblemInstance,
     cap: int | None = None,
 ) -> Decision:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from combidetect import FAMILIES, __version__, exact_overlap_mgf, make_class
+from combidetect import FAMILIES, ExplicitClass, SetClass, __version__, exact_overlap_mgf, make_class
 from combidetect.bounds import _PROPOSITIONS, PROPS
 from combidetect.cli import build_parser, main
 
@@ -149,6 +149,17 @@ class TestErrorExits:
         )
         assert code == 3  # N = 120 > 50
         assert "120" in json.loads(err)["error"]["message"]
+
+    @pytest.mark.parametrize("flag", ["--workers", "--cap"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_count_below_one_is_config_error(self, capsys, flag, value):
+        code, out, err = run(
+            capsys, "risk", "--class", "stars", "--m", "4", "--test", "optimal",
+            "--mu", "1.0", "--trials", "10", "--seed", "1", flag, value,
+        )
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError" and f"{flag} must be at least 1" in error["message"]
 
     @pytest.mark.parametrize("argv", [
         "bounds --prop dudley --class ksets --n 6 --K 2 --constant nan",
@@ -388,11 +399,6 @@ def _is_json_dumps(node):
             and isinstance(node.value, ast.Name) and node.value.id == "json")
 
 
-def _is_index_set_call(node):
-    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id == "IndexSet")
-
-
 class TestOutputEnvelope:
     def test_envelope_lives_in_one_module(self):
         # every document goes through _output.render; the one other dump is
@@ -416,6 +422,9 @@ DELETED = {
     "OverlapSample": "classes",
     "MTooLargeForClassError": "core",
     "canonical_distance": "core",
+    "IndexSet": "core",
+    "Observation": "core",
+    "_as_generator": "core",
     "overlap": "core",
     "gaussian_sample": "core",
     "curve_to_csv": "risk",
@@ -425,15 +434,20 @@ DELETED = {
 
 
 class TestPublicSurface:
-    def test_index_sets_are_built_only_at_the_public_edge(self):
-        # inside the package a member is a member_matrix row; IndexSet is
-        # made only where sample and enumerate_members hand members out
-        src = Path(importlib.import_module("combidetect").__file__).parent
-        sites = []
-        for path in sorted(src.glob("*.py")):
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-            sites += [(path.name, fn) for fn in _sites(tree, _is_index_set_call)]
-        assert sorted(sites) == [("classes.py", "enumerate_members"), ("classes.py", "sample")]
+    def test_members_are_rows_only(self):
+        # a member is a member_matrix row everywhere: sample_rows draws one and
+        # member_matrix lists them, and no class hands out another form
+        for cls in [SetClass, *FAMILIES.values(), ExplicitClass]:
+            for name in ("contains", "enumerate_members", "sample"):
+                assert not hasattr(cls, name), (cls.__name__, name)
+
+    def test_readme_library_block_runs(self, capsys):
+        # the README's "Library in one minute" example, run as written
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Library in one minute", 1)[1]
+        code = section.split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(code, "README.md", "exec"), {})
+        assert len(capsys.readouterr().out.splitlines()) == 3
 
     def test_every_exported_name_resolves(self):
         package = importlib.import_module("combidetect")

@@ -3,42 +3,12 @@ import pytest
 
 from combidetect import (
     DimensionMismatchError,
-    IndexSet,
-    Observation,
     ProblemInstance,
     SeededRng,
     make_class,
 )
 from combidetect.core import as_vector
 from combidetect.risk import _MIXTURE_ARM, _NULL_ARM, _draw_block
-
-
-class TestIndexSet:
-    def test_sorts_and_validates(self):
-        s = IndexSet((5, 2, 9), 10)
-        assert s.indices == (2, 5, 9)
-        assert len(s) == 3
-        assert s.n == 10
-
-    def test_zero_based(self):
-        np.testing.assert_array_equal(IndexSet((3, 1), 4).zero_based(), [0, 2])
-
-    @pytest.mark.parametrize("bad", [(), (0, 1), (1, 11), (2, 2)])
-    def test_rejects_bad_indices(self, bad):
-        with pytest.raises(ValueError):
-            IndexSet(bad, 10)
-
-    def test_encode_decode_roundtrip(self):
-        s = IndexSet((7, 1, 4), 9)
-        assert s.encode() == "1,4,7"
-        assert IndexSet.decode(s.encode(), 9) == s
-
-    def test_hashable_and_frozen(self):
-        s = IndexSet((1, 2), 5)
-        assert s == IndexSet((2, 1), 5)
-        assert hash(s) == hash(IndexSet((2, 1), 5))
-        with pytest.raises(AttributeError):
-            s.n = 6
 
 
 class TestSeededRng:
@@ -102,20 +72,15 @@ class TestChildStates:
 
 
 class TestObservation:
-    def test_validates_and_freezes(self):
-        x = Observation(np.array([1.0, 2.0]))
-        assert x.n == 2
-        with pytest.raises(ValueError):
-            x.values[0] = 9.0
-
     @pytest.mark.parametrize("bad", [np.array([]), np.zeros((2, 2)), np.array([np.nan]), np.array([np.inf])])
     def test_rejects_bad_vectors(self, bad):
+        # a class has n >= 1; the 2-D array has the right size, not the right shape
         with pytest.raises(ValueError):
-            Observation(bad)
+            as_vector(bad, max(bad.size, 1))
 
-    def test_as_vector_accepts_lists_and_observations(self):
+    def test_as_vector_accepts_lists(self):
         np.testing.assert_array_equal(as_vector([1, 2, 3], 3), [1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(as_vector(Observation(np.ones(2)), 2), [1.0, 1.0])
+        np.testing.assert_array_equal(as_vector(np.ones(2), 2), [1.0, 1.0])
         with pytest.raises(DimensionMismatchError):
             as_vector([1.0, 2.0], 3)
         for bad in (np.nan, np.inf, -np.inf):

@@ -130,6 +130,7 @@ def enumerated_max(spec: SetClass, X: np.ndarray, rows_per_gather: int = 50) -> 
 def kruskal_max(spec: SpanningTrees, x: np.ndarray) -> float:
     """Kruskal's algorithm with a union-find, the chosen edges summed in edge
     id order: the trees maximum before Prim's algorithm replaced it."""
+    edges = classes.complete_graph_edges(spec.m)
     parent = list(range(spec.m))
 
     def find(a):
@@ -139,7 +140,7 @@ def kruskal_max(spec: SpanningTrees, x: np.ndarray) -> float:
 
     chosen = []
     for e in np.argsort(-x, kind="stable"):
-        ra, rb = find(int(spec.edges[e, 0])), find(int(spec.edges[e, 1]))
+        ra, rb = find(int(edges[e, 0])), find(int(edges[e, 1]))
         if ra != rb:
             parent[ra] = rb
             chosen.append(int(e))

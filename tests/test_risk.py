@@ -177,9 +177,9 @@ class TestReproducibility:
             for t in range(lo, hi):
                 gen = rng.child(arm, t).generator()
                 if arm == _MIXTURE_ARM:
-                    s = instance.set_class.sample(gen)
+                    rows = instance.set_class.sample_rows(gen)
                     x = gen.standard_normal(instance.n)
-                    x[s.zero_based()] += instance.mu
+                    x[rows] += instance.mu
                 else:
                     x = gen.standard_normal(instance.n)
                 expect[t - lo] = x

@@ -4,7 +4,6 @@ import pytest
 
 from combidetect import (
     DegenerateParameterError,
-    Observation,
     ProblemInstance,
     SeededRng,
     log_likelihood_ratio,
@@ -37,10 +36,6 @@ class TestAveraging:
     def test_refuses_mu_zero(self):
         with pytest.raises(DegenerateParameterError):
             averaging_test(np.zeros(4), inst(mu=0.0))
-
-    def test_accepts_observation_objects(self):
-        d = averaging_test(Observation(np.full(4, 2.0)), inst(mu=1.0))
-        assert d.reject
 
     def test_refuses_non_finite_vectors(self):
         pi = inst("disjoint", mu=1.0, N=2, K=3)
