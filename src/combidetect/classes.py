@@ -16,8 +16,9 @@ member-major.  Families with an exact structured kernel override them: an
 elementary-symmetric-polynomial DP for k-sets, a subset DP over column masks
 for matchings (one recurrence in the (logaddexp, +) and (max, +) semirings), a
 log-domain matrix-tree elimination and Prim's algorithm for spanning trees,
-and a dense contraction over vertex pairs for the likelihood ratio of 3- and
-4-cliques.  Enumeration stays the reference they are tested against.
+and a dense contraction over vertex pairs for both tests on 3- and 4-cliques
+(in the (+, x) semiring for the likelihood ratio, in (max, +) for the
+maximum).  Enumeration stays the reference they are tested against.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ _BLOCK_BUDGET = 8_000_000
 #: elements per piece of a member-sum block, filled while they stay in L2
 _GATHER_PIECE = 1 << 16
 
-#: ceiling on rows x widest layer per sub-block of the matchings DP, whose
+#: ceiling on the elements of one sub-block of the matchings DP (rows x
+#: widest layer) and of the clique maximum (a range x pairs x rows), whose
 #: gathers run faster while they stay in cache
 _DP_BLOCK_BUDGET = 1 << 17
 
@@ -611,6 +613,53 @@ class Cliques(SetClass):
         ).reshape(-1, self.k)
         return self._pair_id0[vc[:, self._ia], vc[:, self._ib]]
 
+    def _contraction_fits(self, cap: int | None) -> bool:
+        """Whether both tests run on the pair contraction rather than
+        enumeration: k = 3, 4 and its work set, the LR's largest per-row
+        array ((m, m) for k = 3, (C(m,2), m) for k = 4), within the cap."""
+        rows = self.n if self.k == 4 else self.m
+        return self.k in (3, 4) and rows * self.m <= (DEFAULT_ENUMERATION_CAP if cap is None else int(cap))
+
+    def max_values_batch(self, X, cap=None):
+        # (max, +) contraction anchored on the second vertex b of each clique
+        # a < b < c (< d), at once over every a < b and every c (or pair
+        # c < d) above b.  Each clique is summed in the enumeration's order,
+        # its sorted edge ids left to right: (ab + ac) + bc for k = 3 and
+        # ((((ab + ac) + ad) + bc) + bd) + cd for k = 4, so every row gets
+        # the enumeration's bits.  Rows are innermost, and the pairs above b
+        # are a suffix of the lexicographic edge list.
+        if not self._contraction_fits(cap):
+            return super().max_values_batch(X, cap)
+        m, k, pid = self.m, self.k, self._pair_id0
+        widest = m - 2 if k == 3 else math.comb(m - 2, 2)
+        out = np.empty(X.shape[0])
+        for blk in _row_blocks(X.shape[0], widest, _DP_BLOCK_BUDGET):
+            XT = np.ascontiguousarray(X[blk].T)
+            Wt = XT[pid]  # Wt[u, v] is edge uv's column of rows
+            best = np.full(XT.shape[1], -np.inf)
+            for b in range(1, m - k + 2):
+                bc = Wt[b, b + 1 :]
+                if k == 4:
+                    first = pid[b + 1, b + 2]
+                    d = self.edges[first:, 1]
+                    reps = np.arange(m - b - 2, -1, -1)  # pairs (c, d) per c
+                    bc, bd, cd = np.repeat(bc, reps, axis=0), Wt[b, d], XT[first:]
+                step = max(1, _DP_BLOCK_BUDGET // (bc.shape[0] * XT.shape[1]))
+                for lo in range(0, b, step):
+                    low = Wt[lo : min(lo + step, b)]  # one entry per a
+                    s = low[:, b, None] + low[:, b + 1 :]  # ab + ac
+                    if k == 3:
+                        s += bc
+                    else:
+                        s = np.repeat(s, reps, axis=1)
+                        s += np.take(low, d, axis=1)  # ad
+                        s += bc
+                        s += bd
+                        s += cd
+                    np.maximum(best, s.max(axis=(0, 1)), out=best)
+            out[blk] = best
+        return out
+
     def log_mean_exp_batch(self, mu, X, cap=None):
         # dense contraction of W = exp(mu x - top) over vertex pairs, zero on
         # the diagonal, so every weight is at most 1.  k = 3: each triangle is
@@ -620,13 +669,10 @@ class Cliques(SetClass):
         # 4-clique once per pair and ordered (c, d), 12 times.
         if mu == 0.0:
             return np.zeros(X.shape[0])
-        # the work set is the largest per-row array: (m, m) for k = 3 and
-        # (C(m,2), m) for k = 4
+        if not self._contraction_fits(cap):
+            return super().log_mean_exp_batch(mu, X, cap)
         m, a, b = self.m, self.edges[:, 0], self.edges[:, 1]
         rows = self.n if self.k == 4 else m
-        limit = DEFAULT_ENUMERATION_CAP if cap is None else int(cap)
-        if self.k not in (3, 4) or rows * m > limit:
-            return super().log_mean_exp_batch(mu, X, cap)
         diag = np.arange(m)
         shift = np.empty(X.shape[0])
         total = np.empty(X.shape[0])

@@ -165,7 +165,7 @@ class TestGeometry:
 class TestSampling:
     def test_samples_are_members(self, family):
         spec = small(family)
-        gen = SeededRng(77).child(hash(family) % 1000).generator()
+        gen = SeededRng(77).child(sorted(SMALL).index(family)).generator()
         members = {tuple(r) for r in spec.member_matrix().tolist()}
         for _ in range(200):
             assert tuple(spec.sample_rows(gen).tolist()) in members

@@ -3,11 +3,12 @@
 ``PerfectMatchings`` evaluates both batch hooks by a subset DP over column
 masks, ``SpanningTrees`` evaluates the likelihood ratio by a log-domain
 matrix-tree elimination and the maximum by Prim's algorithm, and ``Cliques``
-with k = 3, 4 by a dense contraction over vertex pairs.  Enumeration
+with k = 3, 4 both by a dense contraction over vertex pairs, the maximum
+in the (max, +) semiring and in the enumeration's summation order.  Enumeration
 (``SetClass``'s generic hooks over ``member_matrix``) and a 50-digit
 ``mpmath`` sum are the references; the Hungarian solver is the reference for
-the matchings maximum, and enumeration and Kruskal's algorithm for the trees
-maximum, bit for bit.
+the matchings maximum, enumeration and Kruskal's algorithm for the trees
+maximum, and enumeration for the clique maximum, bit for bit.
 The enumeration path itself is pinned to numpy's 3-D gather sum, bit for bit.
 """
 
@@ -172,15 +173,48 @@ def test_trees_max_is_bitwise_kruskal_past_enumeration(m):
     assert np.array_equal(spec.max_values_batch(X), [kruskal_max(spec, x) for x in X])
 
 
+CLIQUE_MAX_CASES = [(m, k) for k in (3, 4) for m in range(4, 10)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.sampled_from(CLIQUE_MAX_CASES),
+    seed=st.integers(0, 2**32 - 1),
+    weights=st.sampled_from([0.01, 1.0, 4.0, "integer"]),
+)
+def test_clique_max_is_bitwise_the_enumerated_max(case, seed, weights):
+    spec = spec_of("cliques", *case)
+    gen = np.random.default_rng(seed)
+    if weights == "integer":
+        # integer weights tie many cliques; every maximum clique has the same sum
+        X = gen.integers(-2, 3, size=(6, spec.n)).astype(np.float64)
+    else:
+        X = weights * gen.standard_normal((6, spec.n))
+    got = spec.max_values_batch(X)
+    assert np.array_equal(got, enumerated_max(spec, X))
+    for r in range(X.shape[0]):
+        assert np.array_equal(spec.max_values_batch(X[r : r + 1]), got[r : r + 1])
+
+
+def test_clique_max_is_bitwise_the_enumeration_at_the_a9_class():
+    spec = Cliques(63, 4)  # 595,665 members; several row and a sub-blocks
+    gen = np.random.default_rng(63)
+    X = gen.standard_normal((64, spec.n)) * 10.0 ** gen.integers(-3, 4, size=(64, spec.n))
+    got = spec.max_values_batch(X)
+    assert not hasattr(spec, "_member_cache")
+    assert np.array_equal(got, SetClass.max_values_batch(spec, X))
+
+
 def test_row_sub_blocks_do_not_change_values(monkeypatch):
     X = np.random.default_rng(9).standard_normal((37, 49))
-    pm, st7 = PerfectMatchings(7), SpanningTrees(7)
-    X_tree = X[:, : st7.n]
+    pm, st7, cl = PerfectMatchings(7), SpanningTrees(7), Cliques(9, 4)
+    X_tree, X_clique = X[:, : st7.n], np.concatenate([X, X], axis=1)[:, : cl.n]
     whole = (
         pm.max_values_batch(X),
         pm.log_mean_exp_batch(1.3, X),
         st7.log_mean_exp_batch(1.3, X_tree),
         st7.max_values_batch(X_tree),
+        cl.max_values_batch(X_clique),
     )
     monkeypatch.setattr(classes, "_BLOCK_BUDGET", 1000)  # a few rows per sub-block
     monkeypatch.setattr(classes, "_DP_BLOCK_BUDGET", 1000)
@@ -189,6 +223,7 @@ def test_row_sub_blocks_do_not_change_values(monkeypatch):
         pm.log_mean_exp_batch(1.3, X),
         st7.log_mean_exp_batch(1.3, X_tree),
         st7.max_values_batch(X_tree),
+        cl.max_values_batch(X_clique),
     )
     for a, b in zip(whole, split):
         assert np.array_equal(a, b)
@@ -205,8 +240,9 @@ def test_constant_weights_beyond_enumeration(x):
         X = np.full((3, spec.n), x)
         np.testing.assert_allclose(kernel_log_mean_exp(spec, mu, X), mu * spec.K * x, rtol=1e-12, atol=1e-12)
         assert not hasattr(spec, "_member_cache")
-    for spec in (pm, st30):
+    for spec in (pm, st30, cl):
         assert np.allclose(spec.max_values_batch(np.full((2, spec.n), x)), spec.K * x, rtol=1e-12, atol=1e-12)
+    assert not hasattr(cl, "_member_cache")
 
 
 def test_matchings_cap_bounds_the_dp_states():
@@ -223,13 +259,22 @@ def test_matchings_cap_bounds_the_dp_states():
 def test_clique_cap_bounds_the_contraction_work_set():
     spec = Cliques(12, 4)  # 495 members; the contraction holds 12 x 66 = 792 entries per array
     X = np.random.default_rng(6).standard_normal((20, spec.n))
-    with pytest.raises(CapExceededError):
-        spec.log_mean_exp_batch(1.0, X, cap=400)  # below both: the fallback enumerates, and refuses
+    # at the work set both tests run the contraction, which builds no member matrix
+    assert np.array_equal(spec.log_mean_exp_batch(1.0, X, cap=792), spec.log_mean_exp_batch(1.0, X))
+    maximum = spec.max_values_batch(X, cap=792)
+    assert not hasattr(spec, "_member_cache")
+    for cap in (400, 494):  # below both: the fallback enumerates, and refuses
+        with pytest.raises(CapExceededError):
+            spec.log_mean_exp_batch(1.0, X, cap=cap)
+        with pytest.raises(CapExceededError):
+            spec.max_values_batch(X, cap=cap)
     # between the two the contraction gives way to enumeration
     np.testing.assert_allclose(
         spec.log_mean_exp_batch(1.0, X, cap=600), spec.log_mean_exp_batch(1.0, X), rtol=1e-12, atol=1e-12
     )
-    assert np.array_equal(spec.log_mean_exp_batch(1.0, X, cap=792), spec.log_mean_exp_batch(1.0, X))
+    assert np.array_equal(spec.max_values_batch(X, cap=600), maximum)
+    assert np.array_equal(spec.max_values_batch(X, cap=791), maximum)
+    assert hasattr(spec, "_member_cache")
 
 
 @pytest.mark.parametrize("m,k", [(6, 3), (7, 4)])
@@ -325,10 +370,12 @@ def test_workers_give_the_same_values(family):
     [
         "risk --class matchings --m 10 --test optimal --mu 0.6 --trials 40 --seed 5",
         "risk --class trees --m 12 --test optimal --mu 0.6 --trials 40 --seed 5",
+        "emax --class cliques --m 120 --k 4 --trials 2 --seed 5",
     ],
 )
 def test_likelihood_ratio_runs_past_the_old_enumeration_cap(capsys, argv):
-    # 10! and 12^10 exceed the default cap of 2,000,000 members
+    # 10!, 12^10 and C(120,4) exceed the default cap of 2,000,000 members;
+    # the clique maximum (emax) runs on the pair contraction as the LR does
     assert main(argv.split()) == 0
     captured = capsys.readouterr()
-    assert captured.err == "" and captured.out.startswith("#schema=combidetect.risk.v1\n")
+    assert captured.err == "" and captured.out.startswith(f"#schema=combidetect.{argv.split()[0]}.v1\n")

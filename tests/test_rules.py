@@ -105,19 +105,25 @@ class TestLikelihoodRatio:
         assert optimal_test(np.array([0.6 + 1e-9]), pi).reject
 
 
+#: (family, parameters) of the classes whose batch and scalar rules are compared
+BATCH_CLASSES = [
+    ("disjoint", dict(N=4, K=3)),
+    ("ksets", dict(n=8, K=3)),
+    ("stars", dict(m=5)),
+    ("matchings", dict(m=3)),
+    ("grid", dict(sqrt_n=4, sqrt_K=2)),
+]
+
+
 class TestBatchAgreement:
-    @pytest.mark.parametrize("family,kw", [
-        ("disjoint", dict(N=4, K=3)),
-        ("ksets", dict(n=8, K=3)),
-        ("stars", dict(m=5)),
-        ("matchings", dict(m=3)),
-        ("grid", dict(sqrt_n=4, sqrt_K=2)),
-    ])
+    @pytest.mark.parametrize("family,kw", BATCH_CLASSES)
     @pytest.mark.parametrize("test", TESTS)
     def test_batch_equals_scalar(self, family, kw, test):
         spec = make_class(family, **kw)
         pi = ProblemInstance(spec, 0.9)
-        X = SeededRng(47).child(hash((family, test)) % 999).generator().standard_normal((40, spec.n))
+        # a fixed substream per case, so that a failure replays from its seed
+        key = [f for f, _ in BATCH_CLASSES].index(family), TESTS.index(test)
+        X = SeededRng(47).child(*key).generator().standard_normal((40, spec.n))
         emax0 = 2.5
         got = batch_rejections(test, pi, X, emax0=emax0)
         for i in range(X.shape[0]):
