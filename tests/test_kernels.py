@@ -197,7 +197,7 @@ def test_clique_max_is_bitwise_the_enumerated_max(case, seed, weights):
 
 
 def test_clique_max_is_bitwise_the_enumeration_at_the_a9_class():
-    spec = Cliques(63, 4)  # 595,665 members; several row and a sub-blocks
+    spec = Cliques(63, 4)  # 595,665 members; the a range splits into sub-blocks
     gen = np.random.default_rng(63)
     X = gen.standard_normal((64, spec.n)) * 10.0 ** gen.integers(-3, 4, size=(64, spec.n))
     got = spec.max_values_batch(X)
@@ -207,7 +207,7 @@ def test_clique_max_is_bitwise_the_enumeration_at_the_a9_class():
 
 def test_row_sub_blocks_do_not_change_values(monkeypatch):
     X = np.random.default_rng(9).standard_normal((37, 49))
-    pm, st7, cl = PerfectMatchings(7), SpanningTrees(7), Cliques(9, 4)
+    pm, st7, cl = PerfectMatchings(7), SpanningTrees(7), Cliques(12, 4)
     X_tree, X_clique = X[:, : st7.n], np.concatenate([X, X], axis=1)[:, : cl.n]
     whole = (
         pm.max_values_batch(X),

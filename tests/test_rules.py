@@ -122,7 +122,7 @@ class TestBatchAgreement:
         spec = make_class(family, **kw)
         pi = ProblemInstance(spec, 0.9)
         # a fixed substream per case, so that a failure replays from its seed
-        key = [f for f, _ in BATCH_CLASSES].index(family), TESTS.index(test)
+        key = BATCH_CLASSES.index((family, kw)), TESTS.index(test)
         X = SeededRng(47).child(*key).generator().standard_normal((40, spec.n))
         emax0 = 2.5
         got = batch_rejections(test, pi, X, emax0=emax0)
