@@ -294,6 +294,9 @@ def evaluate_bound(
     if missing:
         raise ValueError(f"{prop} needs parameters: {', '.join(missing)}")
     inputs = {k: params[k] for k in entry.inputs}
+    for k in ("n", "K"):  # the closed forms divide by K or take logs of n
+        if k in inputs and not inputs[k] >= 1:
+            raise ValueError(f"{prop} needs {k} >= 1, got {inputs[k]}")
     if prop == "random-subclass":
         return random_subclass_bound(*inputs.values())
     if prop == "dudley":

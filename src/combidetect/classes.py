@@ -58,6 +58,26 @@ _MAX_DP_M = 12
 #: contraction runs on (N < 2**25).
 _CONTRACTION_FLOOR = 2.0**-900
 
+#: ``_column_max`` folds only a C-contiguous (L, B) block with
+#: L >= _FOLD_MIN_ROWS and 1 < B < _FOLD_MAX_WIDTH.  On a 2-vCPU host it cut
+#: the Cliques(63,4) maximum from 16.5 to 5.5 ms/row at 2 rows; unguarded it
+#: lost below 1024 rows (Cliques(30,3) at 2 rows: 0.33 -> 0.37 ms/row) and on
+#: the transposed row-major blocks of grid and disjoint, which it would copy.
+_FOLD_MIN_ROWS, _FOLD_MAX_WIDTH, _FOLD_ELEMENTS = 1024, 256, 1024
+
+
+def _column_max(a: np.ndarray) -> np.ndarray:
+    """``a.max(axis=0)`` of an (L, B) block.  numpy's inner loop there is B
+    long, so where that pays, g = _FOLD_ELEMENTS // B rows are folded into
+    one first.  max is exact: only the sign of a zero maximum may move."""
+    L, B = a.shape
+    if not (a.flags.c_contiguous and L >= _FOLD_MIN_ROWS and 1 < B < _FOLD_MAX_WIDTH):
+        return a.max(axis=0)
+    g = _FOLD_ELEMENTS // B
+    h = L - L % g
+    top = a[:h].reshape(-1, g * B).max(axis=0).reshape(g, B).max(axis=0)
+    return np.maximum(top, a[h:].max(axis=0, initial=-np.inf))
+
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     """log(sum(exp(a))) along ``axis`` for finite ``a``, shifted by the max."""
@@ -170,7 +190,7 @@ class SetClass:
         """max_S X_S per row of X."""
         best = np.full(X.shape[0], -np.inf)
         for blk in self.member_sums_iter(X, cap):
-            np.maximum(best, blk.max(axis=1), out=best)
+            np.maximum(best, _column_max(blk.T), out=best)
         return best
 
     def log_mean_exp_batch(self, mu: float, X: np.ndarray, cap: int | None = None) -> np.ndarray:
@@ -181,7 +201,7 @@ class SetClass:
         acc = np.zeros(X.shape[0])
         for blk in self.member_sums_iter(X, cap):
             t = mu * blk
-            top = np.maximum(hi, t.max(axis=1))
+            top = np.maximum(hi, _column_max(t.T))
             acc = acc * np.exp(hi - top) + np.exp(t - top[:, None]).sum(axis=1)
             hi = top
         return hi + np.log(acc) - math.log(self.cardinality())
@@ -656,7 +676,7 @@ class Cliques(SetClass):
                         s += bc
                         s += bd
                         s += cd
-                    np.maximum(best, s.max(axis=(0, 1)), out=best)
+                    np.maximum(best, _column_max(s.reshape(-1, s.shape[-1])), out=best)
             out[blk] = best
         return out
 

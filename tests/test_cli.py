@@ -179,6 +179,22 @@ class TestErrorExits:
         error = json.loads(err)["error"]
         assert error["type"] == "ValueError" and "finite" in error["message"]
 
+    @pytest.mark.parametrize("prop,name,value", [
+        (prop, name, value)
+        for prop in ("universal", "averaging", "maxtest", "symmetric", "negass")
+        for name in ("n", "K") if name in _PROPOSITIONS[prop].inputs
+        for value in ("0", "-3")
+    ])
+    def test_size_below_one_is_config_error(self, capsys, prop, name, value):
+        sizes = {"n": "10", "K": "2"} | {name: value}
+        code, out, err = run(
+            capsys, "bounds", "--prop", prop, "--n", sizes["n"], "--K", sizes["K"],
+            "--delta", "0.1", "--emax0", "3.0", "--seed", "1", "--format", "json",
+        )
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError" and f"needs {name} >= 1, got {value}" in error["message"]
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_small_random_subclass_is_degenerate_error(self, capsys, fmt):
         code, out, err = run(
