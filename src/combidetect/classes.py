@@ -60,7 +60,7 @@ _CONTRACTION_FLOOR = 2.0**-900
 
 #: ``_column_max`` folds only a C-contiguous (L, B) block with
 #: L >= _FOLD_MIN_ROWS and 1 < B < _FOLD_MAX_WIDTH.  On a 2-vCPU host it cut
-#: the Cliques(63,4) maximum from 16.5 to 5.5 ms/row at 2 rows; unguarded it
+#: the Cliques(63,4) maximum from 12.5 to 4.8 ms/row at 2 rows; unguarded it
 #: lost below 1024 rows (Cliques(30,3) at 2 rows: 0.33 -> 0.37 ms/row) and on
 #: the transposed row-major blocks of grid and disjoint, which it would copy.
 _FOLD_MIN_ROWS, _FOLD_MAX_WIDTH, _FOLD_ELEMENTS = 1024, 256, 1024
