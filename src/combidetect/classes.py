@@ -646,8 +646,11 @@ class Cliques(SetClass):
         # c < d) above b.  Each clique is summed in the enumeration's order,
         # its sorted edge ids left to right: (ab + ac) + bc for k = 3 and
         # ((((ab + ac) + ad) + bc) + bd) + cd for k = 4, so every row gets
-        # the enumeration's bits.  Rows are innermost, and the pairs above b
-        # are a suffix of the lexicographic edge list.
+        # the enumeration's bits.  Rounded addition fl(x + y) is nondecreasing
+        # in x, so max_a f(x_a) = f(max_a x_a) exactly for the a-free tail
+        # f(x) = ((x + bc) + bd) + cd (x + bc for k = 3), added once per b.
+        # Rows are innermost, and the pairs above b are a suffix of the
+        # lexicographic edge list.
         if not self._contraction_fits(cap):
             return super().max_values_batch(X, cap)
         m, k, pid = self.m, self.k, self._pair_id0
@@ -658,25 +661,24 @@ class Cliques(SetClass):
             Wt = XT[pid]  # Wt[u, v] is edge uv's column of rows
             best = np.full(XT.shape[1], -np.inf)
             for b in range(1, m - k + 2):
-                bc = Wt[b, b + 1 :]
+                tail = [Wt[b, b + 1 :]]  # bc
                 if k == 4:
                     first = pid[b + 1, b + 2]
                     d = self.edges[first:, 1]
                     reps = np.arange(m - b - 2, -1, -1)  # pairs (c, d) per c
-                    bc, bd, cd = np.repeat(bc, reps, axis=0), Wt[b, d], XT[first:]
-                step = max(1, _DP_BLOCK_BUDGET // (bc.shape[0] * XT.shape[1]))
+                    tail = [np.repeat(tail[0], reps, axis=0), Wt[b, d], XT[first:]]
+                step = max(1, _DP_BLOCK_BUDGET // (tail[0].shape[0] * XT.shape[1]))
+                y = None  # max over a of the a-dependent head
                 for lo in range(0, b, step):
                     low = Wt[lo : min(lo + step, b)]  # one entry per a
                     s = low[:, b, None] + low[:, b + 1 :]  # ab + ac
-                    if k == 3:
-                        s += bc
-                    else:
+                    if k == 4:
                         s = np.repeat(s, reps, axis=1)
                         s += np.take(low, d, axis=1)  # ad
-                        s += bc
-                        s += bd
-                        s += cd
-                    np.maximum(best, _column_max(s.reshape(-1, s.shape[-1])), out=best)
+                    y = s.max(axis=0) if y is None else np.maximum(y, s.max(axis=0), out=y)
+                for t in tail:
+                    y += t
+                np.maximum(best, _column_max(y), out=best)
             out[blk] = best
         return out
 

@@ -9,7 +9,7 @@ A member is a sorted array of 0-based indices, one ``member_matrix`` row.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 import numpy as np
 
@@ -69,33 +69,38 @@ class SeededRng:
         seq = np.random.SeedSequence((self.master_seed,) + self.stream)
         return np.random.Generator(np.random.PCG64(seq))
 
-    def child_states(self, lo: int, hi: int) -> list[dict]:
-        """PCG64 ``state`` dicts of ``self.child(t).generator()`` for t in [lo, hi).
+    def child_seeds(self, lo: int, hi: int) -> list:
+        """Seeds of ``self.child(t).generator()`` for t in [lo, hi).
 
-        Setting one PCG64's ``.state`` to each entry replays exactly the
-        stream of that address.  The SeedSequence hash runs as uint32 array
-        arithmetic over the whole block; a trial index of 2**32 or more, which
-        numpy splits into several words, takes the per-address path instead.
+        ``np.random.PCG64(seed)`` of each entry replays exactly the stream of
+        that address.  The SeedSequence hash runs as uint32 array arithmetic
+        over the whole block; a trial index of 2**32 or more, which numpy
+        splits into several words, takes the per-address path instead.
         """
         if lo < 0:
             raise ValueError("stream keys must be nonnegative")
+        address = (self.master_seed,) + self.stream
         if hi - 1 > _MASK32:
-            return [self.child(t).generator().bit_generator.state for t in range(lo, hi)]
-        prefix = [w for key in (self.master_seed,) + self.stream for w in _uint32_words(key)]
+            return [np.random.SeedSequence(address + (t,)) for t in range(lo, hi)]
+        from numpy.random.bit_generator import ISeedSequence
+
+        ISeedSequence.register(_Seed)  # here, so importing the package skips numpy.random
+        prefix = [w for key in address for w in _uint32_words(key)]
         t = np.arange(lo, hi, dtype=np.uint32)
         words = [np.full_like(t, w) for w in prefix] + [t]
-        states = []
-        for w0, w1, w2, w3 in _seed_sequence_state(words).tolist():
-            # PCG64 srandom(initstate = w0:w1, initseq = w2:w3)
-            inc = ((((w2 << 64) | w3) << 1) | 1) & _MASK128
-            state = ((((w0 << 64) | w1) + inc) * _PCG_MULT + inc) & _MASK128
-            states.append({
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            })
-        return states
+        return [_Seed(state) for state in _seed_sequence_state(words)]
+
+
+class _Seed(NamedTuple):
+    """One address's ``SeedSequence.generate_state(4, np.uint64)``, which a bit
+    generator seeds from through numpy's ``ISeedSequence`` interface."""
+
+    state: np.ndarray
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a trial seed holds exactly 4 uint64 words")
+        return self.state
 
 
 # numpy.random.SeedSequence: hash constants and a pool of four uint32 words
@@ -104,9 +109,6 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
-# PCG64: multiplier of the 128-bit LCG
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_MASK128 = (1 << 128) - 1
 
 
 def _uint32_words(key: int) -> list[int]:

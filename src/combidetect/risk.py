@@ -80,12 +80,11 @@ def _draw_block(
     instance: ProblemInstance, arm: int, lo: int, hi: int, rng: SeededRng
 ) -> np.ndarray:
     X = np.empty((hi - lo, instance.n))
-    # one generator per call, re-seeded to each trial's substream, so worker
-    # threads never share one and row t replays rng.child(arm, t).generator()
-    bitgen = np.random.PCG64(0)
-    gen = np.random.Generator(bitgen)
-    for x, state in zip(X, rng.child(arm).child_states(lo, hi)):
-        bitgen.state = state
+    # one generator per trial, seeded in C from the block's precomputed
+    # SeedSequence words, so worker threads never share one and row t
+    # replays rng.child(arm, t).generator()
+    for x, seed in zip(X, rng.child(arm).child_seeds(lo, hi)):
+        gen = np.random.Generator(np.random.PCG64(seed))
         if arm == _MIXTURE_ARM:
             rows = instance.set_class.sample_rows(gen)
             gen.standard_normal(out=x)

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -55,12 +58,12 @@ class TestChildStates:
     @pytest.mark.parametrize("root", ROOTS, ids=lambda r: f"{r.master_seed}-{len(r.stream)}")
     def test_matches_seed_sequence_on_both_arms(self, root):
         for arm in (0, 1):
-            states = root.child(arm).child_states(0, self.TRIALS)
-            assert len(states) == self.TRIALS
-            for t, state in enumerate(states):
+            seeds = root.child(arm).child_seeds(0, self.TRIALS)
+            assert len(seeds) == self.TRIALS
+            for t, seed in enumerate(seeds):
                 address = (root.master_seed, *root.stream, arm, t)
                 expect = np.random.PCG64(np.random.SeedSequence(address)).state
-                assert state == expect, address
+                assert np.random.PCG64(seed).state == expect, address
 
     def test_multiword_trial_index_falls_back(self):
         rng = SeededRng(11, (2,)).child(0)
@@ -68,7 +71,20 @@ class TestChildStates:
         expect = [
             np.random.PCG64(np.random.SeedSequence((11, 2, 0, t))).state for t in range(lo, hi)
         ]
-        assert rng.child_states(lo, hi) == expect
+        assert [np.random.PCG64(seed).state for seed in rng.child_seeds(lo, hi)] == expect
+
+    @pytest.mark.parametrize("n_words, dtype", [(2, np.uint64), (8, np.uint32), (4, np.uint32)])
+    def test_seed_refuses_any_other_request(self, n_words, dtype):
+        (seed,) = SeededRng(3).child_seeds(0, 1)
+        with pytest.raises(ValueError, match="4 uint64"):
+            seed.generate_state(n_words, dtype)
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        # numpy.random takes milliseconds to import; only drawing needs it
+        code = "import sys, combidetect; print('numpy.random' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestObservation:

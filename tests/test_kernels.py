@@ -209,14 +209,17 @@ def test_clique_max_is_bitwise_the_enumeration_at_the_a9_class():
     spec = Cliques(63, 4)  # 595,665 members; the a range splits into sub-blocks
     gen = np.random.default_rng(63)
     X = gen.standard_normal((64, spec.n)) * 10.0 ** gen.integers(-3, 4, size=(64, spec.n))
-    got = spec.max_values_batch(X)
+    # B = 8 is enum-heavy's block, B = 2 cli-mix's emax; rows are independent
+    got = {B: spec.max_values_batch(X[:B]) for B in (1, 2, 8, 64)}
     assert not hasattr(spec, "_member_cache")
-    assert np.array_equal(got, SetClass.max_values_batch(spec, X))
+    expect = SetClass.max_values_batch(spec, X)
+    for B, values in got.items():
+        assert np.array_equal(values, expect[:B]), B
 
 
 def test_row_sub_blocks_do_not_change_values(monkeypatch):
     X = np.random.default_rng(9).standard_normal((37, 49))
-    pm, st7, cl = PerfectMatchings(7), SpanningTrees(7), Cliques(12, 4)
+    pm, st7, cl, cl3 = PerfectMatchings(7), SpanningTrees(7), Cliques(12, 4), Cliques(12, 3)
     X_tree, X_clique = X[:, : st7.n], np.concatenate([X, X], axis=1)[:, : cl.n]
     whole = (
         pm.max_values_batch(X),
@@ -224,15 +227,17 @@ def test_row_sub_blocks_do_not_change_values(monkeypatch):
         st7.log_mean_exp_batch(1.3, X_tree),
         st7.max_values_batch(X_tree),
         cl.max_values_batch(X_clique),
+        cl3.max_values_batch(X_clique),
     )
     monkeypatch.setattr(classes, "_BLOCK_BUDGET", 1000)  # a few rows per sub-block
-    monkeypatch.setattr(classes, "_DP_BLOCK_BUDGET", 1000)
+    monkeypatch.setattr(classes, "_DP_BLOCK_BUDGET", 1000)  # and a few a per sub-block
     split = (
         pm.max_values_batch(X),
         pm.log_mean_exp_batch(1.3, X),
         st7.log_mean_exp_batch(1.3, X_tree),
         st7.max_values_batch(X_tree),
         cl.max_values_batch(X_clique),
+        cl3.max_values_batch(X_clique),
     )
     for a, b in zip(whole, split):
         assert np.array_equal(a, b)
