@@ -11,7 +11,8 @@ _INF = float("inf")
 
 
 def assignment_value(w: np.ndarray) -> float:
-    """max sum_i w[i, sigma(i)] over permutations sigma, summed in row order."""
+    """max sum_i w[i, sigma(i)] over permutations sigma, its weights added
+    in row order, left to right, as the enumeration adds a member's."""
     w = np.asarray(w, dtype=np.float64)
     m = w.shape[0]
     if w.shape != (m, m):
@@ -54,4 +55,4 @@ def assignment_value(w: np.ndarray) -> float:
     sigma = np.empty(m, dtype=np.int64)
     for j in range(1, m + 1):
         sigma[p[j] - 1] = j - 1
-    return float(w[np.arange(m), sigma].sum())
+    return float(np.cumsum(w[np.arange(m), sigma])[-1])

@@ -31,11 +31,15 @@ from typing import Iterator
 import numpy as np
 
 from ._assignment import assignment_value
-from .core import DEFAULT_ENUMERATION_CAP, CapExceededError, SeededRng
+from .core import DEFAULT_ENUMERATION_CAP, CapExceededError, SeededRng, checked_mu
 
-#: soft ceiling on rows x members x K per member-sum block.  It sets the
-#: chunk boundaries, and with them the bits of the streaming log-sum-exp.
+#: soft ceiling on rows x members x K per member-sum block of _BLOCK_ROWS
+#: rows.  It sets the chunk, and with it the bits of the streaming
+#: log-sum-exp, from K alone, never from the rows beside a row.
 _BLOCK_BUDGET = 8_000_000
+
+#: rows per sub-block of the generic hooks, the most a trial block holds
+_BLOCK_ROWS = 1024
 
 #: elements per piece of a member-sum block, filled while they stay in L2
 _GATHER_PIECE = 1 << 16
@@ -46,11 +50,11 @@ _GATHER_PIECE = 1 << 16
 _DP_BLOCK_BUDGET = 1 << 17
 
 #: largest m whose matchings maximum runs the subset DP rather than the
-#: per-row assignment solver.  Per row on a 2-vCPU host, in 1024-row batches,
-#: the DP took 17-22 us at m = 8 and 360-460 us at m = 12 against the solver's
-#: 480 us and 740-1030 us; at m = 13 the two were even, and at m = 14 the DP
-#: took twice as long.
-_MAX_DP_M = 12
+#: per-row assignment solver.  Per row on a 2-vCPU host, in 1024-row batches
+#: through max_values_batch (two runs each), the DP took 224-225 us at m = 12
+#: and 380-570 us at m = 13 against the solver's 1080-1130 and 1020-1230 us;
+#: at m = 14 the DP took 1120-1770 us against 1190-1260.
+_MAX_DP_M = 13
 
 #: smallest shifted clique sum the contraction trusts.  Above it, the terms
 #: that underflowed on the way (each below 2**-1022) add less than
@@ -80,9 +84,18 @@ def _column_max(a: np.ndarray) -> np.ndarray:
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    """log(sum(exp(a))) along ``axis`` for finite ``a``, shifted by the max."""
-    top = a.max(axis=axis)
-    return top + np.log(np.exp(a - np.expand_dims(top, axis)).sum(axis=axis))
+    """log(sum(exp(a))) along ``axis`` for finite ``a``, shifted by the max.
+    The terms are added left to right, whatever the layout of ``a``."""
+    a = np.moveaxis(a, axis, 0)
+    top = a.max(axis=0)
+    total = np.exp(a[0] - top)
+    for t in a[1:]:
+        total += np.exp(t - top)
+    return top + np.log(total)
+
+
+def _resolve_cap(cap: int | None) -> int:
+    return DEFAULT_ENUMERATION_CAP if cap is None else int(cap)
 
 
 def _row_blocks(rows: int, width: int, budget: int) -> Iterator[slice]:
@@ -141,16 +154,11 @@ class SetClass:
     def _build_member_matrix(self) -> np.ndarray:
         raise NotImplementedError
 
-    def _check_cap(self, cap: int | None) -> int:
-        cap = DEFAULT_ENUMERATION_CAP if cap is None else int(cap)
-        size = self.cardinality()
-        if size > cap:
-            raise CapExceededError(size, cap)
-        return cap
-
     def member_matrix(self, cap: int | None = None) -> np.ndarray:
         """(N, K) int32 matrix of 0-based members, canonical row order."""
-        self._check_cap(cap)
+        size, cap = self.cardinality(), _resolve_cap(cap)
+        if size > cap:
+            raise CapExceededError(size, cap)
         cached = getattr(self, "_member_cache", None)
         if cached is None:
             cached = np.ascontiguousarray(self._build_member_matrix(), dtype=np.int32)
@@ -165,13 +173,12 @@ class SetClass:
         Member-major: each block is the transpose of a C-contiguous
         (chunk, B) array, filled piece by piece from the rows of X.T.  A
         member's sum starts from its first index and adds the others left to
-        right.  numpy's ``X[:, rows].sum(axis=2)`` adds in that order for
-        B > 1, so the two agree bit for bit.  For one row and K >= 8 numpy
-        sums pairwise instead; a lone row here gets the sums it has in a block.
+        right, for every row count, as numpy's ``X[:, rows].sum(axis=2)``
+        does for B > 1.  The hooks pass at most _BLOCK_ROWS rows at a time.
         """
         M = self.member_matrix(cap)
         B = X.shape[0]
-        chunk = max(1, _BLOCK_BUDGET // max(1, B * self.K))
+        chunk = max(1, _BLOCK_BUDGET // (_BLOCK_ROWS * self.K))
         piece = max(1, _GATHER_PIECE // max(1, B))
         XT = np.ascontiguousarray(X.T)
         term = np.empty((min(piece, M.shape[0]), B), dtype=XT.dtype)
@@ -181,30 +188,35 @@ class SetClass:
             for p in range(0, rows.shape[0], piece):
                 idx = rows[p : p + piece]
                 acc = out[p : p + piece]
-                np.take(XT, idx[:, 0], axis=0, out=acc)
+                XT.take(idx[:, 0], axis=0, out=acc)
                 for j in range(1, self.K):
-                    acc += np.take(XT, idx[:, j], axis=0, out=term[: idx.shape[0]])
+                    acc += XT.take(idx[:, j], axis=0, out=term[: idx.shape[0]])
             yield out.T
 
     def max_values_batch(self, X: np.ndarray, cap: int | None = None) -> np.ndarray:
         """max_S X_S per row of X."""
         best = np.full(X.shape[0], -np.inf)
-        for blk in self.member_sums_iter(X, cap):
-            np.maximum(best, _column_max(blk.T), out=best)
+        for rows in _row_blocks(X.shape[0], 1, _BLOCK_ROWS):
+            for blk in self.member_sums_iter(X[rows], cap):
+                np.maximum(best[rows], _column_max(blk.T), out=best[rows])
         return best
 
     def log_mean_exp_batch(self, mu: float, X: np.ndarray, cap: int | None = None) -> np.ndarray:
-        """log((1/N) sum_S exp(mu * X_S)) per row, streaming log-sum-exp."""
+        """log((1/N) sum_S exp(mu * X_S)) per row, streaming log-sum-exp
+        that adds each chunk's terms in member order, for one row as for many."""
         if mu == 0.0:
             return np.zeros(X.shape[0])
-        hi = np.full(X.shape[0], -np.inf)
-        acc = np.zeros(X.shape[0])
-        for blk in self.member_sums_iter(X, cap):
-            t = mu * blk
-            top = np.maximum(hi, _column_max(t.T))
-            acc = acc * np.exp(hi - top) + np.exp(t - top[:, None]).sum(axis=1)
-            hi = top
-        return hi + np.log(acc) - math.log(self.cardinality())
+        out = np.empty(X.shape[0])
+        for rows in _row_blocks(X.shape[0], 1, _BLOCK_ROWS):
+            x = X[rows]
+            hi, acc = np.full(len(x), -np.inf), np.zeros(len(x))
+            for blk in self.member_sums_iter(x, cap):
+                t = mu * blk
+                top = np.maximum(hi, _column_max(t.T))
+                acc = acc * np.exp(hi - top) + np.exp(t - top[:, None]).cumsum(axis=1)[:, -1]
+                hi = top
+            out[rows] = hi + np.log(acc)
+        return out - math.log(self.cardinality())
 
     def overlap_pmf(self) -> tuple[np.ndarray, np.ndarray] | None:
         """Exact law of |S ∩ S'| for two independent uniform members, when known."""
@@ -366,13 +378,14 @@ class PerfectMatchings(SetClass):
     def _dp_fits(self, cap: int | None) -> bool:
         # the likelihood ratio's DP holds 2^m mask states, which the
         # enumeration cap also bounds
-        return 1 << self.m <= (DEFAULT_ENUMERATION_CAP if cap is None else int(cap))
+        return 1 << self.m <= _resolve_cap(cap)
 
     def _mask_layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Index tables of the DP, one (src, col) pair per matrix row i.
 
         Layer i holds the masks of i+1 columns in ascending order.  Its state
-        t extends state src[t, r] of layer i-1 by column col[t, r], r <= i.
+        t extends state src[r, t] of layer i-1 by the r-th lowest column of
+        t, r <= i, whose weight is entry col[r, t] of a row of X.
         """
         layers = getattr(self, "_layer_cache", None)
         if layers is None:
@@ -388,65 +401,45 @@ class PerfectMatchings(SetClass):
             for k in range(1, m + 1):
                 layer = masks[pop == k]
                 bits = (layer[:, None] >> np.arange(m, dtype=np.int32)) & 1
-                col = np.nonzero(bits)[1].astype(np.int32).reshape(-1, k)
-                layers.append((pos[layer[:, None] ^ (1 << col)], col))
+                col = np.ascontiguousarray(np.nonzero(bits)[1].astype(np.int32).reshape(-1, k).T)
+                layers.append((pos[layer ^ (1 << col)], (k - 1) * m + col))
             self._layer_cache = layers
         return layers
 
-    def _subset_dp(self, W: np.ndarray, tropical: bool) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Fold the rows of each (m, m) weight matrix into column masks.
+    def _subset_dp(self, X: np.ndarray, tropical: bool) -> np.ndarray:
+        """Fold the rows of each (m, m) weight matrix, a row of X, into
+        column masks, in row sub-blocks with their rows innermost.
 
         ``tropical`` False is the (logaddexp, +) semiring, whose full-mask
-        value is log perm(exp W); True is (max, +), which also returns the
-        argmax position of every state for backtracking.
+        value is log perm(exp W); True is (max, +), whose value is the
+        enumerated maximum bit for bit: each path adds its weights in row
+        order, as a member's sum does, and rounded addition is nondecreasing
+        in each argument, so a state's max is its paths' largest sum.
         """
-        value = np.zeros((W.shape[0], 1))
-        argmax = []
-        for i, (src, col) in enumerate(self._mask_layers()):
-            cand = value[:, src] + W[:, i][:, col]
-            if tropical:
-                arg = cand.argmax(axis=2)
-                value = np.take_along_axis(cand, arg[:, :, None], axis=2)[:, :, 0]
-                argmax.append(arg)
-            else:
-                value = _logsumexp(cand, axis=2)
-        return value[:, 0], argmax
-
-    def _dp_width(self) -> int:
+        out = np.empty(X.shape[0])
         # widest candidate block of one row: (m choose k) masks x k columns
-        return max(k * math.comb(self.m, k) for k in range(1, self.m + 1))
+        width = max(k * math.comb(self.m, k) for k in range(1, self.m + 1))
+        for blk in _row_blocks(X.shape[0], width, _DP_BLOCK_BUDGET):
+            XT = np.ascontiguousarray(X[blk].T)
+            value = np.full((1, XT.shape[1]), -0.0)  # -0.0 + w is w, zeros included
+            for src, col in self._mask_layers():
+                cand = value[src] + XT[col]
+                value = cand.max(axis=0) if tropical else _logsumexp(cand, axis=0)
+            out[blk] = value[0]
+        return out
 
     def max_values_batch(self, X, cap=None):
         # the cap does not apply: the DP's tables are small up to _MAX_DP_M
         if self.m > _MAX_DP_M:
             return np.array([assignment_value(row.reshape(self.m, self.m)) for row in X])
-        m = self.m
-        layers = self._mask_layers()
-        out = np.empty(X.shape[0])
-        for blk in _row_blocks(X.shape[0], self._dp_width(), _DP_BLOCK_BUDGET):
-            W = X[blk].reshape(-1, m, m)
-            rows = np.arange(W.shape[0])
-            _, argmax = self._subset_dp(W, tropical=True)
-            sigma = np.empty((W.shape[0], m), dtype=np.intp)
-            t = np.zeros(W.shape[0], dtype=np.intp)
-            for i in range(m - 1, -1, -1):
-                src, col = layers[i]
-                r = argmax[i][rows, t]
-                sigma[:, i] = col[t, r]
-                t = src[t, r]
-            # re-sum along sigma in row order, as the assignment solver does
-            out[blk] = W[rows[:, None], np.arange(m), sigma].sum(axis=1)
-        return out
+        return self._subset_dp(X, tropical=True)
 
     def log_mean_exp_batch(self, mu, X, cap=None):
         if mu == 0.0:
             return np.zeros(X.shape[0])
         if not self._dp_fits(cap):
             return super().log_mean_exp_batch(mu, X, cap)
-        out = np.empty(X.shape[0])
-        for blk in _row_blocks(X.shape[0], self._dp_width(), _DP_BLOCK_BUDGET):
-            out[blk] = self._subset_dp(mu * X[blk].reshape(-1, self.m, self.m), tropical=False)[0]
-        return out - math.log(self.cardinality())
+        return self._subset_dp(mu * X, tropical=False) - math.log(self.cardinality())
 
     def overlap_pmf(self):
         # overlap of two uniform matchings = fixed points of a uniform permutation
@@ -540,8 +533,8 @@ class SpanningTrees(SetClass):
 
     def max_values_batch(self, X, cap=None):
         # Prim's algorithm from vertex 0, one step per vertex, over a block of
-        # rows at once.  The chosen edges are summed in edge id order, so a
-        # row whose maximum tree is unique gets the bits of the enumeration.
+        # rows at once.  The chosen edges are added left to right in edge id
+        # order, so a row whose maximum tree is unique gets the enumeration's bits.
         m = self.m
         pid = self._pair_id0
         out = np.empty(X.shape[0])
@@ -565,7 +558,7 @@ class SpanningTrees(SetClass):
                 np.copyto(key, wv, where=better)
                 np.copyto(parent, v[:, None], where=better)
             ids.sort(axis=1)
-            out[blk] = np.take_along_axis(x, ids, axis=1).sum(axis=1)
+            out[blk] = np.take_along_axis(x, ids, axis=1).cumsum(axis=1)[:, -1]
         return out
 
     def log_mean_exp_batch(self, mu, X, cap=None):
@@ -638,7 +631,7 @@ class Cliques(SetClass):
         enumeration: k = 3, 4 and its work set, the LR's largest per-row
         array ((m, m) for k = 3, (C(m,2), m) for k = 4), within the cap."""
         rows = self.n if self.k == 4 else self.m
-        return self.k in (3, 4) and rows * self.m <= (DEFAULT_ENUMERATION_CAP if cap is None else int(cap))
+        return self.k in (3, 4) and rows * self.m <= _resolve_cap(cap)
 
     def max_values_batch(self, X, cap=None):
         # (max, +) contraction anchored on the second vertex b of each clique
@@ -871,6 +864,7 @@ def make_class(family: str, **params) -> SetClass:
 
 def exact_overlap_mgf(spec: SetClass, mu: float) -> float | None:
     """E exp(mu^2 |S ∩ S'|) from the exact overlap law, when the family has one."""
+    mu = checked_mu(mu)
     pmf = spec.overlap_pmf()
     if pmf is None:
         return None
@@ -889,6 +883,7 @@ def estimate_overlap_mgf(
     DisjointSets, Stars and PerfectMatchings use their exact overlap law
     (std_error 0); every other family is Monte Carlo.
     """
+    mu = checked_mu(mu)
     if pairs < 2:
         raise ValueError("pairs must be >= 2")
     if isinstance(spec, (DisjointSets, Stars, PerfectMatchings)):

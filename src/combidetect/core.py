@@ -160,6 +160,13 @@ def _seed_sequence_state(words: list[np.ndarray]) -> np.ndarray:
     return out[:, 0::2] | (out[:, 1::2] << np.uint64(32))
 
 
+def checked_mu(mu: float) -> float:
+    """``mu`` as a float; refused unless finite and nonnegative."""
+    if not np.isfinite(mu) or mu < 0:
+        raise ValueError("mu must be finite and nonnegative")
+    return float(mu)
+
+
 def as_vector(x: "np.ndarray | Iterable[float]", n: int) -> np.ndarray:
     """Coerce an observation to a validated finite length-n float vector."""
     v = np.asarray(x, dtype=np.float64)
@@ -178,9 +185,7 @@ class ProblemInstance:
     mu: float
 
     def __post_init__(self):
-        if not np.isfinite(self.mu) or self.mu < 0:
-            raise ValueError("mu must be finite and nonnegative")
-        object.__setattr__(self, "mu", float(self.mu))
+        object.__setattr__(self, "mu", checked_mu(self.mu))
 
     @property
     def n(self) -> int:

@@ -31,11 +31,9 @@ def _decide(
 ) -> tuple[np.ndarray, float, np.ndarray]:
     """(statistics, threshold, rejections) of one rule on a (B, n) block.
 
-    The scalar rules are this on a block of one row, and their statistics
-    and decisions equal the batch's, except for the enumerated likelihood
-    ratio (``SetClass.log_mean_exp_batch``): its log-sum-exp adds a lone
-    row's terms in another order than a block's, so the statistic may differ
-    in its last bits.
+    The scalar rules are this on a block of one row.  Every kernel gives a
+    row the same bits alone as in a block, so their statistics and decisions
+    equal the batch's bit for bit.
     """
     sc = instance.set_class
     mu, K = instance.mu, instance.K

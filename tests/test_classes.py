@@ -19,6 +19,7 @@ from combidetect import (
     exact_overlap_mgf,
     make_class,
 )
+from combidetect import classes
 from combidetect.classes import FAMILIES, complete_graph_edges
 
 # family name -> (constructor kwargs, expected n, K, N)
@@ -278,8 +279,10 @@ class TestBatchEvaluation:
                 spec.log_mean_exp_batch(mu, X), expect, rtol=1e-11
             )
 
-    def test_chunked_iteration_covers_all_members(self):
-        spec = make_class("ksets", n=22, K=3)  # N = 1540 forces several chunks
+    def test_chunked_iteration_covers_all_members(self, monkeypatch):
+        spec = make_class("ksets", n=22, K=3)  # N = 1540 members
+        # chunks of 1333 members, so the class takes two
+        monkeypatch.setattr(classes, "_BLOCK_BUDGET", 1333 * classes._BLOCK_ROWS * spec.K)
         gen = SeededRng(305).generator()
         X = gen.standard_normal((2000, 22))
         blocks = list(spec.member_sums_iter(X))
@@ -398,6 +401,14 @@ class TestOverlapLaws:
             ov = np.isin(M, M[i]).sum(axis=1)
             total += np.exp(mu * mu * ov).sum()
         assert exact_overlap_mgf(spec, mu) == pytest.approx(total / N**2, rel=1e-12)
+
+    def test_negative_mu_is_refused(self):
+        # as ProblemInstance refuses it; trees have no law, ksets sample pairs
+        for spec in (small("stars"), small("ksets"), small("trees")):
+            with pytest.raises(ValueError, match="mu must be finite and nonnegative"):
+                exact_overlap_mgf(spec, -0.8)
+            with pytest.raises(ValueError, match="mu must be finite and nonnegative"):
+                estimate_overlap_mgf(spec, -0.8, 50, SeededRng(3))
 
     def test_trees_have_no_closed_form(self):
         assert exact_overlap_mgf(make_class("trees", m=4), 0.5) is None

@@ -179,6 +179,17 @@ class TestErrorExits:
         error = json.loads(err)["error"]
         assert error["type"] == "ValueError" and "finite" in error["message"]
 
+    @pytest.mark.parametrize("argv", [
+        "risk --class stars --m 6 --test optimal --mu -0.8 --trials 10",
+        "overlap --class stars --m 6 --mu -0.8",
+        "overlap --class ksets --n 10 --K 3 --mu -0.8",
+    ])
+    def test_negative_mu_is_config_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split(), "--seed", "1")
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError" and error["message"] == "mu must be finite and nonnegative"
+
     @pytest.mark.parametrize("prop,name,value", [
         (prop, name, value)
         for prop in ("universal", "averaging", "maxtest", "symmetric", "negass")

@@ -3,13 +3,15 @@
 ``PerfectMatchings`` evaluates both batch hooks by a subset DP over column
 masks, ``SpanningTrees`` evaluates the likelihood ratio by a log-domain
 matrix-tree elimination and the maximum by Prim's algorithm, and ``Cliques``
-with k = 3, 4 both by a dense contraction over vertex pairs, the maximum
-in the (max, +) semiring and in the enumeration's summation order.  Enumeration
+with k = 3, 4 both by a dense contraction over vertex pairs.  Enumeration
 (``SetClass``'s generic hooks over ``member_matrix``) and a 50-digit
-``mpmath`` sum are the references; the Hungarian solver is the reference for
-the matchings maximum, enumeration and Kruskal's algorithm for the trees
-maximum, and enumeration for the clique maximum, bit for bit.
-The enumeration path itself is pinned to numpy's 3-D gather sum, bit for bit.
+``mpmath`` sum are the references.  Every maximum adds a member's weights in
+the enumeration's order, its sorted indices left to right, so enumeration is
+the bit-for-bit reference of the matchings, trees and clique maxima; the
+assignment solver and Kruskal's algorithm, which add in that order too, are
+the references past enumeration.  A lone row gets the bits its row has in a
+block, for every family and both hooks.  The enumeration path itself is
+pinned to numpy's 3-D gather sum, bit for bit.
 """
 
 import functools
@@ -109,7 +111,7 @@ def test_log_mean_exp_matches_50_digit_reference(family, params):
     assert worst <= 1e-12
 
 
-@pytest.mark.parametrize("m", [*range(2, 9), 10, classes._MAX_DP_M])
+@pytest.mark.parametrize("m", [*range(2, 9), 10, 12, classes._MAX_DP_M])
 def test_matchings_max_is_bitwise_the_assignment_value(m):
     spec = PerfectMatchings(m)
     gen = np.random.default_rng(100 + m)
@@ -123,11 +125,16 @@ def test_matchings_max_is_bitwise_the_assignment_value(m):
     assert np.array_equal(spec.max_values_batch(X), ref)
 
 
-@pytest.mark.parametrize("m", [2, 5, 7])
+@pytest.mark.parametrize("m", range(2, 9))
 def test_matchings_max_matches_enumeration(m):
     spec = spec_of("matchings", m)
-    X = np.random.default_rng(m).standard_normal((300, spec.n))
-    np.testing.assert_allclose(spec.max_values_batch(X), SetClass.max_values_batch(spec, X), rtol=0, atol=1e-12)
+    gen = np.random.default_rng(m)
+    X = np.concatenate([
+        gen.standard_normal((300, spec.n)),
+        # integer weights tie many permutations
+        gen.integers(-2, 3, size=(60, spec.n)).astype(np.float64),
+    ])
+    assert np.array_equal(spec.max_values_batch(X).view(np.int64), SetClass.max_values_batch(spec, X).view(np.int64))
 
 
 def enumerated_max(spec: SetClass, X: np.ndarray, rows_per_gather: int = 50) -> np.ndarray:
@@ -138,8 +145,9 @@ def enumerated_max(spec: SetClass, X: np.ndarray, rows_per_gather: int = 50) -> 
 
 
 def kruskal_max(spec: SpanningTrees, x: np.ndarray) -> float:
-    """Kruskal's algorithm with a union-find, the chosen edges summed in edge
-    id order: the trees maximum before Prim's algorithm replaced it."""
+    """Kruskal's algorithm with a union-find, the chosen edges added in edge
+    id order, left to right: the trees maximum before Prim's algorithm
+    replaced it, in the enumeration's summation order."""
     edges = classes.complete_graph_edges(spec.m)
     parent = list(range(spec.m))
 
@@ -154,7 +162,7 @@ def kruskal_max(spec: SpanningTrees, x: np.ndarray) -> float:
         if ra != rb:
             parent[ra] = rb
             chosen.append(int(e))
-    return float(x[np.sort(chosen)].sum())
+    return float(np.cumsum(x[np.sort(chosen)])[-1])
 
 
 @pytest.mark.parametrize("m", range(2, 8))
@@ -176,7 +184,7 @@ def test_trees_max_matches_enumeration_on_ties(m):
 
 @pytest.mark.parametrize("m", [12, 20])
 def test_trees_max_is_bitwise_kruskal_past_enumeration(m):
-    # K >= 8: numpy sums each chosen row pairwise, as Kruskal's 1-D sum did
+    # K >= 8, where numpy's .sum would add pairwise; both add left to right
     spec = SpanningTrees(m)
     X = np.random.default_rng(400 + m).standard_normal((300, spec.n))
     assert np.array_equal(spec.max_values_batch(X), [kruskal_max(spec, x) for x in X])
@@ -376,7 +384,7 @@ def test_member_sums_match_the_gather_sum_bit_for_bit(monkeypatch, B, weights):
     explicit = ExplicitClass(12, rows)
     for spec in (explicit, Cliques(7, 3), KSets(9, 3)):
         # chunks of 10 members, each filled in pieces of 3, 3, 3 and 1
-        monkeypatch.setattr(classes, "_BLOCK_BUDGET", 10 * B * spec.K)
+        monkeypatch.setattr(classes, "_BLOCK_BUDGET", 10 * classes._BLOCK_ROWS * spec.K)
         monkeypatch.setattr(classes, "_GATHER_PIECE", 3 * B)
         if weights == "gaussian":
             X = gen.standard_normal((B, spec.n)) * 10.0 ** gen.integers(-6, 7, size=(B, spec.n))
@@ -392,6 +400,45 @@ def test_member_sums_match_the_gather_sum_bit_for_bit(monkeypatch, B, weights):
             assert blk.strides == ref.strides or B == 1
             assert blk.flags.f_contiguous == ref.flags.f_contiguous
             assert blk.flags.c_contiguous == ref.flags.c_contiguous
+
+
+#: (class, hooks): every family where its own kernels run, then the
+#: enumeration's generic hooks, with one or (KSets(20,4)) several chunks
+LONE_ROW_CASES = [
+    (classes.DisjointSets(10, 3), classes.DisjointSets),
+    (KSets(9, 3), KSets),
+    (Stars(8), Stars),
+    (PerfectMatchings(6), PerfectMatchings),
+    (PerfectMatchings(classes._MAX_DP_M + 1), PerfectMatchings),  # the assignment solver
+    (SpanningTrees(9), SpanningTrees),
+    (Cliques(8, 3), Cliques),
+    (Cliques(8, 4), Cliques),
+    (GridSquares(6, 2), GridSquares),
+    (ExplicitClass(12, np.array([[0, 1, 2], [3, 4, 5], [1, 5, 9], [2, 7, 11], [0, 6, 8], [4, 9, 10]])), ExplicitClass),
+    (KSets(20, 4), SetClass),
+    (Cliques(9, 5), Cliques),
+    (Cliques(10, 2), Cliques),
+]
+
+
+def test_lone_row_cases_cover_every_family():
+    assert set(classes.FAMILIES.values()) <= {type(spec) for spec, _ in LONE_ROW_CASES}
+
+
+@pytest.mark.parametrize("case", range(len(LONE_ROW_CASES)), ids=[repr(spec) for spec, _ in LONE_ROW_CASES])
+def test_a_lone_row_gets_the_bits_of_its_row_in_a_block(case):
+    spec, hooks = LONE_ROW_CASES[case]
+    gen = np.random.default_rng(500 + case)
+    X = gen.standard_normal((20, spec.n)) * 10.0 ** gen.integers(-3, 2, size=(20, spec.n))
+    for test in ("max", "lr"):
+        def run(X):
+            return hooks.max_values_batch(spec, X) if test == "max" else hooks.log_mean_exp_batch(spec, 1.3, X)
+
+        for lo in range(0, X.shape[0], 5):  # 5-row blocks
+            block = run(X[lo : lo + 5])
+            for r in range(5):
+                alone = run(X[lo + r : lo + r + 1])
+                assert np.array_equal(alone.view(np.int64), block[r : r + 1].view(np.int64)), (test, lo + r)
 
 
 @pytest.mark.parametrize("spec", [Cliques(9, 5), Stars(12)], ids=["cliques", "stars"])

@@ -12,7 +12,7 @@ from combidetect import (
     maximum_test,
     optimal_test,
 )
-from combidetect.rules import TESTS, batch_rejections
+from combidetect.rules import TESTS, _decide, batch_rejections
 
 
 def inst(family="disjoint", mu=1.0, **kw):
@@ -112,6 +112,8 @@ BATCH_CLASSES = [
     ("stars", dict(m=5)),
     ("matchings", dict(m=3)),
     ("grid", dict(sqrt_n=4, sqrt_K=2)),
+    ("trees", dict(m=5)),
+    ("cliques", dict(m=6, k=3)),
 ]
 
 
@@ -125,7 +127,8 @@ class TestBatchAgreement:
         key = BATCH_CLASSES.index((family, kw)), TESTS.index(test)
         X = SeededRng(47).child(*key).generator().standard_normal((40, spec.n))
         emax0 = 2.5
-        got = batch_rejections(test, pi, X, emax0=emax0)
+        stat, _, got = _decide(test, pi, X, emax0, None)
+        assert np.array_equal(got, batch_rejections(test, pi, X, emax0=emax0))
         for i in range(X.shape[0]):
             if test == "averaging":
                 d = averaging_test(X[i], pi)
@@ -133,6 +136,8 @@ class TestBatchAgreement:
                 d = maximum_test(X[i], pi, emax0=emax0)
             else:
                 d = optimal_test(X[i], pi)
+            # a scalar rule is the batch on one row: the same statistic, bit for bit
+            assert np.float64(d.statistic).view(np.int64) == stat[i].view(np.int64)
             assert bool(got[i]) == d.reject
 
     def test_unknown_test_name(self):
