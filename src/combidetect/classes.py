@@ -23,6 +23,7 @@ maximum).  Enumeration stays the reference they are tested against.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -149,6 +150,18 @@ class SetClass:
         items = ", ".join(f"{k}={v}" for k, v in self.to_params().items() if k != "family")
         return f"{type(self).__name__}({items})"
 
+    @classmethod
+    @functools.lru_cache(maxsize=64)
+    def _shared(cls, *params) -> "SetClass":
+        # one instance per family and params in a process: caches built once
+        return cls(*params)
+
+    def __reduce_ex__(self, protocol):
+        # a family pickles as its params, never its caches
+        if not self.params:
+            return super().__reduce_ex__(protocol)
+        return type(self)._shared, tuple(getattr(self, p) for p in self.params)
+
     # -- enumeration ---------------------------------------------------
 
     def _build_member_matrix(self) -> np.ndarray:
@@ -213,7 +226,11 @@ class SetClass:
             for blk in self.member_sums_iter(x, cap):
                 t = mu * blk
                 top = np.maximum(hi, _column_max(t.T))
-                acc = acc * np.exp(hi - top) + np.exp(t - top[:, None]).cumsum(axis=1)[:, -1]
+                # numpy sums axis 0 of a (chunk, B + 1) block in member order;
+                # the zero last column keeps B = 1 off its pairwise 1-D sum
+                terms = np.zeros((t.shape[1], len(x) + 1))
+                np.exp(t.T - top, out=terms[:, :-1])
+                acc = acc * np.exp(hi - top) + terms.sum(axis=0)[:-1]
                 hi = top
             out[rows] = hi + np.log(acc)
         return out - math.log(self.cardinality())

@@ -47,8 +47,8 @@ def _add_common(p: argparse.ArgumentParser, *, trials_default: int | None = 10_0
     )
     p.add_argument(
         "--workers", type=int, default=1,
-        help="threads over trial chunks; they speed up kernel-bound families "
-        "only, since drawing trials holds the GIL",
+        help="processes over trial chunks, at most one per CPU; the output "
+        "bytes do not depend on it",
     )
     if trials_default is not None:
         p.add_argument("--trials", type=int, default=trials_default)
@@ -277,8 +277,8 @@ def _check_finite(args) -> None:
 
 
 def _check_counts(args) -> None:
-    # --cap bounds a count of members or entries and --workers counts threads;
-    # neither means anything below 1
+    # --cap bounds a count of members or entries and --workers counts worker
+    # processes; neither means anything below 1
     for dest in ("cap", "workers"):
         value = getattr(args, dest)
         if value is not None and value < 1:

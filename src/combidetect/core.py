@@ -38,6 +38,10 @@ class CapExceededError(RuntimeError):
             f"class has {cardinality} members, enumeration capped at {cap}"
         )
 
+    def __reduce__(self):
+        # rebuilt from the counts, not from ``args`` (the message alone)
+        return type(self), (self.cardinality, self.cap)
+
 
 class AsymmetricClassError(ValueError):
     """Operation requires a symmetric class family."""

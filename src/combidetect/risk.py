@@ -9,9 +9,11 @@ are written into a preallocated array and reduced once, in index order.
 
 from __future__ import annotations
 
+import atexit
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -81,8 +83,8 @@ def _draw_block(
 ) -> np.ndarray:
     X = np.empty((hi - lo, instance.n))
     # one generator per trial, seeded in C from the block's precomputed
-    # SeedSequence words, so worker threads never share one and row t
-    # replays rng.child(arm, t).generator()
+    # SeedSequence words, so row t replays rng.child(arm, t).generator()
+    # whichever process draws it
     for x, seed in zip(X, rng.child(arm).child_seeds(lo, hi)):
         gen = np.random.Generator(np.random.PCG64(seed))
         if arm == _MIXTURE_ARM:
@@ -94,8 +96,33 @@ def _draw_block(
     return X
 
 
+def _chunk_values(value_fn: Callable, instance: ProblemInstance, arm, lo, hi, rng) -> np.ndarray:
+    return value_fn(_draw_block(instance, arm, lo, hi, rng))
+
+
+#: the worker processes: one pool, keyed by its size and kept from the first
+#: fan-out on.  Dropped at exit, before the modules its finalizer reads go.
+_pools: dict = {}
+atexit.register(_pools.clear)
+
+
+def _pool_size(workers: int) -> int:
+    return min(int(workers), os.cpu_count() or 1)
+
+
+def _worker_pool(size: int):
+    if size not in _pools:
+        import multiprocessing  # here, so importing the package loads neither
+        from concurrent.futures import ProcessPoolExecutor
+        while _pools:
+            _pools.popitem()[1].shutdown()
+        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+        _pools[size] = ProcessPoolExecutor(size, mp_context=multiprocessing.get_context(method))
+    return _pools[size]
+
+
 def _per_trial_values(
-    value_batch: Callable[[np.ndarray], np.ndarray],
+    value_fn: Callable[[np.ndarray], np.ndarray],
     instance: ProblemInstance,
     arm: int,
     trials: int,
@@ -108,19 +135,16 @@ def _per_trial_values(
     out = np.empty(trials, dtype=out_dtype)
     chunk = _chunk_size(instance.n)
     spans = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
-
-    def run(span):
-        lo, hi = span
-        out[lo:hi] = value_batch(_draw_block(instance, arm, lo, hi, rng))
-
     if workers <= 1 or len(spans) <= 1:
-        for span in spans:
-            run(span)
+        for lo, hi in spans:
+            out[lo:hi] = _chunk_values(value_fn, instance, arm, lo, hi, rng)
     else:
-        # warm up caches (and surface cap errors) on this thread before fanning out
-        value_batch(np.zeros((1, instance.n)))
-        with ThreadPoolExecutor(max_workers=int(workers)) as pool:
-            list(pool.map(run, spans))
+        # surface cap errors here, before any chunk is shipped to a worker
+        value_fn(np.zeros((1, instance.n)))
+        pool = _worker_pool(_pool_size(workers))
+        tasks = [pool.submit(_chunk_values, value_fn, instance, arm, *span, rng) for span in spans]
+        for (lo, hi), task in zip(spans, tasks):
+            out[lo:hi] = task.result()
     return out
 
 
@@ -148,20 +172,24 @@ def estimate_risk(
     """Monte Carlo risk of one rule: ``trials`` null draws for the type-I
     rate, ``trials`` mixture draws (uniform member, then the shifted vector)
     for the type-II rate."""
-
-    def decide(X: np.ndarray) -> np.ndarray:
-        return batch_rejections(test, instance, X, emax0=emax0, cap=cap)
-
-    return _risk(decide, instance, trials, rng, workers)
+    return _risk(partial(_rejections, test, instance, emax0, cap), instance, trials, rng, workers)
 
 
-def _loglik_batch(instance: ProblemInstance, cap: int | None):
+# per-trial value functions, bound with partial so a worker process can unpickle them
+def _rejections(test: str, instance: ProblemInstance, emax0, cap, X: np.ndarray) -> np.ndarray:
+    return batch_rejections(test, instance, X, emax0=emax0, cap=cap)
+
+
+def _lr_values(rho: bool, instance: ProblemInstance, cap: int | None, X: np.ndarray) -> np.ndarray:
+    # sqrt(L) / 2 for the Bhattacharyya coefficient rho, else 1 - |L - 1| / 2
     shift = instance.K * instance.mu**2 / 2.0
+    loglik = instance.set_class.log_mean_exp_batch(instance.mu, X, cap) - shift
+    return 0.5 * np.exp(0.5 * loglik) if rho else 1.0 - 0.5 * np.abs(np.expm1(loglik))
 
-    def values(X: np.ndarray) -> np.ndarray:
-        return instance.set_class.log_mean_exp_batch(instance.mu, X, cap) - shift
 
-    return values
+def _witness_rejections(K: int, thr: float, X: np.ndarray) -> np.ndarray:
+    # averaging over the shared block only, ties rejecting
+    return X[:, :K].sum(axis=1) >= thr
 
 
 def _null_mean(
@@ -185,12 +213,7 @@ def estimate_bayes_risk(
     """(estimate, std_error) of the optimum risk 1 - E|L - 1|/2 from null
     draws only.  Sharp near mu = 0; the per-trial variance blows up for
     large mu."""
-    loglik = _loglik_batch(instance, cap)
-
-    def values(X: np.ndarray) -> np.ndarray:
-        return 1.0 - 0.5 * np.abs(np.expm1(loglik(X)))
-
-    return _null_mean(values, instance, trials, rng, workers)
+    return _null_mean(partial(_lr_values, False, instance, cap), instance, trials, rng, workers)
 
 
 def estimate_bhattacharyya(
@@ -202,12 +225,7 @@ def estimate_bhattacharyya(
     workers: int = 1,
 ) -> tuple[float, float]:
     """(estimate, std_error) of rho = E sqrt(L)/2 from null draws."""
-    loglik = _loglik_batch(instance, cap)
-
-    def values(X: np.ndarray) -> np.ndarray:
-        return 0.5 * np.exp(0.5 * loglik(X))
-
-    return _null_mean(values, instance, trials, rng, workers)
+    return _null_mean(partial(_lr_values, True, instance, cap), instance, trials, rng, workers)
 
 
 def estimate_emax0(
@@ -220,9 +238,7 @@ def estimate_emax0(
 ) -> EmaxEstimate:
     """Null expectation of max_S X_S, with the analytic cap sqrt(2 K log N)
     reported alongside."""
-    def values(X: np.ndarray) -> np.ndarray:
-        return spec.max_values_batch(X, cap)
-
+    values = partial(spec.max_values_batch, cap=cap)
     mean, se = _null_mean(values, ProblemInstance(spec, 0.0), trials, rng, workers)
     return EmaxEstimate(mean, se, emax_upper_cap(spec))
 
@@ -259,18 +275,11 @@ def scan_critical_mu(
         raise ValueError("mu_grid must be strictly increasing")
     if test == "maximum" and emax0 is None:
         emax0 = emax_upper_cap(spec)
-    estimates = []
-    for i, mu in enumerate(grid):
-        est = estimate_risk(
-            test,
-            ProblemInstance(spec, mu),
-            trials,
-            rng.child(i),
-            emax0=emax0,
-            cap=cap,
-            workers=workers,
-        )
-        estimates.append(est)
+    estimates = [
+        estimate_risk(test, ProblemInstance(spec, mu), trials, rng.child(i), emax0=emax0, cap=cap,
+                      workers=workers)
+        for i, mu in enumerate(grid)
+    ]
     crit = _interpolate_half(grid, [e.total for e in estimates])
     return RiskCurve(tuple(grid), tuple(estimates), crit)
 
@@ -405,13 +414,8 @@ def nonmonotonicity_demo(
         "optimal", ProblemInstance(full, mu), trials, rng.child(1), workers=workers
     )
 
-    # the witness rule: averaging over the shared block only, ties rejecting
-    thr = mu * K / 2.0
     winst = ProblemInstance(ExplicitClass(n, witness), mu)
-
-    def witness_decide(X: np.ndarray) -> np.ndarray:
-        return X[:, :K].sum(axis=1) >= thr
-
+    witness_decide = partial(_witness_rejections, K, mu * K / 2.0)
     risk_w = _risk(witness_decide, winst, trials, rng.child(2), workers)
 
     side_rhs = math.sqrt(8.0 / K * math.log(2.0 / epsilon))

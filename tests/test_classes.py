@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -468,6 +469,23 @@ class TestCapsAndExplicit:
     def test_explicit_class_refuses_bad_rows(self, rows):
         with pytest.raises(ValueError):
             ExplicitClass(6, rows)
+
+    def test_family_pickles_as_its_params(self):
+        # a worker task ships the constructor's arguments, never the caches,
+        # and a process keeps one instance per arguments
+        spec = make_class("cliques", m=63, k=4)
+        spec.member_matrix()
+        blob = pickle.dumps(spec)
+        assert len(blob) < 64 * 1024
+        a, b = pickle.loads(blob), pickle.loads(blob)
+        assert a is b
+        assert repr(a) == repr(spec)
+
+    def test_explicit_class_pickles_its_rows(self):
+        spec = pickle.loads(pickle.dumps(EXPLICIT))
+        assert spec is not EXPLICIT
+        np.testing.assert_array_equal(spec.member_matrix(), EXPLICIT.member_matrix())
+        assert spec.n == EXPLICIT.n
 
     def test_symmetry_flags(self):
         assert make_class("ksets", n=5, K=2).is_symmetric

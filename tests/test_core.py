@@ -1,3 +1,4 @@
+import pickle
 import subprocess
 import sys
 
@@ -10,7 +11,7 @@ from combidetect import (
     SeededRng,
     make_class,
 )
-from combidetect.core import as_vector
+from combidetect.core import CapExceededError, as_vector
 from combidetect.risk import _MIXTURE_ARM, _NULL_ARM, _draw_block
 
 
@@ -85,6 +86,25 @@ class TestChildStates:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_import_leaves_process_pools_unloaded(self):
+        # the worker pool's modules load on the first fan-out only
+        code = (
+            "import sys, combidetect; "
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
+class TestErrors:
+    def test_cap_error_survives_pickling(self):
+        # a worker process's error reaches the caller through pickle
+        err = pickle.loads(pickle.dumps(CapExceededError(10, 5)))
+        assert type(err) is CapExceededError
+        assert (err.cardinality, err.cap) == (10, 5)
+        assert str(err) == str(CapExceededError(10, 5))
 
 
 class TestObservation:

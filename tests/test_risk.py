@@ -1,5 +1,7 @@
 import json
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from scipy.stats import norm
 
 from combidetect import (
     AsymmetricClassError,
+    ExplicitClass,
     ProblemInstance,
     RiskEstimate,
     SeededRng,
@@ -16,6 +19,7 @@ from combidetect import (
     estimate_bhattacharyya,
     estimate_emax0,
     estimate_risk,
+    evaluate_bound,
     make_class,
     monotonicity_check,
     nonmonotonicity_demo,
@@ -30,6 +34,8 @@ from combidetect.risk import (
     _draw_block,
     _interpolate_half,
     _per_trial_values,
+    _pool_size,
+    _worker_pool,
     render_curve,
     render_risk_rows,
 )
@@ -186,7 +192,7 @@ class TestReproducibility:
             np.testing.assert_array_equal(_draw_block(instance, arm, lo, hi, rng), expect)
 
     def test_serial_run_calls_the_kernel_once_per_trial_chunk(self):
-        # no warm-up call: that one is for threads only
+        # no warm-up call: that one runs only before a fan-out
         instance = ProblemInstance(make_class("disjoint", N=2, K=1), 0.9)
         chunk = _chunk_size(instance.n)
         calls = []
@@ -211,6 +217,118 @@ class TestReproducibility:
         instance = ProblemInstance(make_class("cliques", m=9, k=5), 0.9)
         with pytest.raises(CapExceededError):
             estimate_risk("optimal", instance, 2100, SeededRng(85), cap=100, workers=workers)
+
+
+#: one small class per family, and one given by its rows
+WORKER_CLASSES = {
+    "disjoint": lambda: make_class("disjoint", N=3, K=2),
+    "ksets": lambda: make_class("ksets", n=7, K=3),
+    "stars": lambda: make_class("stars", m=5),
+    "matchings": lambda: make_class("matchings", m=4),
+    "trees": lambda: make_class("trees", m=4),
+    "cliques": lambda: make_class("cliques", m=6, k=3),
+    "grid": lambda: make_class("grid", sqrt_n=4, sqrt_K=2),
+    "explicit": lambda: ExplicitClass(8, np.array([[0, 1, 2], [2, 3, 5], [1, 4, 7], [5, 6, 7]])),
+}
+
+
+def _three_chunks(spec) -> int:
+    return 2 * _chunk_size(spec.n) + 1
+
+
+#: every estimator that takes ``workers``, as (spec, workers) -> result
+WORKER_RUNS = {
+    "averaging": lambda spec, w: estimate_risk(
+        "averaging", ProblemInstance(spec, 0.8), _three_chunks(spec), SeededRng(90), workers=w
+    ),
+    "maximum": lambda spec, w: estimate_risk(
+        "maximum", ProblemInstance(spec, 0.8), _three_chunks(spec), SeededRng(91),
+        emax0=emax_upper_cap(spec), workers=w,
+    ),
+    "optimal": lambda spec, w: estimate_risk(
+        "optimal", ProblemInstance(spec, 0.8), _three_chunks(spec), SeededRng(92), workers=w
+    ),
+    "bayes": lambda spec, w: estimate_bayes_risk(
+        ProblemInstance(spec, 0.8), _three_chunks(spec), SeededRng(93), workers=w
+    ),
+    "bhattacharyya": lambda spec, w: estimate_bhattacharyya(
+        ProblemInstance(spec, 0.8), _three_chunks(spec), SeededRng(94), workers=w
+    ),
+    "emax0": lambda spec, w: estimate_emax0(spec, _three_chunks(spec), SeededRng(95), workers=w),
+    "scan": lambda spec, w: scan_critical_mu(
+        spec, "maximum", [0.5, 1.5], _three_chunks(spec), SeededRng(96), workers=w
+    ),
+    "monotonicity": lambda spec, w: monotonicity_check(
+        spec, 0.5, [0.9], _three_chunks(spec), SeededRng(97), workers=w
+    ),
+    "type1-cover": lambda spec, w: evaluate_bound(
+        "type1-cover", dict(delta=0.1), spec=spec, rng=SeededRng(98),
+        trials=_three_chunks(spec), workers=w,
+    ),
+}
+
+
+def _pid_values(X):
+    return np.full(X.shape[0], os.getpid())
+
+
+def _refuse_blocks(X):
+    # passes the one-row warm-up, refuses every chunk
+    if X.shape[0] > 1:
+        raise CapExceededError(10, 5)
+    return X.sum(axis=1)
+
+
+class TestWorkerProcesses:
+    @pytest.mark.parametrize(
+        "family, run",
+        [
+            (family, run)
+            for family in sorted(WORKER_CLASSES)
+            for run in sorted(WORKER_RUNS)
+            # monotonicity_check refuses the asymmetric classes
+            if run != "monotonicity" or WORKER_CLASSES[family]().is_symmetric
+        ],
+    )
+    def test_results_do_not_depend_on_workers(self, family, run):
+        spec = WORKER_CLASSES[family]()
+        one, two, three = (WORKER_RUNS[run](spec, w) for w in (1, 2, 3))
+        assert one == two == three
+
+    def test_nonmonotonicity_demo_does_not_depend_on_workers(self):
+        trials = 2 * _chunk_size((2 + 1) ** 2) + 1  # n = (K + 1)^2 at K = 2
+        one, two, three = (
+            nonmonotonicity_demo(2, 0.5, trials, SeededRng(99), workers=w) for w in (1, 2, 3)
+        )
+        assert one == two == three
+
+    def test_second_fan_out_reuses_the_worker_processes(self):
+        instance = ProblemInstance(make_class("disjoint", N=2, K=1), 0.9)
+        trials = 3 * _chunk_size(instance.n)
+        first = _per_trial_values(_pid_values, instance, _NULL_ARM, trials, SeededRng(85), 2, np.int64)
+        pool = {p.pid for p in multiprocessing.active_children()}
+        second = _per_trial_values(_pid_values, instance, _NULL_ARM, trials, SeededRng(86), 2, np.int64)
+        assert os.getpid() not in set(first) | set(second)
+        assert set(first) | set(second) <= pool
+        assert {p.pid for p in multiprocessing.active_children()} == pool
+
+    def test_worker_error_reaches_the_caller(self):
+        instance = ProblemInstance(make_class("disjoint", N=2, K=1), 0.9)
+        with pytest.raises(CapExceededError) as exc:
+            _per_trial_values(_refuse_blocks, instance, _NULL_ARM, 3 * _chunk_size(instance.n),
+                              SeededRng(87), 2)
+        assert (exc.value.cardinality, exc.value.cap) == (10, 5)
+
+    def test_a_new_size_replaces_the_pool(self):
+        one = _worker_pool(1)
+        assert _worker_pool(1) is one
+        two = _worker_pool(2)
+        assert two is not one and _worker_pool(2) is two
+
+    def test_pool_size_stops_at_the_cpu_count(self):
+        # the sizing rule alone: no pool of this size is ever started
+        assert _pool_size(10**6) == os.cpu_count()
+        assert _pool_size(2) == min(2, os.cpu_count())
 
 
 class TestScan:
