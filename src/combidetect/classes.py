@@ -158,8 +158,6 @@ class SetClass:
 
     def __reduce_ex__(self, protocol):
         # a family pickles as its params, never its caches
-        if not self.params:
-            return super().__reduce_ex__(protocol)
         return type(self)._shared, tuple(getattr(self, p) for p in self.params)
 
     # -- enumeration ---------------------------------------------------
@@ -226,8 +224,7 @@ class SetClass:
             for blk in self.member_sums_iter(x, cap):
                 t = mu * blk
                 top = np.maximum(hi, _column_max(t.T))
-                # numpy sums axis 0 of a (chunk, B + 1) block in member order;
-                # the zero last column keeps B = 1 off its pairwise 1-D sum
+                # axis 0 sums in member order; a zero column keeps B = 1 off pairwise sums
                 terms = np.zeros((t.shape[1], len(x) + 1))
                 np.exp(t.T - top, out=terms[:, :-1])
                 acc = acc * np.exp(hi - top) + terms.sum(axis=0)[:-1]
@@ -849,6 +846,8 @@ class ExplicitClass(SetClass):
 
     def sample_rows(self, gen):
         return self._member_cache[int(gen.integers(self.cardinality()))]
+
+    __reduce_ex__ = object.__reduce_ex__  # pickles its rows
 
 
 FAMILIES: dict[str, type[SetClass]] = {

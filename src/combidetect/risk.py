@@ -100,14 +100,23 @@ def _chunk_values(value_fn: Callable, instance: ProblemInstance, arm, lo, hi, rn
     return value_fn(_draw_block(instance, arm, lo, hi, rng))
 
 
-#: the worker processes: one pool, keyed by its size and kept from the first
-#: fan-out on.  Dropped at exit, before the modules its finalizer reads go.
+#: the worker pool by its size, dropped at exit while its finalizer's modules remain
 _pools: dict = {}
 atexit.register(_pools.clear)
 
 
 def _pool_size(workers: int) -> int:
     return min(int(workers), os.cpu_count() or 1)
+
+
+def _exit_with_parent():
+    # each worker ends once the pool's parent process is gone, even when a
+    # signal ended the parent before it could stop the pool
+    import threading
+    from multiprocessing import connection, parent_process
+
+    parent = parent_process().sentinel
+    threading.Thread(target=lambda: (connection.wait([parent]), os._exit(1)), daemon=True).start()
 
 
 def _worker_pool(size: int):
@@ -117,7 +126,9 @@ def _worker_pool(size: int):
         while _pools:
             _pools.popitem()[1].shutdown()
         method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-        _pools[size] = ProcessPoolExecutor(size, mp_context=multiprocessing.get_context(method))
+        _pools[size] = ProcessPoolExecutor(
+            size, multiprocessing.get_context(method), initializer=_exit_with_parent
+        )
     return _pools[size]
 
 
@@ -172,14 +183,11 @@ def estimate_risk(
     """Monte Carlo risk of one rule: ``trials`` null draws for the type-I
     rate, ``trials`` mixture draws (uniform member, then the shifted vector)
     for the type-II rate."""
-    return _risk(partial(_rejections, test, instance, emax0, cap), instance, trials, rng, workers)
+    decide = partial(batch_rejections, test, instance, emax0=emax0, cap=cap)
+    return _risk(decide, instance, trials, rng, workers)
 
 
 # per-trial value functions, bound with partial so a worker process can unpickle them
-def _rejections(test: str, instance: ProblemInstance, emax0, cap, X: np.ndarray) -> np.ndarray:
-    return batch_rejections(test, instance, X, emax0=emax0, cap=cap)
-
-
 def _lr_values(rho: bool, instance: ProblemInstance, cap: int | None, X: np.ndarray) -> np.ndarray:
     # sqrt(L) / 2 for the Bhattacharyya coefficient rho, else 1 - |L - 1| / 2
     shift = instance.K * instance.mu**2 / 2.0
@@ -275,11 +283,18 @@ def scan_critical_mu(
         raise ValueError("mu_grid must be strictly increasing")
     if test == "maximum" and emax0 is None:
         emax0 = emax_upper_cap(spec)
-    estimates = [
-        estimate_risk(test, ProblemInstance(spec, mu), trials, rng.child(i), emax0=emax0, cap=cap,
-                      workers=workers)
-        for i, mu in enumerate(grid)
-    ]
+    estimates = []
+    for i, mu in enumerate(grid):
+        est = estimate_risk(
+            test,
+            ProblemInstance(spec, mu),
+            trials,
+            rng.child(i),
+            emax0=emax0,
+            cap=cap,
+            workers=workers,
+        )
+        estimates.append(est)
     crit = _interpolate_half(grid, [e.total for e in estimates])
     return RiskCurve(tuple(grid), tuple(estimates), crit)
 
