@@ -1,6 +1,6 @@
 """Closed-form risk bounds and metric-entropy surrogates.
 
-Thresholds are exact formula evaluations; cover/packing sizes are greedy
+Thresholds are exact formula evaluations; cover sizes are greedy
 surrogates in canonical member order (upper bounds on the true covering
 number, valid inside every bound that consumes them).  Nothing here draws
 data except the type-I cover threshold, which Monte Carlos the null maximum
@@ -156,12 +156,12 @@ def random_subclass_bound(K: int, M: int, t: float) -> BoundReport:
     )
 
 
-# -- covers, packings, chaining -------------------------------------------
+# -- covers and chaining ----------------------------------------------
 
 
-def _greedy(M: np.ndarray, t: float, within) -> list[int]:
+def _greedy(M: np.ndarray, t: float) -> list[int]:
     # rows of M kept by one pass in canonical order: a member is kept unless
-    # within(distance to an already kept member, t) holds
+    # it lies within t of an already kept member
     N, K = M.shape
     reached = np.zeros(N, dtype=bool)
     kept: list[int] = []
@@ -172,7 +172,7 @@ def _greedy(M: np.ndarray, t: float, within) -> list[int]:
         ov = np.isin(M, M[i]).sum(axis=1)
         # d = sqrt(2(K - ov)) with an exact integer inside, so the correctly
         # rounded sqrt compares cleanly against a radius given as sqrt(int)
-        reached |= within(np.sqrt(2.0 * (K - ov)), t)
+        reached |= np.sqrt(2.0 * (K - ov)) <= t
     return kept
 
 
@@ -183,15 +183,7 @@ def greedy_cover(spec: SetClass, radius: float, cap: int | None = None) -> list[
     number."""
     if not radius >= 0:
         raise ValueError("radius must be nonnegative")
-    return _greedy(spec.member_matrix(cap), radius, np.less_equal)
-
-
-def packing_estimate(spec: SetClass, t: float, cap: int | None = None) -> int:
-    """Size of the greedy maximal t-separated subset in canonical order."""
-    if not t >= 0:
-        raise ValueError("t must be nonnegative")
-    # members at distance >= t from every kept one stay eligible
-    return len(_greedy(spec.member_matrix(cap), t, np.less))
+    return _greedy(spec.member_matrix(cap), radius)
 
 
 def dudley_bound(
@@ -228,12 +220,19 @@ def dudley_bound(
 
 def vc_cover_bound(n: int, V: int, t: float) -> float:
     """Uniform cover-size bound e (V+1) (2 e n / t^2)^V for a class of
-    VC dimension V in the canonical metric."""
+    VC dimension V in the canonical metric; OverflowError past the float
+    range, t**2 underflowing to 0 included."""
     if V < 1:
         raise ValueError("V must be >= 1")
     if not t > 0:
         raise ValueError("t must be positive")
-    return math.e * (V + 1) * (2.0 * math.e * n / t**2) ** V
+    try:
+        value = math.e * (V + 1) * (2.0 * math.e * n / t**2) ** V
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise OverflowError(f"the vc-cover bound at n = {n}, V = {V}, t = {t} is past the float range")
+    return value
 
 
 def _universal(K):

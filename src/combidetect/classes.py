@@ -8,8 +8,8 @@ lexicographically by endpoint pair, 1-based) or on the complete bipartite
 graph K_{m,m} (edge (i, j) numbered (i-1)m + j).
 
 A member is a sorted 0-based index array, the form of one ``member_matrix``
-row, so coordinate i above is index i - 1 there: ``sample_rows`` draws it and
-``ExplicitClass`` is built from such rows.
+row, so coordinate i above is index i - 1 there: ``sample_rows`` draws a block
+of them and ``ExplicitClass`` is built from such rows.
 
 The batch hooks enumerate members by default, gathering member sums
 member-major.  Families with an exact structured kernel override them: an
@@ -27,7 +27,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -106,6 +106,16 @@ def _row_blocks(rows: int, width: int, budget: int) -> Iterator[slice]:
         yield slice(lo, min(lo + step, rows))
 
 
+def _draws(gens: Sequence[np.random.Generator], high: int) -> np.ndarray:
+    """One ``integers(high)`` draw per generator, in list order."""
+    return np.fromiter((gen.integers(high) for gen in gens), dtype=np.intp, count=len(gens))
+
+
+def _stack(rows: list, width: int) -> np.ndarray:
+    """(len(rows), width) index array of equal-length rows, none included."""
+    return np.array(rows, dtype=np.intp).reshape(len(rows), width)
+
+
 def complete_graph_edges(m: int) -> np.ndarray:
     """(n, 2) array of 0-based endpoint pairs of K_m in lexicographic order."""
     a, b = np.triu_indices(m, 1)
@@ -136,10 +146,12 @@ class SetClass:
     def cardinality(self) -> int:
         raise NotImplementedError
 
-    def sample_rows(self, gen: np.random.Generator) -> np.ndarray:
-        """Draw one member, exactly uniformly, as a sorted 0-based index array.
+    def sample_rows(self, gens: Sequence[np.random.Generator]) -> np.ndarray:
+        """Draw one member per generator, exactly uniformly: a (len(gens), K)
+        array whose row i is a sorted 0-based member drawn from gens[i].
 
-        The array may be a read-only view of the class's own tables.
+        The generators are drawn from in list order, so
+        ``sample_rows([gen] * k)`` draws what k one-row calls on gen draw.
         """
         raise NotImplementedError
 
@@ -254,9 +266,8 @@ class DisjointSets(SetClass):
     def cardinality(self) -> int:
         return self.N
 
-    def sample_rows(self, gen):
-        j = int(gen.integers(self.N))
-        return np.arange(j * self.K, (j + 1) * self.K)
+    def sample_rows(self, gens):
+        return _draws(gens, self.N)[:, None] * self.K + np.arange(self.K)
 
     def _build_member_matrix(self) -> np.ndarray:
         return np.arange(self.n, dtype=np.int32).reshape(self.N, self.K)
@@ -286,8 +297,9 @@ class KSets(SetClass):
     def cardinality(self) -> int:
         return math.comb(self.n, self.K)
 
-    def sample_rows(self, gen):
-        return np.sort(gen.choice(self.n, size=self.K, replace=False))
+    def sample_rows(self, gens):
+        rows = [gen.choice(self.n, size=self.K, replace=False) for gen in gens]
+        return np.sort(_stack(rows, self.K), axis=1)
 
     def _build_member_matrix(self) -> np.ndarray:
         combos = np.fromiter(
@@ -341,15 +353,13 @@ class Stars(SetClass):
         self.n = math.comb(self.m, 2)
         self.K = self.m - 1
         # row c: the ids of the edges at vertex c, increasing with the far end
-        inc = _pair_ids(self.m)[~np.eye(self.m, dtype=bool)].reshape(self.m, self.K)
-        inc.setflags(write=False)  # sample_rows hands out its rows
-        self.incident = inc
+        self.incident = _pair_ids(self.m)[~np.eye(self.m, dtype=bool)].reshape(self.m, self.K)
 
     def cardinality(self) -> int:
         return self.m
 
-    def sample_rows(self, gen):
-        return self.incident[int(gen.integers(self.m))]
+    def sample_rows(self, gens):
+        return self.incident[_draws(gens, self.m)]
 
     def _build_member_matrix(self) -> np.ndarray:
         return self.incident
@@ -377,8 +387,9 @@ class PerfectMatchings(SetClass):
     def cardinality(self) -> int:
         return math.factorial(self.m)
 
-    def sample_rows(self, gen):
-        return np.arange(self.m) * self.m + gen.permutation(self.m)
+    def sample_rows(self, gens):
+        perms = _stack([gen.permutation(self.m) for gen in gens], self.m)
+        return np.arange(self.m) * self.m + perms
 
     def _build_member_matrix(self) -> np.ndarray:
         perms = np.fromiter(
@@ -485,57 +496,20 @@ class SpanningTrees(SetClass):
         self.n = math.comb(self.m, 2)
         self.K = self.m - 1
         self._pair_id0 = _pair_ids(self.m)
-        self._pair_rows = self._pair_id0.tolist()  # the walk's per-step lookups
-        # walk steps drawn per generator call: about the cover time m H_{m-1}
-        self._walk_batch = max(1, round(self.m * sum(1.0 / j for j in range(1, self.m))))
 
     def cardinality(self) -> int:
         return self.m ** (self.m - 2)
 
-    def sample_rows(self, gen):
-        # first-entrance edges of a simple random walk from a uniform start.
-        # The steps come in batches of gen.integers(m - 1, size=batch), which
-        # draws what as many scalar calls would; the batch that finishes the
-        # walk is redrawn from its saved state up to the last step used, so
-        # the generator ends where a one-call-per-step walk leaves it.
-        m = self.m
-        if m == 2:
-            return np.zeros(1, dtype=np.int64)
-        pid = self._pair_rows
-        bitgen = gen.bit_generator
-        visited = [False] * m
-        cur = int(gen.integers(m))
-        visited[cur] = True
-        left = m - 1
-        ids = []
-        while True:
-            saved = bitgen.state
-            steps = gen.integers(m - 1, size=self._walk_batch).tolist()
-            for used, r in enumerate(steps, 1):
-                nxt = r + (r >= cur)
-                if not visited[nxt]:
-                    visited[nxt] = True
-                    ids.append(pid[cur][nxt])
-                    left -= 1
-                    if not left:
-                        if used < len(steps):
-                            bitgen.state = saved
-                            gen.integers(m - 1, size=used)
-                        ids.sort()
-                        return np.array(ids, dtype=np.int64)
-                cur = nxt
-
-    def _build_member_matrix(self) -> np.ndarray:
-        # decode every Pruefer sequence at once: each step joins the smallest
-        # leaf to the next entry, and the last two leaves close the tree
-        m, count = self.m, self.cardinality()
-        seqs = np.indices((m,) * (m - 2), dtype=np.int8).reshape(m - 2, count)  # one column each
-        rows = np.arange(count)
-        degree = np.ones((count, m), dtype=np.int8)
-        for entry in seqs:
+    def _decode_pruefer(self, seqs: np.ndarray) -> np.ndarray:
+        """Sorted edge ids of the trees of a (B, m - 2) block of Pruefer
+        sequences.  Each step joins the smallest leaf to the next entry, and
+        the last two leaves close the tree."""
+        m, rows = self.m, np.arange(seqs.shape[0])
+        degree = np.ones((rows.size, m), dtype=np.min_scalar_type(m))  # at most m - 1
+        for entry in seqs.T:
             degree[rows, entry] += 1
-        ids = np.empty((count, m - 1), dtype=np.int32)
-        for j, entry in enumerate(seqs):
+        ids = np.empty((rows.size, m - 1), dtype=np.int32)
+        for j, entry in enumerate(seqs.T):
             leaf = np.argmax(degree == 1, axis=1)
             ids[:, j] = self._pair_id0[leaf, entry]
             degree[rows, leaf] = 0
@@ -543,6 +517,17 @@ class SpanningTrees(SetClass):
         last = degree == 1
         ids[:, -1] = self._pair_id0[np.argmax(last, axis=1), m - 1 - np.argmax(last[:, ::-1], axis=1)]
         ids.sort(axis=1)
+        return ids
+
+    def sample_rows(self, gens):
+        # Cayley: a uniform sequence in [m]^(m-2) is the code of a uniform tree
+        seqs = [gen.integers(self.m, size=self.m - 2) for gen in gens]
+        return self._decode_pruefer(_stack(seqs, self.m - 2))
+
+    def _build_member_matrix(self) -> np.ndarray:
+        m, count = self.m, self.cardinality()
+        seqs = np.indices((m,) * (m - 2), dtype=np.int8).reshape(m - 2, count).T  # one row each
+        ids = self._decode_pruefer(seqs)
         return ids[np.lexsort(ids.T[::-1])]
 
     def max_values_batch(self, X, cap=None):
@@ -626,19 +611,20 @@ class Cliques(SetClass):
     def cardinality(self) -> int:
         return math.comb(self.m, self.k)
 
-    def _vertices_to_member(self, vs: np.ndarray) -> np.ndarray:
-        return self._pair_id0[vs[self._ia], vs[self._ib]]
+    def _members(self, vs: np.ndarray) -> np.ndarray:
+        # rows of sorted vertices give lexicographic pairs, hence sorted edge ids
+        return self._pair_id0[vs[:, self._ia], vs[:, self._ib]]
 
-    def sample_rows(self, gen):
-        # sorted vertices give lexicographic pairs, hence sorted edge ids
-        return self._vertices_to_member(np.sort(gen.choice(self.m, size=self.k, replace=False)))
+    def sample_rows(self, gens):
+        vs = [gen.choice(self.m, size=self.k, replace=False) for gen in gens]
+        return self._members(np.sort(_stack(vs, self.k), axis=1))
 
     def _build_member_matrix(self) -> np.ndarray:
         vc = np.fromiter(
             itertools.chain.from_iterable(itertools.combinations(range(self.m), self.k)),
             dtype=np.int32,
         ).reshape(-1, self.k)
-        return self._pair_id0[vc[:, self._ia], vc[:, self._ib]]
+        return self._members(vc)
 
     def _contraction_fits(self, cap: int | None) -> bool:
         """Whether both tests run on the pair contraction rather than
@@ -767,23 +753,19 @@ class GridSquares(SetClass):
     def cardinality(self) -> int:
         return self.side**2
 
-    def _member_ids0(self, r0: int, c0: int) -> np.ndarray:
-        rows = np.arange(r0, r0 + self.sqrt_K)
-        cols = np.arange(c0, c0 + self.sqrt_K)
-        return (rows[:, None] * self.sqrt_n + cols[None, :]).ravel()
+    def _members(self, corners: np.ndarray) -> np.ndarray:
+        # one row-major window per (top row, left column) row of ``corners``
+        span = np.arange(self.sqrt_K)
+        rows = (corners[:, :1] + span) * self.sqrt_n
+        return (rows[:, :, None] + (corners[:, 1:] + span)[:, None, :]).reshape(-1, self.K)
 
-    def sample_rows(self, gen):
-        r0 = int(gen.integers(self.side))
-        c0 = int(gen.integers(self.side))
-        return self._member_ids0(r0, c0)
+    def sample_rows(self, gens):
+        # the top row, then the left column, from each generator
+        corners = _draws([gen for gen in gens for _ in range(2)], self.side)
+        return self._members(corners.reshape(-1, 2))
 
     def _build_member_matrix(self) -> np.ndarray:
-        rows = [
-            self._member_ids0(r0, c0)
-            for r0 in range(self.side)
-            for c0 in range(self.side)
-        ]
-        return np.array(rows, dtype=np.int32)
+        return self._members(np.indices((self.side, self.side)).reshape(2, -1).T)
 
     def member_sums_iter(self, X, cap=None):
         # summed-area table; output order is row-major over positions,
@@ -833,10 +815,7 @@ class ExplicitClass(SetClass):
             raise ValueError("members must be distinct")
         self.n = int(n)
         self.K = M.shape[1]
-        # the cache member_matrix returns, read-only since sample_rows hands
-        # out its rows
-        self._member_cache = M.astype(np.int32)
-        self._member_cache.setflags(write=False)
+        self._member_cache = M.astype(np.int32)  # what member_matrix returns
 
     def cardinality(self) -> int:
         return self._member_cache.shape[0]
@@ -844,8 +823,8 @@ class ExplicitClass(SetClass):
     def to_params(self) -> dict:
         return {"family": self.family, "n": self.n, "K": self.K, "N": self.cardinality()}
 
-    def sample_rows(self, gen):
-        return self._member_cache[int(gen.integers(self.cardinality()))]
+    def sample_rows(self, gens):
+        return self._member_cache[_draws(gens, self.cardinality())]
 
     __reduce_ex__ = object.__reduce_ex__  # pickles its rows
 
@@ -885,7 +864,16 @@ def exact_overlap_mgf(spec: SetClass, mu: float) -> float | None:
     if pmf is None:
         return None
     zs, probs = pmf
-    return float(np.sum(probs * np.exp(mu * mu * zs.astype(np.float64))))
+    with np.errstate(over="ignore"):
+        mgf = float(np.sum(probs * np.exp(mu * mu * zs.astype(np.float64))))
+    _check_mgf(mu, mgf)
+    return mgf
+
+
+def _check_mgf(mu: float, *values: float) -> None:
+    # refuse rather than print inf or nan
+    if not all(math.isfinite(v) for v in values):
+        raise OverflowError(f"the overlap MGF at mu = {mu} is past the float range")
 
 
 def estimate_overlap_mgf(
@@ -897,7 +885,9 @@ def estimate_overlap_mgf(
     """(estimate, std_error) of E exp(mu^2 |S ∩ S'|) over independent pairs.
 
     DisjointSets, Stars and PerfectMatchings use their exact overlap law
-    (std_error 0); every other family is Monte Carlo.
+    (std_error 0); every other family is Monte Carlo, its pairs drawn in
+    blocks of at most _BLOCK_ROWS.  An MGF past the float range is refused
+    with OverflowError.
     """
     mu = checked_mu(mu)
     if pairs < 2:
@@ -905,10 +895,14 @@ def estimate_overlap_mgf(
     if isinstance(spec, (DisjointSets, Stars, PerfectMatchings)):
         return exact_overlap_mgf(spec, mu), 0.0
     gen = rng.generator()
-    draw = spec.sample_rows
-    zs = np.array(
-        [len(set(draw(gen).tolist()) & set(draw(gen).tolist())) for _ in range(pairs)],
-        dtype=np.float64,
-    )
-    vals = np.exp(mu * mu * zs)
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(pairs))
+    zs = np.empty(pairs)
+    for lo in range(0, pairs, _BLOCK_ROWS):
+        rows = spec.sample_rows([gen] * (2 * min(_BLOCK_ROWS, pairs - lo)))
+        # a pair's rows are distinct within, so shared indices are equal neighbours
+        both = np.sort(np.concatenate([rows[0::2], rows[1::2]], axis=1), axis=1)
+        zs[lo : lo + len(both)] = np.count_nonzero(both[:, 1:] == both[:, :-1], axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.exp(mu * mu * zs)
+        mgf, se = float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(pairs))
+    _check_mgf(mu, mgf, se)
+    return mgf, se

@@ -81,18 +81,17 @@ def _chunk_size(n: int) -> int:
 def _draw_block(
     instance: ProblemInstance, arm: int, lo: int, hi: int, rng: SeededRng
 ) -> np.ndarray:
-    X = np.empty((hi - lo, instance.n))
     # one generator per trial, seeded in C from the block's precomputed
     # SeedSequence words, so row t replays rng.child(arm, t).generator()
-    # whichever process draws it
-    for x, seed in zip(X, rng.child(arm).child_seeds(lo, hi)):
-        gen = np.random.Generator(np.random.PCG64(seed))
-        if arm == _MIXTURE_ARM:
-            rows = instance.set_class.sample_rows(gen)
-            gen.standard_normal(out=x)
-            x[rows] += instance.mu
-        else:
-            gen.standard_normal(out=x)
+    # whichever process draws it; a trial's member comes before its noise
+    seeds = rng.child(arm).child_seeds(lo, hi)
+    gens = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
+    members = instance.set_class.sample_rows(gens) if arm == _MIXTURE_ARM else None
+    X = np.empty((hi - lo, instance.n))
+    for x, gen in zip(X, gens):
+        gen.standard_normal(out=x)
+    if members is not None:
+        X[np.arange(hi - lo)[:, None], members] += instance.mu
     return X
 
 

@@ -46,27 +46,21 @@ def edge_ids(m):
     return {(int(a), int(b)): i for i, (a, b) in enumerate(complete_graph_edges(m))}
 
 
-def per_step_tree_walk(spec, gen):
-    """The first-entrance walk with one generator call per step: the oracle
-    of the batched walk in ``SpanningTrees.sample_rows``."""
-    m = spec.m
-    if m == 2:
-        return np.zeros(1, dtype=np.int64)
+def textbook_pruefer_tree(m, seq):
+    """Sorted edge ids of the tree whose Pruefer code is ``seq``: join the
+    smallest leaf to each entry in turn, then the last two vertices."""
     eid = edge_ids(m)
-    visited = np.zeros(m, dtype=bool)
-    cur = int(gen.integers(m))
-    visited[cur] = True
-    count = 1
+    degree = [1] * m
+    for v in seq:
+        degree[v] += 1
     ids = []
-    while count < m:
-        r = int(gen.integers(m - 1))
-        nxt = r + (r >= cur)
-        if not visited[nxt]:
-            visited[nxt] = True
-            count += 1
-            ids.append(eid[min(cur, nxt), max(cur, nxt)])
-        cur = nxt
-    return np.array(sorted(ids))
+    for v in seq:
+        leaf = min(u for u in range(m) if degree[u] == 1)
+        ids.append(eid[min(leaf, v), max(leaf, v)])
+        degree[leaf] -= 1
+        degree[v] -= 1
+    a, b = (u for u in range(m) if degree[u] == 1)
+    return sorted(ids + [eid[a, b]])
 
 
 def find_root(parent, a):
@@ -164,13 +158,18 @@ class TestGeometry:
         assert rows == sorted(rows)
 
 
+def draw_one(spec, gen):
+    return spec.sample_rows([gen])[0]
+
+
 class TestSampling:
     def test_samples_are_members(self, family):
         spec = small(family)
         gen = SeededRng(77).child(sorted(SMALL).index(family)).generator()
         members = {tuple(r) for r in spec.member_matrix().tolist()}
-        for _ in range(200):
-            assert tuple(spec.sample_rows(gen).tolist()) in members
+        rows = spec.sample_rows([gen] * 200)
+        assert rows.shape == (200, spec.K)
+        assert {tuple(r) for r in rows.tolist()} <= members
 
     def test_sampler_is_uniform(self, family):
         spec = small(family)
@@ -179,53 +178,75 @@ class TestSampling:
         draws = max(2000, 300 * N)
         gen = SeededRng(101).child(sorted(SMALL).index(family)).generator()
         counts = np.zeros(N)
-        for _ in range(draws):
-            counts[rank[tuple(spec.sample_rows(gen).tolist())]] += 1
+        for row in spec.sample_rows([gen] * draws).tolist():
+            counts[rank[tuple(row)]] += 1
         p = stats.chisquare(counts).pvalue
         assert p > 1e-3, f"{family}: chi-square p = {p}"
 
     def test_sampling_with_seeded_rng_is_deterministic(self):
         spec = small("trees")
-        a = spec.sample_rows(SeededRng(9).child(4).generator())
-        b = spec.sample_rows(SeededRng(9).child(4).generator())
+        a = draw_one(spec, SeededRng(9).child(4).generator())
+        b = draw_one(spec, SeededRng(9).child(4).generator())
         np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("name", [*sorted(SMALL), "explicit", *BIG_TREES])
     def test_sample_rows_replays_sample(self, name):
+        # row i of a block is what a one-row call on gens[i] draws, and every
+        # generator ends where that call leaves it
         spec = EXPLICIT if name == "explicit" else BIG_TREES.get(name) or small(name)
         members = None if name in BIG_TREES else {tuple(r) for r in spec.member_matrix().tolist()}
         edges = complete_graph_edges(spec.m).tolist() if name in BIG_TREES else None
-        g1 = SeededRng(78).child(len(name)).generator()
-        g2 = SeededRng(78).child(len(name)).generator()
-        g3 = SeededRng(78).child(len(name)).generator()
-        for _ in range(200):
-            row = spec.sample_rows(g1)
-            np.testing.assert_array_equal(row, spec.sample_rows(g2))
-            assert g1.bit_generator.state == g2.bit_generator.state
-            if isinstance(spec, SpanningTrees):
-                # same rows and same end state as one generator call per step
-                np.testing.assert_array_equal(row, per_step_tree_walk(spec, g3))
-                assert g1.bit_generator.state == g3.bit_generator.state
+        gens = [SeededRng(78).child(len(name), i).generator() for i in range(60)]
+        twins = [SeededRng(78).child(len(name), i).generator() for i in range(60)]
+        block = spec.sample_rows(gens)
+        assert block.shape == (60, spec.K)
+        for row, gen, twin in zip(block, gens, twins):
+            np.testing.assert_array_equal(row, draw_one(spec, twin))
+            assert gen.bit_generator.state == twin.bit_generator.state
             assert np.all(np.diff(row) > 0)
             if members is None:
-                assert len(row) == spec.m - 1 and is_acyclic(spec.m, edges, row)
+                assert is_acyclic(spec.m, edges, row)
             else:
                 assert tuple(row.tolist()) in members
 
-    @pytest.mark.parametrize("warmup", [0, 1], ids=["aligned", "half-word-buffered"])
-    @pytest.mark.parametrize("j", [1, 7, SpanningTrees(12)._walk_batch, SpanningTrees(20)._walk_batch])
-    def test_one_integers_call_draws_what_scalar_calls_draw(self, j, warmup):
-        # the batched tree walk relies on this numpy behaviour: one
-        # integers(k, size=j) call gives the values and the PCG64 end state
-        # (buffered half word included) of j scalar calls
-        for k in (11, 19):
-            g1 = SeededRng(41).child(k, j).generator()
-            g2 = SeededRng(41).child(k, j).generator()
-            for _ in range(warmup):
-                assert g1.integers(k) == g2.integers(k)
-            batch = g1.integers(k, size=j)
-            assert batch.tolist() == [int(g2.integers(k)) for _ in range(j)]
-            assert g1.bit_generator.state == g2.bit_generator.state
+    def test_one_generator_repeated_draws_in_list_order(self, family):
+        spec = small(family)
+        g1 = SeededRng(79).child(len(family)).generator()
+        g2 = SeededRng(79).child(len(family)).generator()
+        block = spec.sample_rows([g1] * 25)
+        np.testing.assert_array_equal(block, [draw_one(spec, g2) for _ in range(25)])
+        assert g1.bit_generator.state == g2.bit_generator.state
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 7, 12, 40])
+    def test_tree_rows_decode_the_pruefer_draws(self, m):
+        # each tree is the textbook decode of its generator's integers(m, size=m - 2)
+        spec = SpanningTrees(m)
+        gens = [SeededRng(80).child(m, i).generator() for i in range(40)]
+        twins = [SeededRng(80).child(m, i).generator() for i in range(40)]
+        for row, twin in zip(spec.sample_rows(gens), twins):
+            assert row.tolist() == textbook_pruefer_tree(m, twin.integers(m, size=m - 2).tolist())
+
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_decoder_gives_every_tree_once(self, m):
+        spec = SpanningTrees(m)
+        seqs = np.array(list(itertools.product(range(m), repeat=m - 2)), dtype=np.intp)
+        trees = spec._decode_pruefer(seqs)
+        trees = trees[np.lexsort(trees.T[::-1])]
+        np.testing.assert_array_equal(trees, filtered_tree_members(m))
+
+    def test_two_vertex_tree_draws_nothing(self):
+        gen = SeededRng(81).generator()
+        state = gen.bit_generator.state
+        np.testing.assert_array_equal(SpanningTrees(2).sample_rows([gen, gen]), [[0], [0]])
+        assert gen.bit_generator.state == state
+
+    def test_large_tree_is_acyclic(self):
+        # degrees reach m - 1 = 129, past an int8
+        m = 130
+        edges = complete_graph_edges(m).tolist()
+        gens = [SeededRng(82).child(i).generator() for i in range(3)]
+        for row in SpanningTrees(m).sample_rows(gens):
+            assert len(row) == m - 1 and is_acyclic(m, edges, row)
 
     def test_one_sampler_path(self):
         # every family draws its members through its own sample_rows

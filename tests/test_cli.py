@@ -3,6 +3,7 @@ import ast
 import importlib
 import json
 import math
+import re
 import shutil
 import subprocess
 import sys
@@ -189,6 +190,31 @@ class TestErrorExits:
         assert code == 2 and out == ""
         error = json.loads(err)["error"]
         assert error["type"] == "ValueError" and error["message"] == "mu must be finite and nonnegative"
+
+    @pytest.mark.parametrize("argv", [
+        "bounds --prop vc-cover --n 1 --V 1 --t 1e-200",
+        "bounds --prop vc-cover --n 1 --V 1 --t 1e-160",
+        "bounds --prop vc-cover --n 100 --V 2 --t 1.5",
+        "overlap --class stars --m 5 --mu 40",
+        "overlap --class ksets --n 30 --K 5 --mu 30 --pairs 50",
+        "overlap --class trees --m 5 --mu 30 --pairs 50 --workers 1",
+        "overlap --class trees --m 5 --mu 40 --pairs 50",
+        "overlap --class grid --sqrt-n 4 --sqrt-K 2 --mu 30 --pairs 50",
+        "overlap --class grid --sqrt-n 4 --sqrt-K 2 --mu 40 --pairs 50",
+        "overlap --class trees --m 5 --mu 0.8 --pairs 50",
+    ])
+    def test_boundary_values_exit_cleanly_with_finite_output(self, capsys, argv):
+        # main returns rather than raising, and no printed number is inf or nan
+        code, out, err = run(capsys, *argv.split(), "--seed", "1")
+        assert code in (0, 2, 3)
+        if code == 2:
+            assert out == "" and json.loads(err)["error"]["type"] == "OverflowError"
+        for token in re.findall(r'[^\s,:;=\[\]{}"]+', out):
+            try:
+                value = float(token)
+            except ValueError:
+                continue
+            assert math.isfinite(value), (argv, token)
 
     @pytest.mark.parametrize("prop,name,value", [
         (prop, name, value)
@@ -448,6 +474,7 @@ DELETED = {
     "sample_overlap_pair": "classes",
     "OverlapSample": "classes",
     "MTooLargeForClassError": "core",
+    "packing_estimate": "bounds",
     "canonical_distance": "core",
     "IndexSet": "core",
     "Observation": "core",

@@ -183,7 +183,7 @@ class TestReproducibility:
             for t in range(lo, hi):
                 gen = rng.child(arm, t).generator()
                 if arm == _MIXTURE_ARM:
-                    rows = instance.set_class.sample_rows(gen)
+                    rows = instance.set_class.sample_rows([gen])[0]
                     x = gen.standard_normal(instance.n)
                     x[rows] += instance.mu
                 else:
