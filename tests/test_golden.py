@@ -7,18 +7,19 @@ so any faster draw path must reproduce them exactly.  One case spans several
 trial chunks and is replayed with ``--workers 2``; one scan uses a master seed
 of 2**32 or more, which numpy's SeedSequence splits into two uint32 words.
 
-The ``risk`` maximum test on matchings, the ``scan`` likelihood-ratio test on
-spanning trees and ``emax`` on matchings were recorded from the enumeration and
-Hungarian-solver kernels, so the subset-DP and matrix-tree kernels that replace
-them must reproduce those bytes too.  The clique ``risk`` cases (the
+The ``risk`` maximum test on matchings and ``emax`` on matchings were
+recorded from the enumeration and Hungarian-solver kernels, so the subset-DP
+kernels that replace them must reproduce those bytes too.  The clique ``risk`` cases (the
 likelihood ratio over three trial chunks, also replayed with ``--workers 2``,
 and the maximum) and ``emax`` on cliques were recorded from full enumeration,
 before the dense-contraction likelihood ratio and the member-major gather.
-The spanning-tree ``scan`` maximum (two trial chunks, also replayed with
-``--workers 2``), ``overlap`` and ``emax`` on trees and the trees ``cover`` were
-recorded from the one-call-per-step random walk, Kruskal's algorithm and the
-member matrix filtered from all edge combinations, before the batched walk,
-Prim's algorithm and the Prüfer-built member matrix.
+``emax`` on trees and the trees ``cover`` were recorded from Kruskal's
+algorithm and the member matrix filtered from all edge combinations, before
+Prim's algorithm and the Prüfer-built member matrix.  The trees ``risk``, both
+trees ``scan`` cases (the two-chunk maximum is also replayed with
+``--workers 2``) and ``overlap`` on trees were re-recorded when the tree
+sampler changed from a random walk to a uniform Prüfer code: their mixture-arm
+columns moved and their null-arm columns kept their bytes.
 
 Every ``bounds`` proposition, ``overlap`` on an exact and on a Monte Carlo
 family, ``emax`` in JSON, ``cover`` and ``nonmono`` were recorded in both
@@ -65,7 +66,7 @@ GOLDEN = {
         '#version=0.1.0\n'
         '#config={"class":"trees","command":"risk","m":5,"mu":[1.0],"seed":12,"test":"optimal","trials":200}\n'
         'mu,type1,se1,type2,se2,total,se_total,trials\n'
-        '1,0.20499999999999999,0.028546015483776367,0.27000000000000002,0.031392674304684523,0.47499999999999998,0.042430826058421252,200\n',
+        '1,0.20499999999999999,0.028546015483776367,0.23499999999999999,0.029981244136960027,0.43999999999999995,0.041397463690424317,200\n',
     ),
     'risk-matchings-averaging-json': (
         'risk --class matchings --m 4 --test averaging --mu 0.8 --trials 300 --seed 5 --format json',
@@ -126,10 +127,10 @@ GOLDEN = {
         '#version=0.1.0\n'
         '#config={"class":"trees","command":"scan","emax0":4.078667960675236,"m":4,"mu_grid":"0.5:3.0:3","seed":19,"test":"maximum","trials":150}\n'
         'mu,type1,se1,type2,se2,total,se_total,trials\n'
-        '0.5,0.27333333333333332,0.03638884648004314,0.52000000000000002,0.040792156108742275,0.79333333333333333,0.054663956572390072,150\n'
-        '1.75,0.026666666666666668,0.013154354299509993,0.24666666666666667,0.035196801201456004,0.27333333333333332,0.037574617121826429,150\n'
-        '3,0,0,0.066666666666666666,0.020367003088692621,0.066666666666666666,0.020367003088692621,150\n'
-        '#critical_mu=1.2051282051282051\n',
+        '0.5,0.27333333333333332,0.03638884648004314,0.53333333333333333,0.040734006177385242,0.80666666666666664,0.0546205767765904,150\n'
+        '1.75,0.026666666666666668,0.013154354299509993,0.28666666666666668,0.036922340923338806,0.31333333333333335,0.039195615779016618,150\n'
+        '3,0,0,0.080000000000000002,0.022150996967781535,0.080000000000000002,0.022150996967781535,150\n'
+        '#critical_mu=1.277027027027027\n',
     ),
     'scan-matchings-optimal-json': (
         'scan --class matchings --m 4 --test optimal --mu-grid 0.5:2.0:3 --trials 200 --seed 23 --format json',
@@ -195,10 +196,10 @@ GOLDEN = {
         '#version=0.1.0\n'
         '#config={"class":"trees","command":"scan","m":6,"mu_grid":"0.4:2.0:3","seed":37,"test":"optimal","trials":200}\n'
         'mu,type1,se1,type2,se2,total,se_total,trials\n'
-        '0.40000000000000002,0.38500000000000001,0.034407484650872115,0.40999999999999998,0.034777866524558401,0.79499999999999993,0.048922132005872351,200\n'
-        '1.2000000000000002,0.16,0.025922962793631439,0.17499999999999999,0.026867731575255845,0.33499999999999996,0.037334635393960924,200\n'
-        '2,0.059999999999999998,0.016792855623746664,0.050000000000000003,0.015411035007422441,0.11,0.022792542640082961,200\n'
-        '#critical_mu=0.91304347826086951\n',
+        '0.40000000000000002,0.38500000000000001,0.034407484650872115,0.34499999999999997,0.033613613313656115,0.72999999999999998,0.048101455279440347,200\n'
+        '1.2000000000000002,0.16,0.025922962793631439,0.19,0.027739863013360393,0.34999999999999998,0.037967091013139255,200\n'
+        '2,0.059999999999999998,0.016792855623746664,0.040000000000000001,0.013856406460551017,0.10000000000000001,0.021771541057077241,200\n'
+        '#critical_mu=0.88421052631578956\n',
     ),
     'emax-matchings': (
         'emax --class matchings --m 5 --trials 500 --seed 41',
@@ -795,10 +796,10 @@ GOLDEN = {
         '#version=0.1.0\n'
         '#config={"class":"trees","command":"scan","emax0":23.381177535645207,"m":12,"mu_grid":"0.5:2.0:3","seed":23,"test":"maximum","trials":1100}\n'
         'mu,type1,se1,type2,se2,total,se_total,trials\n'
-        '0.5,0.71818181818181814,0.013564549190474279,0.1409090909090909,0.010490416362664477,0.85909090909090902,0.017147764583258514,1100\n'
-        '1.25,0.082727272727272733,0.008305719336937769,0.24909090909090909,0.013039960544390029,0.33181818181818179,0.015460450986411446,1100\n'
-        '2,0,0,0.19090909090909092,0.011849925581559779,0.19090909090909092,0.011849925581559779,1100\n'
-        '#critical_mu=1.0107758620689655\n',
+        '0.5,0.71818181818181814,0.013564549190474279,0.13272727272727272,0.010229669140728617,0.85090909090909084,0.016989500447911109,1100\n'
+        '1.25,0.082727272727272733,0.008305719336937769,0.26272727272727275,0.01326998160211652,0.34545454545454546,0.015654947634038668,1100\n'
+        '2,0,0,0.20545454545454545,0.012182064879702588,0.20545454545454545,0.012182064879702588,1100\n'
+        '#critical_mu=1.0206834532374101\n',
     ),
     'overlap-trees': (
         'overlap --class trees --m 7 --mu 0.8 --pairs 2000 --seed 29',
@@ -806,10 +807,10 @@ GOLDEN = {
         '#version=0.1.0\n'
         '#config={"class":"trees","command":"overlap","m":7,"mu":0.8,"pairs":2000,"seed":29}\n'
         'key,value\n'
-        'mgf,3.6691710051616018\n'
-        'mgf_se,0.060529353210169293\n'
+        'mgf,3.5810584189988104\n'
+        'mgf_se,0.057219428375043166\n'
         'exact,False\n'
-        'risk_lower_bound,0.18312011207864809\n',
+        'risk_lower_bound,0.1967163609597774\n',
     ),
     'emax-trees': (
         'emax --class trees --m 7 --trials 1100 --seed 31',
