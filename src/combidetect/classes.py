@@ -815,7 +815,7 @@ class ExplicitClass(SetClass):
             raise ValueError("members must be distinct")
         self.n = int(n)
         self.K = M.shape[1]
-        self._member_cache = M.astype(np.int32)  # what member_matrix returns
+        self._member_cache = M.astype(np.int32)
 
     def cardinality(self) -> int:
         return self._member_cache.shape[0]
@@ -858,7 +858,8 @@ def make_class(family: str, **params) -> SetClass:
 
 
 def exact_overlap_mgf(spec: SetClass, mu: float) -> float | None:
-    """E exp(mu^2 |S ∩ S'|) from the exact overlap law, when the family has one."""
+    """E exp(mu^2 |S ∩ S'|) from the exact overlap law, when the family has
+    one; OverflowError past the float range."""
     mu = checked_mu(mu)
     pmf = spec.overlap_pmf()
     if pmf is None:

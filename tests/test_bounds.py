@@ -292,7 +292,6 @@ class TestVcCover:
         with pytest.raises(ValueError):
             vc_cover_bound(50, 2, math.nan)
 
-
     @pytest.mark.parametrize("n,V,t", [(1, 1, 1e-200), (1, 1, 1e-160), (10**6, 40, 1e-3)])
     def test_value_past_the_float_range_is_refused(self, n, V, t):
         # t**2 underflows to 0, the quotient overflows, or the power does
