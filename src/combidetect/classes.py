@@ -204,16 +204,16 @@ class SetClass:
         chunk = max(1, _BLOCK_BUDGET // (_BLOCK_ROWS * self.K))
         piece = max(1, _GATHER_PIECE // max(1, B))
         XT = np.ascontiguousarray(X.T)
-        term = np.empty((min(piece, M.shape[0]), B), dtype=XT.dtype)
         for s in range(0, M.shape[0], chunk):
             rows = M[s : s + chunk]
             out = np.empty((rows.shape[0], B), dtype=XT.dtype)
             for p in range(0, rows.shape[0], piece):
                 idx = rows[p : p + piece]
                 acc = out[p : p + piece]
-                XT.take(idx[:, 0], axis=0, out=acc)
+                # take with out= buffers under mode="raise"; without, it does not
+                acc[...] = XT.take(idx[:, 0], axis=0)
                 for j in range(1, self.K):
-                    acc += XT.take(idx[:, j], axis=0, out=term[: idx.shape[0]])
+                    acc += XT.take(idx[:, j], axis=0)
             yield out.T
 
     def max_values_batch(self, X: np.ndarray, cap: int | None = None) -> np.ndarray:
@@ -693,7 +693,7 @@ class Cliques(SetClass):
         total = np.empty(X.shape[0])
         # per-row work arrays, allocated once: fresh ones page-fault every row
         W = np.empty((m, m))
-        V, U, T = (np.empty((rows, m)) for _ in range(3))
+        U = np.empty((rows, m))
         for r, x in enumerate(X):
             t = mu * x
             shift[r] = t.max()
@@ -705,8 +705,9 @@ class Cliques(SetClass):
                 U *= W
                 total[r] = U.sum() / 6
             else:
-                np.take(W, a, axis=0, out=V)
-                V *= np.take(W, b, axis=0, out=T)
+                # take with out= buffers under mode="raise"; without, it does not
+                V = W.take(a, axis=0)
+                V *= W.take(b, axis=0)
                 np.matmul(V, W, out=U)
                 U *= V
                 total[r] = U.sum(axis=1) @ w / 12

@@ -77,6 +77,10 @@ def _config(args, *dests: str) -> dict:
     return cfg | {dest: getattr(args, dest) for dest in dests}
 
 
+#: most points a --mu-grid may hold; each point is a whole risk estimate
+_MAX_GRID_COUNT = 10_000
+
+
 def _parse_grid(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -84,8 +88,8 @@ def _parse_grid(text: str) -> list[float]:
     start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValueError("--mu-grid endpoints must be finite")
-    if count < 2:
-        raise ValueError("--mu-grid needs count >= 2")
+    if not 2 <= count <= _MAX_GRID_COUNT:
+        raise ValueError(f"--mu-grid needs 2 <= count <= {_MAX_GRID_COUNT:,}")
     return [float(v) for v in np.linspace(start, stop, count)]
 
 

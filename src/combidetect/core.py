@@ -8,6 +8,7 @@ A member is a sorted array of 0-based indices, one ``member_matrix`` row.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
@@ -73,25 +74,26 @@ class SeededRng:
         seq = np.random.SeedSequence((self.master_seed,) + self.stream)
         return np.random.Generator(np.random.PCG64(seq))
 
-    def child_seeds(self, lo: int, hi: int) -> list:
-        """Seeds of ``self.child(t).generator()`` for t in [lo, hi).
+    def child_seeds(self, *columns: np.ndarray) -> list:
+        """Seeds of ``self.child(*keys).generator()`` for each row ``keys`` of
+        the equal-length key columns.
 
         ``np.random.PCG64(seed)`` of each entry replays exactly the stream of
         that address.  The SeedSequence hash runs as uint32 array arithmetic
-        over the whole block; a trial index of 2**32 or more, which numpy
-        splits into several words, takes the per-address path instead.
+        over the whole block; a key of 2**32 or more, which numpy splits into
+        several words, takes the per-address path instead.
         """
-        if lo < 0:
+        keys = np.array(columns, dtype=np.int64)
+        if keys.min(initial=0) < 0:
             raise ValueError("stream keys must be nonnegative")
         address = (self.master_seed,) + self.stream
-        if hi - 1 > _MASK32:
-            return [np.random.SeedSequence(address + (t,)) for t in range(lo, hi)]
+        if keys.max(initial=0) > _MASK32:
+            return [np.random.SeedSequence(address + tuple(map(int, k))) for k in keys.T]
         from numpy.random.bit_generator import ISeedSequence
 
         ISeedSequence.register(_Seed)  # here, so importing the package skips numpy.random
-        prefix = [w for key in address for w in _uint32_words(key)]
-        t = np.arange(lo, hi, dtype=np.uint32)
-        words = [np.full_like(t, w) for w in prefix] + [t]
+        prefix = np.array([w for key in address for w in _uint32_words(key)], dtype=np.int64)
+        words = np.vstack([np.repeat(prefix[:, None], keys.shape[1], 1), keys]).astype(np.uint32)
         return [_Seed(state) for state in _seed_sequence_state(words)]
 
 
@@ -115,6 +117,17 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
 
 
+@functools.cache
+def _hash_consts(init: int, mult: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
+    """(calls, 1) uint32 columns: hash call i xors with c_i and multiplies by
+    c_{i+1}, where c_0 = init and c_{i+1} = c_i * mult mod 2**32."""
+    c = [init]
+    for _ in range(calls):
+        c.append((c[-1] * mult) & _MASK32)
+    table = np.array(c, dtype=np.uint32)[:, None]
+    return table[:-1], table[1:]
+
+
 def _uint32_words(key: int) -> list[int]:
     """SeedSequence's coercion of one nonnegative int: little-endian uint32
     words, one word for 0."""
@@ -126,42 +139,47 @@ def _uint32_words(key: int) -> list[int]:
     return words
 
 
-def _seed_sequence_state(words: list[np.ndarray]) -> np.ndarray:
+def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    value = value ^ xor
+    value *= mult
+    value ^= value >> 16
+    return value
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * _MIX_MULT_L
+    r -= y * _MIX_MULT_R
+    r ^= r >> 16
+    return r
+
+
+def _seed_sequence_state(words: np.ndarray) -> np.ndarray:
     """``SeedSequence(entropy).generate_state(4, np.uint64)`` for a block of
-    entropies given word by word: ``words[i][j]`` is word i of entropy j.
-    Returns a (block, 4) uint64 array."""
-    hash_const = _INIT_A
+    entropies given word by word: ``words[i, j]`` is word i of entropy j, a
+    (W, block) uint32 array.  Returns a (block, 4) uint64 array.
 
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> np.uint32(16))
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        r = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
-        return r ^ (r >> np.uint32(16))
-
-    zero = np.zeros_like(words[0])
-    pool = [hashmix(words[i] if i < len(words) else zero) for i in range(_POOL_SIZE)]
+    Every hash call that numpy makes one word at a time runs here on a row of
+    a (3, block) or (4, block) array, with the constants in call order."""
+    xor, mult = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * max(len(words), _POOL_SIZE))
+    pool = np.zeros((_POOL_SIZE, words.shape[1]), dtype=np.uint32)
+    pool[: len(words)] = words[:_POOL_SIZE]
+    pool = _hashmix(pool, xor[:_POOL_SIZE], mult[:_POOL_SIZE])
+    call = _POOL_SIZE
     for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+        # pool[i_src] stays put while it is mixed into the other three words
+        dst = [i for i in range(_POOL_SIZE) if i != i_src]
+        hashed = _hashmix(pool[i_src], xor[call : call + 3], mult[call : call + 3])
+        pool[dst] = _mix(pool[dst], hashed)
+        call += 3
     for word in words[_POOL_SIZE:]:
-        for i_dst in range(_POOL_SIZE):
-            pool[i_dst] = mix(pool[i_dst], hashmix(word))
-
-    hash_const = _INIT_B
-    out = np.empty((zero.size, 2 * _POOL_SIZE), dtype=np.uint64)
-    for i in range(2 * _POOL_SIZE):
-        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        value = value * np.uint32(hash_const)
-        out[:, i] = value ^ (value >> np.uint32(16))
-    # uint32 pairs, low word first, make the uint64 words
-    return out[:, 0::2] | (out[:, 1::2] << np.uint64(32))
+        pool = _mix(pool, _hashmix(word, xor[call : call + 4], mult[call : call + 4]))
+        call += 4
+    # generate_state reads the pool twice over for its 8 uint32 words
+    out = _hashmix(np.tile(pool, (2, 1)), *_hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE))
+    # uint32 pairs, low word first, make the uint64 words; PCG64 reads each
+    # row's memory, so the rows must be contiguous
+    out = out.T.astype(np.uint64, order="C")
+    return out[:, 0::2] | (out[:, 1::2] << 32)
 
 
 def checked_mu(mu: float) -> float:

@@ -3,8 +3,10 @@
 Risk of a test = P(reject | null) + mean over members of P(accept | member),
 estimated by independent trials.  Every trial owns the substream
 (master_seed, *stream, arm, trial_index), so results are byte-identical for a
-given (seed, config) regardless of chunking or worker count: per-trial values
-are written into a preallocated array and reduced once, in index order.
+given (seed, config) regardless of blocking or worker count.  A call lays its
+arms' trials end to end and draws them in blocks, which may straddle the
+arms; per-trial values are written into a preallocated array and reduced
+once, in index order.
 """
 
 from __future__ import annotations
@@ -74,29 +76,38 @@ def emax_upper_cap(spec: SetClass) -> float:
 
 
 def _chunk_size(n: int) -> int:
-    # bounded work set per chunk; depends on the config only, never on workers
+    # bounded work set per block; it depends on the config only, and a row's
+    # bits depend on its address only, so blocks may straddle the arms
     return max(1, min(1024, 2_000_000 // max(1, n)))
 
 
+#: observations (1 MiB of float64) a block may hold past one arm's trials, so
+#: that a small call draws its arms together
+_SMALL_BLOCK = 2**17
+
+
 def _draw_block(
-    instance: ProblemInstance, arm: int, lo: int, hi: int, rng: SeededRng
+    instance: ProblemInstance, arms: Sequence[int], lo: int, hi: int, rng: SeededRng, trials: int
 ) -> np.ndarray:
-    # one generator per trial, seeded in C from the block's precomputed
-    # SeedSequence words, so row t replays rng.child(arm, t).generator()
-    # whichever process draws it; a trial's member comes before its noise
-    seeds = rng.child(arm).child_seeds(lo, hi)
-    gens = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
-    members = instance.set_class.sample_rows(gens) if arm == _MIXTURE_ARM else None
+    # rows lo..hi of the arms' trials end to end: row j is trial t = j % trials
+    # of arm arms[j // trials], its generator seeded in C from the block's
+    # SeedSequence words, so it replays rng.child(arm, t).generator() in any
+    # block or process; a mixture trial's member comes before its noise
+    j = np.arange(lo, hi)
+    arm = np.asarray(arms)[j // trials]
+    gens = [np.random.Generator(np.random.PCG64(s)) for s in rng.child_seeds(arm, j % trials)]
+    mixed = np.flatnonzero(arm == _MIXTURE_ARM)
+    members = instance.set_class.sample_rows([gens[i] for i in mixed]) if mixed.size else None
     X = np.empty((hi - lo, instance.n))
     for x, gen in zip(X, gens):
         gen.standard_normal(out=x)
     if members is not None:
-        X[np.arange(hi - lo)[:, None], members] += instance.mu
+        X[mixed[:, None], members] += instance.mu
     return X
 
 
-def _chunk_values(value_fn: Callable, instance: ProblemInstance, arm, lo, hi, rng) -> np.ndarray:
-    return value_fn(_draw_block(instance, arm, lo, hi, rng))
+def _chunk_values(value_fn: Callable, instance: ProblemInstance, arms, trials, rng, lo, hi):
+    return value_fn(_draw_block(instance, arms, lo, hi, rng, trials))
 
 
 #: the worker pool by its size, dropped at exit while its finalizer's modules remain
@@ -110,12 +121,21 @@ def _pool_size(workers: int) -> int:
 
 def _exit_with_parent():
     # each worker ends once the pool's parent process is gone, even when a
-    # signal ended the parent before it could stop the pool
+    # signal ended the parent before it could stop the pool; its BLAS runs
+    # one thread, so the workers' kernels do not oversubscribe the cores
+    import ctypes
     import threading
     from multiprocessing import connection, parent_process
 
     parent = parent_process().sentinel
     threading.Thread(target=lambda: (connection.wait([parent]), os._exit(1)), daemon=True).start()
+    try:  # numpy's bundled OpenBLAS, on builds that have it
+        blas = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        set_threads = blas.scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):
+        return
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    set_threads(1)
 
 
 def _worker_pool(size: int):
@@ -134,36 +154,41 @@ def _worker_pool(size: int):
 def _per_trial_values(
     value_fn: Callable[[np.ndarray], np.ndarray],
     instance: ProblemInstance,
-    arm: int,
+    arms: Sequence[int],
     trials: int,
     rng: SeededRng,
     workers: int,
     out_dtype=np.float64,
 ) -> np.ndarray:
+    # a (len(arms), trials) array of value_fn over each arm's trials
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    out = np.empty(trials, dtype=out_dtype)
+    rows = len(arms) * trials
+    out = np.empty(rows, dtype=out_dtype)
     chunk = _chunk_size(instance.n)
-    spans = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
-    if workers <= 1 or len(spans) <= 1:
+    block = min(chunk, max(trials, _SMALL_BLOCK // instance.n))
+    spans = [(lo, min(lo + block, rows)) for lo in range(0, rows, block)]
+    chunk_values = partial(_chunk_values, value_fn, instance, arms, trials, rng)
+    # arms of at most one chunk run here: below that, task overhead can outweigh the split
+    if workers <= 1 or trials <= chunk:
         for lo, hi in spans:
-            out[lo:hi] = _chunk_values(value_fn, instance, arm, lo, hi, rng)
+            out[lo:hi] = chunk_values(lo, hi)
     else:
-        # surface cap errors here, before any chunk is shipped to a worker
+        # surface cap errors here, before any block is shipped to a worker
         value_fn(np.zeros((1, instance.n)))
         pool = _worker_pool(_pool_size(workers))
-        tasks = [pool.submit(_chunk_values, value_fn, instance, arm, *span, rng) for span in spans]
+        tasks = [pool.submit(chunk_values, *span) for span in spans]
         for (lo, hi), task in zip(spans, tasks):
             out[lo:hi] = task.result()
-    return out
+    return out.reshape(len(arms), trials)
 
 
 def _risk(
     decide: Callable, instance: ProblemInstance, trials: int, rng: SeededRng, workers: int
 ) -> RiskEstimate:
     # rejections of ``decide`` on the null arm and on the mixture arm
-    rej_null = _per_trial_values(decide, instance, _NULL_ARM, trials, rng, workers, np.bool_)
-    rej_mix = _per_trial_values(decide, instance, _MIXTURE_ARM, trials, rng, workers, np.bool_)
+    arms = (_NULL_ARM, _MIXTURE_ARM)
+    rej_null, rej_mix = _per_trial_values(decide, instance, arms, trials, rng, workers, np.bool_)
     return RiskEstimate.from_counts(
         int(np.count_nonzero(rej_null)), trials - int(np.count_nonzero(rej_mix)), trials
     )
@@ -205,7 +230,7 @@ def _null_mean(
     # (mean, std_error) of the per-trial values over null draws
     if trials < 2:
         raise ValueError("trials must be >= 2")
-    v = _per_trial_values(values, instance, _NULL_ARM, trials, rng, workers)
+    (v,) = _per_trial_values(values, instance, (_NULL_ARM,), trials, rng, workers)
     return float(v.mean()), float(v.std(ddof=1) / math.sqrt(v.size))
 
 

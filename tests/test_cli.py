@@ -13,7 +13,7 @@ import pytest
 
 from combidetect import FAMILIES, ExplicitClass, SetClass, __version__, exact_overlap_mgf, make_class
 from combidetect.bounds import _PROPOSITIONS, PROPS
-from combidetect.cli import build_parser, main
+from combidetect.cli import _MAX_GRID_COUNT, build_parser, main
 
 
 def run(capsys, *argv):
@@ -89,6 +89,15 @@ class TestScanCommand:
         )
         assert code == 2
         assert "start:stop:count" in json.loads(err)["error"]["message"]
+
+    @pytest.mark.parametrize("count", ["1", str(_MAX_GRID_COUNT + 1)])
+    def test_grid_count_out_of_range_is_config_error(self, capsys, count):
+        code, out, err = run(
+            capsys, "scan", "--class", "stars", "--m", "4", "--test", "optimal",
+            "--mu-grid", f"0:1:{count}", "--trials", "2", "--seed", "1",
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["message"] == "--mu-grid needs 2 <= count <= 10,000"
 
 
 class TestReproducibility:
@@ -202,13 +211,16 @@ class TestErrorExits:
         "overlap --class grid --sqrt-n 4 --sqrt-K 2 --mu 30 --pairs 50",
         "overlap --class grid --sqrt-n 4 --sqrt-K 2 --mu 40 --pairs 50",
         "overlap --class trees --m 5 --mu 0.8 --pairs 50",
+        # refused before the grid is built: numpy would ask for 745 GiB
+        "scan --class stars --m 4 --test optimal --mu-grid 0:1:100000000000 --trials 2",
     ])
     def test_boundary_values_exit_cleanly_with_finite_output(self, capsys, argv):
         # main returns rather than raising, and no printed number is inf or nan
         code, out, err = run(capsys, *argv.split(), "--seed", "1")
         assert code in (0, 2, 3)
         if code == 2:
-            assert out == "" and json.loads(err)["error"]["type"] == "OverflowError"
+            refusal = "ValueError" if argv.startswith("scan") else "OverflowError"
+            assert out == "" and json.loads(err)["error"]["type"] == refusal
         for token in re.findall(r'[^\s,:;=\[\]{}"]+', out):
             try:
                 value = float(token)

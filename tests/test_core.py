@@ -11,7 +11,7 @@ from combidetect import (
     SeededRng,
     make_class,
 )
-from combidetect.core import CapExceededError, as_vector
+from combidetect.core import CapExceededError, _seed_sequence_state, as_vector
 from combidetect.risk import _MIXTURE_ARM, _NULL_ARM, _draw_block
 
 
@@ -58,25 +58,63 @@ class TestChildStates:
 
     @pytest.mark.parametrize("root", ROOTS, ids=lambda r: f"{r.master_seed}-{len(r.stream)}")
     def test_matches_seed_sequence_on_both_arms(self, root):
-        for arm in (0, 1):
-            seeds = root.child(arm).child_seeds(0, self.TRIALS)
-            assert len(seeds) == self.TRIALS
-            for t, seed in enumerate(seeds):
-                address = (root.master_seed, *root.stream, arm, t)
-                expect = np.random.PCG64(np.random.SeedSequence(address)).state
-                assert np.random.PCG64(seed).state == expect, address
+        # one block holds both arms, key columns (arm, t)
+        arm, t = np.repeat([0, 1], self.TRIALS), np.tile(np.arange(self.TRIALS), 2)
+        seeds = root.child_seeds(arm, t)
+        assert len(seeds) == 2 * self.TRIALS
+        for a, i, seed in zip(arm, t, seeds):
+            address = (root.master_seed, *root.stream, int(a), int(i))
+            expect = np.random.PCG64(np.random.SeedSequence(address)).state
+            assert np.random.PCG64(seed).state == expect, address
+
+    @pytest.mark.parametrize("words", range(1, 7))
+    def test_block_hash_matches_seed_sequence(self, words):
+        # entropies of 1 to 6 uint32 words, with the extreme words included
+        block = np.random.default_rng(words).integers(0, 2**32, (words, 64), dtype=np.uint32)
+        block[:, 0], block[:, 1] = 0, 2**32 - 1
+        state = _seed_sequence_state(block)
+        assert state.shape == (64, 4) and state.flags.c_contiguous
+        for j in range(64):
+            entropy = [int(w) for w in block[:, j]]
+            expect = np.random.SeedSequence(entropy).generate_state(4, np.uint64)
+            np.testing.assert_array_equal(state[j], expect)
+
+    @pytest.mark.parametrize(
+        "root, columns",
+        [
+            (SeededRng(5), [[0, 1, 2**32 - 1]]),
+            (SeededRng(5, (2,)), [[1, 0, 7], [3, 9, 0]]),
+            (SeededRng(5, (2, 4)), [[0, 1, 1], [6, 5, 0], [2, 2, 3]]),
+            (SeededRng(2**40 + 3), [[1, 0, 7], [0, 0, 5], [9, 8, 7]]),
+            # a key of 2**32 or more takes the per-address path for the block
+            (SeededRng(5, (2,)), [[1, 2**32, 0], [3, 9, 2**33 + 1]]),
+        ],
+    )
+    def test_key_columns_address_their_rows(self, root, columns):
+        # addresses of 2 to 6 uint32 words
+        seeds = root.child_seeds(*map(np.array, columns))
+        for seed, keys in zip(seeds, zip(*columns)):
+            address = (root.master_seed, *root.stream, *keys)
+            expect = np.random.SeedSequence(address).generate_state(4, np.uint64)
+            np.testing.assert_array_equal(seed.generate_state(4, np.uint64), expect)
+            assert np.random.PCG64(seed).state == root.child(*keys).generator().bit_generator.state
 
     def test_multiword_trial_index_falls_back(self):
-        rng = SeededRng(11, (2,)).child(0)
+        rng = SeededRng(11, (2,))
         lo, hi = 2**32 - 2, 2**32 + 2
         expect = [
             np.random.PCG64(np.random.SeedSequence((11, 2, 0, t))).state for t in range(lo, hi)
         ]
-        assert [np.random.PCG64(seed).state for seed in rng.child_seeds(lo, hi)] == expect
+        seeds = rng.child_seeds(np.zeros(hi - lo, dtype=np.int64), np.arange(lo, hi))
+        assert [np.random.PCG64(seed).state for seed in seeds] == expect
+
+    def test_negative_key_is_refused(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            SeededRng(3).child_seeds(np.array([0, -1]))
 
     @pytest.mark.parametrize("n_words, dtype", [(2, np.uint64), (8, np.uint32), (4, np.uint32)])
     def test_seed_refuses_any_other_request(self, n_words, dtype):
-        (seed,) = SeededRng(3).child_seeds(0, 1)
+        (seed,) = SeededRng(3).child_seeds(np.array([0]))
         with pytest.raises(ValueError, match="4 uint64"):
             seed.generate_state(n_words, dtype)
 
@@ -142,7 +180,7 @@ class TestGaussianSample:
     def test_null_draw_is_standard_normal_stream(self):
         inst = ProblemInstance(make_class("disjoint", N=2, K=2), 1.0)
         rng = SeededRng(3)
-        X = _draw_block(inst, _NULL_ARM, 8, 9, rng)
+        X = _draw_block(inst, (_NULL_ARM,), 8, 9, rng, 10)
         expected = rng.child(_NULL_ARM, 8).generator().standard_normal(4)
         np.testing.assert_array_equal(X[0], expected)
 
@@ -151,7 +189,7 @@ class TestGaussianSample:
         # noise, and shifts the member's coordinates alone
         inst = ProblemInstance(make_class("disjoint", N=2, K=2), 5.0)
         rng = SeededRng(3)
-        X = _draw_block(inst, _MIXTURE_ARM, 0, 40, rng)
+        X = _draw_block(inst, (_MIXTURE_ARM,), 0, 40, rng, 40)
         hit = set()
         for t, x in enumerate(X):
             gen = rng.child(_MIXTURE_ARM, t).generator()

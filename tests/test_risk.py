@@ -1,7 +1,10 @@
+import ctypes
 import json
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -39,6 +42,7 @@ from combidetect.risk import (
     render_curve,
     render_risk_rows,
 )
+from combidetect.rules import batch_rejections
 
 
 def bayes_risk_two_disjoint_singletons(mu: float) -> float:
@@ -189,10 +193,34 @@ class TestReproducibility:
                 else:
                     x = gen.standard_normal(instance.n)
                 expect[t - lo] = x
-            np.testing.assert_array_equal(_draw_block(instance, arm, lo, hi, rng), expect)
+            np.testing.assert_array_equal(_draw_block(instance, (arm,), lo, hi, rng, hi), expect)
+
+    def test_block_straddling_the_arms_replays_per_trial_generators(self):
+        # trials > _chunk_size(n), so the second block holds both arms
+        instance = ProblemInstance(make_class("stars", m=5), 0.9)
+        trials = _chunk_size(instance.n) + 76
+        rng = SeededRng(83, (4,))
+        blocks = []
+
+        def values(X):
+            blocks.append(X.copy())
+            return X[:, 0]
+
+        out = _per_trial_values(values, instance, (_NULL_ARM, _MIXTURE_ARM), trials, rng, 1)
+        assert [len(X) for X in blocks] == [1024, 1024, 2 * trials - 2048]
+        rows = iter(np.vstack(blocks))
+        for arm in (_NULL_ARM, _MIXTURE_ARM):
+            for t in range(trials):
+                gen = rng.child(arm, t).generator()
+                members = instance.set_class.sample_rows([gen])[0] if arm == _MIXTURE_ARM else []
+                x = gen.standard_normal(instance.n)
+                x[members] += instance.mu
+                np.testing.assert_array_equal(next(rows), x)
+        np.testing.assert_array_equal(out.ravel(), np.vstack(blocks)[:, 0])
 
     def test_serial_run_calls_the_kernel_once_per_trial_chunk(self):
-        # no warm-up call: that one runs only before a fan-out
+        # no warm-up call: that one runs only before a fan-out; the arms'
+        # trials lie end to end, cut into blocks of _chunk_size(n) rows
         instance = ProblemInstance(make_class("disjoint", N=2, K=1), 0.9)
         chunk = _chunk_size(instance.n)
         calls = []
@@ -201,8 +229,43 @@ class TestReproducibility:
             calls.append(X.shape[0])
             return X.sum(axis=1)
 
-        _per_trial_values(values, instance, _NULL_ARM, 2 * chunk + 5, SeededRng(84), 1)
+        _per_trial_values(values, instance, (_NULL_ARM,), 2 * chunk + 5, SeededRng(84), 1)
         assert calls == [chunk, chunk, 5]
+        calls.clear()
+        arms = (_NULL_ARM, _MIXTURE_ARM)
+        out = _per_trial_values(values, instance, arms, 2 * chunk + 5, SeededRng(84), 1)
+        assert calls == [chunk] * 4 + [10] and out.shape == (2, 2 * chunk + 5)
+
+    @pytest.mark.parametrize(
+        "spec, trials, blocks",
+        [
+            # both arms of a small call in one block, under _SMALL_BLOCK elements
+            (make_class("matchings", m=8), 96, [192]),
+            (make_class("trees", m=12), 8, [16]),
+            (make_class("stars", m=50), 50, [100]),
+            # an arm past _SMALL_BLOCK // n keeps a block of its own
+            (make_class("stars", m=50), 500, [500, 500]),
+            (make_class("disjoint", N=2, K=1), 1500, [1024, 1024, 952]),
+        ],
+    )
+    def test_estimate_risk_calls_the_rule_once_per_block(self, monkeypatch, spec, trials, blocks):
+        from combidetect import risk
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            value = batch_rejections(*args, **kwargs)
+            calls.append(len(value))
+            return value
+
+        monkeypatch.setattr(risk, "batch_rejections", counted)
+        instance = ProblemInstance(spec, 1.0)
+        est = estimate_risk("maximum", instance, trials, SeededRng(7), emax0=emax_upper_cap(spec))
+        assert calls == blocks
+        monkeypatch.undo()
+        assert est == estimate_risk(
+            "maximum", instance, trials, SeededRng(7), emax0=emax_upper_cap(spec), workers=2
+        )
 
     @pytest.mark.parametrize("estimate", [estimate_bayes_risk, estimate_bhattacharyya, estimate_emax0])
     def test_null_means_need_two_trials(self, estimate):
@@ -272,6 +335,24 @@ def _pid_values(X):
     return np.full(X.shape[0], os.getpid())
 
 
+def _row_fingerprints(X):
+    return X @ np.linspace(1.0, 2.0, X.shape[1])
+
+
+def _blas_get_threads():
+    # numpy's bundled OpenBLAS thread count query, or None where this build has none
+    get_threads = getattr(
+        ctypes.CDLL(np.linalg._umath_linalg.__file__), "scipy_openblas_get_num_threads64_", None
+    )
+    if get_threads is not None:
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    return get_threads
+
+
+def _blas_threads(_):
+    return _blas_get_threads()()
+
+
 def _refuse_blocks(X):
     # passes the one-row warm-up, refuses every chunk
     if X.shape[0] > 1:
@@ -305,19 +386,66 @@ class TestWorkerProcesses:
     def test_second_fan_out_reuses_the_worker_processes(self):
         instance = ProblemInstance(make_class("disjoint", N=2, K=1), 0.9)
         trials = 3 * _chunk_size(instance.n)
-        first = _per_trial_values(_pid_values, instance, _NULL_ARM, trials, SeededRng(85), 2, np.int64)
+        arms = (_NULL_ARM, _MIXTURE_ARM)
+        first = _per_trial_values(_pid_values, instance, arms, trials, SeededRng(85), 2, np.int64)
         pool = {p.pid for p in multiprocessing.active_children()}
-        second = _per_trial_values(_pid_values, instance, _NULL_ARM, trials, SeededRng(86), 2, np.int64)
-        assert os.getpid() not in set(first) | set(second)
-        assert set(first) | set(second) <= pool
+        second = _per_trial_values(_pid_values, instance, arms, trials, SeededRng(86), 2, np.int64)
+        pids = set(first.ravel()) | set(second.ravel())
+        assert os.getpid() not in pids
+        assert pids <= pool
         assert {p.pid for p in multiprocessing.active_children()} == pool
+
+    def test_arms_of_one_chunk_run_in_the_caller(self):
+        # two blocks, one per arm, yet no fan-out: each arm fits one chunk
+        instance = ProblemInstance(make_class("stars", m=50), 0.9)
+        arms = (_NULL_ARM, _MIXTURE_ARM)
+        pids = _per_trial_values(_pid_values, instance, arms, 500, SeededRng(89), 2, np.int64)
+        assert set(pids.ravel()) == {os.getpid()}
 
     def test_worker_error_reaches_the_caller(self):
         instance = ProblemInstance(make_class("disjoint", N=2, K=1), 0.9)
         with pytest.raises(CapExceededError) as exc:
-            _per_trial_values(_refuse_blocks, instance, _NULL_ARM, 3 * _chunk_size(instance.n),
+            _per_trial_values(_refuse_blocks, instance, (_NULL_ARM,), 3 * _chunk_size(instance.n),
                               SeededRng(87), 2)
         assert (exc.value.cardinality, exc.value.cap) == (10, 5)
+
+    def test_spans_straddling_the_arms_do_not_depend_on_workers(self):
+        # 2 * (chunk + 7) rows: the second block holds the end of the null
+        # arm and the start of the mixture arm
+        instance = ProblemInstance(make_class("ksets", n=7, K=3), 0.8)
+        trials = _chunk_size(instance.n) + 7
+        arms = (_NULL_ARM, _MIXTURE_ARM)
+        one, two, three = (
+            _per_trial_values(_row_fingerprints, instance, arms, trials, SeededRng(88), w)
+            for w in (1, 2, 3)
+        )
+        assert one.shape == (2, trials)
+        np.testing.assert_array_equal(one, two)
+        np.testing.assert_array_equal(one, three)
+
+    def test_worker_blas_runs_one_thread(self):
+        # two workers with two BLAS threads each would put four compute
+        # threads on two cores
+        if _blas_get_threads() is None:
+            pytest.skip("numpy's BLAS on this build has no OpenBLAS thread control")
+        assert set(_worker_pool(2).map(_blas_threads, range(4))) == {1}
+
+    def test_clique_lr_bits_do_not_depend_on_blas_threads(self):
+        # the k = 4 clique LR is one matmul per row; a worker runs it on one
+        # BLAS thread, the caller on the default count
+        code = (
+            "import numpy as np; from combidetect import make_class; "
+            "c = make_class('cliques', m=63, k=4); "
+            "X = np.random.default_rng(5).standard_normal((4, c.n)); "
+            "print(c.log_mean_exp_batch(0.8, X).tobytes().hex())"
+        )
+        default = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        outs = []
+        for env in (default, default | {"OPENBLAS_NUM_THREADS": "1"}):
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1] and len(outs[0].strip()) == 4 * 16
 
     def test_a_new_size_replaces_the_pool(self):
         one = _worker_pool(1)
