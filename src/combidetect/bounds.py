@@ -51,6 +51,8 @@ class BoundReport:
 def _check_delta(delta: float):
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must be in (0, 1]")
+    if not math.isfinite(2.0 / delta):  # a subnormal delta: log(2 / delta) is inf
+        raise OverflowError(f"delta = {delta} is too small: 2 / delta is past the float range")
 
 
 def averaging_threshold(n: int, K: int, delta: float) -> float:

@@ -63,27 +63,6 @@ _MAX_DP_M = 13
 #: contraction runs on (N < 2**25).
 _CONTRACTION_FLOOR = 2.0**-900
 
-#: ``_column_max`` folds only a C-contiguous (L, B) block with
-#: L >= _FOLD_MIN_ROWS and 1 < B < _FOLD_MAX_WIDTH.  On a 2-vCPU host it cut
-#: the Cliques(63,4) maximum from 12.5 to 4.8 ms/row at 2 rows; unguarded it
-#: lost below 1024 rows (Cliques(30,3) at 2 rows: 0.33 -> 0.37 ms/row) and on
-#: the transposed row-major blocks of grid and disjoint, which it would copy.
-_FOLD_MIN_ROWS, _FOLD_MAX_WIDTH, _FOLD_ELEMENTS = 1024, 256, 1024
-
-
-def _column_max(a: np.ndarray) -> np.ndarray:
-    """``a.max(axis=0)`` of an (L, B) block.  numpy's inner loop there is B
-    long, so where that pays, g = _FOLD_ELEMENTS // B rows are folded into
-    one first.  max is exact: only the sign of a zero maximum may move."""
-    L, B = a.shape
-    if not (a.flags.c_contiguous and L >= _FOLD_MIN_ROWS and 1 < B < _FOLD_MAX_WIDTH):
-        return a.max(axis=0)
-    g = _FOLD_ELEMENTS // B
-    h = L - L % g
-    top = a[:h].reshape(-1, g * B).max(axis=0).reshape(g, B).max(axis=0)
-    return np.maximum(top, a[h:].max(axis=0, initial=-np.inf))
-
-
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     """log(sum(exp(a))) along ``axis`` for finite ``a``, shifted by the max.
     The terms are added left to right, whatever the layout of ``a``."""
@@ -221,7 +200,7 @@ class SetClass:
         best = np.full(X.shape[0], -np.inf)
         for rows in _row_blocks(X.shape[0], 1, _BLOCK_ROWS):
             for blk in self.member_sums_iter(X[rows], cap):
-                np.maximum(best[rows], _column_max(blk.T), out=best[rows])
+                np.maximum(best[rows], blk.max(axis=1), out=best[rows])
         return best
 
     def log_mean_exp_batch(self, mu: float, X: np.ndarray, cap: int | None = None) -> np.ndarray:
@@ -235,7 +214,7 @@ class SetClass:
             hi, acc = np.full(len(x), -np.inf), np.zeros(len(x))
             for blk in self.member_sums_iter(x, cap):
                 t = mu * blk
-                top = np.maximum(hi, _column_max(t.T))
+                top = np.maximum(hi, t.max(axis=1))
                 # axis 0 sums in member order; a zero column keeps B = 1 off pairwise sums
                 terms = np.zeros((t.shape[1], len(x) + 1))
                 np.exp(t.T - top, out=terms[:, :-1])
@@ -671,7 +650,7 @@ class Cliques(SetClass):
                     y = s.max(axis=0) if y is None else np.maximum(y, s.max(axis=0), out=y)
                 for t in tail:
                     y += t
-                np.maximum(best, _column_max(y), out=best)
+                np.maximum(best, y.max(axis=0), out=best)
             out[blk] = best
         return out
 
@@ -866,7 +845,7 @@ def exact_overlap_mgf(spec: SetClass, mu: float) -> float | None:
     if pmf is None:
         return None
     zs, probs = pmf
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 at zero overlap
         mgf = float(np.sum(probs * np.exp(mu * mu * zs.astype(np.float64))))
     _check_mgf(mu, mgf)
     return mgf

@@ -74,27 +74,27 @@ class SeededRng:
         seq = np.random.SeedSequence((self.master_seed,) + self.stream)
         return np.random.Generator(np.random.PCG64(seq))
 
-    def child_seeds(self, *columns: np.ndarray) -> list:
-        """Seeds of ``self.child(*keys).generator()`` for each row ``keys`` of
-        the equal-length key columns.
+    def generators(self, *columns: np.ndarray) -> list[np.random.Generator]:
+        """``self.child(*keys).generator()`` for each row ``keys`` of the
+        equal-length key columns, bit for bit.
 
-        ``np.random.PCG64(seed)`` of each entry replays exactly the stream of
-        that address.  The SeedSequence hash runs as uint32 array arithmetic
-        over the whole block; a key of 2**32 or more, which numpy splits into
-        several words, takes the per-address path instead.
+        The SeedSequence hash runs as uint32 array arithmetic over the whole
+        block; a key of 2**32 or more, which numpy splits into several words,
+        takes the per-address path instead.
         """
         keys = np.array(columns, dtype=np.int64)
         if keys.min(initial=0) < 0:
             raise ValueError("stream keys must be nonnegative")
-        address = (self.master_seed,) + self.stream
         if keys.max(initial=0) > _MASK32:
-            return [np.random.SeedSequence(address + tuple(map(int, k))) for k in keys.T]
+            return [self.child(*k).generator() for k in keys.T]
         from numpy.random.bit_generator import ISeedSequence
 
         ISeedSequence.register(_Seed)  # here, so importing the package skips numpy.random
+        address = (self.master_seed,) + self.stream
         prefix = np.array([w for key in address for w in _uint32_words(key)], dtype=np.int64)
         words = np.vstack([np.repeat(prefix[:, None], keys.shape[1], 1), keys]).astype(np.uint32)
-        return [_Seed(state) for state in _seed_sequence_state(words)]
+        states = _seed_sequence_state(words)
+        return [np.random.Generator(np.random.PCG64(_Seed(state))) for state in states]
 
 
 class _Seed(NamedTuple):

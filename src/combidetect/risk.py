@@ -90,12 +90,11 @@ def _draw_block(
     instance: ProblemInstance, arms: Sequence[int], lo: int, hi: int, rng: SeededRng, trials: int
 ) -> np.ndarray:
     # rows lo..hi of the arms' trials end to end: row j is trial t = j % trials
-    # of arm arms[j // trials], its generator seeded in C from the block's
-    # SeedSequence words, so it replays rng.child(arm, t).generator() in any
-    # block or process; a mixture trial's member comes before its noise
+    # of arm arms[j // trials] and draws from rng.child(arm, t).generator(), in
+    # any block or process; a mixture trial's member comes before its noise
     j = np.arange(lo, hi)
     arm = np.asarray(arms)[j // trials]
-    gens = [np.random.Generator(np.random.PCG64(s)) for s in rng.child_seeds(arm, j % trials)]
+    gens = rng.generators(arm, j % trials)
     mixed = np.flatnonzero(arm == _MIXTURE_ARM)
     members = instance.set_class.sample_rows([gens[i] for i in mixed]) if mixed.size else None
     X = np.empty((hi - lo, instance.n))
@@ -170,16 +169,9 @@ def _per_trial_values(
     spans = [(lo, min(lo + block, rows)) for lo in range(0, rows, block)]
     chunk_values = partial(_chunk_values, value_fn, instance, arms, trials, rng)
     # arms of at most one chunk run here: below that, task overhead can outweigh the split
-    if workers <= 1 or trials <= chunk:
-        for lo, hi in spans:
-            out[lo:hi] = chunk_values(lo, hi)
-    else:
-        # surface cap errors here, before any block is shipped to a worker
-        value_fn(np.zeros((1, instance.n)))
-        pool = _worker_pool(_pool_size(workers))
-        tasks = [pool.submit(chunk_values, *span) for span in spans]
-        for (lo, hi), task in zip(spans, tasks):
-            out[lo:hi] = task.result()
+    fan_out = map if workers <= 1 or trials <= chunk else _worker_pool(_pool_size(workers)).map
+    for (lo, hi), values in zip(spans, fan_out(chunk_values, *zip(*spans))):
+        out[lo:hi] = values
     return out.reshape(len(arms), trials)
 
 

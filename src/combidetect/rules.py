@@ -33,24 +33,34 @@ def _decide(
 
     The scalar rules are this on a block of one row.  Every kernel gives a
     row the same bits alone as in a block, so their statistics and decisions
-    equal the batch's bit for bit.
+    equal the batch's bit for bit.  A threshold past the float range, or a
+    statistic that is NaN, is refused with OverflowError.
     """
     sc = instance.set_class
     mu, K = instance.mu, instance.K
+    shift = 0.0  # the LR's log-domain offset: its rule is log_mean_exp > shift
     if test == "averaging":
         if mu == 0.0:
             raise DegenerateParameterError("averaging test is undefined at mu = 0")
-        stat, thr = X.sum(axis=1), mu * K / 2.0
-        return stat, thr, stat > thr
-    if test == "maximum":
+        thr, statistic = mu * K / 2.0, lambda: X.sum(axis=1)
+    elif test == "maximum":
         if emax0 is None or not np.isfinite(emax0):
             raise ValueError("maximum test requires a finite emax0")
-        stat, thr = sc.max_values_batch(X, cap), (mu * K + emax0) / 2.0
-        return stat, thr, stat >= thr  # ties reject
-    if test == "optimal":
-        stat = sc.log_mean_exp_batch(mu, X, cap) - K * mu**2 / 2.0
-        return stat, 0.0, stat > 0.0  # ties accept
-    raise ValueError(f"unknown test {test!r}, expected averaging, maximum or optimal")
+        thr, statistic = (mu * K + emax0) / 2.0, lambda: sc.max_values_batch(X, cap)
+    elif test == "optimal":
+        shift = K * mu**2 / 2.0  # mu**2 past the float range raises OverflowError
+        thr, statistic = 0.0, lambda: sc.log_mean_exp_batch(mu, X, cap) - shift
+    else:
+        raise ValueError(f"unknown test {test!r}, expected averaging, maximum or optimal")
+    # an infinite threshold or a NaN statistic decides every row alike, whatever the data
+    if not np.isfinite(thr + shift):
+        raise OverflowError(f"the {test} threshold at mu = {mu} is past the float range")
+    with np.errstate(over="ignore", invalid="ignore"):
+        stat = statistic()
+    if np.isnan(stat).any():
+        raise OverflowError(f"the {test} statistic at mu = {mu} is past the float range")
+    # ties reject in the maximum test and accept in the others
+    return stat, thr, stat >= thr if test == "maximum" else stat > thr
 
 
 def _decide_one(test, x, instance, emax0=None, cap=None) -> Decision:
@@ -91,7 +101,8 @@ def log_likelihood_ratio(
     ``log_mean_exp_batch`` kernel (a structured DP or elimination where the
     family has one, otherwise log-sum-exp over the enumerated members).
 
-    Finite for any finite input; mu = 0 gives exactly 0.
+    mu = 0 gives exactly 0.  Where mu * X_S or K mu^2 / 2 leaves the float
+    range, the ratio is refused with OverflowError, not returned as NaN.
     """
     return optimal_test(x, instance, cap).statistic
 

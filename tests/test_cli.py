@@ -1,6 +1,8 @@
 import argparse
 import ast
+import contextlib
 import importlib
+import io
 import json
 import math
 import re
@@ -10,10 +12,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from combidetect import FAMILIES, ExplicitClass, SetClass, __version__, exact_overlap_mgf, make_class
+from combidetect import bounds
 from combidetect.bounds import _PROPOSITIONS, PROPS
 from combidetect.cli import _MAX_GRID_COUNT, build_parser, main
+from combidetect.rules import TESTS
 
 
 def run(capsys, *argv):
@@ -221,12 +227,37 @@ class TestErrorExits:
         if code == 2:
             refusal = "ValueError" if argv.startswith("scan") else "OverflowError"
             assert out == "" and json.loads(err)["error"]["type"] == refusal
-        for token in re.findall(r'[^\s,:;=\[\]{}"]+', out):
-            try:
-                value = float(token)
-            except ValueError:
-                continue
-            assert math.isfinite(value), (argv, token)
+        _assert_printed_floats_finite(out, argv)
+
+    @pytest.mark.parametrize("argv", [
+        "risk --class stars --m 3 --test optimal --mu 1e154",
+        "risk --class ksets --n 4 --K 2 --test optimal --mu 1e154",
+        "risk --class disjoint --N 2 --K 2 --test optimal --mu 1e154",
+        "risk --class trees --m 3 --test optimal --mu 1e154",
+        "risk --class cliques --m 4 --k 3 --test optimal --mu 1e154",
+        "risk --class ksets --n 5 --K 2 --test averaging --mu 9e307",
+        "risk --class ksets --n 5 --K 2 --test maximum --mu 1e308",
+    ])
+    def test_rule_past_the_float_range_is_refused(self, capsys, argv):
+        # each used to decide every trial alike and print type2 = 1
+        code, out, err = run(capsys, *argv.split(), "--trials", "5", "--seed", "1")
+        assert code == 2 and out == "" and "RuntimeWarning" not in err
+        error = json.loads(err)["error"]
+        assert error["type"] == "OverflowError" and "past the float range" in error["message"]
+
+    @pytest.mark.parametrize("argv", [
+        "bounds --prop averaging --n 10 --K 2",
+        "bounds --prop maxtest --emax0 2 --K 2",
+        "bounds --prop cliques --m 40 --k 2",
+        "bounds --prop type1-cover --class ksets --n 4 --K 2 --trials 5",
+    ])
+    def test_subnormal_delta_is_refused_before_any_draw(self, capsys, monkeypatch, argv):
+        # 2 / 1e-320 is inf, so the bound would print value,inf
+        monkeypatch.setattr(bounds, "estimate_emax0", lambda *a, **k: pytest.fail("drew first"))
+        code, out, err = run(capsys, *argv.split(), "--delta", "1e-320", "--seed", "1")
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "OverflowError" and "delta = 1e-320" in error["message"]
 
     @pytest.mark.parametrize("prop,name,value", [
         (prop, name, value)
@@ -265,6 +296,86 @@ class TestErrorExits:
             main(["risk", "--class", "hexagons", "--test", "optimal",
                   "--mu", "1.0", "--seed", "1"])
         assert exc.value.code == 2
+
+
+def _assert_printed_floats_finite(out, argv):
+    for token in re.findall(r'[^\s,:;=\[\]{}"]+', out):
+        try:
+            value = float(token)
+        except ValueError:
+            continue
+        assert math.isfinite(value), (argv, token)
+
+
+#: each family's size flags over its smallest classes, some below the least valid size
+FAMILY_SIZES = {
+    "disjoint": {"N": st.integers(0, 2), "K": st.integers(1, 2)},
+    "ksets": {"n": st.integers(1, 4), "K": st.integers(1, 3)},
+    "stars": {"m": st.integers(2, 4)},
+    "matchings": {"m": st.integers(1, 4)},
+    "trees": {"m": st.integers(1, 4)},
+    "cliques": {"m": st.integers(2, 4), "k": st.integers(2, 3)},
+    "grid": {"sqrt_n": st.integers(1, 3), "sqrt_K": st.integers(1, 2)},
+}
+COMMANDS = sorted(next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices)
+MUS = st.sampled_from([0.0, 1e-300, 0.5, 40.0, 1e154, 1e308])
+DELTAS = st.sampled_from([1e-320, 1e-300, 0.1, 1.0])
+#: at most 50 trials or pairs; 0 and 1 are refused or too few for some commands
+COUNTS = st.sampled_from([0, 1, 2, 50])
+
+
+def _as_flags(values: dict) -> list[str]:
+    return [tok for k, v in values.items() for tok in ("--" + k.replace("_", "-"), str(v))]
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(COMMANDS))
+    family = draw(st.sampled_from(sorted(FAMILY_SIZES)))
+    sizes = {"class": family} | {k: draw(v) for k, v in FAMILY_SIZES[family].items()}
+    # --workers 2 never starts a process here: no arm is longer than a chunk
+    common = {"seed": 1, "workers": draw(st.sampled_from([0, 1, 2])),
+              "format": draw(st.sampled_from(["csv", "json"]))}
+    trials, mu = {"trials": draw(COUNTS)}, draw(MUS)
+    if command in ("risk", "scan"):
+        test = {"test": draw(st.sampled_from(TESTS))}
+        grid = {"mu": mu} if command == "risk" else {"mu_grid": f"0:{mu}:{draw(st.sampled_from([2, 3]))}"}
+        values = sizes | test | grid | trials
+    elif command == "bounds":
+        prop = draw(st.sampled_from(PROPS))
+        scalars = {"n": 3, "K": 2, "m": 40, "k": 2, "emax0": draw(st.sampled_from([0.0, 2.0, 40.0])),
+                   "mgf": draw(st.sampled_from([1.0, 2.0, 40.0])), "t": draw(st.sampled_from([0.5, 1.0])),
+                   "constant": 1.0, "M": 17, "V": 1}
+        # the class-dependent propositions take the class flags, the others the scalars
+        values = {"prop": prop, "delta": draw(DELTAS)} | (
+            sizes | {"constant": 1.0} | trials if prop in ("dudley", "type1-cover") else scalars
+        )
+    elif command == "overlap":
+        values = sizes | {"mu": mu, "pairs": draw(COUNTS)}
+    elif command == "emax":
+        values = sizes | trials
+    elif command == "cover":
+        values = sizes | {"radius": draw(st.sampled_from([0.0, 1.0, 40.0]))}
+    else:  # nonmono
+        values = {"K": draw(st.integers(1, 3)), "epsilon": draw(st.sampled_from([0.5, 0.9]))} | trials
+    return [command, *_as_flags(values | common)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=command_lines())
+def test_every_command_exits_cleanly_with_finite_output(argv):
+    # exit 0, 2 or 3 and no traceback, whatever the boundary value
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3), (argv, err)
+    if code:
+        error = json.loads(err)["error"]
+        assert out == "" and (code == 3) == (error["type"] == "CapExceededError"), (argv, err)
+    else:
+        assert err == ""
+    _assert_printed_floats_finite(out, argv)
 
 
 class TestOverlapCommand:

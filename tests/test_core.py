@@ -60,12 +60,11 @@ class TestChildStates:
     def test_matches_seed_sequence_on_both_arms(self, root):
         # one block holds both arms, key columns (arm, t)
         arm, t = np.repeat([0, 1], self.TRIALS), np.tile(np.arange(self.TRIALS), 2)
-        seeds = root.child_seeds(arm, t)
-        assert len(seeds) == 2 * self.TRIALS
-        for a, i, seed in zip(arm, t, seeds):
-            address = (root.master_seed, *root.stream, int(a), int(i))
-            expect = np.random.PCG64(np.random.SeedSequence(address)).state
-            assert np.random.PCG64(seed).state == expect, address
+        gens = root.generators(arm, t)
+        assert len(gens) == 2 * self.TRIALS
+        for a, i, gen in zip(arm, t, gens):
+            expect = root.child(a, i).generator().bit_generator.state
+            assert gen.bit_generator.state == expect, (a, i)
 
     @pytest.mark.parametrize("words", range(1, 7))
     def test_block_hash_matches_seed_sequence(self, words):
@@ -92,31 +91,29 @@ class TestChildStates:
     )
     def test_key_columns_address_their_rows(self, root, columns):
         # addresses of 2 to 6 uint32 words
-        seeds = root.child_seeds(*map(np.array, columns))
-        for seed, keys in zip(seeds, zip(*columns)):
+        gens = root.generators(*map(np.array, columns))
+        for gen, keys in zip(gens, zip(*columns)):
             address = (root.master_seed, *root.stream, *keys)
             expect = np.random.SeedSequence(address).generate_state(4, np.uint64)
-            np.testing.assert_array_equal(seed.generate_state(4, np.uint64), expect)
-            assert np.random.PCG64(seed).state == root.child(*keys).generator().bit_generator.state
+            np.testing.assert_array_equal(gen.bit_generator.seed_seq.generate_state(4, np.uint64), expect)
+            assert gen.bit_generator.state == root.child(*keys).generator().bit_generator.state
 
     def test_multiword_trial_index_falls_back(self):
         rng = SeededRng(11, (2,))
         lo, hi = 2**32 - 2, 2**32 + 2
-        expect = [
-            np.random.PCG64(np.random.SeedSequence((11, 2, 0, t))).state for t in range(lo, hi)
-        ]
-        seeds = rng.child_seeds(np.zeros(hi - lo, dtype=np.int64), np.arange(lo, hi))
-        assert [np.random.PCG64(seed).state for seed in seeds] == expect
+        expect = [rng.child(0, t).generator().bit_generator.state for t in range(lo, hi)]
+        gens = rng.generators(np.zeros(hi - lo, dtype=np.int64), np.arange(lo, hi))
+        assert [gen.bit_generator.state for gen in gens] == expect
 
     def test_negative_key_is_refused(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            SeededRng(3).child_seeds(np.array([0, -1]))
+            SeededRng(3).generators(np.array([0, -1]))
 
     @pytest.mark.parametrize("n_words, dtype", [(2, np.uint64), (8, np.uint32), (4, np.uint32)])
     def test_seed_refuses_any_other_request(self, n_words, dtype):
-        (seed,) = SeededRng(3).child_seeds(np.array([0]))
+        (gen,) = SeededRng(3).generators(np.array([0]))
         with pytest.raises(ValueError, match="4 uint64"):
-            seed.generate_state(n_words, dtype)
+            gen.bit_generator.seed_seq.generate_state(n_words, dtype)
 
     def test_import_leaves_numpy_random_unloaded(self):
         # numpy.random takes milliseconds to import; only drawing needs it

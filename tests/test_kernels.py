@@ -251,61 +251,6 @@ def test_row_sub_blocks_do_not_change_values(monkeypatch):
         assert np.array_equal(a, b)
 
 
-@settings(max_examples=120, deadline=None)
-@given(
-    L=st.one_of(st.integers(1, 1100), st.integers(1000, 2600)),
-    B=st.sampled_from([1, 2, 7, 8, 255, 256, 1024]),
-    seed=st.integers(0, 2**32 - 1),
-    weights=st.sampled_from(["gaussian", "integer", "infinite"]),
-    transposed=st.booleans(),
-)
-def test_column_max_is_bitwise_the_plain_max(L, B, seed, weights, transposed):
-    gen = np.random.default_rng(seed)
-    if weights == "integer":
-        # integer weights tie many entries of a column
-        a = gen.integers(-2, 3, size=(L, B)).astype(np.float64)
-    else:
-        a = gen.standard_normal((L, B))
-        if weights == "infinite":
-            a[gen.random((L, B)) < 0.01] = np.inf
-            a[gen.random((L, B)) < 0.3] = -np.inf
-    if transposed:
-        a = np.ascontiguousarray(a.T).T  # the layout of a row-major block's .T
-    assert np.array_equal(classes._column_max(a).view(np.int64), a.max(axis=0).view(np.int64))
-
-
-def test_kernels_are_bitwise_the_same_without_the_folded_max(monkeypatch):
-    gen = np.random.default_rng(12)
-    cases = [
-        *((Cliques(m, k), "max", B) for m, k in ((63, 4), (40, 3)) for B in (2, 8, 64)),
-        # the generic hooks: 792 members (no fold), 1287 members (member-major
-        # blocks, folded) and 1444 row-major grid members (never folded)
-        *((spec, test, 3) for spec in (Cliques(12, 5), Cliques(13, 5), GridSquares(40, 3)) for test in ("max", "lr")),
-    ]
-    inputs = [gen.standard_normal((B, spec.n)) * 10.0 ** gen.integers(-3, 4, size=(B, spec.n)) for spec, _, B in cases]
-
-    def run_all():
-        return [
-            spec.max_values_batch(X) if test == "max" else spec.log_mean_exp_batch(1.3, X)
-            for (spec, test, _), X in zip(cases, inputs)
-        ]
-
-    folded = []
-    column_max = classes._column_max
-
-    def recorded(a):
-        L, B = a.shape
-        folded.append(a.flags.c_contiguous and L >= classes._FOLD_MIN_ROWS and 1 < B < classes._FOLD_MAX_WIDTH)
-        return column_max(a)
-
-    monkeypatch.setattr(classes, "_column_max", recorded)
-    got = run_all()
-    assert any(folded)  # the clique maxima and Cliques(13,5) reach the fold
-    monkeypatch.setattr(classes, "_column_max", lambda a: a.max(axis=0))
-    for a, b in zip(got, run_all()):
-        assert np.array_equal(a.view(np.int64), b.view(np.int64))
-
-
 @pytest.mark.parametrize("x", [-0.7, 0.0, 1.25])
 def test_constant_weights_beyond_enumeration(x):
     mu = 2.0

@@ -219,8 +219,8 @@ class TestReproducibility:
         np.testing.assert_array_equal(out.ravel(), np.vstack(blocks)[:, 0])
 
     def test_serial_run_calls_the_kernel_once_per_trial_chunk(self):
-        # no warm-up call: that one runs only before a fan-out; the arms'
-        # trials lie end to end, cut into blocks of _chunk_size(n) rows
+        # one call per block and no other: the arms' trials lie end to end,
+        # cut into blocks of _chunk_size(n) rows
         instance = ProblemInstance(make_class("disjoint", N=2, K=1), 0.9)
         chunk = _chunk_size(instance.n)
         calls = []
@@ -354,10 +354,8 @@ def _blas_threads(_):
 
 
 def _refuse_blocks(X):
-    # passes the one-row warm-up, refuses every chunk
-    if X.shape[0] > 1:
-        raise CapExceededError(10, 5)
-    return X.sum(axis=1)
+    # refuses every block, in whichever process draws it
+    raise CapExceededError(10, 5)
 
 
 class TestWorkerProcesses:
@@ -408,6 +406,23 @@ class TestWorkerProcesses:
             _per_trial_values(_refuse_blocks, instance, (_NULL_ARM,), 3 * _chunk_size(instance.n),
                               SeededRng(87), 2)
         assert (exc.value.cardinality, exc.value.cap) == (10, 5)
+
+    def test_refused_fan_out_leaves_the_pool_working(self):
+        instance = ProblemInstance(make_class("disjoint", N=2, K=1), 0.9)
+        trials = 3 * _chunk_size(instance.n)
+        arms = (_NULL_ARM, _MIXTURE_ARM)
+        _per_trial_values(_pid_values, instance, arms, trials, SeededRng(85), 2, np.int64)
+        pool = {p.pid for p in multiprocessing.active_children()}
+        with pytest.raises(CapExceededError):
+            _per_trial_values(_refuse_blocks, instance, arms, trials, SeededRng(87), 2)
+        one, two = (
+            _per_trial_values(_row_fingerprints, instance, arms, trials, SeededRng(88), w)
+            for w in (1, 2)
+        )
+        np.testing.assert_array_equal(one, two)
+        pids = _per_trial_values(_pid_values, instance, arms, trials, SeededRng(89), 2, np.int64)
+        assert set(pids.ravel()) <= pool and os.getpid() not in set(pids.ravel())
+        assert {p.pid for p in multiprocessing.active_children()} == pool
 
     def test_spans_straddling_the_arms_do_not_depend_on_workers(self):
         # 2 * (chunk + 7) rows: the second block holds the end of the null

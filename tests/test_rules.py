@@ -147,3 +147,32 @@ class TestBatchAgreement:
     def test_maximum_requires_emax0(self):
         with pytest.raises(ValueError):
             batch_rejections("maximum", inst(), np.zeros((1, 4)))
+
+
+class TestFloatRange:
+    """A threshold past the float range, or a NaN statistic, would decide
+    every row alike whatever the data; the rule refuses it instead."""
+
+    @pytest.mark.parametrize("rule, mu", [
+        (averaging_test, 9e307),  # mu * K = 1.8e308
+        (lambda x, pi: maximum_test(x, pi, emax0=2.5), 1e308),
+        (optimal_test, 1e154),  # K * mu**2 = 2e308
+        (optimal_test, 1e155),  # mu**2 itself
+    ])
+    def test_threshold_past_the_float_range(self, rule, mu):
+        with pytest.raises(OverflowError):
+            rule(np.zeros(4), inst(mu=mu))
+
+    def test_nan_statistic(self):
+        # mu * X_S is inf for every member: the log-sum-exp reads inf - inf
+        X = np.zeros((3, 4))
+        X[1] = 1e160
+        with pytest.raises(OverflowError, match="optimal statistic"):
+            log_likelihood_ratio(X[1], inst(mu=1e150))
+        with pytest.raises(OverflowError, match="optimal statistic"):
+            batch_rejections("optimal", inst(mu=1e150), X)
+
+    def test_largest_finite_shift_still_decides(self):
+        # K = 1: mu**2 / 2 stays finite, and so does the statistic
+        d = optimal_test(np.array([1.3e154]), inst(mu=1.3e154, N=1, K=1))
+        assert np.isfinite(d.statistic) and d.reject
