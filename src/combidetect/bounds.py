@@ -161,23 +161,6 @@ def random_subclass_bound(K: int, M: int, t: float) -> BoundReport:
 # -- covers and chaining ----------------------------------------------
 
 
-def _greedy(M: np.ndarray, t: float) -> list[int]:
-    # rows of M kept by one pass in canonical order: a member is kept unless
-    # it lies within t of an already kept member
-    N, K = M.shape
-    reached = np.zeros(N, dtype=bool)
-    kept: list[int] = []
-    for i in range(N):
-        if reached[i]:
-            continue
-        kept.append(i)
-        ov = np.isin(M, M[i]).sum(axis=1)
-        # d = sqrt(2(K - ov)) with an exact integer inside, so the correctly
-        # rounded sqrt compares cleanly against a radius given as sqrt(int)
-        reached |= np.sqrt(2.0 * (K - ov)) <= t
-    return kept
-
-
 def greedy_cover(spec: SetClass, radius: float, cap: int | None = None) -> list[int]:
     """Cover of the class at the given canonical radius, as ``member_matrix``
     row numbers: walk members in canonical order, keep each one not yet
@@ -185,7 +168,22 @@ def greedy_cover(spec: SetClass, radius: float, cap: int | None = None) -> list[
     number."""
     if not radius >= 0:
         raise ValueError("radius must be nonnegative")
-    return _greedy(spec.member_matrix(cap), radius)
+    M = spec.member_matrix(cap)
+    N, K = M.shape
+    reached = np.zeros(N, dtype=bool)
+    mark = np.zeros(spec.n, dtype=bool)  # the indices of the member just kept
+    kept: list[int] = []
+    for i in range(N):
+        if reached[i]:
+            continue
+        kept.append(i)
+        mark[M[i]] = True
+        ov = np.count_nonzero(mark[M], axis=1)
+        mark[M[i]] = False
+        # d = sqrt(2(K - ov)) with an exact integer inside, so the correctly
+        # rounded sqrt compares cleanly against a radius given as sqrt(int)
+        reached |= np.sqrt(2.0 * (K - ov)) <= radius
+    return kept
 
 
 def dudley_bound(
@@ -217,6 +215,8 @@ def dudley_bound(
         if reached not in sizes:
             sizes[reached] = len(greedy_cover(spec, t, cap))
         total += math.sqrt(math.log(sizes[reached])) * h
+    if not math.isfinite(constant * total):
+        raise OverflowError(f"the dudley bound with constant {constant} is past the float range")
     return constant * total
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -251,9 +250,6 @@ class DisjointSets(SetClass):
     def _build_member_matrix(self) -> np.ndarray:
         return np.arange(self.n, dtype=np.int32).reshape(self.N, self.K)
 
-    def member_sums_iter(self, X, cap=None):
-        yield X.reshape(X.shape[0], self.N, self.K).sum(axis=2)
-
     def overlap_pmf(self):
         if self.N == 1:
             return np.array([self.K]), np.array([1.0])
@@ -312,9 +308,7 @@ class KSets(SetClass):
         n, K = self.n, self.K
         total = math.comb(n, K)
         zs = list(range(max(0, 2 * K - n), K + 1))
-        probs = [
-            float(Fraction(math.comb(K, z) * math.comb(n - K, K - z), total)) for z in zs
-        ]
+        probs = [math.comb(K, z) * math.comb(n - K, K - z) / total for z in zs]
         return np.array(zs), np.array(probs)
 
 
@@ -379,11 +373,6 @@ class PerfectMatchings(SetClass):
 
     # -- subset DP over column masks -----------------------------------
 
-    def _dp_fits(self, cap: int | None) -> bool:
-        # the likelihood ratio's DP holds 2^m mask states, which the
-        # enumeration cap also bounds
-        return 1 << self.m <= _resolve_cap(cap)
-
     def _mask_layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Index tables of the DP, one (src, col) pair per matrix row i.
 
@@ -441,8 +430,8 @@ class PerfectMatchings(SetClass):
     def log_mean_exp_batch(self, mu, X, cap=None):
         if mu == 0.0:
             return np.zeros(X.shape[0])
-        if not self._dp_fits(cap):
-            return super().log_mean_exp_batch(mu, X, cap)
+        if 1 << self.m > _resolve_cap(cap):  # the DP's 2^m mask states, under the member cap
+            raise CapExceededError(self.cardinality(), _resolve_cap(cap))
         return self._subset_dp(mu * X, tropical=False) - math.log(self.cardinality())
 
     def overlap_pmf(self):
@@ -454,10 +443,10 @@ class PerfectMatchings(SetClass):
         total = math.factorial(m)
         zs, probs = [], []
         for z in range(m + 1):
-            p = Fraction(math.comb(m, z) * der[m - z], total)
-            if p > 0:
+            count = math.comb(m, z) * der[m - z]
+            if count > 0:
                 zs.append(z)
-                probs.append(float(p))
+                probs.append(count / total)
         return np.array(zs), np.array(probs)
 
 
@@ -704,13 +693,12 @@ class Cliques(SetClass):
         # shared vertices Y are hypergeometric; shared edges are C(Y, 2)
         m, k = self.m, self.k
         total = math.comb(m, k)
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, int] = {}  # members per overlap, counted exactly, divided once
         for y in range(max(0, 2 * k - m), k + 1):
             z = math.comb(y, 2)
-            p = Fraction(math.comb(k, y) * math.comb(m - k, k - y), total)
-            acc[z] = acc.get(z, Fraction(0)) + p
+            acc[z] = acc.get(z, 0) + math.comb(k, y) * math.comb(m - k, k - y)
         zs = sorted(acc)
-        return np.array(zs), np.array([float(acc[z]) for z in zs])
+        return np.array(zs), np.array([acc[z] / total for z in zs])
 
 
 class GridSquares(SetClass):

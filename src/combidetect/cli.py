@@ -20,14 +20,14 @@ from ._version import __version__
 from ._output import render
 from .bounds import PROPS, evaluate_bound, pairs_risk_lower_bound, greedy_cover
 from .classes import FAMILIES, SetClass, estimate_overlap_mgf, make_class
-from .core import CapExceededError, ProblemInstance, SeededRng
+from .core import CapExceededError, SeededRng
 from .risk import (
     emax_upper_cap,
     estimate_emax0,
-    estimate_risk,
     nonmonotonicity_demo,
     render_curve,
     render_risk_rows,
+    risk_at,
     scan_critical_mu,
 )
 from .rules import TESTS
@@ -171,14 +171,11 @@ def _risk_setup(args, *dests: str):
 
 def _run_risk(args) -> str:
     spec, emax0, config = _risk_setup(args, "mu")
-    rng = SeededRng(args.seed)
-    rows = []
-    for i, mu in enumerate(args.mu):
-        est = estimate_risk(
-            args.test, ProblemInstance(spec, mu), args.trials, rng.child(i),
-            emax0=emax0, cap=args.cap, workers=args.workers,
-        )
-        rows.append((mu, est))
+    estimates = risk_at(
+        args.test, spec, args.mu, args.trials, SeededRng(args.seed),
+        emax0=emax0, cap=args.cap, workers=args.workers,
+    )
+    rows = list(zip(args.mu, estimates))
     return render_risk_rows(args.format, rows, config, "combidetect.risk.v1")
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from ._output import render
 from .classes import ExplicitClass, SetClass
 from .core import AsymmetricClassError, ProblemInstance, SeededRng
-from .rules import batch_rejections
+from .rules import _decide, batch_rejections
 
 _NULL_ARM = 0
 _MIXTURE_ARM = 1
@@ -203,11 +203,23 @@ def estimate_risk(
     return _risk(decide, instance, trials, rng, workers)
 
 
+def risk_at(
+    test: str, spec: SetClass, mus: Sequence[float], trials: int, rng: SeededRng, *,
+    emax0: float | None = None, cap: int | None = None, workers: int = 1,
+) -> list[RiskEstimate]:
+    """``estimate_risk`` at each mu of ``mus``, point i drawn from rng.child(i)."""
+    options = {"emax0": emax0, "cap": cap, "workers": workers}
+    return [
+        estimate_risk(test, ProblemInstance(spec, mu), trials, rng.child(i), **options)
+        for i, mu in enumerate(mus)
+    ]
+
+
 # per-trial value functions, bound with partial so a worker process can unpickle them
 def _lr_values(rho: bool, instance: ProblemInstance, cap: int | None, X: np.ndarray) -> np.ndarray:
-    # sqrt(L) / 2 for the Bhattacharyya coefficient rho, else 1 - |L - 1| / 2
-    shift = instance.K * instance.mu**2 / 2.0
-    loglik = instance.set_class.log_mean_exp_batch(instance.mu, X, cap) - shift
+    # sqrt(L) / 2 for the Bhattacharyya coefficient rho, else 1 - |L - 1| / 2,
+    # from the rule's own log L, refused where the rule refuses
+    loglik = _decide("optimal", instance, X, None, cap)[0]
     return 0.5 * np.exp(0.5 * loglik) if rho else 1.0 - 0.5 * np.abs(np.expm1(loglik))
 
 
@@ -299,18 +311,7 @@ def scan_critical_mu(
         raise ValueError("mu_grid must be strictly increasing")
     if test == "maximum" and emax0 is None:
         emax0 = emax_upper_cap(spec)
-    estimates = []
-    for i, mu in enumerate(grid):
-        est = estimate_risk(
-            test,
-            ProblemInstance(spec, mu),
-            trials,
-            rng.child(i),
-            emax0=emax0,
-            cap=cap,
-            workers=workers,
-        )
-        estimates.append(est)
+    estimates = risk_at(test, spec, grid, trials, rng, emax0=emax0, cap=cap, workers=workers)
     crit = _interpolate_half(grid, [e.total for e in estimates])
     return RiskCurve(tuple(grid), tuple(estimates), crit)
 
@@ -363,18 +364,13 @@ def monotonicity_check(
     sub = ExplicitClass(spec.n, M[ranks])
 
     grid = [float(m) for m in mu_grid]
-    sub_est, full_est, violated = [], [], []
-    for i, mu in enumerate(grid):
-        ra = estimate_risk(
-            "optimal", ProblemInstance(sub, mu), trials, rng.child(1, i), cap=cap, workers=workers
-        )
-        rc = estimate_risk(
-            "optimal", ProblemInstance(spec, mu), trials, rng.child(2, i), cap=cap, workers=workers
-        )
-        margin = 3.0 * math.sqrt(ra.se_total**2 + rc.se_total**2)
-        sub_est.append(ra)
-        full_est.append(rc)
-        violated.append(ra.total > rc.total + margin)
+    # point i of each class draws from rng.child(1, i) and rng.child(2, i)
+    sub_est = risk_at("optimal", sub, grid, trials, rng.child(1), cap=cap, workers=workers)
+    full_est = risk_at("optimal", spec, grid, trials, rng.child(2), cap=cap, workers=workers)
+    violated = [
+        ra.total > rc.total + 3.0 * math.sqrt(ra.se_total**2 + rc.se_total**2)
+        for ra, rc in zip(sub_est, full_est)
+    ]
     return MonotonicityReport(
         tuple(grid), int(N), size, tuple(sub_est), tuple(full_est), tuple(violated)
     )

@@ -166,6 +166,16 @@ class TestErrorExits:
         assert code == 3  # N = 120 > 50
         assert "120" in json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize("test", ["optimal", "maximum"])
+    def test_disjoint_rules_refuse_past_the_cap(self, capsys, test):
+        # both rules gather the N x K member matrix, so N = 8 > --cap 7 refuses
+        argv = f"risk --class disjoint --N 8 --K 8 --test {test} --mu 1 --trials 5 --seed 1 --cap".split()
+        code, out, err = run(capsys, *argv, "7")
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"]["message"] == "class has 8 members, enumeration capped at 7"
+        code, out, err = run(capsys, *argv, "8")
+        assert code == 0 and err == "" and out.startswith("#schema=combidetect.risk.v1\n")
+
     @pytest.mark.parametrize("flag", ["--workers", "--cap"])
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_count_below_one_is_config_error(self, capsys, flag, value):
@@ -217,6 +227,7 @@ class TestErrorExits:
         "overlap --class grid --sqrt-n 4 --sqrt-K 2 --mu 30 --pairs 50",
         "overlap --class grid --sqrt-n 4 --sqrt-K 2 --mu 40 --pairs 50",
         "overlap --class trees --m 5 --mu 0.8 --pairs 50",
+        "bounds --prop dudley --class ksets --n 4 --K 2 --constant 1e308",
         # refused before the grid is built: numpy would ask for 745 GiB
         "scan --class stars --m 4 --test optimal --mu-grid 0:1:100000000000 --trials 2",
     ])
@@ -345,10 +356,11 @@ def command_lines(draw):
         prop = draw(st.sampled_from(PROPS))
         scalars = {"n": 3, "K": 2, "m": 40, "k": 2, "emax0": draw(st.sampled_from([0.0, 2.0, 40.0])),
                    "mgf": draw(st.sampled_from([1.0, 2.0, 40.0])), "t": draw(st.sampled_from([0.5, 1.0])),
-                   "constant": 1.0, "M": 17, "V": 1}
+                   "M": 17, "V": 1}
         # the class-dependent propositions take the class flags, the others the scalars
+        constant = {"constant": draw(st.sampled_from([1.0, 1e308]))}
         values = {"prop": prop, "delta": draw(DELTAS)} | (
-            sizes | {"constant": 1.0} | trials if prop in ("dudley", "type1-cover") else scalars
+            sizes | constant | trials if prop in ("dudley", "type1-cover") else scalars
         )
     elif command == "overlap":
         values = sizes | {"mu": mu, "pairs": draw(COUNTS)}
@@ -598,6 +610,7 @@ DELETED = {
     "OverlapSample": "classes",
     "MTooLargeForClassError": "core",
     "packing_estimate": "bounds",
+    "_greedy": "bounds",
     "canonical_distance": "core",
     "IndexSet": "core",
     "Observation": "core",

@@ -29,6 +29,7 @@ from combidetect import classes
 from combidetect._assignment import assignment_value
 from combidetect.classes import (
     Cliques,
+    DisjointSets,
     ExplicitClass,
     GridSquares,
     KSets,
@@ -271,8 +272,15 @@ def test_matchings_cap_bounds_the_dp_states():
     spec = PerfectMatchings(8)  # 2^8 = 256 mask states
     X = np.random.default_rng(4).standard_normal((20, spec.n))
     for cap in (100, 255):
-        with pytest.raises(CapExceededError):
+        with pytest.raises(CapExceededError) as exc:
             spec.log_mean_exp_batch(1.0, X, cap=cap)
+        assert str(exc.value) == f"class has 40320 members, enumeration capped at {cap}"
+    # refused even where the m! members would fit: 3! = 6 but 2^3 = 8 states
+    small = PerfectMatchings(3)
+    with pytest.raises(CapExceededError) as exc:
+        small.log_mean_exp_batch(1.0, X[:, :9], cap=6)
+    assert (exc.value.cardinality, exc.value.cap) == (6, 6)
+    assert np.isfinite(small.log_mean_exp_batch(1.0, X[:, :9], cap=8)).all()
     assert np.array_equal(spec.log_mean_exp_batch(1.0, X, cap=256), spec.log_mean_exp_batch(1.0, X))
     # the cap does not bound the maximum, whose path depends on m only
     assert np.array_equal(spec.max_values_batch(X, cap=100), spec.max_values_batch(X))
@@ -384,6 +392,31 @@ def test_a_lone_row_gets_the_bits_of_its_row_in_a_block(case):
             for r in range(5):
                 alone = run(X[lo + r : lo + r + 1])
                 assert np.array_equal(alone.view(np.int64), block[r : r + 1].view(np.int64)), (test, lo + r)
+
+
+#: one class or more of every family; every maximum but those of KSets (a
+#: partition) and GridSquares (a summed-area table) adds a member's weights
+#: in the enumeration's order
+MAX_CASES = [
+    DisjointSets(8, 8), DisjointSets(3, 2), KSets(10, 4), Stars(9), PerfectMatchings(6),
+    SpanningTrees(7), Cliques(8, 3), Cliques(8, 4), Cliques(8, 5), GridSquares(6, 3),
+]
+
+
+def test_max_cases_cover_every_family():
+    assert set(classes.FAMILIES.values()) <= {type(spec) for spec in MAX_CASES}
+
+
+@pytest.mark.parametrize("spec", MAX_CASES, ids=repr)
+def test_every_maximum_against_its_explicit_class(spec):
+    explicit = ExplicitClass(spec.n, spec.member_matrix())
+    gen = np.random.default_rng(9)
+    X = gen.standard_normal((300, spec.n)) * 10.0 ** gen.integers(-3, 2, size=(300, spec.n))
+    got, ref = spec.max_values_batch(X), explicit.max_values_batch(X)
+    if isinstance(spec, (KSets, GridSquares)):
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+    else:
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
 
 @pytest.mark.parametrize("spec", [Cliques(9, 5), Stars(12)], ids=["cliques", "stars"])

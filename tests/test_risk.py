@@ -127,6 +127,15 @@ class TestAgainstClosedForms:
         hi = 2 * rho
         assert lo - 4 * se <= rstar <= hi + 4 * se
 
+    @pytest.mark.parametrize("estimator", [estimate_bayes_risk, estimate_bhattacharyya])
+    def test_lr_estimators_refuse_where_the_rule_refuses(self, estimator):
+        # K mu^2 / 2 is inf here, so log L would read -inf on every trial
+        inst = ProblemInstance(make_class("ksets", n=5, K=3), 1e154)
+        with pytest.raises(OverflowError, match="past the float range"):
+            estimator(inst, 10, SeededRng(1))
+        with pytest.raises(OverflowError, match="past the float range"):
+            estimate_risk("optimal", inst, 10, SeededRng(1))
+
     def test_emax_of_64_singletons(self):
         spec = make_class("disjoint", N=64, K=1)
         f = lambda x: 64 * x * norm.pdf(x) * norm.cdf(x) ** 63

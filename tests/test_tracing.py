@@ -1,0 +1,49 @@
+"""The benchmark's span tracer (perfbench/tracing.py) against the package.
+
+The tracer finds each layer by the name of a module or class attribute and
+rebinds it, so renaming or re-homing one of those names breaks only a traced
+benchmark run.  This loads the tracer as the benchmark does, runs one small
+estimate and one CLI call under it, and checks that the layers it names
+recorded spans and that removing it restores every attribute.
+"""
+
+import importlib
+import inspect
+from pathlib import Path
+
+import combidetect
+from combidetect import ProblemInstance, SeededRng, make_class
+from combidetect import _assignment, bounds, classes, cli, core, risk, rules
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _attributes() -> dict:
+    # every attribute of the package's modules and classes, by owner and name
+    modules = (combidetect, core, classes, _assignment, rules, risk, bounds, cli)
+    classes_ = (c for m in modules for _, c in inspect.getmembers(m, inspect.isclass))
+    owners = [*modules, *(c for c in classes_ if c.__module__.startswith("combidetect"))]
+    return {(id(owner), attr): value for owner in owners for attr, value in vars(owner).items()}
+
+
+def test_tracer_records_each_layer_and_uninstalls_cleanly(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    before = _attributes()
+    tracer = tracing.Tracer()
+    tracing.instrument(tracer)
+    try:
+        assert risk.estimate_risk is not before[(id(risk), "estimate_risk")]
+        inst = ProblemInstance(make_class("disjoint", N=2, K=1), 1.0)
+        risk.estimate_risk("optimal", inst, 5, SeededRng(1))
+        argv = "risk --class stars --m 4 --test maximum --mu 1 --mu 2 --trials 5 --seed 1"
+        assert cli.main(argv.split()) == 0
+    finally:
+        tracer.uninstall()
+    assert capsys.readouterr().out.startswith("#schema=combidetect.risk.v1\n")
+    recorded = {tracer.names[span[0]] for span in tracer.spans}
+    assert {"risk._draw_block", "rules.batch_rejections", "risk.estimate_risk", "cli.main"} <= recorded
+    # 10 rows for the direct call, 10 for each of the CLI call's two mu values
+    assert tracer.counters["risk._draw_block.rows"] == 30
+    after = _attributes()
+    assert all(after[key] is value for key, value in before.items())
