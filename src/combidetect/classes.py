@@ -73,6 +73,17 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return top + np.log(total)
 
 
+def _per_row_mu(kernel):
+    """A ``log_mean_exp_batch`` of mu, a float or one value per row, whose kernel
+    scales each row by its entry of a (B, 1) column; a row at mu = 0 gives exactly 0."""
+    @functools.wraps(kernel)
+    def batch(self, mu, X, cap=None):
+        mu = np.broadcast_to(np.reshape(mu, (-1, 1)), (X.shape[0], 1))
+        zero = mu[:, 0] == 0.0
+        return np.zeros(X.shape[0]) if zero.all() else np.where(zero, 0.0, kernel(self, mu, X, cap))
+    return batch
+
+
 def _resolve_cap(cap: int | None) -> int:
     return DEFAULT_ENUMERATION_CAP if cap is None else int(cap)
 
@@ -202,17 +213,16 @@ class SetClass:
                 np.maximum(best[rows], blk.max(axis=1), out=best[rows])
         return best
 
-    def log_mean_exp_batch(self, mu: float, X: np.ndarray, cap: int | None = None) -> np.ndarray:
+    @_per_row_mu
+    def log_mean_exp_batch(self, mu, X: np.ndarray, cap: int | None = None) -> np.ndarray:
         """log((1/N) sum_S exp(mu * X_S)) per row, streaming log-sum-exp
         that adds each chunk's terms in member order, for one row as for many."""
-        if mu == 0.0:
-            return np.zeros(X.shape[0])
         out = np.empty(X.shape[0])
         for rows in _row_blocks(X.shape[0], 1, _BLOCK_ROWS):
             x = X[rows]
             hi, acc = np.full(len(x), -np.inf), np.zeros(len(x))
             for blk in self.member_sums_iter(x, cap):
-                t = mu * blk
+                t = mu[rows] * blk
                 top = np.maximum(hi, t.max(axis=1))
                 # axis 0 sums in member order; a zero column keeps B = 1 off pairwise sums
                 terms = np.zeros((t.shape[1], len(x) + 1))
@@ -289,11 +299,10 @@ class KSets(SetClass):
         part = np.partition(X, self.n - self.K, axis=1)
         return part[:, self.n - self.K :].sum(axis=1)
 
+    @_per_row_mu
     def log_mean_exp_batch(self, mu, X, cap=None):
         # log-domain elementary symmetric polynomial recurrence, O(nK) per row;
         # evaluates the same sum over all C(n, K) members without enumerating.
-        if mu == 0.0:
-            return np.zeros(X.shape[0])
         logt = mu * X
         B = X.shape[0]
         dp = np.full((B, self.K + 1), -np.inf)
@@ -410,13 +419,14 @@ class PerfectMatchings(SetClass):
         in each argument, so a state's max is its paths' largest sum.
         """
         out = np.empty(X.shape[0])
-        # widest candidate block of one row: (m choose k) masks x k columns
-        width = max(k * math.comb(self.m, k) for k in range(1, self.m + 1))
+        # widest candidate block of one row, (m choose k) masks x k columns, held twice
+        width = 2 * max(k * math.comb(self.m, k) for k in range(1, self.m + 1))
         for blk in _row_blocks(X.shape[0], width, _DP_BLOCK_BUDGET):
             XT = np.ascontiguousarray(X[blk].T)
             value = np.full((1, XT.shape[1]), -0.0)  # -0.0 + w is w, zeros included
             for src, col in self._mask_layers():
-                cand = value[src] + XT[col]
+                cand = value[src]
+                cand += XT[col]
                 value = cand.max(axis=0) if tropical else _logsumexp(cand, axis=0)
             out[blk] = value[0]
         return out
@@ -427,11 +437,10 @@ class PerfectMatchings(SetClass):
             return np.array([assignment_value(row.reshape(self.m, self.m)) for row in X])
         return self._subset_dp(X, tropical=True)
 
+    @_per_row_mu
     def log_mean_exp_batch(self, mu, X, cap=None):
-        if mu == 0.0:
-            return np.zeros(X.shape[0])
         if 1 << self.m > _resolve_cap(cap):  # the DP's 2^m mask states, under the member cap
-            raise CapExceededError(self.cardinality(), _resolve_cap(cap))
+            raise CapExceededError(1 << self.m, _resolve_cap(cap), "the subset DP has {} mask states")
         return self._subset_dp(mu * X, tropical=False) - math.log(self.cardinality())
 
     def overlap_pmf(self):
@@ -528,6 +537,7 @@ class SpanningTrees(SetClass):
             out[blk] = np.take_along_axis(x, ids, axis=1).cumsum(axis=1)[:, -1]
         return out
 
+    @_per_row_mu
     def log_mean_exp_batch(self, mu, X, cap=None):
         # weighted matrix-tree theorem: the tree polynomial is the determinant
         # of the Laplacian without the row and column of the root, here the
@@ -535,13 +545,11 @@ class SpanningTrees(SetClass):
         # remaining weights and w_ik g_k / d_k to each weight g to the root,
         # and its pivot d_k is the sum of k's remaining weights plus g_k, so
         # no step subtracts (GTH-style) and everything stays in the log domain.
-        if mu == 0.0:
-            return np.zeros(X.shape[0])
         r = self.m - 1
         pid = self._pair_id0
         out = np.zeros(X.shape[0])
         for blk in _row_blocks(X.shape[0], r * r, _BLOCK_BUDGET):
-            lt = mu * X[blk]
+            lt = mu[blk] * X[blk]
             lw = lt[:, pid[:r, :r]]  # diagonal entries are never read
             lg = lt[:, pid[:r, r]]
             for k in range(r):
@@ -643,17 +651,16 @@ class Cliques(SetClass):
             out[blk] = best
         return out
 
+    @_per_row_mu
     def log_mean_exp_batch(self, mu, X, cap=None):
         # dense contraction of W = exp(mu x - top) over vertex pairs, zero on
         # the diagonal, so every weight is at most 1.  k = 3: each triangle is
         # one of 6 ordered triples in ((W @ W) * W).sum().  k = 4: for a pair
         # a < b, V[ab] = W[a] * W[b] and (U * V)[ab, d] with U = V @ W sums
         # W_ac W_bc W_cd W_ad W_bd over c; weighting by W_ab counts each
-        # 4-clique once per pair and ordered (c, d), 12 times.
-        if mu == 0.0:
-            return np.zeros(X.shape[0])
+        # 4-clique once per pair and ordered (c, d), 12 times.  Fallbacks pass mu as a list.
         if not self._contraction_fits(cap):
-            return super().log_mean_exp_batch(mu, X, cap)
+            return super().log_mean_exp_batch(mu[:, 0].tolist(), X, cap)
         m, a, b = self.m, self.edges[:, 0], self.edges[:, 1]
         rows = self.n if self.k == 4 else m
         diag = np.arange(m)
@@ -663,7 +670,7 @@ class Cliques(SetClass):
         W = np.empty((m, m))
         U = np.empty((rows, m))
         for r, x in enumerate(X):
-            t = mu * x
+            t = mu[r] * x
             shift[r] = t.max()
             w = np.exp(t - shift[r])
             np.take(w, self._pair_id0, out=W)
@@ -684,7 +691,7 @@ class Cliques(SetClass):
         # digits to underflow, so those rows enumerate in the log domain
         low = ~(total >= _CONTRACTION_FLOOR)
         if low.any():
-            out[low] = super().log_mean_exp_batch(mu, X[low], cap)
+            out[low] = super().log_mean_exp_batch(mu[low, 0].tolist(), X[low], cap)
         ok = ~low
         out[ok] = np.log(total[ok]) + self.K * shift[ok] - math.log(self.cardinality())
         return out

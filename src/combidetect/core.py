@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -30,18 +30,16 @@ class DegenerateParameterError(ValueError):
 
 
 class CapExceededError(RuntimeError):
-    """Class cardinality exceeds the enumeration cap for this operation."""
+    """Class cardinality, or the states of a kernel that stands in for
+    enumeration (``counted`` names which), exceeds the enumeration cap."""
 
-    def __init__(self, cardinality: int, cap: int):
-        self.cardinality = cardinality
-        self.cap = cap
-        super().__init__(
-            f"class has {cardinality} members, enumeration capped at {cap}"
-        )
+    def __init__(self, cardinality: int, cap: int, counted: str = "class has {} members"):
+        self.cardinality, self.cap, self.counted = cardinality, cap, counted
+        super().__init__(f"{counted.format(cardinality)}, enumeration capped at {cap}")
 
     def __reduce__(self):
         # rebuilt from the counts, not from ``args`` (the message alone)
-        return type(self), (self.cardinality, self.cap)
+        return type(self), (self.cardinality, self.cap, self.counted)
 
 
 class AsymmetricClassError(ValueError):
@@ -94,17 +92,20 @@ class SeededRng:
         prefix = np.array([w for key in address for w in _uint32_words(key)], dtype=np.int64)
         words = np.vstack([np.repeat(prefix[:, None], keys.shape[1], 1), keys]).astype(np.uint32)
         states = _seed_sequence_state(words)
-        return [np.random.Generator(np.random.PCG64(_Seed(state))) for state in states]
+        return list(map(np.random.Generator, map(np.random.PCG64, map(_Seed, list(states)))))
 
 
-class _Seed(NamedTuple):
+class _Seed:
     """One address's ``SeedSequence.generate_state(4, np.uint64)``, which a bit
     generator seeds from through numpy's ``ISeedSequence`` interface."""
 
-    state: np.ndarray
+    __slots__ = ("state",)
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
+        if n_words != 4 or not (dtype is np.uint64 or np.dtype(dtype) == np.uint64):
             raise ValueError("a trial seed holds exactly 4 uint64 words")
         return self.state
 

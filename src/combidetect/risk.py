@@ -2,11 +2,12 @@
 
 Risk of a test = P(reject | null) + mean over members of P(accept | member),
 estimated by independent trials.  Every trial owns the substream
-(master_seed, *stream, arm, trial_index), so results are byte-identical for a
-given (seed, config) regardless of blocking or worker count.  A call lays its
-arms' trials end to end and draws them in blocks, which may straddle the
-arms; per-trial values are written into a preallocated array and reduced
-once, in index order.
+(master_seed, *stream, [point,] arm, trial_index), so results are
+byte-identical for a given (seed, config) regardless of blocking or worker
+count.  A call lays the trials of each (point, arm) segment end to end and
+draws them in blocks, which may straddle arms and points, each row at its
+point's mu; per-trial values are written into a preallocated array and
+reduced once, in index order.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import numpy as np
 
 from ._output import render
 from .classes import ExplicitClass, SetClass
-from .core import AsymmetricClassError, ProblemInstance, SeededRng
-from .rules import _decide, batch_rejections
+from .core import AsymmetricClassError, ProblemInstance, SeededRng, checked_mu
+from .rules import _decide, _levels, batch_rejections
 
 _NULL_ARM = 0
 _MIXTURE_ARM = 1
@@ -77,36 +78,37 @@ def emax_upper_cap(spec: SetClass) -> float:
 
 def _chunk_size(n: int) -> int:
     # bounded work set per block; it depends on the config only, and a row's
-    # bits depend on its address only, so blocks may straddle the arms
+    # bits depend on its address only, so blocks may straddle arms and points
     return max(1, min(1024, 2_000_000 // max(1, n)))
 
 
-#: observations (1 MiB of float64) a block may hold past one arm's trials, so
-#: that a small call draws its arms together
+#: observations (1 MiB of float64) a block may hold past one segment's trials,
+#: so that a small call draws its arms and points together
 _SMALL_BLOCK = 2**17
 
 
 def _draw_block(
-    instance: ProblemInstance, arms: Sequence[int], lo: int, hi: int, rng: SeededRng, trials: int
-) -> np.ndarray:
-    # rows lo..hi of the arms' trials end to end: row j is trial t = j % trials
-    # of arm arms[j // trials] and draws from rng.child(arm, t).generator(), in
-    # any block or process; a mixture trial's member comes before its noise
+    spec: SetClass, segments: tuple, lo: int, hi: int, rng: SeededRng, trials: int
+) -> tuple[np.ndarray, np.ndarray]:
+    # (X, mu) of rows lo..hi of the segments' trials end to end: row j is trial
+    # t = j % trials of segment (keys, mu) j // trials, keys ending in its arm,
+    # and draws from rng.child(*keys, t).generator() in any block or process;
+    # a mixture trial's member comes before its noise
     j = np.arange(lo, hi)
-    arm = np.asarray(arms)[j // trials]
-    gens = rng.generators(arm, j % trials)
-    mixed = np.flatnonzero(arm == _MIXTURE_ARM)
-    members = instance.set_class.sample_rows([gens[i] for i in mixed]) if mixed.size else None
-    X = np.empty((hi - lo, instance.n))
+    keys, mu = (column[j // trials] for column in segments)
+    gens = rng.generators(*keys.T, j % trials)
+    mixed = np.flatnonzero(keys[:, -1] == _MIXTURE_ARM)
+    members = spec.sample_rows([gens[i] for i in mixed]) if mixed.size else None
+    X = np.empty((hi - lo, spec.n))
     for x, gen in zip(X, gens):
         gen.standard_normal(out=x)
     if members is not None:
-        X[mixed[:, None], members] += instance.mu
-    return X
+        X[mixed[:, None], members] += mu[mixed, None]
+    return X, mu
 
 
-def _chunk_values(value_fn: Callable, instance: ProblemInstance, arms, trials, rng, lo, hi):
-    return value_fn(_draw_block(instance, arms, lo, hi, rng, trials))
+def _chunk_values(value_fn: Callable, spec: SetClass, segments, trials, rng, lo, hi):
+    return value_fn(*_draw_block(spec, segments, lo, hi, rng, trials))
 
 
 #: the worker pool by its size, dropped at exit while its finalizer's modules remain
@@ -151,39 +153,35 @@ def _worker_pool(size: int):
 
 
 def _per_trial_values(
-    value_fn: Callable[[np.ndarray], np.ndarray],
-    instance: ProblemInstance,
-    arms: Sequence[int],
-    trials: int,
-    rng: SeededRng,
-    workers: int,
+    value_fn: Callable, spec: SetClass, segments: Sequence, trials: int, rng: SeededRng, workers: int,
     out_dtype=np.float64,
 ) -> np.ndarray:
-    # a (len(arms), trials) array of value_fn over each arm's trials
+    # a (len(segments), trials) array of value_fn(X, mu) over each segment's trials
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rows = len(arms) * trials
+    segments = (np.array([keys for keys, _ in segments]), np.array([mu for _, mu in segments]))
+    rows = len(segments[1]) * trials
     out = np.empty(rows, dtype=out_dtype)
-    chunk = _chunk_size(instance.n)
-    block = min(chunk, max(trials, _SMALL_BLOCK // instance.n))
-    spans = [(lo, min(lo + block, rows)) for lo in range(0, rows, block)]
-    chunk_values = partial(_chunk_values, value_fn, instance, arms, trials, rng)
-    # arms of at most one chunk run here: below that, task overhead can outweigh the split
+    chunk = _chunk_size(spec.n)
+    block = min(chunk, max(trials, _SMALL_BLOCK // spec.n))
+    los = range(0, rows, block)
+    his = [min(lo + block, rows) for lo in los]
+    chunk_values = partial(_chunk_values, value_fn, spec, segments, trials, rng)
+    # segments of at most one chunk run here: below that, task overhead can outweigh the split
     fan_out = map if workers <= 1 or trials <= chunk else _worker_pool(_pool_size(workers)).map
-    for (lo, hi), values in zip(spans, fan_out(chunk_values, *zip(*spans))):
+    for lo, hi, values in zip(los, his, fan_out(chunk_values, los, his)):
         out[lo:hi] = values
-    return out.reshape(len(arms), trials)
+    return out.reshape(-1, trials)
 
 
-def _risk(
-    decide: Callable, instance: ProblemInstance, trials: int, rng: SeededRng, workers: int
-) -> RiskEstimate:
-    # rejections of ``decide`` on the null arm and on the mixture arm
-    arms = (_NULL_ARM, _MIXTURE_ARM)
-    rej_null, rej_mix = _per_trial_values(decide, instance, arms, trials, rng, workers, np.bool_)
-    return RiskEstimate.from_counts(
-        int(np.count_nonzero(rej_null)), trials - int(np.count_nonzero(rej_mix)), trials
-    )
+def _risk(decide: Callable, spec: SetClass, points: list, trials: int, rng: SeededRng, workers: int):
+    # a RiskEstimate per point (keys, mu); trial t of its arm a draws from rng.child(*keys, a, t)
+    segments = [((*keys, arm), mu) for keys, mu in points for arm in (_NULL_ARM, _MIXTURE_ARM)]
+    rej = _per_trial_values(decide, spec, segments, trials, rng, workers, np.bool_)
+    return [
+        RiskEstimate.from_counts(int(np.count_nonzero(null)), trials - int(np.count_nonzero(mix)), trials)
+        for null, mix in rej.reshape(-1, 2, trials)
+    ]
 
 
 def estimate_risk(
@@ -199,33 +197,37 @@ def estimate_risk(
     """Monte Carlo risk of one rule: ``trials`` null draws for the type-I
     rate, ``trials`` mixture draws (uniform member, then the shifted vector)
     for the type-II rate."""
-    decide = partial(batch_rejections, test, instance, emax0=emax0, cap=cap)
-    return _risk(decide, instance, trials, rng, workers)
+    decide = partial(batch_rejections, test, instance.set_class, emax0=emax0, cap=cap)
+    return _risk(decide, instance.set_class, [((), instance.mu)], trials, rng, workers)[0]
 
 
 def risk_at(
     test: str, spec: SetClass, mus: Sequence[float], trials: int, rng: SeededRng, *,
     emax0: float | None = None, cap: int | None = None, workers: int = 1,
 ) -> list[RiskEstimate]:
-    """``estimate_risk`` at each mu of ``mus``, point i drawn from rng.child(i)."""
-    options = {"emax0": emax0, "cap": cap, "workers": workers}
-    return [
-        estimate_risk(test, ProblemInstance(spec, mu), trials, rng.child(i), **options)
-        for i, mu in enumerate(mus)
-    ]
+    """``estimate_risk`` at each mu of ``mus``, point i drawn from rng.child(i), in shared blocks."""
+    points = [((i,), checked_mu(mu)) for i, mu in enumerate(mus)]
+    for _, mu in points:  # each point's threshold refusal, in point order, before any draw
+        _levels(test, spec.K, mu, emax0)
+    decide = partial(batch_rejections, test, spec, emax0=emax0, cap=cap)
+    return _risk(decide, spec, points, trials, rng, workers)
 
 
-# per-trial value functions, bound with partial so a worker process can unpickle them
-def _lr_values(rho: bool, instance: ProblemInstance, cap: int | None, X: np.ndarray) -> np.ndarray:
+# per-trial value functions of (X, mu), bound with partial so a worker process can unpickle them
+def _lr_values(rho: bool, spec: SetClass, cap: int | None, X: np.ndarray, mu: np.ndarray) -> np.ndarray:
     # sqrt(L) / 2 for the Bhattacharyya coefficient rho, else 1 - |L - 1| / 2,
     # from the rule's own log L, refused where the rule refuses
-    loglik = _decide("optimal", instance, X, None, cap)[0]
+    loglik = _decide("optimal", spec, X, mu, None, cap)[0]
     return 0.5 * np.exp(0.5 * loglik) if rho else 1.0 - 0.5 * np.abs(np.expm1(loglik))
 
 
-def _witness_rejections(K: int, thr: float, X: np.ndarray) -> np.ndarray:
+def _max_values(spec: SetClass, cap: int | None, X: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    return spec.max_values_batch(X, cap)
+
+
+def _witness_rejections(K: int, X: np.ndarray, mu: np.ndarray) -> np.ndarray:
     # averaging over the shared block only, ties rejecting
-    return X[:, :K].sum(axis=1) >= thr
+    return X[:, :K].sum(axis=1) >= mu * K / 2.0
 
 
 def _null_mean(
@@ -234,7 +236,8 @@ def _null_mean(
     # (mean, std_error) of the per-trial values over null draws
     if trials < 2:
         raise ValueError("trials must be >= 2")
-    (v,) = _per_trial_values(values, instance, (_NULL_ARM,), trials, rng, workers)
+    segment = ((_NULL_ARM,), instance.mu)
+    (v,) = _per_trial_values(values, instance.set_class, [segment], trials, rng, workers)
     return float(v.mean()), float(v.std(ddof=1) / math.sqrt(v.size))
 
 
@@ -249,7 +252,7 @@ def estimate_bayes_risk(
     """(estimate, std_error) of the optimum risk 1 - E|L - 1|/2 from null
     draws only.  Sharp near mu = 0; the per-trial variance blows up for
     large mu."""
-    return _null_mean(partial(_lr_values, False, instance, cap), instance, trials, rng, workers)
+    return _null_mean(partial(_lr_values, False, instance.set_class, cap), instance, trials, rng, workers)
 
 
 def estimate_bhattacharyya(
@@ -261,7 +264,7 @@ def estimate_bhattacharyya(
     workers: int = 1,
 ) -> tuple[float, float]:
     """(estimate, std_error) of rho = E sqrt(L)/2 from null draws."""
-    return _null_mean(partial(_lr_values, True, instance, cap), instance, trials, rng, workers)
+    return _null_mean(partial(_lr_values, True, instance.set_class, cap), instance, trials, rng, workers)
 
 
 def estimate_emax0(
@@ -274,7 +277,7 @@ def estimate_emax0(
 ) -> EmaxEstimate:
     """Null expectation of max_S X_S, with the analytic cap sqrt(2 K log N)
     reported alongside."""
-    values = partial(spec.max_values_batch, cap=cap)
+    values = partial(_max_values, spec, cap)
     mean, se = _null_mean(values, ProblemInstance(spec, 0.0), trials, rng, workers)
     return EmaxEstimate(mean, se, emax_upper_cap(spec))
 
@@ -441,9 +444,8 @@ def nonmonotonicity_demo(
         "optimal", ProblemInstance(full, mu), trials, rng.child(1), workers=workers
     )
 
-    winst = ProblemInstance(ExplicitClass(n, witness), mu)
-    witness_decide = partial(_witness_rejections, K, mu * K / 2.0)
-    risk_w = _risk(witness_decide, winst, trials, rng.child(2), workers)
+    witness_decide = partial(_witness_rejections, K)
+    (risk_w,) = _risk(witness_decide, ExplicitClass(n, witness), [((), mu)], trials, rng.child(2), workers)
 
     side_rhs = math.sqrt(8.0 / K * math.log(2.0 / epsilon))
     return NonmonotonicityReport(

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classes import SetClass
 from .core import DegenerateParameterError, ProblemInstance, as_vector
 
 
@@ -22,50 +23,57 @@ class Decision:
     threshold: float
 
 
-def _decide(
-    test: str,
-    instance: ProblemInstance,
-    X: np.ndarray,
-    emax0: float | None,
-    cap: int | None,
-) -> tuple[np.ndarray, float, np.ndarray]:
-    """(statistics, threshold, rejections) of one rule on a (B, n) block.
-
-    The scalar rules are this on a block of one row.  Every kernel gives a
-    row the same bits alone as in a block, so their statistics and decisions
-    equal the batch's bit for bit.  A threshold past the float range, or a
-    statistic that is NaN, is refused with OverflowError.
-    """
-    sc = instance.set_class
-    mu, K = instance.mu, instance.K
-    shift = 0.0  # the LR's log-domain offset: its rule is log_mean_exp > shift
+def _levels(test: str, K: int, mu: float, emax0: float | None) -> tuple[float, float]:
+    """(threshold, log-domain offset) of one rule at a scalar mu, refused
+    where the rule refuses; the LR's rule is log_mean_exp > offset."""
     if test == "averaging":
         if mu == 0.0:
             raise DegenerateParameterError("averaging test is undefined at mu = 0")
-        thr, statistic = mu * K / 2.0, lambda: X.sum(axis=1)
+        thr, shift = mu * K / 2.0, 0.0
     elif test == "maximum":
         if emax0 is None or not np.isfinite(emax0):
             raise ValueError("maximum test requires a finite emax0")
-        thr, statistic = (mu * K + emax0) / 2.0, lambda: sc.max_values_batch(X, cap)
+        thr, shift = (mu * K + emax0) / 2.0, 0.0
     elif test == "optimal":
-        shift = K * mu**2 / 2.0  # mu**2 past the float range raises OverflowError
-        thr, statistic = 0.0, lambda: sc.log_mean_exp_batch(mu, X, cap) - shift
+        thr, shift = 0.0, K * mu**2 / 2.0  # mu**2 past the float range raises OverflowError
     else:
         raise ValueError(f"unknown test {test!r}, expected averaging, maximum or optimal")
-    # an infinite threshold or a NaN statistic decides every row alike, whatever the data
+    # an infinite threshold decides every row alike, whatever the data
     if not np.isfinite(thr + shift):
         raise OverflowError(f"the {test} threshold at mu = {mu} is past the float range")
+    return thr, shift
+
+
+def _decide(
+    test: str, spec: SetClass, X: np.ndarray, mu, emax0: float | None, cap: int | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(statistics, thresholds, rejections) of one rule on a (B, n) block at
+    a scalar ``mu`` or one mu per row: each run of equal mu, in row order, is
+    refused as the scalar rule refuses it or gets its threshold.  The scalar
+    rules are this on one row, and every kernel gives a row the same bits
+    alone as in a block.  A NaN statistic is refused with OverflowError."""
+    mu = np.atleast_1d(mu)
+    runs = np.flatnonzero(np.diff(mu, prepend=np.nan))  # the first row of each run of equal mu
+    levels = [_levels(test, spec.K, m, emax0) for m in mu[runs].tolist()]
+    thr, shift = np.repeat(levels, np.diff(runs, append=mu.size), axis=0).T
     with np.errstate(over="ignore", invalid="ignore"):
-        stat = statistic()
+        # one mu goes to the kernel as a float, several as a list, which
+        # perfbench's tracer can compare to 0.0 as it does a float
+        if test == "optimal":
+            stat = spec.log_mean_exp_batch(mu.tolist() if runs.size > 1 else mu[0], X, cap) - shift
+        else:
+            stat = X.sum(axis=1) if test == "averaging" else spec.max_values_batch(X, cap)
     if np.isnan(stat).any():
-        raise OverflowError(f"the {test} statistic at mu = {mu} is past the float range")
+        at = np.broadcast_to(mu, stat.shape)[np.isnan(stat)][0]  # the first row's
+        raise OverflowError(f"the {test} statistic at mu = {at} is past the float range")
     # ties reject in the maximum test and accept in the others
     return stat, thr, stat >= thr if test == "maximum" else stat > thr
 
 
 def _decide_one(test, x, instance, emax0=None, cap=None) -> Decision:
-    stat, thr, rej = _decide(test, instance, as_vector(x, instance.n)[None, :], emax0, cap)
-    return Decision(bool(rej[0]), float(stat[0]), float(thr))
+    x = as_vector(x, instance.n)[None, :]
+    stat, thr, rej = _decide(test, instance.set_class, x, instance.mu, emax0, cap)
+    return Decision(bool(rej[0]), float(stat[0]), float(thr[0]))
 
 
 def averaging_test(x: np.ndarray, instance: ProblemInstance) -> Decision:
@@ -118,16 +126,18 @@ def optimal_test(
 
 def batch_rejections(
     test: str,
-    instance: ProblemInstance,
+    spec: SetClass,
     X: np.ndarray,
+    mu,
     emax0: float | None = None,
     cap: int | None = None,
 ) -> np.ndarray:
-    """Vectorized decisions for a (B, n) block; one bool per row.
+    """Vectorized decisions for a (B, n) block at a scalar mu or one mu per
+    row; one bool per row.
 
     The Monte Carlo estimators run on this path.
     """
-    return _decide(test, instance, X, emax0, cap)[2]
+    return _decide(test, spec, X, mu, emax0, cap)[2]
 
 
 TESTS = ("averaging", "maximum", "optimal")

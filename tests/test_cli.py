@@ -142,6 +142,28 @@ class TestReproducibility:
 
 
 class TestErrorExits:
+    @pytest.mark.parametrize("argv, code, error, message", [
+        ("scan --class stars --m 3 --test optimal --mu-grid 1:1e200:3 --trials 5",
+         2, "OverflowError", "(34, 'Numerical result out of range')"),
+        ("risk --class ksets --n 5 --K 2 --test averaging --mu 1 --mu 9e307 --trials 5",
+         2, "OverflowError", "the averaging threshold at mu = 9e+307 is past the float range"),
+        ("scan --class stars --m 4 --test averaging --mu-grid 0:2:3 --trials 5",
+         2, "DegenerateParameterError", "averaging test is undefined at mu = 0"),
+        ("risk --class matchings --m 8 --test optimal --mu 0 --mu 1 --trials 5 --cap 100",
+         3, "CapExceededError", "the subset DP has 256 mask states, enumeration capped at 100"),
+    ])
+    def test_a_grid_is_refused_as_its_first_refused_point(self, capsys, argv, code, error, message):
+        # every point's trials share blocks, yet the refusal is the one a
+        # point-by-point loop raised first
+        got, out, err = run(capsys, *argv.split(), "--seed", "1")
+        assert (got, out) == (code, "")
+        assert json.loads(err)["error"] == {"message": message, "type": error}
+
+    def test_matchings_cap_spares_a_grid_at_mu_zero(self, capsys):
+        argv = "risk --class matchings --m 8 --test optimal --mu 0 --trials 5 --cap 100 --seed 1"
+        code, out, err = run(capsys, *argv.split())
+        assert code == 0 and err == "" and out.startswith("#schema=combidetect.risk.v1\n")
+
     def test_invalid_class_parameters(self, capsys):
         code, out, err = run(
             capsys, "risk", "--class", "ksets", "--n", "3", "--K", "9",

@@ -175,18 +175,19 @@ class TestProblemInstance:
 class TestGaussianSample:
     # the risk estimators draw every observation through risk._draw_block
     def test_null_draw_is_standard_normal_stream(self):
-        inst = ProblemInstance(make_class("disjoint", N=2, K=2), 1.0)
+        spec = make_class("disjoint", N=2, K=2)
         rng = SeededRng(3)
-        X = _draw_block(inst, (_NULL_ARM,), 8, 9, rng, 10)
+        X, mu = _draw_block(spec, (np.array([[_NULL_ARM]]), np.array([1.0])), 8, 9, rng, 10)
+        assert mu.tolist() == [1.0]
         expected = rng.child(_NULL_ARM, 8).generator().standard_normal(4)
         np.testing.assert_array_equal(X[0], expected)
 
     def test_shift_lands_on_hypothesis_only(self):
         # the mixture arm draws a member (block j is {2j, 2j+1}), then the
         # noise, and shifts the member's coordinates alone
-        inst = ProblemInstance(make_class("disjoint", N=2, K=2), 5.0)
+        spec = make_class("disjoint", N=2, K=2)
         rng = SeededRng(3)
-        X = _draw_block(inst, (_MIXTURE_ARM,), 0, 40, rng, 40)
+        X, _ = _draw_block(spec, (np.array([[_MIXTURE_ARM]]), np.array([5.0])), 0, 40, rng, 40)
         hit = set()
         for t, x in enumerate(X):
             gen = rng.child(_MIXTURE_ARM, t).generator()

@@ -16,6 +16,7 @@ pinned to numpy's 3-D gather sum, bit for bit.
 
 import functools
 import math
+import pickle
 import warnings
 
 import mpmath
@@ -274,16 +275,63 @@ def test_matchings_cap_bounds_the_dp_states():
     for cap in (100, 255):
         with pytest.raises(CapExceededError) as exc:
             spec.log_mean_exp_batch(1.0, X, cap=cap)
-        assert str(exc.value) == f"class has 40320 members, enumeration capped at {cap}"
+        assert str(exc.value) == f"the subset DP has 256 mask states, enumeration capped at {cap}"
     # refused even where the m! members would fit: 3! = 6 but 2^3 = 8 states
     small = PerfectMatchings(3)
     with pytest.raises(CapExceededError) as exc:
         small.log_mean_exp_batch(1.0, X[:, :9], cap=6)
-    assert (exc.value.cardinality, exc.value.cap) == (6, 6)
+    assert (exc.value.cardinality, exc.value.cap) == (8, 6)
+    assert str(pickle.loads(pickle.dumps(exc.value))) == str(exc.value)
     assert np.isfinite(small.log_mean_exp_batch(1.0, X[:, :9], cap=8)).all()
     assert np.array_equal(spec.log_mean_exp_batch(1.0, X, cap=256), spec.log_mean_exp_batch(1.0, X))
     # the cap does not bound the maximum, whose path depends on m only
     assert np.array_equal(spec.max_values_batch(X, cap=100), spec.max_values_batch(X))
+
+
+#: every family's likelihood-ratio kernel, the generic enumeration among them,
+#: and cliques past the contraction (k = 5) and on it (k = 3, 4)
+PER_ROW_MU_CASES = [
+    DisjointSets(6, 2), KSets(9, 3), Stars(7), PerfectMatchings(5), SpanningTrees(6),
+    Cliques(7, 3), Cliques(8, 4), Cliques(8, 5), GridSquares(5, 2),
+    ExplicitClass(10, np.array([[0, 1, 2], [3, 4, 5], [1, 5, 9], [2, 7, 8]])),
+]
+
+
+@pytest.mark.parametrize("spec", PER_ROW_MU_CASES, ids=repr)
+def test_per_row_mu_equals_row_by_row_scalar_calls(spec):
+    # runs of equal mu, zeros among them, as a (B,) array, a (B, 1) column and a list
+    mus = np.array([0.0, 0.7, 0.7, 1.9, 0.0, 3.1, 0.7])
+    X = np.random.default_rng(41).standard_normal((mus.size, spec.n))
+    alone = [spec.log_mean_exp_batch(mu, X[r : r + 1])[0] for r, mu in enumerate(mus.tolist())]
+    for column in (mus, mus[:, None], mus.tolist()):
+        got = spec.log_mean_exp_batch(column, X)
+        assert got.view(np.int64).tolist() == np.array(alone).view(np.int64).tolist()
+    assert got[0] == got[4] == 0.0 and not np.signbit(got[[0, 4]]).any()
+    # rows all at mu = 0 never reach the kernel
+    assert spec.log_mean_exp_batch([0.0, 0.0], X[:2], cap=1).tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("m,k", [(6, 3), (7, 4)])
+def test_per_row_mu_reaches_the_clique_fallback(m, k):
+    # the wide rows at mu = 2000 underflow the contraction and enumerate; the
+    # other rows stay on it, and every row keeps its bits alone
+    spec = spec_of("cliques", m, k)
+    gen = np.random.default_rng(12)
+    X = np.concatenate([4.0 * gen.standard_normal((3, spec.n)), 1e-3 * gen.standard_normal((2, spec.n))])
+    mus = np.array([2000.0, 0.5, 2000.0, 2000.0, 0.0])
+    got = spec.log_mean_exp_batch(mus, X)
+    for r, mu in enumerate(mus.tolist()):
+        assert np.array_equal(got[r : r + 1], spec.log_mean_exp_batch(mu, X[r : r + 1]))
+    assert np.array_equal(got[[0, 2]], SetClass.log_mean_exp_batch(spec, 2000.0, X[[0, 2]]))
+
+
+def test_per_row_mu_matchings_cap():
+    # the subset DP is refused when any row's mu is not 0
+    spec = PerfectMatchings(8)
+    X = np.random.default_rng(4).standard_normal((3, spec.n))
+    with pytest.raises(CapExceededError, match="the subset DP has 256 mask states"):
+        spec.log_mean_exp_batch([0.0, 0.0, 1.0], X, cap=100)
+    assert spec.log_mean_exp_batch([0.0, 0.0, 0.0], X, cap=100).tolist() == [0.0] * 3
 
 
 def test_clique_cap_bounds_the_contraction_work_set():
@@ -430,7 +478,7 @@ def test_a_lone_row_has_the_member_sums_of_a_block(spec):
     block = np.concatenate(list(spec.member_sums_iter(X)), axis=1)
     assert np.array_equal(block, X[:, spec.member_matrix()].sum(axis=2))
     inst = ProblemInstance(spec, 1.0)
-    batch = _decide("maximum", inst, X, 0.0, None)[0]
+    batch = _decide("maximum", spec, X, 1.0, 0.0, None)[0]
     for r in range(X.shape[0]):
         assert np.array_equal(np.concatenate(list(spec.member_sums_iter(X[r : r + 1])), axis=1), block[r : r + 1])
         assert maximum_test(X[r], inst, 0.0).statistic == batch[r]

@@ -13,6 +13,7 @@ from scipy.stats import norm
 
 from combidetect import (
     AsymmetricClassError,
+    DegenerateParameterError,
     ExplicitClass,
     ProblemInstance,
     RiskEstimate,
@@ -41,8 +42,14 @@ from combidetect.risk import (
     _worker_pool,
     render_curve,
     render_risk_rows,
+    risk_at,
 )
 from combidetect.rules import batch_rejections
+
+
+def _arms(instance, arms=(_NULL_ARM, _MIXTURE_ARM)):
+    # the segments of one point's arms, as estimate_risk lays them out
+    return [((arm,), instance.mu) for arm in arms]
 
 
 def bayes_risk_two_disjoint_singletons(mu: float) -> float:
@@ -202,7 +209,10 @@ class TestReproducibility:
                 else:
                     x = gen.standard_normal(instance.n)
                 expect[t - lo] = x
-            np.testing.assert_array_equal(_draw_block(instance, (arm,), lo, hi, rng, hi), expect)
+            segments = (np.array([[arm]]), np.array([instance.mu]))
+            X, mu = _draw_block(instance.set_class, segments, lo, hi, rng, hi)
+            np.testing.assert_array_equal(X, expect)
+            np.testing.assert_array_equal(mu, np.full(hi - lo, instance.mu))
 
     def test_block_straddling_the_arms_replays_per_trial_generators(self):
         # trials > _chunk_size(n), so the second block holds both arms
@@ -211,11 +221,11 @@ class TestReproducibility:
         rng = SeededRng(83, (4,))
         blocks = []
 
-        def values(X):
+        def values(X, mu):
             blocks.append(X.copy())
             return X[:, 0]
 
-        out = _per_trial_values(values, instance, (_NULL_ARM, _MIXTURE_ARM), trials, rng, 1)
+        out = _per_trial_values(values, instance.set_class, _arms(instance), trials, rng, 1)
         assert [len(X) for X in blocks] == [1024, 1024, 2 * trials - 2048]
         rows = iter(np.vstack(blocks))
         for arm in (_NULL_ARM, _MIXTURE_ARM):
@@ -234,15 +244,15 @@ class TestReproducibility:
         chunk = _chunk_size(instance.n)
         calls = []
 
-        def values(X):
+        def values(X, mu):
             calls.append(X.shape[0])
             return X.sum(axis=1)
 
-        _per_trial_values(values, instance, (_NULL_ARM,), 2 * chunk + 5, SeededRng(84), 1)
+        spec = instance.set_class
+        _per_trial_values(values, spec, _arms(instance, (_NULL_ARM,)), 2 * chunk + 5, SeededRng(84), 1)
         assert calls == [chunk, chunk, 5]
         calls.clear()
-        arms = (_NULL_ARM, _MIXTURE_ARM)
-        out = _per_trial_values(values, instance, arms, 2 * chunk + 5, SeededRng(84), 1)
+        out = _per_trial_values(values, spec, _arms(instance), 2 * chunk + 5, SeededRng(84), 1)
         assert calls == [chunk] * 4 + [10] and out.shape == (2, 2 * chunk + 5)
 
     @pytest.mark.parametrize(
@@ -340,11 +350,77 @@ WORKER_RUNS = {
 }
 
 
-def _pid_values(X):
+class TestRiskAtPoints:
+    """risk_at lays every point's arms end to end in shared blocks; each point
+    must keep the estimate of its own call, drawn from rng.child(i)."""
+
+    @pytest.mark.parametrize("family", sorted(WORKER_CLASSES))
+    @pytest.mark.parametrize("test", ["averaging", "maximum", "optimal"])
+    def test_risk_at_equals_the_per_point_loop(self, family, test):
+        spec = WORKER_CLASSES[family]()
+        # mu = 0 where the rule has it; more trials than a chunk, so blocks
+        # straddle arms and points and two workers fan out
+        mus = [0.3 if test == "averaging" else 0.0, 0.6, 1.7]
+        trials = _chunk_size(spec.n) + 300
+        emax0 = emax_upper_cap(spec) if test == "maximum" else None
+        rng = SeededRng(120, (4,))
+        expect = [
+            estimate_risk(test, ProblemInstance(spec, mu), trials, rng.child(i), emax0=emax0)
+            for i, mu in enumerate(mus)
+        ]
+        for workers in (1, 2):
+            assert risk_at(test, spec, mus, trials, rng, emax0=emax0, workers=workers) == expect
+
+    def test_a_scan_decides_each_block_once(self, monkeypatch):
+        from combidetect import risk
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            value = batch_rejections(*args, **kwargs)
+            calls.append(len(value))
+            return value
+
+        monkeypatch.setattr(risk, "batch_rejections", counted)
+        spec = make_class("matchings", m=8)
+        grid = [0.4, 0.8, 1.2, 1.6, 2.0, 2.4, 2.8]
+        curve = scan_critical_mu(spec, "optimal", grid, 8, SeededRng(121))
+        assert calls == [7 * 2 * 8]
+        calls.clear()
+        # 1500 trials per point: blocks of one chunk, the last one short
+        scan_critical_mu(make_class("disjoint", N=2, K=1), "optimal", [0.5, 1.0], 1500, SeededRng(122))
+        assert calls == [1024] * 5 + [2 * 2 * 1500 - 5 * 1024]
+        calls.clear()
+        assert risk_at("optimal", spec, [], 8, SeededRng(123)) == [] and calls == []
+        monkeypatch.undo()
+        assert curve == scan_critical_mu(spec, "optimal", grid, 8, SeededRng(121), workers=2)
+
+    @pytest.mark.parametrize("test, mus, error, match", [
+        ("optimal", [1.0, 5e199, 1e200], OverflowError, "Numerical result out of range"),
+        ("averaging", [1.0, 9e307], OverflowError, r"averaging threshold at mu = 9e\+307 "),
+        ("averaging", [0.0, 1.0], DegenerateParameterError, "undefined at mu = 0"),
+        ("averaging", [1.0, 0.0, 9e307], DegenerateParameterError, "undefined at mu = 0"),
+    ])
+    def test_the_first_refused_point_is_refused_before_any_draw(self, monkeypatch, test, mus, error, match):
+        from combidetect import risk
+
+        monkeypatch.setattr(risk, "_draw_block", None)  # any draw would raise TypeError
+        with pytest.raises(error, match=match):
+            risk_at(test, make_class("ksets", n=5, K=2), mus, 5, SeededRng(1))
+
+    def test_the_matchings_cap_refuses_a_grid_past_mu_zero(self):
+        spec = make_class("matchings", m=8)
+        with pytest.raises(CapExceededError, match="the subset DP has 256 mask states"):
+            risk_at("optimal", spec, [0.0, 1.0], 5, SeededRng(1), cap=100)
+        zero = risk_at("optimal", spec, [0.0], 5, SeededRng(1), cap=100)
+        assert zero == [estimate_risk("optimal", ProblemInstance(spec, 0.0), 5, SeededRng(1).child(0))]
+
+
+def _pid_values(X, mu):
     return np.full(X.shape[0], os.getpid())
 
 
-def _row_fingerprints(X):
+def _row_fingerprints(X, mu):
     return X @ np.linspace(1.0, 2.0, X.shape[1])
 
 
@@ -362,7 +438,7 @@ def _blas_threads(_):
     return _blas_get_threads()()
 
 
-def _refuse_blocks(X):
+def _refuse_blocks(X, mu):
     # refuses every block, in whichever process draws it
     raise CapExceededError(10, 5)
 
@@ -393,10 +469,10 @@ class TestWorkerProcesses:
     def test_second_fan_out_reuses_the_worker_processes(self):
         instance = ProblemInstance(make_class("disjoint", N=2, K=1), 0.9)
         trials = 3 * _chunk_size(instance.n)
-        arms = (_NULL_ARM, _MIXTURE_ARM)
-        first = _per_trial_values(_pid_values, instance, arms, trials, SeededRng(85), 2, np.int64)
+        arms = _arms(instance)
+        first = _per_trial_values(_pid_values, instance.set_class, arms, trials, SeededRng(85), 2, np.int64)
         pool = {p.pid for p in multiprocessing.active_children()}
-        second = _per_trial_values(_pid_values, instance, arms, trials, SeededRng(86), 2, np.int64)
+        second = _per_trial_values(_pid_values, instance.set_class, arms, trials, SeededRng(86), 2, np.int64)
         pids = set(first.ravel()) | set(second.ravel())
         assert os.getpid() not in pids
         assert pids <= pool
@@ -405,31 +481,31 @@ class TestWorkerProcesses:
     def test_arms_of_one_chunk_run_in_the_caller(self):
         # two blocks, one per arm, yet no fan-out: each arm fits one chunk
         instance = ProblemInstance(make_class("stars", m=50), 0.9)
-        arms = (_NULL_ARM, _MIXTURE_ARM)
-        pids = _per_trial_values(_pid_values, instance, arms, 500, SeededRng(89), 2, np.int64)
+        arms = _arms(instance)
+        pids = _per_trial_values(_pid_values, instance.set_class, arms, 500, SeededRng(89), 2, np.int64)
         assert set(pids.ravel()) == {os.getpid()}
 
     def test_worker_error_reaches_the_caller(self):
         instance = ProblemInstance(make_class("disjoint", N=2, K=1), 0.9)
         with pytest.raises(CapExceededError) as exc:
-            _per_trial_values(_refuse_blocks, instance, (_NULL_ARM,), 3 * _chunk_size(instance.n),
+            _per_trial_values(_refuse_blocks, instance.set_class, _arms(instance, (_NULL_ARM,)), 3 * _chunk_size(instance.n),
                               SeededRng(87), 2)
         assert (exc.value.cardinality, exc.value.cap) == (10, 5)
 
     def test_refused_fan_out_leaves_the_pool_working(self):
         instance = ProblemInstance(make_class("disjoint", N=2, K=1), 0.9)
         trials = 3 * _chunk_size(instance.n)
-        arms = (_NULL_ARM, _MIXTURE_ARM)
-        _per_trial_values(_pid_values, instance, arms, trials, SeededRng(85), 2, np.int64)
+        arms = _arms(instance)
+        _per_trial_values(_pid_values, instance.set_class, arms, trials, SeededRng(85), 2, np.int64)
         pool = {p.pid for p in multiprocessing.active_children()}
         with pytest.raises(CapExceededError):
-            _per_trial_values(_refuse_blocks, instance, arms, trials, SeededRng(87), 2)
+            _per_trial_values(_refuse_blocks, instance.set_class, arms, trials, SeededRng(87), 2)
         one, two = (
-            _per_trial_values(_row_fingerprints, instance, arms, trials, SeededRng(88), w)
+            _per_trial_values(_row_fingerprints, instance.set_class, arms, trials, SeededRng(88), w)
             for w in (1, 2)
         )
         np.testing.assert_array_equal(one, two)
-        pids = _per_trial_values(_pid_values, instance, arms, trials, SeededRng(89), 2, np.int64)
+        pids = _per_trial_values(_pid_values, instance.set_class, arms, trials, SeededRng(89), 2, np.int64)
         assert set(pids.ravel()) <= pool and os.getpid() not in set(pids.ravel())
         assert {p.pid for p in multiprocessing.active_children()} == pool
 
@@ -438,9 +514,9 @@ class TestWorkerProcesses:
         # arm and the start of the mixture arm
         instance = ProblemInstance(make_class("ksets", n=7, K=3), 0.8)
         trials = _chunk_size(instance.n) + 7
-        arms = (_NULL_ARM, _MIXTURE_ARM)
+        arms = _arms(instance)
         one, two, three = (
-            _per_trial_values(_row_fingerprints, instance, arms, trials, SeededRng(88), w)
+            _per_trial_values(_row_fingerprints, instance.set_class, arms, trials, SeededRng(88), w)
             for w in (1, 2, 3)
         )
         assert one.shape == (2, trials)

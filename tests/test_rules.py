@@ -127,8 +127,8 @@ class TestBatchAgreement:
         key = BATCH_CLASSES.index((family, kw)), TESTS.index(test)
         X = SeededRng(47).child(*key).generator().standard_normal((40, spec.n))
         emax0 = 2.5
-        stat, _, got = _decide(test, pi, X, emax0, None)
-        assert np.array_equal(got, batch_rejections(test, pi, X, emax0=emax0))
+        stat, _, got = _decide(test, spec, X, pi.mu, emax0, None)
+        assert np.array_equal(got, batch_rejections(test, spec, X, pi.mu, emax0=emax0))
         for i in range(X.shape[0]):
             if test == "averaging":
                 d = averaging_test(X[i], pi)
@@ -140,13 +140,42 @@ class TestBatchAgreement:
             assert np.float64(d.statistic).view(np.int64) == stat[i].view(np.int64)
             assert bool(got[i]) == d.reject
 
+    @pytest.mark.parametrize("family,kw", BATCH_CLASSES)
+    @pytest.mark.parametrize("test", TESTS)
+    def test_per_row_mu_equals_the_scalar_rules(self, family, kw, test):
+        # runs of equal mu, a value that comes back after another, and mu = 0
+        # where the rule has one; each row decides as a lone row at its own mu
+        spec = make_class(family, **kw)
+        third = 2.0 if test == "averaging" else 0.0
+        mus = np.repeat([0.4, 1.3, third, 0.4], [3, 4, 2, 3])
+        key = BATCH_CLASSES.index((family, kw)), TESTS.index(test)
+        X = SeededRng(48).child(*key).generator().standard_normal((mus.size, spec.n))
+        stat, thr, rej = _decide(test, spec, X, mus, 2.5, None)
+        for i, mu in enumerate(mus.tolist()):
+            one = _decide(test, spec, X[i : i + 1], mu, 2.5, None)
+            assert stat[i].view(np.int64) == one[0][0].view(np.int64)
+            assert (thr[i], rej[i]) == (one[1][0], one[2][0])
+
+    @pytest.mark.parametrize("test, mus, error, match", [
+        ("averaging", [1.0, 0.0, 9e307], DegenerateParameterError, "undefined at mu = 0"),
+        ("averaging", [1.0, 9e307, 0.0], OverflowError, r"averaging threshold at mu = 9e\+307 "),
+        ("maximum", [1.0, 1e308, 1.7e308], OverflowError, r"maximum threshold at mu = 1e\+308 "),
+        ("optimal", [1.0, 1e200, 1e154], OverflowError, "Numerical result out of range"),
+        ("optimal", [1.0, 1e154, 1e200], OverflowError, r"optimal threshold at mu = 1e\+154 "),
+    ])
+    def test_per_row_mu_is_refused_at_its_first_refused_row(self, test, mus, error, match):
+        # each distinct mu is refused as the scalar rule refuses it, in row order
+        X = np.zeros((len(mus), 4))
+        with pytest.raises(error, match=match):
+            batch_rejections(test, inst().set_class, X, np.array(mus), emax0=2.5)
+
     def test_unknown_test_name(self):
         with pytest.raises(ValueError, match="unknown test"):
-            batch_rejections("median", inst(), np.zeros((1, 4)))
+            batch_rejections("median", inst().set_class, np.zeros((1, 4)), 1.0)
 
     def test_maximum_requires_emax0(self):
         with pytest.raises(ValueError):
-            batch_rejections("maximum", inst(), np.zeros((1, 4)))
+            batch_rejections("maximum", inst().set_class, np.zeros((1, 4)), 1.0)
 
 
 class TestFloatRange:
@@ -170,7 +199,10 @@ class TestFloatRange:
         with pytest.raises(OverflowError, match="optimal statistic"):
             log_likelihood_ratio(X[1], inst(mu=1e150))
         with pytest.raises(OverflowError, match="optimal statistic"):
-            batch_rejections("optimal", inst(mu=1e150), X)
+            batch_rejections("optimal", inst().set_class, X, 1e150)
+        # a block of one mu per row names the mu of the first row whose statistic is NaN
+        with pytest.raises(OverflowError, match=r"optimal statistic at mu = 1e\+150 "):
+            batch_rejections("optimal", inst().set_class, X, np.array([1.0, 1e150, 2.0]))
 
     def test_largest_finite_shift_still_decides(self):
         # K = 1: mu**2 / 2 stays finite, and so does the statistic
