@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -95,14 +95,17 @@ def _row_blocks(rows: int, width: int, budget: int) -> Iterator[slice]:
         yield slice(lo, min(lo + step, rows))
 
 
-def _draws(gens: Sequence[np.random.Generator], high: int) -> np.ndarray:
-    """One ``integers(high)`` draw per generator, in list order."""
-    return np.fromiter((gen.integers(high) for gen in gens), dtype=np.intp, count=len(gens))
-
-
-def _stack(rows: list, width: int) -> np.ndarray:
-    """(len(rows), width) index array of equal-length rows, none included."""
-    return np.array(rows, dtype=np.intp).reshape(len(rows), width)
+def _floyd_subsets(gen: np.random.Generator, rows: int, n: int, k: int) -> np.ndarray:
+    """(rows, k) sorted k-subsets of range(n), each exactly uniform, by
+    Floyd's algorithm: step i draws t in [0, n - k + i] and takes t, or
+    n - k + i when t is already taken.  One ``integers`` call, O(rows k)
+    memory."""
+    t = gen.integers(0, n - k + 1 + np.arange(k), size=(rows, k))
+    for i in range(1, k):
+        taken = (t[:, :i] == t[:, i, None]).any(axis=1)
+        t[taken, i] = n - k + i
+    t.sort(axis=1)
+    return t
 
 
 def complete_graph_edges(m: int) -> np.ndarray:
@@ -135,12 +138,13 @@ class SetClass:
     def cardinality(self) -> int:
         raise NotImplementedError
 
-    def sample_rows(self, gens: Sequence[np.random.Generator]) -> np.ndarray:
-        """Draw one member per generator, exactly uniformly: a (len(gens), K)
-        array whose row i is a sorted 0-based member drawn from gens[i].
+    def sample_rows(self, gen: np.random.Generator, rows: int) -> np.ndarray:
+        """Draw ``rows`` independent members, each exactly uniform, from one
+        ``integers`` call on ``gen``: a (rows, K) array of sorted 0-based
+        members.
 
-        The generators are drawn from in list order, so
-        ``sample_rows([gen] * k)`` draws what k one-row calls on gen draw.
+        The call fills its draws row by row, so the first k rows of a call
+        are what a k-row call on the same stream draws.
         """
         raise NotImplementedError
 
@@ -254,8 +258,8 @@ class DisjointSets(SetClass):
     def cardinality(self) -> int:
         return self.N
 
-    def sample_rows(self, gens):
-        return _draws(gens, self.N)[:, None] * self.K + np.arange(self.K)
+    def sample_rows(self, gen, rows):
+        return gen.integers(self.N, size=rows)[:, None] * self.K + np.arange(self.K)
 
     def _build_member_matrix(self) -> np.ndarray:
         return np.arange(self.n, dtype=np.int32).reshape(self.N, self.K)
@@ -282,9 +286,8 @@ class KSets(SetClass):
     def cardinality(self) -> int:
         return math.comb(self.n, self.K)
 
-    def sample_rows(self, gens):
-        rows = [gen.choice(self.n, size=self.K, replace=False) for gen in gens]
-        return np.sort(_stack(rows, self.K), axis=1)
+    def sample_rows(self, gen, rows):
+        return _floyd_subsets(gen, rows, self.n, self.K)
 
     def _build_member_matrix(self) -> np.ndarray:
         combos = np.fromiter(
@@ -294,10 +297,10 @@ class KSets(SetClass):
         return combos.reshape(-1, self.K)
 
     def max_values_batch(self, X, cap=None):
-        if self.K == self.n:
-            return X.sum(axis=1)
-        part = np.partition(X, self.n - self.K, axis=1)
-        return part[:, self.n - self.K :].sum(axis=1)
+        # the top K entries, added left to right in index order as the
+        # enumeration adds a member's, so a row whose top K is unique gets its bits
+        top = np.sort(np.argpartition(X, self.n - self.K, axis=1)[:, self.n - self.K :], axis=1)
+        return np.take_along_axis(X, top, axis=1).cumsum(axis=1)[:, -1]
 
     @_per_row_mu
     def log_mean_exp_batch(self, mu, X, cap=None):
@@ -340,8 +343,8 @@ class Stars(SetClass):
     def cardinality(self) -> int:
         return self.m
 
-    def sample_rows(self, gens):
-        return self.incident[_draws(gens, self.m)]
+    def sample_rows(self, gen, rows):
+        return self.incident[gen.integers(self.m, size=rows)]
 
     def _build_member_matrix(self) -> np.ndarray:
         return self.incident
@@ -369,9 +372,18 @@ class PerfectMatchings(SetClass):
     def cardinality(self) -> int:
         return math.factorial(self.m)
 
-    def sample_rows(self, gens):
-        perms = _stack([gen.permutation(self.m) for gen in gens], self.m)
-        return np.arange(self.m) * self.m + perms
+    def sample_rows(self, gen, rows):
+        # Fisher-Yates over every row at once: step i swaps entry i with a
+        # uniform entry i + r of the entries from i on
+        m, r = self.m, gen.integers(0, self.m - np.arange(self.m - 1), size=(rows, self.m - 1))
+        perms = np.tile(np.arange(m), (rows, 1))
+        at = np.arange(rows)
+        for i, j in enumerate(r.T):
+            j += i
+            swap = perms[at, j]
+            perms[at, j] = perms[:, i]
+            perms[:, i] = swap
+        return np.arange(m) * m + perms
 
     def _build_member_matrix(self) -> np.ndarray:
         perms = np.fromiter(
@@ -496,10 +508,9 @@ class SpanningTrees(SetClass):
         ids.sort(axis=1)
         return ids
 
-    def sample_rows(self, gens):
+    def sample_rows(self, gen, rows):
         # Cayley: a uniform sequence in [m]^(m-2) is the code of a uniform tree
-        seqs = [gen.integers(self.m, size=self.m - 2) for gen in gens]
-        return self._decode_pruefer(_stack(seqs, self.m - 2))
+        return self._decode_pruefer(gen.integers(self.m, size=(rows, self.m - 2)))
 
     def _build_member_matrix(self) -> np.ndarray:
         m, count = self.m, self.cardinality()
@@ -591,9 +602,8 @@ class Cliques(SetClass):
         # rows of sorted vertices give lexicographic pairs, hence sorted edge ids
         return self._pair_id0[vs[:, self._ia], vs[:, self._ib]]
 
-    def sample_rows(self, gens):
-        vs = [gen.choice(self.m, size=self.k, replace=False) for gen in gens]
-        return self._members(np.sort(_stack(vs, self.k), axis=1))
+    def sample_rows(self, gen, rows):
+        return self._members(_floyd_subsets(gen, rows, self.m, self.k))
 
     def _build_member_matrix(self) -> np.ndarray:
         vc = np.fromiter(
@@ -734,10 +744,9 @@ class GridSquares(SetClass):
         rows = (corners[:, :1] + span) * self.sqrt_n
         return (rows[:, :, None] + (corners[:, 1:] + span)[:, None, :]).reshape(-1, self.K)
 
-    def sample_rows(self, gens):
-        # the top row, then the left column, from each generator
-        corners = _draws([gen for gen in gens for _ in range(2)], self.side)
-        return self._members(corners.reshape(-1, 2))
+    def sample_rows(self, gen, rows):
+        # the top row, then the left column, of each window
+        return self._members(gen.integers(self.side, size=(rows, 2)))
 
     def _build_member_matrix(self) -> np.ndarray:
         return self._members(np.indices((self.side, self.side)).reshape(2, -1).T)
@@ -798,8 +807,8 @@ class ExplicitClass(SetClass):
     def to_params(self) -> dict:
         return {"family": self.family, "n": self.n, "K": self.K, "N": self.cardinality()}
 
-    def sample_rows(self, gens):
-        return self._member_cache[_draws(gens, self.cardinality())]
+    def sample_rows(self, gen, rows):
+        return self._member_cache[gen.integers(self.cardinality(), size=rows)]
 
     __reduce_ex__ = object.__reduce_ex__  # pickles its rows
 
@@ -873,7 +882,7 @@ def estimate_overlap_mgf(
     gen = rng.generator()
     zs = np.empty(pairs)
     for lo in range(0, pairs, _BLOCK_ROWS):
-        rows = spec.sample_rows([gen] * (2 * min(_BLOCK_ROWS, pairs - lo)))
+        rows = spec.sample_rows(gen, 2 * min(_BLOCK_ROWS, pairs - lo))
         # a pair's rows are distinct within, so shared indices are equal neighbours
         both = np.sort(np.concatenate([rows[0::2], rows[1::2]], axis=1), axis=1)
         zs[lo : lo + len(both)] = np.count_nonzero(both[:, 1:] == both[:, :-1], axis=1)

@@ -1,13 +1,17 @@
 """Monte Carlo risk estimation.
 
 Risk of a test = P(reject | null) + mean over members of P(accept | member),
-estimated by independent trials.  Every trial owns the substream
-(master_seed, *stream, [point,] arm, trial_index), so results are
-byte-identical for a given (seed, config) regardless of blocking or worker
-count.  A call lays the trials of each (point, arm) segment end to end and
-draws them in blocks, which may straddle arms and points, each row at its
-point's mu; per-trial values are written into a preallocated array and
-reduced once, in index order.
+estimated by independent trials.  The trials of each (point, arm) segment
+form groups of G = _chunk_size(n) consecutive trials, G fixed by the config:
+trial t is row t % G of group t // G, whose normals come from the substream
+(master_seed, *stream, [point,] arm, group, 0) in one call, and whose mixture
+members come from (..., group, 1) in one call.  Both fill their rows in order,
+so the first k trials of a call do not depend on how many follow, and results
+are byte-identical for a given (seed, config) regardless of blocking or
+worker count.  A call lays its segments end to end and draws them in blocks
+of whole groups, which may straddle arms and points, each row at its point's
+mu; per-trial values are written into a preallocated array and reduced once,
+in index order.
 """
 
 from __future__ import annotations
@@ -77,8 +81,8 @@ def emax_upper_cap(spec: SetClass) -> float:
 
 
 def _chunk_size(n: int) -> int:
-    # bounded work set per block; it depends on the config only, and a row's
-    # bits depend on its address only, so blocks may straddle arms and points
+    # bounded work set per block, and the trials of a group; it depends on the
+    # config only, so a row's bits depend on its group's address only
     return max(1, min(1024, 2_000_000 // max(1, n)))
 
 
@@ -90,21 +94,24 @@ _SMALL_BLOCK = 2**17
 def _draw_block(
     spec: SetClass, segments: tuple, lo: int, hi: int, rng: SeededRng, trials: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    # (X, mu) of rows lo..hi of the segments' trials end to end: row j is trial
-    # t = j % trials of segment (keys, mu) j // trials, keys ending in its arm,
-    # and draws from rng.child(*keys, t).generator() in any block or process;
-    # a mixture trial's member comes before its noise
-    j = np.arange(lo, hi)
-    keys, mu = (column[j // trials] for column in segments)
-    gens = rng.generators(*keys.T, j % trials)
-    mixed = np.flatnonzero(keys[:, -1] == _MIXTURE_ARM)
-    members = spec.sample_rows([gens[i] for i in mixed]) if mixed.size else None
+    # (X, mu) of rows lo..hi of the segments' trials end to end, lo on a group
+    # bound: row j is trial t = j % trials of segment (keys, mu) j // trials,
+    # keys ending in its arm, and row t % G of its group t // G
+    G = _chunk_size(spec.n)
+    keys, mus = segments
     X = np.empty((hi - lo, spec.n))
-    for x, gen in zip(X, gens):
-        gen.standard_normal(out=x)
-    if members is not None:
-        X[mixed[:, None], members] += mu[mixed, None]
-    return X, mu
+    start = lo
+    while start < hi:
+        s, t = divmod(start, trials)
+        stop = min(hi, start + G, (s + 1) * trials)
+        group = rng.child(*keys[s].tolist(), t // G)
+        rows = X[start - lo : stop - lo]
+        group.child(0).generator().standard_normal(out=rows)
+        if keys[s, -1] == _MIXTURE_ARM:
+            members = spec.sample_rows(group.child(1).generator(), stop - start)
+            rows[np.arange(stop - start)[:, None], members] += mus[s]
+        start = stop
+    return X, mus[np.arange(lo, hi) // trials]
 
 
 def _chunk_values(value_fn: Callable, spec: SetClass, segments, trials, rng, lo, hi):
@@ -164,8 +171,13 @@ def _per_trial_values(
     out = np.empty(rows, dtype=out_dtype)
     chunk = _chunk_size(spec.n)
     block = min(chunk, max(trials, _SMALL_BLOCK // spec.n))
-    los = range(0, rows, block)
-    his = [min(lo + block, rows) for lo in los]
+    # whole groups, packed in order into blocks of at most block rows
+    starts = [s + t for s in range(0, rows, trials) for t in range(0, trials, chunk)]
+    los = []
+    for start, end in zip(starts, starts[1:] + [rows]):
+        if not los or end - los[-1] > block:
+            los.append(start)
+    his = los[1:] + [rows]
     chunk_values = partial(_chunk_values, value_fn, spec, segments, trials, rng)
     # segments of at most one chunk run here: below that, task overhead can outweigh the split
     fan_out = map if workers <= 1 or trials <= chunk else _worker_pool(_pool_size(workers)).map
@@ -175,7 +187,7 @@ def _per_trial_values(
 
 
 def _risk(decide: Callable, spec: SetClass, points: list, trials: int, rng: SeededRng, workers: int):
-    # a RiskEstimate per point (keys, mu); trial t of its arm a draws from rng.child(*keys, a, t)
+    # a RiskEstimate per point (keys, mu); its arm a draws from rng.child(*keys, a)
     segments = [((*keys, arm), mu) for keys, mu in points for arm in (_NULL_ARM, _MIXTURE_ARM)]
     rej = _per_trial_values(decide, spec, segments, trials, rng, workers, np.bool_)
     return [

@@ -158,8 +158,7 @@ def test_a07_spanning_tree_sampler(check):
     spec4 = make_class("trees", m=4)
     gen = SeededRng(870).generator()
     draws = 16_000
-    # one block draws what as many one-row calls on gen draw
-    rows4 = spec4.sample_rows([gen] * draws)
+    rows4 = spec4.sample_rows(gen, draws)
     counts: dict[tuple, int] = {}
     for row in rows4.tolist():
         counts[tuple(row)] = counts.get(tuple(row), 0) + 1
@@ -171,7 +170,7 @@ def test_a07_spanning_tree_sampler(check):
 
     def worst_edge_dev(spec, seed, n_draws):
         g = SeededRng(seed).generator()
-        hits = np.bincount(spec.sample_rows([g] * n_draws).ravel(), minlength=spec.n)
+        hits = np.bincount(spec.sample_rows(g, n_draws).ravel(), minlength=spec.n)
         target = 2.0 / spec.m
         se = math.sqrt(target * (1.0 - target) / n_draws)
         return float(np.max(np.abs(hits / n_draws - target))) / se

@@ -159,7 +159,31 @@ class TestGeometry:
 
 
 def draw_one(spec, gen):
-    return spec.sample_rows([gen])[0]
+    return spec.sample_rows(gen, 1)[0]
+
+
+#: one small class of every family, and one given by its rows, each sampled
+#: against its whole member matrix
+UNIFORM_CASES = [
+    KSets(6, 3), Cliques(6, 3), make_class("matchings", m=4), SpanningTrees(5),
+    make_class("grid", sqrt_n=4, sqrt_K=2), Stars(6), make_class("disjoint", N=4, K=2), EXPLICIT,
+]
+
+
+def textbook_floyd(n, k, draws):
+    """Floyd's k-subset of range(n) from its draws t_i in [0, n - k + i]."""
+    chosen = []
+    for i, t in enumerate(draws):
+        chosen.append(n - k + i if t in chosen else t)
+    return sorted(chosen)
+
+
+def textbook_shuffle(m, draws):
+    """Fisher-Yates: step i swaps entry i with entry i + r_i."""
+    perm = list(range(m))
+    for i, r in enumerate(draws):
+        perm[i], perm[i + r] = perm[i + r], perm[i]
+    return perm
 
 
 class TestSampling:
@@ -167,21 +191,22 @@ class TestSampling:
         spec = small(family)
         gen = SeededRng(77).child(sorted(SMALL).index(family)).generator()
         members = {tuple(r) for r in spec.member_matrix().tolist()}
-        rows = spec.sample_rows([gen] * 200)
+        rows = spec.sample_rows(gen, 200)
         assert rows.shape == (200, spec.K)
         assert {tuple(r) for r in rows.tolist()} <= members
 
-    def test_sampler_is_uniform(self, family):
-        spec = small(family)
+    @pytest.mark.parametrize("spec", UNIFORM_CASES, ids=repr)
+    def test_sampler_is_exactly_uniform(self, spec):
+        # an exhaustive chi-square over every member
         N = spec.cardinality()
         rank = {tuple(r): i for i, r in enumerate(spec.member_matrix().tolist())}
-        draws = max(2000, 300 * N)
-        gen = SeededRng(101).child(sorted(SMALL).index(family)).generator()
+        draws = max(4000, 300 * N)
+        gen = SeededRng(101).child(UNIFORM_CASES.index(spec)).generator()
         counts = np.zeros(N)
-        for row in spec.sample_rows([gen] * draws).tolist():
+        for row in spec.sample_rows(gen, draws).tolist():
             counts[rank[tuple(row)]] += 1
         p = stats.chisquare(counts).pvalue
-        assert p > 1e-3, f"{family}: chi-square p = {p}"
+        assert p > 1e-3, f"{spec!r}: chi-square p = {p}"
 
     def test_sampling_with_seeded_rng_is_deterministic(self):
         spec = small("trees")
@@ -190,41 +215,57 @@ class TestSampling:
         np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("name", [*sorted(SMALL), "explicit", *BIG_TREES])
-    def test_sample_rows_replays_sample(self, name):
-        # row i of a block is what a one-row call on gens[i] draws, and every
-        # generator ends where that call leaves it
+    def test_rows_are_the_prefix_of_a_longer_call(self, name):
+        # a call fills its rows in order: 25 rows are the first 25 of 60
         spec = EXPLICIT if name == "explicit" else BIG_TREES.get(name) or small(name)
         members = None if name in BIG_TREES else {tuple(r) for r in spec.member_matrix().tolist()}
         edges = complete_graph_edges(spec.m).tolist() if name in BIG_TREES else None
-        gens = [SeededRng(78).child(len(name), i).generator() for i in range(60)]
-        twins = [SeededRng(78).child(len(name), i).generator() for i in range(60)]
-        block = spec.sample_rows(gens)
+        block = spec.sample_rows(SeededRng(78).child(len(name)).generator(), 60)
         assert block.shape == (60, spec.K)
-        for row, gen, twin in zip(block, gens, twins):
-            np.testing.assert_array_equal(row, draw_one(spec, twin))
-            assert gen.bit_generator.state == twin.bit_generator.state
+        np.testing.assert_array_equal(block[:25], spec.sample_rows(SeededRng(78).child(len(name)).generator(), 25))
+        for row in block:
             assert np.all(np.diff(row) > 0)
             if members is None:
                 assert is_acyclic(spec.m, edges, row)
             else:
                 assert tuple(row.tolist()) in members
 
-    def test_one_generator_repeated_draws_in_list_order(self, family):
+    def test_zero_rows_draw_nothing(self, family):
         spec = small(family)
-        g1 = SeededRng(79).child(len(family)).generator()
-        g2 = SeededRng(79).child(len(family)).generator()
-        block = spec.sample_rows([g1] * 25)
-        np.testing.assert_array_equal(block, [draw_one(spec, g2) for _ in range(25)])
-        assert g1.bit_generator.state == g2.bit_generator.state
+        gen = SeededRng(79).child(len(family)).generator()
+        state = gen.bit_generator.state
+        assert spec.sample_rows(gen, 0).shape == (0, spec.K)
+        assert gen.bit_generator.state == state
 
     @pytest.mark.parametrize("m", [2, 3, 4, 7, 12, 40])
     def test_tree_rows_decode_the_pruefer_draws(self, m):
-        # each tree is the textbook decode of its generator's integers(m, size=m - 2)
+        # each tree is the textbook decode of its row of integers(m, size=(rows, m - 2))
         spec = SpanningTrees(m)
-        gens = [SeededRng(80).child(m, i).generator() for i in range(40)]
-        twins = [SeededRng(80).child(m, i).generator() for i in range(40)]
-        for row, twin in zip(spec.sample_rows(gens), twins):
-            assert row.tolist() == textbook_pruefer_tree(m, twin.integers(m, size=m - 2).tolist())
+        rows = spec.sample_rows(SeededRng(80).child(m).generator(), 40)
+        codes = SeededRng(80).child(m).generator().integers(m, size=(40, m - 2))
+        for row, code in zip(rows, codes):
+            assert row.tolist() == textbook_pruefer_tree(m, code.tolist())
+
+    @pytest.mark.parametrize("spec", [KSets(9, 4), KSets(5, 5), KSets(6, 1), Cliques(8, 3)], ids=repr)
+    def test_subsets_are_floyds(self, spec):
+        # a row's vertex (or index) set is Floyd's subset from its row of draws
+        n, k = (spec.m, spec.k) if isinstance(spec, Cliques) else (spec.n, spec.K)
+        rows = spec.sample_rows(SeededRng(83).child(n, k).generator(), 50)
+        draws = SeededRng(83).child(n, k).generator().integers(0, n - k + 1 + np.arange(k), size=(50, k))
+        for row, t in zip(rows, draws):
+            subset = textbook_floyd(n, k, t.tolist())
+            if isinstance(spec, Cliques):
+                subset = spec._members(np.array([subset]))[0].tolist()
+            assert row.tolist() == subset
+
+    @pytest.mark.parametrize("m", [2, 3, 8])
+    def test_matchings_are_the_textbook_shuffle(self, m):
+        spec = make_class("matchings", m=m)
+        rows = spec.sample_rows(SeededRng(84).child(m).generator(), 50)
+        draws = SeededRng(84).child(m).generator().integers(0, m - np.arange(m - 1), size=(50, m - 1))
+        for row, r in zip(rows, draws):
+            perm = textbook_shuffle(m, r.tolist())
+            assert row.tolist() == [i * m + perm[i] for i in range(m)]
 
     @pytest.mark.parametrize("m", range(2, 8))
     def test_decoder_gives_every_tree_once(self, m):
@@ -237,15 +278,14 @@ class TestSampling:
     def test_two_vertex_tree_draws_nothing(self):
         gen = SeededRng(81).generator()
         state = gen.bit_generator.state
-        np.testing.assert_array_equal(SpanningTrees(2).sample_rows([gen, gen]), [[0], [0]])
+        np.testing.assert_array_equal(SpanningTrees(2).sample_rows(gen, 2), [[0], [0]])
         assert gen.bit_generator.state == state
 
     def test_large_tree_is_acyclic(self):
         # degrees reach m - 1 = 129, past an int8
         m = 130
         edges = complete_graph_edges(m).tolist()
-        gens = [SeededRng(82).child(i).generator() for i in range(3)]
-        for row in SpanningTrees(m).sample_rows(gens):
+        for row in SpanningTrees(m).sample_rows(SeededRng(82).generator(), 3):
             assert len(row) == m - 1 and is_acyclic(m, edges, row)
 
     def test_one_sampler_path(self):

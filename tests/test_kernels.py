@@ -442,11 +442,10 @@ def test_a_lone_row_gets_the_bits_of_its_row_in_a_block(case):
                 assert np.array_equal(alone.view(np.int64), block[r : r + 1].view(np.int64)), (test, lo + r)
 
 
-#: one class or more of every family; every maximum but those of KSets (a
-#: partition) and GridSquares (a summed-area table) adds a member's weights
-#: in the enumeration's order
+#: one class or more of every family; every maximum but that of GridSquares
+#: (a summed-area table) adds a member's weights in the enumeration's order
 MAX_CASES = [
-    DisjointSets(8, 8), DisjointSets(3, 2), KSets(10, 4), Stars(9), PerfectMatchings(6),
+    DisjointSets(8, 8), DisjointSets(3, 2), KSets(10, 4), KSets(12, 9), Stars(9), PerfectMatchings(6),
     SpanningTrees(7), Cliques(8, 3), Cliques(8, 4), Cliques(8, 5), GridSquares(6, 3),
 ]
 
@@ -461,7 +460,7 @@ def test_every_maximum_against_its_explicit_class(spec):
     gen = np.random.default_rng(9)
     X = gen.standard_normal((300, spec.n)) * 10.0 ** gen.integers(-3, 2, size=(300, spec.n))
     got, ref = spec.max_values_batch(X), explicit.max_values_batch(X)
-    if isinstance(spec, (KSets, GridSquares)):
+    if isinstance(spec, GridSquares):
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
     else:
         assert np.array_equal(got.view(np.int64), ref.view(np.int64))

@@ -193,31 +193,32 @@ class TestReproducibility:
             ("grid", {"sqrt_n": 4, "sqrt_K": 2}),
         ],
     )
-    def test_draw_block_replays_per_trial_generators(self, family, params):
-        # the reference: one fresh generator per trial address
+    def test_draw_block_replays_per_group_generators(self, family, params):
+        # the reference: one pair of fresh generators per group address; the
+        # block starts at the second group's bound, or at the first
         instance = ProblemInstance(make_class(family, **params), 0.9)
+        spec, G = instance.set_class, _chunk_size(instance.n)
         rng = SeededRng(83, (2,))
-        lo, hi = 37, 90
+        trials = G + 53
         for arm in (_NULL_ARM, _MIXTURE_ARM):
-            expect = np.empty((hi - lo, instance.n))
-            for t in range(lo, hi):
-                gen = rng.child(arm, t).generator()
+            expect = []
+            for g, rows in enumerate((G, 53)):
+                x = rng.child(arm, g, 0).generator().standard_normal((rows, instance.n))
                 if arm == _MIXTURE_ARM:
-                    rows = instance.set_class.sample_rows([gen])[0]
-                    x = gen.standard_normal(instance.n)
-                    x[rows] += instance.mu
-                else:
-                    x = gen.standard_normal(instance.n)
-                expect[t - lo] = x
+                    members = spec.sample_rows(rng.child(arm, g, 1).generator(), rows)
+                    x[np.arange(rows)[:, None], members] += instance.mu
+                expect.append(x)
             segments = (np.array([[arm]]), np.array([instance.mu]))
-            X, mu = _draw_block(instance.set_class, segments, lo, hi, rng, hi)
-            np.testing.assert_array_equal(X, expect)
-            np.testing.assert_array_equal(mu, np.full(hi - lo, instance.mu))
+            X, mu = _draw_block(spec, segments, 0, trials, rng, trials)
+            np.testing.assert_array_equal(X, np.vstack(expect))
+            np.testing.assert_array_equal(mu, np.full(trials, instance.mu))
+            X, _ = _draw_block(spec, segments, G, trials, rng, trials)
+            np.testing.assert_array_equal(X, expect[1])
 
-    def test_block_straddling_the_arms_replays_per_trial_generators(self):
-        # trials > _chunk_size(n), so the second block holds both arms
+    def test_block_straddling_the_arms_replays_per_group_generators(self):
+        # 300 trials per arm, one group each, share one block
         instance = ProblemInstance(make_class("stars", m=5), 0.9)
-        trials = _chunk_size(instance.n) + 76
+        spec, trials = instance.set_class, 300
         rng = SeededRng(83, (4,))
         blocks = []
 
@@ -225,21 +226,17 @@ class TestReproducibility:
             blocks.append(X.copy())
             return X[:, 0]
 
-        out = _per_trial_values(values, instance.set_class, _arms(instance), trials, rng, 1)
-        assert [len(X) for X in blocks] == [1024, 1024, 2 * trials - 2048]
-        rows = iter(np.vstack(blocks))
-        for arm in (_NULL_ARM, _MIXTURE_ARM):
-            for t in range(trials):
-                gen = rng.child(arm, t).generator()
-                members = instance.set_class.sample_rows([gen])[0] if arm == _MIXTURE_ARM else []
-                x = gen.standard_normal(instance.n)
-                x[members] += instance.mu
-                np.testing.assert_array_equal(next(rows), x)
-        np.testing.assert_array_equal(out.ravel(), np.vstack(blocks)[:, 0])
+        out = _per_trial_values(values, spec, _arms(instance), trials, rng, 1)
+        assert [len(X) for X in blocks] == [2 * trials]
+        noise = [rng.child(arm, 0, 0).generator().standard_normal((trials, instance.n)) for arm in (0, 1)]
+        members = spec.sample_rows(rng.child(_MIXTURE_ARM, 0, 1).generator(), trials)
+        noise[_MIXTURE_ARM][np.arange(trials)[:, None], members] += instance.mu
+        np.testing.assert_array_equal(blocks[0], np.vstack(noise))
+        np.testing.assert_array_equal(out.ravel(), blocks[0][:, 0])
 
     def test_serial_run_calls_the_kernel_once_per_trial_chunk(self):
-        # one call per block and no other: the arms' trials lie end to end,
-        # cut into blocks of _chunk_size(n) rows
+        # one call per block and no other: the arms' trials lie end to end in
+        # groups of _chunk_size(n) trials, packed whole into blocks of as many rows
         instance = ProblemInstance(make_class("disjoint", N=2, K=1), 0.9)
         chunk = _chunk_size(instance.n)
         calls = []
@@ -253,7 +250,7 @@ class TestReproducibility:
         assert calls == [chunk, chunk, 5]
         calls.clear()
         out = _per_trial_values(values, spec, _arms(instance), 2 * chunk + 5, SeededRng(84), 1)
-        assert calls == [chunk] * 4 + [10] and out.shape == (2, 2 * chunk + 5)
+        assert calls == [chunk, chunk, 5] * 2 and out.shape == (2, 2 * chunk + 5)
 
     @pytest.mark.parametrize(
         "spec, trials, blocks",
@@ -264,7 +261,8 @@ class TestReproducibility:
             (make_class("stars", m=50), 50, [100]),
             # an arm past _SMALL_BLOCK // n keeps a block of its own
             (make_class("stars", m=50), 500, [500, 500]),
-            (make_class("disjoint", N=2, K=1), 1500, [1024, 1024, 952]),
+            # each arm's groups of 1024 and 476 trials, a block each
+            (make_class("disjoint", N=2, K=1), 1500, [1024, 476, 1024, 476]),
         ],
     )
     def test_estimate_risk_calls_the_rule_once_per_block(self, monkeypatch, spec, trials, blocks):
@@ -350,6 +348,50 @@ WORKER_RUNS = {
 }
 
 
+class TestTrialGroups:
+    """Trial t of a segment is row t % G of group t // G, G = _chunk_size(n);
+    each group fills its rows in order from its own substreams."""
+
+    @pytest.mark.parametrize("family", ["disjoint21", *sorted(WORKER_CLASSES)])
+    def test_a_call_is_the_prefix_of_a_longer_call(self, family):
+        # groups of 1024: 1500 trials end inside the second group of 3000,
+        # whose mixture arm draws its members in one call too
+        spec = make_class("disjoint", N=2, K=1) if family == "disjoint21" else WORKER_CLASSES[family]()
+        instance = ProblemInstance(spec, 0.9)
+        assert _chunk_size(instance.n) == 1024
+        short, long = (
+            _per_trial_values(_row_fingerprints, instance.set_class, _arms(instance), trials, SeededRng(140), 1)
+            for trials in (1500, 3000)
+        )
+        assert short.tobytes() == np.ascontiguousarray(long[:, :1500]).tobytes()
+
+    def test_a_multi_group_call_does_not_depend_on_workers(self):
+        instance = ProblemInstance(make_class("disjoint", N=2, K=1), 0.9)
+        one, two = (
+            _per_trial_values(_row_fingerprints, instance.set_class, _arms(instance), 3000, SeededRng(141), w)
+            for w in (1, 2)
+        )
+        assert one.tobytes() == two.tobytes()
+
+    def test_blocks_straddling_points_keep_each_points_values(self):
+        # 300 trials of n = 10 per segment: three segments a block, so the
+        # blocks straddle arms and points; each segment alone draws the same
+        spec = make_class("stars", m=5)
+        segments = [((i, arm), mu) for i, mu in enumerate([0.0, 0.7, 1.4]) for arm in (_NULL_ARM, _MIXTURE_ARM)]
+        blocks = []
+
+        def values(X, mu):
+            blocks.append(len(X))
+            return _row_fingerprints(X, mu) + mu
+
+        rng = SeededRng(142, (3,))
+        together = _per_trial_values(values, spec, segments, 300, rng, 1)
+        assert blocks == [900, 900]
+        for row, segment in zip(together, segments):
+            (alone,) = _per_trial_values(values, spec, [segment], 300, rng, 1)
+            assert row.tobytes() == alone.tobytes()
+
+
 class TestRiskAtPoints:
     """risk_at lays every point's arms end to end in shared blocks; each point
     must keep the estimate of its own call, drawn from rng.child(i)."""
@@ -387,9 +429,9 @@ class TestRiskAtPoints:
         curve = scan_critical_mu(spec, "optimal", grid, 8, SeededRng(121))
         assert calls == [7 * 2 * 8]
         calls.clear()
-        # 1500 trials per point: blocks of one chunk, the last one short
+        # 1500 trials per point: a group of one chunk and one of 476 trials per arm
         scan_critical_mu(make_class("disjoint", N=2, K=1), "optimal", [0.5, 1.0], 1500, SeededRng(122))
-        assert calls == [1024] * 5 + [2 * 2 * 1500 - 5 * 1024]
+        assert calls == [1024, 476] * 4
         calls.clear()
         assert risk_at("optimal", spec, [], 8, SeededRng(123)) == [] and calls == []
         monkeypatch.undo()
