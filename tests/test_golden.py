@@ -37,36 +37,36 @@ GOLDEN = {
     'risk-disjoint-optimal': (
         'risk --class disjoint --N 3 --K 2 --test optimal --mu 0.5 --mu 1.5 --trials 300 --seed 7',
         '#schema=combidetect.risk.v1\n'
-        '#version=0.1.0\n'
+        '#version=0.2.0\n'
         '#config={"K":2,"N":3,"class":"disjoint","command":"risk","mu":[0.5,1.5],"seed":7,"test":"optimal","trials":300}\n'
         'mu,type1,se1,type2,se2,total,se_total,trials\n'
-        '0.5,0.46666666666666667,0.028803291992923821,0.39666666666666667,0.028244304571731639,0.86333333333333329,0.040340678853613386,300\n'
-        '1.5,0.19,0.022649503305812248,0.19,0.022649503305812248,0.38,0.032031234756093936,300\n',
+        '0.5,0.39000000000000001,0.028160255680657446,0.39000000000000001,0.028160255680657446,0.78000000000000003,0.039824615503479752,300\n'
+        '1.5,0.20000000000000001,0.023094010767585032,0.23999999999999999,0.024657656011875907,0.44,0.033783625224853141,300\n',
     ),
     'risk-disjoint-chunks': (
         'risk --class disjoint --N 2 --K 1 --test optimal --mu 1.0 --trials 2500 --seed 4',
         '#schema=combidetect.risk.v1\n'
-        '#version=0.1.0\n'
+        '#version=0.2.0\n'
         '#config={"K":1,"N":2,"class":"disjoint","command":"risk","mu":[1.0],"seed":4,"test":"optimal","trials":2500}\n'
         'mu,type1,se1,type2,se2,total,se_total,trials\n'
-        '1,0.3604,0.0096023297173133976,0.34520000000000001,0.0095086688868631867,0.7056,0.013513678995743536,2500\n',
+        '1,0.33479999999999999,0.0094384100355939179,0.34999999999999998,0.0095393920141694562,0.68479999999999996,0.013419522495230596,2500\n',
     ),
     'risk-stars-maximum': (
         'risk --class stars --m 6 --test maximum --mu 1.0 --mu 2.0 --trials 300 --seed 3',
         '#schema=combidetect.risk.v1\n'
-        '#version=0.1.0\n'
+        '#version=0.2.0\n'
         '#config={"class":"stars","command":"risk","emax0":4.232917987899192,"m":6,"mu":[1.0,2.0],"seed":3,"test":"maximum","trials":300}\n'
         'mu,type1,se1,type2,se2,total,se_total,trials\n'
-        '1,0.12,0.018761663039293719,0.39333333333333331,0.028202968060248683,0.51333333333333331,0.033873402654699562,300\n'
-        '2,0.0033333333333333335,0.0033277731404159861,0.10333333333333333,0.01757418139919615,0.10666666666666666,0.017886473266855208,300\n',
+        '1,0.096666666666666665,0.017060893120645064,0.39666666666666667,0.028244304571731639,0.49333333333333335,0.032997194044567107,300\n'
+        '2,0,0,0.080000000000000002,0.015663120165960973,0.080000000000000002,0.015663120165960973,300\n',
     ),
     'risk-trees-optimal': (
         'risk --class trees --m 5 --test optimal --mu 1.0 --trials 200 --seed 12',
         '#schema=combidetect.risk.v1\n'
-        '#version=0.1.0\n'
+        '#version=0.2.0\n'
         '#config={"class":"trees","command":"risk","m":5,"mu":[1.0],"seed":12,"test":"optimal","trials":200}\n'
         'mu,type1,se1,type2,se2,total,se_total,trials\n'
-        '1,0.20499999999999999,0.028546015483776367,0.23499999999999999,0.029981244136960027,0.43999999999999995,0.041397463690424317,200\n',
+        '1,0.22500000000000001,0.029527529527544293,0.215,0.029049526674285075,0.44,0.041421612716068895,200\n',
     ),
     'risk-matchings-averaging-json': (
         'risk --class matchings --m 4 --test averaging --mu 0.8 --trials 300 --seed 5 --format json',
@@ -85,52 +85,52 @@ GOLDEN = {
         '  "results": [\n'
         '    {\n'
         '      "mu": 0.8,\n'
-        '      "se1": 0.02721655269759087,\n'
-        '      "se2": 0.02753785273643051,\n'
-        '      "se_total": 0.03871787796450206,\n'
-        '      "total": 0.6833333333333333,\n'
+        '      "se1": 0.02753785273643051,\n'
+        '      "se2": 0.02654067458463344,\n'
+        '      "se_total": 0.038245793765337655,\n'
+        '      "total": 0.6533333333333333,\n'
         '      "trials": 300,\n'
-        '      "type1": 0.3333333333333333,\n'
-        '      "type2": 0.35\n'
+        '      "type1": 0.35,\n'
+        '      "type2": 0.30333333333333334\n'
         '    }\n'
         '  ],\n'
         '  "schema": "combidetect.risk.v1",\n'
-        '  "version": "0.1.0"\n'
+        '  "version": "0.2.0"\n'
         '}\n',
     ),
     'scan-disjoint-wide-seed': (
         'scan --class disjoint --N 4 --K 3 --test averaging --mu-grid 0.2:2.0:4 --trials 200 --seed 4294967301',
         '#schema=combidetect.scan.v1\n'
-        '#version=0.1.0\n'
+        '#version=0.2.0\n'
         '#config={"K":3,"N":4,"class":"disjoint","command":"scan","mu_grid":"0.2:2.0:4","seed":4294967301,"test":"averaging","trials":200}\n'
         'mu,type1,se1,type2,se2,total,se_total,trials\n'
-        '0.20000000000000001,0.46999999999999997,0.035291642070042588,0.5,0.035355339059327376,0.96999999999999997,0.049954979731754473,200\n'
-        '0.80000000000000004,0.36499999999999999,0.034042253156922497,0.375,0.03423265984407288,0.73999999999999999,0.048277841708179121,200\n'
-        '1.3999999999999999,0.215,0.029049526674285075,0.23999999999999999,0.030199337741083,0.45499999999999996,0.041903162171845698,200\n'
-        '2,0.245,0.030411757594719844,0.17499999999999999,0.026867731575255845,0.41999999999999998,0.040580167569885667,200\n'
-        '#critical_mu=1.3052631578947367\n',
+        '0.20000000000000001,0.505,0.035353571248178027,0.435,0.035055313434627852,0.93999999999999995,0.049787046508102888,200\n'
+        '0.80000000000000004,0.39500000000000002,0.034566963997435467,0.28499999999999998,0.031919821428071933,0.67999999999999994,0.047050504779438868,200\n'
+        '1.3999999999999999,0.23499999999999999,0.029981244136960027,0.26500000000000001,0.031206970375222264,0.5,0.04327528162819972,200\n'
+        '2,0.23000000000000001,0.029757352032733018,0.20999999999999999,0.028801041647829335,0.44,0.041412558481697309,200\n'
+        '#critical_mu=1.3999999999999999\n',
     ),
     'scan-stars-optimal': (
         'scan --class stars --m 5 --test optimal --mu-grid 0.5:2.5:3 --trials 200 --seed 11',
         '#schema=combidetect.scan.v1\n'
-        '#version=0.1.0\n'
+        '#version=0.2.0\n'
         '#config={"class":"stars","command":"scan","m":5,"mu_grid":"0.5:2.5:3","seed":11,"test":"optimal","trials":200}\n'
         'mu,type1,se1,type2,se2,total,se_total,trials\n'
-        '0.5,0.39500000000000002,0.034566963997435467,0.41499999999999998,0.0348407089480108,0.81000000000000005,0.049079017920084747,200\n'
-        '1.5,0.115,0.022558257911461158,0.13500000000000001,0.024163505540380516,0.25,0.033056769352131185,200\n'
-        '2.5,0.01,0.0070356236397351446,0.014999999999999999,0.0085950567188355417,0.025000000000000001,0.01110742994576153,200\n'
-        '#critical_mu=1.0535714285714286\n',
+        '0.5,0.36499999999999999,0.034042253156922497,0.41999999999999998,0.034899856733230296,0.78499999999999992,0.048753205022849522,200\n'
+        '1.5,0.085000000000000006,0.01971991379291502,0.115,0.022558257911461158,0.20000000000000001,0.029962476533157267,200\n'
+        '2.5,0.0050000000000000001,0.0049874843358150012,0.014999999999999999,0.0085950567188355417,0.02,0.0099373034571758959,200\n'
+        '#critical_mu=0.987179487179487\n',
     ),
     'scan-trees-maximum': (
         'scan --class trees --m 4 --test maximum --mu-grid 0.5:3.0:3 --trials 150 --seed 19',
         '#schema=combidetect.scan.v1\n'
-        '#version=0.1.0\n'
+        '#version=0.2.0\n'
         '#config={"class":"trees","command":"scan","emax0":4.078667960675236,"m":4,"mu_grid":"0.5:3.0:3","seed":19,"test":"maximum","trials":150}\n'
         'mu,type1,se1,type2,se2,total,se_total,trials\n'
-        '0.5,0.27333333333333332,0.03638884648004314,0.53333333333333333,0.040734006177385242,0.80666666666666664,0.0546205767765904,150\n'
-        '1.75,0.026666666666666668,0.013154354299509993,0.28666666666666668,0.036922340923338806,0.31333333333333335,0.039195615779016618,150\n'
-        '3,0,0,0.080000000000000002,0.022150996967781535,0.080000000000000002,0.022150996967781535,150\n'
-        '#critical_mu=1.277027027027027\n',
+        '0.5,0.32666666666666666,0.038293215722505866,0.42666666666666669,0.040383348236801946,0.75333333333333341,0.05565236010435843,150\n'
+        '1.75,0.033333333333333333,0.014656562175858799,0.19333333333333333,0.032244436786889361,0.22666666666666666,0.035419182917149836,150\n'
+        '3,0,0,0.040000000000000001,0.016,0.040000000000000001,0.016,150\n'
+        '#critical_mu=1.1012658227848102\n',
     ),
     'scan-matchings-optimal-json': (
         'scan --class matchings --m 4 --test optimal --mu-grid 0.5:2.0:3 --trials 200 --seed 23 --format json',
@@ -144,77 +144,77 @@ GOLDEN = {
         '    "test": "optimal",\n'
         '    "trials": 200\n'
         '  },\n'
-        '  "critical_mu": 0.93,\n'
+        '  "critical_mu": 1.0136986301369864,\n'
         '  "results": [\n'
         '    {\n'
         '      "mu": 0.5,\n'
-        '      "se1": 0.033613613313656115,\n'
-        '      "se2": 0.034139420030223126,\n'
-        '      "se_total": 0.047910072009964666,\n'
-        '      "total": 0.715,\n'
+        '      "se1": 0.034641016151377546,\n'
+        '      "se2": 0.033726843908080104,\n'
+        '      "se_total": 0.04834769901453429,\n'
+        '      "total": 0.75,\n'
         '      "trials": 200,\n'
-        '      "type1": 0.345,\n'
-        '      "type2": 0.37\n'
+        '      "type1": 0.4,\n'
+        '      "type2": 0.35\n'
         '    },\n'
         '    {\n'
         '      "mu": 1.25,\n'
-        '      "se1": 0.02656124997058685,\n'
-        '      "se2": 0.02656124997058685,\n'
-        '      "se_total": 0.03756327994198589,\n'
-        '      "total": 0.34,\n'
+        '      "se1": 0.02592296279363144,\n'
+        '      "se2": 0.029527529527544293,\n'
+        '      "se_total": 0.03929217479346238,\n'
+        '      "total": 0.385,\n'
         '      "trials": 200,\n'
-        '      "type1": 0.17,\n'
-        '      "type2": 0.17\n'
+        '      "type1": 0.16,\n'
+        '      "type2": 0.225\n'
         '    },\n'
         '    {\n'
         '      "mu": 2.0,\n'
-        '      "se1": 0.013856406460551017,\n'
-        '      "se2": 0.017432010784760317,\n'
-        '      "se_total": 0.02226825094164335,\n'
-        '      "total": 0.10500000000000001,\n'
+        '      "se1": 0.01971991379291502,\n'
+        '      "se2": 0.016120638945153507,\n'
+        '      "se_total": 0.025470571253900058,\n'
+        '      "total": 0.14,\n'
         '      "trials": 200,\n'
-        '      "type1": 0.04,\n'
-        '      "type2": 0.065\n'
+        '      "type1": 0.085,\n'
+        '      "type2": 0.055\n'
         '    }\n'
         '  ],\n'
         '  "schema": "combidetect.scan.v1",\n'
-        '  "version": "0.1.0"\n'
+        '  "version": "0.2.0"\n'
         '}\n',
     ),
     'risk-matchings-maximum': (
         'risk --class matchings --m 6 --test maximum --mu 1.0 --mu 2.0 --trials 400 --seed 31',
         '#schema=combidetect.risk.v1\n'
-        '#version=0.1.0\n'
+        '#version=0.2.0\n'
         '#config={"class":"matchings","command":"risk","emax0":8.88543834282368,"m":6,"mu":[1.0,2.0],"seed":31,"test":"maximum","trials":400}\n'
         'mu,type1,se1,type2,se2,total,se_total,trials\n'
-        '1,0.20000000000000001,0.02,0.32750000000000001,0.023465067121148406,0.52750000000000008,0.030831953797967458,400\n'
-        '2,0.0025000000000000001,0.0024968730444297725,0.19500000000000001,0.01981003533565753,0.19750000000000001,0.019966769267961204,400\n',
+        '1,0.20749999999999999,0.020275832288712589,0.34499999999999997,0.023768413914268656,0.55249999999999999,0.031241748910712408,400\n'
+        '2,0.0074999999999999997,0.0043138584816843498,0.17499999999999999,0.018998355191963329,0.1825,0.019481962811790807,400\n',
     ),
     'scan-trees-optimal': (
         'scan --class trees --m 6 --test optimal --mu-grid 0.4:2.0:3 --trials 200 --seed 37',
         '#schema=combidetect.scan.v1\n'
-        '#version=0.1.0\n'
+        '#version=0.2.0\n'
         '#config={"class":"trees","command":"scan","m":6,"mu_grid":"0.4:2.0:3","seed":37,"test":"optimal","trials":200}\n'
         'mu,type1,se1,type2,se2,total,se_total,trials\n'
-        '0.40000000000000002,0.38500000000000001,0.034407484650872115,0.34499999999999997,0.033613613313656115,0.72999999999999998,0.048101455279440347,200\n'
-        '1.2000000000000002,0.16,0.025922962793631439,0.19,0.027739863013360393,0.34999999999999998,0.037967091013139255,200\n'
-        '2,0.059999999999999998,0.016792855623746664,0.040000000000000001,0.013856406460551017,0.10000000000000001,0.021771541057077241,200\n'
-        '#critical_mu=0.88421052631578956\n',
+        '0.40000000000000002,0.33000000000000002,0.033249060137092598,0.38500000000000001,0.034407484650872115,0.71500000000000008,0.047847413723209747,200\n'
+        '1.2000000000000002,0.155,0.025590525590538388,0.20000000000000001,0.028284271247461905,0.35499999999999998,0.038142823702500057,200\n'
+        '2,0.059999999999999998,0.016792855623746664,0.035000000000000003,0.012995191418367026,0.095000000000000001,0.021233817367586075,200\n'
+        '#critical_mu=0.87777777777777799\n',
     ),
     'emax-matchings': (
         'emax --class matchings --m 5 --trials 500 --seed 41',
         '#schema=combidetect.emax.v1\n'
-        '#version=0.1.0\n'
+        '#version=0.2.0\n'
         '#config={"class":"matchings","command":"emax","m":5,"seed":41,"trials":500}\n'
         'key,value\n'
-        'emax0,4.7174239827088691\n'
-        'se,0.065906730166940639\n'
+        'emax0,4.6948072043451576\n'
+        'se,0.064292680881859202\n'
         'gaussian_cap,6.9191702846382137\n',
     ),
     'bounds-averaging': (
         'bounds --prop averaging --n 100 --K 10 --delta 0.2 --seed 1',
         '#schema=combidetect.bound.v1\n'
-        '#version=0.1.0\n'
+        '#version=0.2.0\n'
         '#config={"K":10,"delta":0.2,"n":100}\n'
         'key,value\n'
         'name,averaging\n'
@@ -236,13 +236,13 @@ GOLDEN = {
         '  "name": "averaging",\n'
         '  "schema": "combidetect.bound.v1",\n'
         '  "value": 4.291932052578694,\n'
-        '  "version": "0.1.0"\n'
+        '  "version": "0.2.0"\n'
         '}\n',
     ),
     'bounds-maxtest': (
         'bounds --prop maxtest --emax0 2.0 --K 49 --delta 0.2 --seed 1',
         '#schema=combidetect.bound.v1\n'
-        '#version=0.1.0\n'
+        '#version=0.2.0\n'
         '#config={"K":49,"delta":0.2,"emax0":2.0}\n'
         'key,value\n'
         'name,maxtest\n'
@@ -264,13 +264,13 @@ GOLDEN = {
         '  "name": "maxtest",\n'
         '  "schema": "combidetect.bound.v1",\n'
         '  "value": 0.6539494768989973,\n'
-        '  "version": "0.1.0"\n'
+        '  "version": "0.2.0"\n'
         '}\n',
     ),
     'bounds-universal': (
         'bounds --prop universal --K 8 --seed 1',
         '#schema=combidetect.bound.v1\n'
-        '#version=0.1.0\n'
+        '#version=0.2.0\n'
         '#config={"K":8}\n'
         'key,value\n'
         'name,universal\n'
@@ -293,13 +293,13 @@ GOLDEN = {
         '  "name": "universal",\n'
         '  "schema": "combidetect.bound.v1",\n'
         '  "value": 0.379263808220466,\n'
-        '  "version": "0.1.0"\n'
+        '  "version": "0.2.0"\n'
         '}\n',
     ),
     'bounds-pairs': (
         'bounds --prop pairs --mgf 1.2 --seed 1',
         '#schema=combidetect.bound.v1\n'
-        '#version=0.1.0\n'
+        '#version=0.2.0\n'
         '#config={"mgf":1.2}\n'
         'key,value\n'
         'name,pairs\n'
@@ -319,13 +319,13 @@ GOLDEN = {
         '  "name": "pairs",\n'
         '  "schema": "combidetect.bound.v1",\n'
         '  "value": 0.7763932022500211,\n'
-        '  "version": "0.1.0"\n'
+        '  "version": "0.2.0"\n'
         '}\n',
     ),
     'bounds-symmetric': (
         'bounds --prop symmetric --n 45 --K 5 --delta 0.3 --seed 1',
         '#schema=combidetect.bound.v1\n'
-        '#version=0.1.0\n'
+        '#version=0.2.0\n'
         '#config={"K":5,"delta":0.3,"n":45}\n'
         'key,value\n'
         'name,symmetric\n'
@@ -347,13 +347,13 @@ GOLDEN = {
         '  "name": "symmetric",\n'
         '  "schema": "combidetect.bound.v1",\n'
         '  "value": 0.7648934316958729,\n'
-        '  "version": "0.1.0"\n'
+        '  "version": "0.2.0"\n'
         '}\n',
     ),
     'bounds-negass': (
         'bounds --prop negass --n 25 --K 5 --delta 0.5 --seed 1',
         '#schema=combidetect.bound.v1\n'
-        '#version=0.1.0\n'
+        '#version=0.2.0\n'
         '#config={"K":5,"delta":0.5,"n":25}\n'
         'key,value\n'
         'name,negass\n'
@@ -375,13 +375,13 @@ GOLDEN = {
         '  "name": "negass",\n'
         '  "schema": "combidetect.bound.v1",\n'
         '  "value": 0.725664546563386,\n'
-        '  "version": "0.1.0"\n'
+        '  "version": "0.2.0"\n'
         '}\n',
     ),
     'bounds-cliques': (
         'bounds --prop cliques --m 63 --k 4 --delta 0.2 --seed 1',
         '#schema=combidetect.bound.v1\n'
-        '#version=0.1.0\n'
+        '#version=0.2.0\n'
         '#config={"delta":0.2,"k":4,"m":63}\n'
         'key,value\n'
         'name,cliques\n'
@@ -408,13 +408,13 @@ GOLDEN = {
         '  "name": "cliques",\n'
         '  "schema": "combidetect.bound.v1",\n'
         '  "value": 3.990280374480414,\n'
-        '  "version": "0.1.0"\n'
+        '  "version": "0.2.0"\n'
         '}\n',
     ),
     'bounds-random-subclass-none': (
         'bounds --prop random-subclass --K 8 --M 20 --t 4.0 --seed 1',
         '#schema=combidetect.bound.v1\n'
-        '#version=0.1.0\n'
+        '#version=0.2.0\n'
         '#config={"K":8,"M":20,"t":4.0}\n'
         'key,value\n'
         'name,random-subclass\n'
@@ -441,13 +441,13 @@ GOLDEN = {
         '  "name": "random-subclass",\n'
         '  "schema": "combidetect.bound.v1",\n'
         '  "value": 0.1670118077091444,\n'
-        '  "version": "0.1.0"\n'
+        '  "version": "0.2.0"\n'
         '}\n',
     ),
     'bounds-random-subclass': (
         'bounds --prop random-subclass --K 10 --M 160 --t 2.0 --seed 1',
         '#schema=combidetect.bound.v1\n'
-        '#version=0.1.0\n'
+        '#version=0.2.0\n'
         '#config={"K":10,"M":160,"t":2.0}\n'
         'key,value\n'
         'name,random-subclass\n'
@@ -476,13 +476,13 @@ GOLDEN = {
         '  "name": "random-subclass",\n'
         '  "schema": "combidetect.bound.v1",\n'
         '  "value": 0.47985259121880813,\n'
-        '  "version": "0.1.0"\n'
+        '  "version": "0.2.0"\n'
         '}\n',
     ),
     'bounds-vc-cover': (
         'bounds --prop vc-cover --n 100 --V 2 --t 1.5 --seed 1',
         '#schema=combidetect.bound.v1\n'
-        '#version=0.1.0\n'
+        '#version=0.2.0\n'
         '#config={"V":2,"n":100,"t":1.5}\n'
         'key,value\n'
         'name,vc-cover\n'
@@ -504,13 +504,13 @@ GOLDEN = {
         '  "name": "vc-cover",\n'
         '  "schema": "combidetect.bound.v1",\n'
         '  "value": 476101.615957041,\n'
-        '  "version": "0.1.0"\n'
+        '  "version": "0.2.0"\n'
         '}\n',
     ),
     'bounds-dudley': (
         'bounds --prop dudley --class ksets --n 12 --K 3 --constant 1 --seed 1',
         '#schema=combidetect.bound.v1\n'
-        '#version=0.1.0\n'
+        '#version=0.2.0\n'
         '#config={"class":{"K":3,"family":"ksets","n":12},"constant":1.0}\n'
         'key,value\n'
         'name,dudley\n'
@@ -535,23 +535,23 @@ GOLDEN = {
         '  "name": "dudley",\n'
         '  "schema": "combidetect.bound.v1",\n'
         '  "value": 4.795895440198799,\n'
-        '  "version": "0.1.0"\n'
+        '  "version": "0.2.0"\n'
         '}\n',
     ),
     'bounds-type1-cover': (
         'bounds --prop type1-cover --class stars --m 6 --delta 0.1 --trials 300 --seed 43',
         '#schema=combidetect.bound.v1\n'
-        '#version=0.1.0\n'
+        '#version=0.2.0\n'
         '#config={"class":{"family":"stars","m":6},"delta":0.1,"seed":43,"trials":300}\n'
         'key,value\n'
         'name,type1-cover\n'
         'direction,mu_threshold_for_risk_le_delta\n'
-        'value,5.3901925636452548\n'
+        'value,5.3691017792212037\n'
         'degenerate,False\n'
         'extras.controls,type1 only\n'
         'extras.cover_size,6\n'
-        'extras.emax_cover,2.5288247988891883\n'
-        'extras.emax_cover_se,0.090921639949326311\n'
+        'extras.emax_cover,2.4760978378290601\n'
+        'extras.emax_cover_se,0.087676924471075141\n'
         'extras.sudakov_cap,1.693167195159677\n',
     ),
     'bounds-type1-cover-json': (
@@ -562,8 +562,8 @@ GOLDEN = {
         '  "extras": {\n'
         '    "controls": "type1 only",\n'
         '    "cover_size": 6,\n'
-        '    "emax_cover": 2.5288247988891883,\n'
-        '    "emax_cover_se": 0.09092163994932631,\n'
+        '    "emax_cover": 2.47609783782906,\n'
+        '    "emax_cover_se": 0.08767692447107514,\n'
         '    "sudakov_cap": 1.693167195159677\n'
         '  },\n'
         '  "inputs": {\n'
@@ -577,14 +577,14 @@ GOLDEN = {
         '  },\n'
         '  "name": "type1-cover",\n'
         '  "schema": "combidetect.bound.v1",\n'
-        '  "value": 5.390192563645255,\n'
-        '  "version": "0.1.0"\n'
+        '  "value": 5.369101779221204,\n'
+        '  "version": "0.2.0"\n'
         '}\n',
     ),
     'overlap-stars-exact': (
         'overlap --class stars --m 6 --mu 0.8 --seed 47',
         '#schema=combidetect.overlap.v1\n'
-        '#version=0.1.0\n'
+        '#version=0.2.0\n'
         '#config={"class":"stars","command":"overlap","m":6,"mu":0.8,"pairs":10000,"seed":47}\n'
         'key,value\n'
         'mgf,5.6691557656056872\n'
@@ -608,19 +608,19 @@ GOLDEN = {
         '  "mgf_se": 0.0,\n'
         '  "risk_lower_bound": 0.0,\n'
         '  "schema": "combidetect.overlap.v1",\n'
-        '  "version": "0.1.0"\n'
+        '  "version": "0.2.0"\n'
         '}\n',
     ),
     'overlap-ksets-mc': (
         'overlap --class ksets --n 10 --K 3 --mu 0.7 --pairs 500 --seed 53',
         '#schema=combidetect.overlap.v1\n'
-        '#version=0.1.0\n'
+        '#version=0.2.0\n'
         '#config={"K":3,"class":"ksets","command":"overlap","mu":0.7,"n":10,"pairs":500,"seed":53}\n'
         'key,value\n'
-        'mgf,1.6420078391887973\n'
-        'mgf_se,0.026732069531777761\n'
+        'mgf,1.6892485661808119\n'
+        'mgf_se,0.02720276258322327\n'
         'exact,False\n'
-        'risk_lower_bound,0.59937304159954574\n',
+        'risk_lower_bound,0.58489502346369904\n',
     ),
     'overlap-ksets-mc-json': (
         'overlap --class ksets --n 10 --K 3 --mu 0.7 --pairs 500 --seed 53 --format json',
@@ -635,11 +635,11 @@ GOLDEN = {
         '    "seed": 53\n'
         '  },\n'
         '  "exact": false,\n'
-        '  "mgf": 1.6420078391887973,\n'
-        '  "mgf_se": 0.02673206953177776,\n'
-        '  "risk_lower_bound": 0.5993730415995457,\n'
+        '  "mgf": 1.6892485661808119,\n'
+        '  "mgf_se": 0.02720276258322327,\n'
+        '  "risk_lower_bound": 0.584895023463699,\n'
         '  "schema": "combidetect.overlap.v1",\n'
-        '  "version": "0.1.0"\n'
+        '  "version": "0.2.0"\n'
         '}\n',
     ),
     'emax-matchings-json': (
@@ -652,17 +652,17 @@ GOLDEN = {
         '    "seed": 41,\n'
         '    "trials": 500\n'
         '  },\n'
-        '  "emax0": 4.717423982708869,\n'
+        '  "emax0": 4.694807204345158,\n'
         '  "gaussian_cap": 6.919170284638214,\n'
         '  "schema": "combidetect.emax.v1",\n'
-        '  "se": 0.06590673016694064,\n'
-        '  "version": "0.1.0"\n'
+        '  "se": 0.0642926808818592,\n'
+        '  "version": "0.2.0"\n'
         '}\n',
     ),
     'cover-ksets': (
         'cover --class ksets --n 6 --K 2 --radius 1.5 --seed 59',
         '#schema=combidetect.cover.v1\n'
-        '#version=0.1.0\n'
+        '#version=0.2.0\n'
         '#config={"K":2,"class":"ksets","command":"cover","n":6,"radius":1.5,"seed":59}\n'
         'set_id,indices\n'
         '1,1;2\n'
@@ -688,40 +688,40 @@ GOLDEN = {
         '    "5,6"\n'
         '  ],\n'
         '  "schema": "combidetect.cover.v1",\n'
-        '  "version": "0.1.0"\n'
+        '  "version": "0.2.0"\n'
         '}\n',
     ),
     'nonmono': (
         'nonmono --K 3 --epsilon 0.8 --trials 300 --seed 61',
         '#schema=combidetect.nonmono.v1\n'
-        '#version=0.1.0\n'
+        '#version=0.2.0\n'
         '#config={"K":3,"command":"nonmono","epsilon":0.8,"seed":61,"trials":300}\n'
         'key,value\n'
         'mu,0.76261091318105356\n'
         'n,16\n'
-        'gap,-0.0066666666666665986\n'
-        'gap_se,0.052605449654321304\n'
+        'gap,0.11666666666666659\n'
+        'gap_se,0.051284608910579704\n'
         'side_condition_holds,False\n'
         'side_condition_lhs,0.76261091318105356\n'
         'side_condition_rhs,1.5631512887959418\n'
-        'risk_disjoint.type1,0.25333333333333335\n'
-        'risk_disjoint.se1,0.025110127807689838\n'
-        'risk_disjoint.type2,0.33666666666666667\n'
-        'risk_disjoint.se2,0.02728383051199753\n'
-        'risk_disjoint.total,0.59000000000000008\n'
-        'risk_disjoint.se_total,0.037079993607414846\n'
-        'risk_union.type1,0.27666666666666667\n'
-        'risk_union.se1,0.025827777180277709\n'
-        'risk_union.type2,0.32000000000000001\n'
-        'risk_union.se2,0.026932013168965541\n'
-        'risk_union.total,0.59666666666666668\n'
-        'risk_union.se_total,0.037314975645274209\n'
-        'risk_witness_averaging.type1,0.33333333333333331\n'
-        'risk_witness_averaging.se1,0.027216552697590869\n'
-        'risk_witness_averaging.type2,0.23666666666666666\n'
-        'risk_witness_averaging.se2,0.024539461794937253\n'
-        'risk_witness_averaging.total,0.56999999999999995\n'
-        'risk_witness_averaging.se_total,0.036645953745617341\n',
+        'risk_disjoint.type1,0.28666666666666668\n'
+        'risk_disjoint.se1,0.02610803764417444\n'
+        'risk_disjoint.type2,0.31666666666666665\n'
+        'risk_disjoint.se2,0.026856959922826266\n'
+        'risk_disjoint.total,0.60333333333333328\n'
+        'risk_disjoint.se_total,0.037455652790011895\n'
+        'risk_union.type1,0.25\n'
+        'risk_union.se1,0.025000000000000001\n'
+        'risk_union.type2,0.23666666666666666\n'
+        'risk_union.se2,0.024539461794937253\n'
+        'risk_union.total,0.48666666666666669\n'
+        'risk_union.se_total,0.03503120302223698\n'
+        'risk_witness_averaging.type1,0.25333333333333335\n'
+        'risk_witness_averaging.se1,0.025110127807689838\n'
+        'risk_witness_averaging.type2,0.27666666666666667\n'
+        'risk_witness_averaging.se2,0.025827777180277709\n'
+        'risk_witness_averaging.total,0.53000000000000003\n'
+        'risk_witness_averaging.se_total,0.03602211255038483\n',
     ),
     'nonmono-json': (
         'nonmono --K 3 --epsilon 0.8 --trials 300 --seed 61 --format json',
@@ -733,78 +733,78 @@ GOLDEN = {
         '    "seed": 61,\n'
         '    "trials": 300\n'
         '  },\n'
-        '  "gap": -0.006666666666666599,\n'
-        '  "gap_se": 0.052605449654321304,\n'
+        '  "gap": 0.11666666666666659,\n'
+        '  "gap_se": 0.051284608910579704,\n'
         '  "mu": 0.7626109131810536,\n'
         '  "n": 16,\n'
-        '  "risk_disjoint_se1": 0.025110127807689838,\n'
-        '  "risk_disjoint_se2": 0.02728383051199753,\n'
-        '  "risk_disjoint_se_total": 0.037079993607414846,\n'
-        '  "risk_disjoint_total": 0.5900000000000001,\n'
-        '  "risk_disjoint_type1": 0.25333333333333335,\n'
-        '  "risk_disjoint_type2": 0.33666666666666667,\n'
-        '  "risk_union_se1": 0.02582777718027771,\n'
-        '  "risk_union_se2": 0.02693201316896554,\n'
-        '  "risk_union_se_total": 0.03731497564527421,\n'
-        '  "risk_union_total": 0.5966666666666667,\n'
-        '  "risk_union_type1": 0.27666666666666667,\n'
-        '  "risk_union_type2": 0.32,\n'
-        '  "risk_witness_averaging_se1": 0.02721655269759087,\n'
-        '  "risk_witness_averaging_se2": 0.024539461794937253,\n'
-        '  "risk_witness_averaging_se_total": 0.03664595374561734,\n'
-        '  "risk_witness_averaging_total": 0.57,\n'
-        '  "risk_witness_averaging_type1": 0.3333333333333333,\n'
-        '  "risk_witness_averaging_type2": 0.23666666666666666,\n'
+        '  "risk_disjoint_se1": 0.02610803764417444,\n'
+        '  "risk_disjoint_se2": 0.026856959922826266,\n'
+        '  "risk_disjoint_se_total": 0.037455652790011895,\n'
+        '  "risk_disjoint_total": 0.6033333333333333,\n'
+        '  "risk_disjoint_type1": 0.2866666666666667,\n'
+        '  "risk_disjoint_type2": 0.31666666666666665,\n'
+        '  "risk_union_se1": 0.025,\n'
+        '  "risk_union_se2": 0.024539461794937253,\n'
+        '  "risk_union_se_total": 0.03503120302223698,\n'
+        '  "risk_union_total": 0.4866666666666667,\n'
+        '  "risk_union_type1": 0.25,\n'
+        '  "risk_union_type2": 0.23666666666666666,\n'
+        '  "risk_witness_averaging_se1": 0.025110127807689838,\n'
+        '  "risk_witness_averaging_se2": 0.02582777718027771,\n'
+        '  "risk_witness_averaging_se_total": 0.03602211255038483,\n'
+        '  "risk_witness_averaging_total": 0.53,\n'
+        '  "risk_witness_averaging_type1": 0.25333333333333335,\n'
+        '  "risk_witness_averaging_type2": 0.27666666666666667,\n'
         '  "schema": "combidetect.nonmono.v1",\n'
         '  "side_condition_holds": false,\n'
         '  "side_condition_lhs": 0.7626109131810536,\n'
         '  "side_condition_rhs": 1.5631512887959418,\n'
-        '  "version": "0.1.0"\n'
+        '  "version": "0.2.0"\n'
         '}\n',
     ),
     'risk-cliques-optimal-chunks': (
         'risk --class cliques --m 12 --k 4 --test optimal --mu 0.6 --mu 1.2 --trials 2100 --seed 53',
         '#schema=combidetect.risk.v1\n'
-        '#version=0.1.0\n'
+        '#version=0.2.0\n'
         '#config={"class":"cliques","command":"risk","k":4,"m":12,"mu":[0.6,1.2],"seed":53,"test":"optimal","trials":2100}\n'
         'mu,type1,se1,type2,se2,total,se_total,trials\n'
-        '0.59999999999999998,0.39238095238095239,0.010655160622899819,0.40523809523809523,0.010713146827855409,0.79761904761904767,0.01510973073403306,2100\n'
-        '1.2,0.22952380952380952,0.009176642979545499,0.27523809523809523,0.0097463567348889148,0.50476190476190474,0.013386644313559549,2100\n',
+        '0.59999999999999998,0.3861904761904762,0.010624486369439442,0.41809523809523808,0.010763510004094838,0.80428571428571427,0.01512391676195866,2100\n'
+        '1.2,0.24095238095238095,0.0093323383244898854,0.27857142857142858,0.0097826227799507059,0.5195238095238095,0.013520068308168903,2100\n',
     ),
     'risk-cliques-maximum': (
         'risk --class cliques --m 12 --k 4 --test maximum --mu 1.0 --mu 2.0 --trials 400 --seed 59',
         '#schema=combidetect.risk.v1\n'
-        '#version=0.1.0\n'
+        '#version=0.2.0\n'
         '#config={"class":"cliques","command":"risk","emax0":8.628713296362575,"k":4,"m":12,"mu":[1.0,2.0],"seed":59,"test":"maximum","trials":400}\n'
         'mu,type1,se1,type2,se2,total,se_total,trials\n'
-        '1,0.28999999999999998,0.022688102609076853,0.33500000000000002,0.023599523300270285,0.625,0.032736638495728304,400\n'
-        '2,0.0074999999999999997,0.0043138584816843498,0.20749999999999999,0.020275832288712589,0.215,0.02072965870437813,400\n',
+        '1,0.28249999999999997,0.022510761315424229,0.32500000000000001,0.023418742493993994,0.60749999999999993,0.032483409226865337,400\n'
+        '2,0.0050000000000000001,0.0035266839949164713,0.20499999999999999,0.020185081124434453,0.20999999999999999,0.020490851617246172,400\n',
     ),
     'emax-cliques': (
         'emax --class cliques --m 12 --k 4 --trials 500 --seed 61',
         '#schema=combidetect.emax.v1\n'
-        '#version=0.1.0\n'
+        '#version=0.2.0\n'
         '#config={"class":"cliques","command":"emax","k":4,"m":12,"seed":61,"trials":500}\n'
         'key,value\n'
-        'emax0,6.5983306430150517\n'
-        'se,0.054849097508807537\n'
+        'emax0,6.5971307950726912\n'
+        'se,0.056141308971887002\n'
         'gaussian_cap,8.6287132963625748\n',
     ),
     'scan-trees-maximum-chunks': (
         'scan --class trees --m 12 --test maximum --mu-grid 0.5:2.0:3 --trials 1100 --seed 23',
         '#schema=combidetect.scan.v1\n'
-        '#version=0.1.0\n'
+        '#version=0.2.0\n'
         '#config={"class":"trees","command":"scan","emax0":23.381177535645207,"m":12,"mu_grid":"0.5:2.0:3","seed":23,"test":"maximum","trials":1100}\n'
         'mu,type1,se1,type2,se2,total,se_total,trials\n'
-        '0.5,0.71818181818181814,0.013564549190474279,0.13272727272727272,0.010229669140728617,0.85090909090909084,0.016989500447911109,1100\n'
-        '1.25,0.082727272727272733,0.008305719336937769,0.26272727272727275,0.01326998160211652,0.34545454545454546,0.015654947634038668,1100\n'
-        '2,0,0,0.20545454545454545,0.012182064879702588,0.20545454545454545,0.012182064879702588,1100\n'
-        '#critical_mu=1.0206834532374101\n',
+        '0.5,0.71909090909090911,0.013551221801799376,0.12,0.0097979589711327131,0.83909090909090911,0.016722308821498385,1100\n'
+        '1.25,0.08545454545454545,0.0084289579920923084,0.27909090909090911,0.013524360968056495,0.36454545454545456,0.015935986710171001,1100\n'
+        '2,0.0027272727272727275,0.001572443006842249,0.20363636363636364,0.012141910701866952,0.20636363636363636,0.012243307253429456,1100\n'
+        '#critical_mu=1.0359195402298851\n',
     ),
     'overlap-trees': (
         'overlap --class trees --m 7 --mu 0.8 --pairs 2000 --seed 29',
         '#schema=combidetect.overlap.v1\n'
-        '#version=0.1.0\n'
+        '#version=0.2.0\n'
         '#config={"class":"trees","command":"overlap","m":7,"mu":0.8,"pairs":2000,"seed":29}\n'
         'key,value\n'
         'mgf,3.5810584189988104\n'
@@ -815,17 +815,17 @@ GOLDEN = {
     'emax-trees': (
         'emax --class trees --m 7 --trials 1100 --seed 31',
         '#schema=combidetect.emax.v1\n'
-        '#version=0.1.0\n'
+        '#version=0.2.0\n'
         '#config={"class":"trees","command":"emax","m":7,"seed":31,"trials":1100}\n'
         'key,value\n'
-        'emax0,6.451600737900395\n'
-        'se,0.053229645200538626\n'
+        'emax0,6.5708852727370308\n'
+        'se,0.054232461852576047\n'
         'gaussian_cap,10.805304666843911\n',
     ),
     'cover-trees': (
         'cover --class trees --m 6 --radius 2 --seed 1',
         '#schema=combidetect.cover.v1\n'
-        '#version=0.1.0\n'
+        '#version=0.2.0\n'
         '#config={"class":"trees","command":"cover","m":6,"radius":2.0,"seed":1}\n'
         'set_id,indices\n'
         '1,1;2;3;4;5\n'

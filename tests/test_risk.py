@@ -651,17 +651,17 @@ class TestSubclassComparisons:
         rep = monotonicity_check(make_class("ksets", n=8, K=2), 0.4, [0.5, 1.5], 300, SeededRng(5))
         assert repr(rep) == (
             "MonotonicityReport(mu_grid=(0.5, 1.5), class_size=28, subclass_size=11, "
-            "subclass_risk=(RiskEstimate(type1=0.37, se_type1=0.027874719729532708, "
-            "type2=0.4066666666666667, se_type2=0.028360118058574725, total=0.7766666666666666, "
-            "se_total=0.03976551642184842, trials=300), RiskEstimate(type1=0.21, "
-            "se_type1=0.023515952032609692, type2=0.29, se_type2=0.026197964297504744, "
-            "total=0.5, se_total=0.03520416642008916, trials=300)), "
-            "class_risk=(RiskEstimate(type1=0.43666666666666665, se_type1=0.028634995424531903, "
-            "type2=0.49, se_type2=0.028861739379323625, total=0.9266666666666666, "
-            "se_total=0.04065664721743498, trials=300), RiskEstimate(type1=0.23, "
-            "se_type1=0.02429677619218923, type2=0.22666666666666666, "
-            "se_type2=0.024172221583799374, total=0.45666666666666667, "
-            "se_total=0.034272870169123996, trials=300)), violated=(False, False))"
+            "subclass_risk=(RiskEstimate(type1=0.4, se_type1=0.0282842712474619, "
+            "type2=0.4033333333333333, se_type2=0.028322873886404698, total=0.8033333333333333, "
+            "se_total=0.040027305494939144, trials=300), RiskEstimate(type1=0.25666666666666665, "
+            "se_type1=0.02521830610812239, type2=0.19333333333333333, se_type2=0.022800259907550437, "
+            "total=0.44999999999999996, se_total=0.033997276579379336, trials=300)), "
+            "class_risk=(RiskEstimate(type1=0.42333333333333334, se_type1=0.028526141357371502, "
+            "type2=0.39666666666666667, se_type2=0.02824430457173164, total=0.8200000000000001, "
+            "se_total=0.04014326196862285, trials=300), RiskEstimate(type1=0.25333333333333335, "
+            "se_type1=0.025110127807689838, type2=0.29333333333333333, "
+            "se_type2=0.026286174369104437, total=0.5466666666666666, "
+            "se_total=0.03635218674965072, trials=300)), violated=(False, False))"
         )
 
     def test_monotonicity_refuses_asymmetric_class(self):
@@ -702,7 +702,7 @@ class TestSerialization:
         got = render_risk_rows("csv", rows, {"a": 1}, "combidetect.risk.v1")
         assert got == (
             "#schema=combidetect.risk.v1\n"
-            "#version=0.1.0\n"
+            "#version=0.2.0\n"
             '#config={"a":1}\n'
             "mu,type1,se1,type2,se2,total,se_total,trials\n"
             "0.5,0.25,0.21650635094610965,0.25,0.21650635094610965,"
