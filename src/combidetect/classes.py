@@ -375,7 +375,8 @@ class PerfectMatchings(SetClass):
     def sample_rows(self, gen, rows):
         # Fisher-Yates over every row at once: step i swaps entry i with a
         # uniform entry i + r of the entries from i on
-        m, r = self.m, gen.integers(0, self.m - np.arange(self.m - 1), size=(rows, self.m - 1))
+        m = self.m
+        r = gen.integers(0, m - np.arange(m - 1), size=(rows, m - 1))
         perms = np.tile(np.arange(m), (rows, 1))
         at = np.arange(rows)
         for i, j in enumerate(r.T):

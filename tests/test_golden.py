@@ -1,32 +1,26 @@
 """Golden stdout bytes of every subcommand.
 
 Each ``risk`` and ``scan`` case is a CLI call whose mixture arm runs a
-different family sampler (``disjoint``, ``stars``, ``trees``, ``matchings``).  The expected bytes were
-recorded from the per-trial ``SeededRng.child(arm, t).generator()`` draw path,
-so any faster draw path must reproduce them exactly.  One case spans several
-trial chunks and is replayed with ``--workers 2``; one scan uses a master seed
-of 2**32 or more, which numpy's SeedSequence splits into two uint32 words.
+different family sampler (``disjoint``, ``stars``, ``trees``, ``matchings``).
+Every case was re-recorded at version 0.2.0, when trials began to draw in
+groups: trial t of a (point, arm) segment is row t % G of group t // G, with
+G = ``_chunk_size(n)`` trials, and the group draws its normals from the
+substream ``(seed, *stream, [point,] arm, group, 0)`` and its mixture
+members from ``(..., group, 1)``, one numpy call each.  Cases that draw
+nothing changed in their ``#version=`` line only.  Three cases span several
+groups and are replayed with ``--workers 2`` (``risk`` on disjoint blocks
+and on cliques, and the trees maximum scan); one scan uses a master seed of
+2**32 or more, which numpy's SeedSequence splits into two uint32 words.
 
-The ``risk`` maximum test on matchings and ``emax`` on matchings were
-recorded from the enumeration and Hungarian-solver kernels, so the subset-DP
-kernels that replace them must reproduce those bytes too.  The clique ``risk`` cases (the
-likelihood ratio over three trial chunks, also replayed with ``--workers 2``,
-and the maximum) and ``emax`` on cliques were recorded from full enumeration,
-before the dense-contraction likelihood ratio and the member-major gather.
-``emax`` on trees and the trees ``cover`` were recorded from Kruskal's
-algorithm and the member matrix filtered from all edge combinations, before
-Prim's algorithm and the Prüfer-built member matrix.  The trees ``risk``, both
-trees ``scan`` cases (the two-chunk maximum is also replayed with
-``--workers 2``) and ``overlap`` on trees were re-recorded when the tree
-sampler changed from a random walk to a uniform Prüfer code: their mixture-arm
-columns moved and their null-arm columns kept their bytes.
+The matchings and clique ``risk`` and ``emax`` cases pin the exact kernels
+(the subset DP, the clique pair contractions, Prim's trees), which were each
+first checked against bytes recorded from full enumeration.
 
 Every ``bounds`` proposition, ``overlap`` on an exact and on a Monte Carlo
-family, ``emax`` in JSON, ``cover`` and ``nonmono`` were recorded in both
-formats from per-command envelopes, before one writer replaced them.  They
-include the degenerate ``random-subclass`` document whose second term is
-``None``.  A ``random-subclass`` call with M <= 16 has no value and exits with
-a typed error instead (see ``test_cli.py``).
+family, ``emax`` in JSON, ``cover`` and ``nonmono`` run through one writer
+in both formats.  They include the degenerate ``random-subclass`` document
+whose second term is ``None``.  A ``random-subclass`` call with M <= 16 has
+no value and exits with a typed error instead (see ``test_cli.py``).
 """
 
 import pytest
