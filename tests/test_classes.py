@@ -158,10 +158,6 @@ class TestGeometry:
         assert rows == sorted(rows)
 
 
-def draw_one(spec, gen):
-    return spec.sample_rows(gen, 1)[0]
-
-
 #: one small class of every family, and one given by its rows, each sampled
 #: against its whole member matrix
 UNIFORM_CASES = [
@@ -210,8 +206,8 @@ class TestSampling:
 
     def test_sampling_with_seeded_rng_is_deterministic(self):
         spec = small("trees")
-        a = draw_one(spec, SeededRng(9).child(4).generator())
-        b = draw_one(spec, SeededRng(9).child(4).generator())
+        a = spec.sample_rows(SeededRng(9).child(4).generator(), 1)
+        b = spec.sample_rows(SeededRng(9).child(4).generator(), 1)
         np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("name", [*sorted(SMALL), "explicit", *BIG_TREES])
