@@ -10,8 +10,7 @@ so the first k trials of a call do not depend on how many follow, and results
 are byte-identical for a given (seed, config) regardless of blocking or
 worker count.  A call lays its segments end to end and draws them in blocks
 of whole groups, which may straddle arms and points, each row at its point's
-mu; per-trial values are written into a preallocated array and reduced once,
-in index order.
+mu; per-trial values are laid end to end in index order and reduced once.
 """
 
 from __future__ import annotations
@@ -114,82 +113,116 @@ def _draw_block(
     return X, mus[np.arange(lo, hi) // trials]
 
 
-def _chunk_values(value_fn: Callable, spec: SetClass, segments, trials, rng, lo, hi):
-    return value_fn(*_draw_block(spec, segments, lo, hi, rng, trials))
+def _share_values(value_fn: Callable, spec: SetClass, segments, trials, rng, share):
+    # value_fn over the blocks (lo, hi) of one share, end to end
+    return np.concatenate([value_fn(*_draw_block(spec, segments, lo, hi, rng, trials)) for lo, hi in share])
 
 
-#: the worker pool by its size, dropped at exit while its finalizer's modules remain
+#: normals (rows x n) a call draws before it fans out.  Median call times on a
+#: 2-core host, workers=1 against a split over two processes: cheap kernels lose
+#: below it (DisjointSets(2,1) optimal 0.48 -> 0.58 ms at 8,192; KSets(100,10)
+#: averaging 0.41 -> 0.52 ms at 30,000, 0.64 -> 0.63 at 60,000), and every call
+#: measured gains above it (SpanningTrees(12) maximum scan 3.68 -> 2.16 ms at
+#: 88,704; Stars(50) maximum 1.15 -> 0.86 ms at 122,500).
+_FAN_OUT_OBS = 2**16
+
+#: the worker pool by its process count, dropped at exit while its finalizer's modules remain
 _pools: dict = {}
 atexit.register(_pools.clear)
 
 
 def _pool_size(workers: int) -> int:
-    return min(int(workers), os.cpu_count() or 1)
+    # the processes of a fan-out, the caller's included
+    return max(1, min(int(workers), os.cpu_count() or 1))
+
+
+def _set_blas_threads(count: int) -> int | None:
+    # numpy's bundled OpenBLAS runs count threads from here on; the previous
+    # count, or None on builds without OpenBLAS thread control
+    import ctypes
+    try:
+        blas = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        get, put = blas.scipy_openblas_get_num_threads64_, blas.scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):
+        return None
+    get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
+    previous = get()
+    put(count)
+    return previous
 
 
 def _exit_with_parent():
     # each worker ends once the pool's parent process is gone, even when a
     # signal ended the parent before it could stop the pool; its BLAS runs
-    # one thread, so the workers' kernels do not oversubscribe the cores
-    import ctypes
+    # one thread, so the kernels of a fan-out do not oversubscribe the cores
     import threading
     from multiprocessing import connection, parent_process
 
     parent = parent_process().sentinel
     threading.Thread(target=lambda: (connection.wait([parent]), os._exit(1)), daemon=True).start()
-    try:  # numpy's bundled OpenBLAS, on builds that have it
-        blas = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-        set_threads = blas.scipy_openblas_set_num_threads64_
-    except (OSError, AttributeError):
-        return
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    set_threads(1)
+    _set_blas_threads(1)
 
 
-def _worker_pool(size: int):
-    if size not in _pools:
+def _worker_pool(processes: int):
+    if processes not in _pools:
         import multiprocessing  # here, so importing the package loads neither
         from concurrent.futures import ProcessPoolExecutor
         while _pools:
             _pools.popitem()[1].shutdown()
         method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-        _pools[size] = ProcessPoolExecutor(
-            size, multiprocessing.get_context(method), initializer=_exit_with_parent
+        _pools[processes] = ProcessPoolExecutor(
+            processes, multiprocessing.get_context(method), initializer=_exit_with_parent
         )
-    return _pools[size]
+    return _pools[processes]
 
 
 def _per_trial_values(
-    value_fn: Callable, spec: SetClass, segments: Sequence, trials: int, rng: SeededRng, workers: int,
-    out_dtype=np.float64,
+    value_fn: Callable, spec: SetClass, segments: Sequence, trials: int, rng: SeededRng, workers: int
 ) -> np.ndarray:
     # a (len(segments), trials) array of value_fn(X, mu) over each segment's trials
     if trials < 1:
         raise ValueError("trials must be >= 1")
     segments = (np.array([keys for keys, _ in segments]), np.array([mu for _, mu in segments]))
     rows = len(segments[1]) * trials
-    out = np.empty(rows, dtype=out_dtype)
+    if not rows:
+        return np.empty((0, trials))
     chunk = _chunk_size(spec.n)
-    block = min(chunk, max(trials, _SMALL_BLOCK // spec.n))
+    # the processes a call of enough work splits over, each with a block of its own at least
+    size = _pool_size(workers) if rows * spec.n >= _FAN_OUT_OBS else 1
+    block = min(chunk, max(trials, _SMALL_BLOCK // spec.n), -(-rows // size))
     # whole groups, packed in order into blocks of at most block rows
     starts = [s + t for s in range(0, rows, trials) for t in range(0, trials, chunk)]
     los = []
     for start, end in zip(starts, starts[1:] + [rows]):
         if not los or end - los[-1] > block:
             los.append(start)
-    his = los[1:] + [rows]
-    chunk_values = partial(_chunk_values, value_fn, spec, segments, trials, rng)
-    # segments of at most one chunk run here: below that, task overhead can outweigh the split
-    fan_out = map if workers <= 1 or trials <= chunk else _worker_pool(_pool_size(workers)).map
-    for lo, hi, values in zip(los, his, fan_out(chunk_values, los, his)):
-        out[lo:hi] = values
-    return out.reshape(-1, trials)
+    # the blocks in size contiguous shares, by their midpoints; the caller takes the first
+    blocks = list(zip(los, los[1:] + [rows]))
+    shares = [[b for b in blocks if sum(b) * size // (2 * rows) == k] for k in range(size)]
+    shares = [share for share in shares if share]
+    values = partial(_share_values, value_fn, spec, segments, trials, rng)
+    if len(shares) == 1:
+        return values(shares[0]).reshape(-1, trials)
+    from concurrent.futures.process import BrokenProcessPool
+    try:
+        futures = [_worker_pool(size - 1).submit(values, share) for share in shares[1:]]
+        previous = _set_blas_threads(1)  # the workers' cores are busy
+        try:
+            parts = [values(shares[0])]
+        finally:
+            if previous is not None:
+                _set_blas_threads(previous)
+        parts += [future.result() for future in futures]
+    except BrokenProcessPool:
+        del _pools[size - 1]  # so the next call forks a fresh pool
+        raise
+    return np.concatenate(parts).reshape(-1, trials)
 
 
 def _risk(decide: Callable, spec: SetClass, points: list, trials: int, rng: SeededRng, workers: int):
     # a RiskEstimate per point (keys, mu); its arm a draws from rng.child(*keys, a)
     segments = [((*keys, arm), mu) for keys, mu in points for arm in (_NULL_ARM, _MIXTURE_ARM)]
-    rej = _per_trial_values(decide, spec, segments, trials, rng, workers, np.bool_)
+    rej = _per_trial_values(decide, spec, segments, trials, rng, workers)
     return [
         RiskEstimate.from_counts(int(np.count_nonzero(null)), trials - int(np.count_nonzero(mix)), trials)
         for null, mix in rej.reshape(-1, 2, trials)

@@ -366,7 +366,7 @@ def command_lines(draw):
     command = draw(st.sampled_from(COMMANDS))
     family = draw(st.sampled_from(sorted(FAMILY_SIZES)))
     sizes = {"class": family} | {k: draw(v) for k, v in FAMILY_SIZES[family].items()}
-    # --workers 2 never starts a process here: no arm is longer than a chunk
+    # --workers 2 never starts a process here: no call draws 2**16 normals
     common = {"seed": 1, "workers": draw(st.sampled_from([0, 1, 2])),
               "format": draw(st.sampled_from(["csv", "json"]))}
     trials, mu = {"trials": draw(COUNTS)}, draw(MUS)

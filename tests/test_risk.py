@@ -3,8 +3,11 @@ import json
 import math
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -32,6 +35,7 @@ from combidetect import (
 from combidetect._output import fmt17
 from combidetect.core import CapExceededError
 from combidetect.risk import (
+    _FAN_OUT_OBS,
     _MIXTURE_ARM,
     _NULL_ARM,
     _chunk_size,
@@ -50,6 +54,14 @@ from combidetect.rules import batch_rejections
 def _arms(instance, arms=(_NULL_ARM, _MIXTURE_ARM)):
     # the segments of one point's arms, as estimate_risk lays them out
     return [((arm,), instance.mu) for arm in arms]
+
+
+@pytest.fixture
+def fan_out_every_call(monkeypatch):
+    # two workers split even a small call, so a test of worker invariance fans out
+    from combidetect import risk
+
+    monkeypatch.setattr(risk, "_FAN_OUT_OBS", 0)
 
 
 def bayes_risk_two_disjoint_singletons(mu: float) -> float:
@@ -365,6 +377,7 @@ class TestTrialGroups:
         )
         assert short.tobytes() == np.ascontiguousarray(long[:, :1500]).tobytes()
 
+    @pytest.mark.usefixtures("fan_out_every_call")
     def test_a_multi_group_call_does_not_depend_on_workers(self):
         instance = ProblemInstance(make_class("disjoint", N=2, K=1), 0.9)
         one, two = (
@@ -398,6 +411,7 @@ class TestRiskAtPoints:
 
     @pytest.mark.parametrize("family", sorted(WORKER_CLASSES))
     @pytest.mark.parametrize("test", ["averaging", "maximum", "optimal"])
+    @pytest.mark.usefixtures("fan_out_every_call")
     def test_risk_at_equals_the_per_point_loop(self, family, test):
         spec = WORKER_CLASSES[family]()
         # mu = 0 where the rule has it; more trials than a chunk, so blocks
@@ -485,6 +499,28 @@ def _refuse_blocks(X, mu):
     raise CapExceededError(10, 5)
 
 
+def _refuse_in_workers(X, mu):
+    # refuses the blocks of the workers' shares only
+    if multiprocessing.parent_process() is not None:
+        raise CapExceededError(10, 5)
+    return np.zeros(X.shape[0])
+
+
+def _blas_thread_values(X, mu):
+    return np.full(X.shape[0], _blas_get_threads()())
+
+
+#: a class and its trials per arm whose two arms draw past _FAN_OUT_OBS normals
+ABOVE = make_class("ksets", n=100, K=10)
+ABOVE_TRIALS = -(-_FAN_OUT_OBS // (2 * ABOVE.n))
+
+
+def _fan_out(value_fn, seed, workers=2):
+    # value_fn over both arms of a call above the threshold
+    instance = ProblemInstance(ABOVE, 0.9)
+    return _per_trial_values(value_fn, ABOVE, _arms(instance), ABOVE_TRIALS, SeededRng(seed), workers)
+
+
 class TestWorkerProcesses:
     @pytest.mark.parametrize(
         "family, run",
@@ -496,11 +532,13 @@ class TestWorkerProcesses:
             if run != "monotonicity" or WORKER_CLASSES[family]().is_symmetric
         ],
     )
+    @pytest.mark.usefixtures("fan_out_every_call")
     def test_results_do_not_depend_on_workers(self, family, run):
         spec = WORKER_CLASSES[family]()
         one, two, three = (WORKER_RUNS[run](spec, w) for w in (1, 2, 3))
         assert one == two == three
 
+    @pytest.mark.usefixtures("fan_out_every_call")
     def test_nonmonotonicity_demo_does_not_depend_on_workers(self):
         trials = 2 * _chunk_size((2 + 1) ** 2) + 1  # n = (K + 1)^2 at K = 2
         one, two, three = (
@@ -509,48 +547,61 @@ class TestWorkerProcesses:
         assert one == two == three
 
     def test_second_fan_out_reuses_the_worker_processes(self):
-        instance = ProblemInstance(make_class("disjoint", N=2, K=1), 0.9)
-        trials = 3 * _chunk_size(instance.n)
-        arms = _arms(instance)
-        first = _per_trial_values(_pid_values, instance.set_class, arms, trials, SeededRng(85), 2, np.int64)
+        first = _fan_out(_pid_values, 85)
         pool = {p.pid for p in multiprocessing.active_children()}
-        second = _per_trial_values(_pid_values, instance.set_class, arms, trials, SeededRng(86), 2, np.int64)
+        second = _fan_out(_pid_values, 86)
         pids = set(first.ravel()) | set(second.ravel())
-        assert os.getpid() not in pids
-        assert pids <= pool
+        assert os.getpid() in pids and len(pids) == 2
+        assert pids <= {os.getpid()} | pool
         assert {p.pid for p in multiprocessing.active_children()} == pool
 
-    def test_arms_of_one_chunk_run_in_the_caller(self):
-        # two blocks, one per arm, yet no fan-out: each arm fits one chunk
+    def test_a_call_above_the_threshold_runs_in_the_caller_and_one_worker(self):
+        # the README's risk call: Stars(50), 500 trials per arm, 1,225,000 normals
         instance = ProblemInstance(make_class("stars", m=50), 0.9)
-        arms = _arms(instance)
-        pids = _per_trial_values(_pid_values, instance.set_class, arms, 500, SeededRng(89), 2, np.int64)
+        pids = _per_trial_values(_pid_values, instance.set_class, _arms(instance), 500, SeededRng(89), 2)
+        workers = set(pids.ravel()) - {os.getpid()}
+        assert set(pids[0]) == {os.getpid()} and len(workers) == 1
+        assert workers <= {p.pid for p in multiprocessing.active_children()}
+
+    def test_a_call_below_the_threshold_runs_in_the_caller(self):
+        # six blocks of a chunk, yet 12,288 normals in all
+        instance = ProblemInstance(make_class("disjoint", N=2, K=1), 0.9)
+        trials = 3 * _chunk_size(instance.n)
+        assert 2 * trials * instance.n < _FAN_OUT_OBS
+        pids = _per_trial_values(_pid_values, instance.set_class, _arms(instance), trials, SeededRng(89), 2)
         assert set(pids.ravel()) == {os.getpid()}
 
     def test_worker_error_reaches_the_caller(self):
-        instance = ProblemInstance(make_class("disjoint", N=2, K=1), 0.9)
+        # the caller's own share succeeds; the worker's refuses
         with pytest.raises(CapExceededError) as exc:
-            _per_trial_values(_refuse_blocks, instance.set_class, _arms(instance, (_NULL_ARM,)), 3 * _chunk_size(instance.n),
-                              SeededRng(87), 2)
+            _fan_out(_refuse_in_workers, 87)
         assert (exc.value.cardinality, exc.value.cap) == (10, 5)
 
     def test_refused_fan_out_leaves_the_pool_working(self):
-        instance = ProblemInstance(make_class("disjoint", N=2, K=1), 0.9)
-        trials = 3 * _chunk_size(instance.n)
-        arms = _arms(instance)
-        _per_trial_values(_pid_values, instance.set_class, arms, trials, SeededRng(85), 2, np.int64)
+        _fan_out(_pid_values, 85)
         pool = {p.pid for p in multiprocessing.active_children()}
-        with pytest.raises(CapExceededError):
-            _per_trial_values(_refuse_blocks, instance.set_class, arms, trials, SeededRng(87), 2)
-        one, two = (
-            _per_trial_values(_row_fingerprints, instance.set_class, arms, trials, SeededRng(88), w)
-            for w in (1, 2)
-        )
+        for refuse in (_refuse_blocks, _refuse_in_workers):
+            with pytest.raises(CapExceededError):
+                _fan_out(refuse, 87)
+        one, two = (_fan_out(_row_fingerprints, 88, w) for w in (1, 2))
         np.testing.assert_array_equal(one, two)
-        pids = _per_trial_values(_pid_values, instance.set_class, arms, trials, SeededRng(89), 2, np.int64)
-        assert set(pids.ravel()) <= pool and os.getpid() not in set(pids.ravel())
+        pids = set(_fan_out(_pid_values, 89).ravel())
+        assert os.getpid() in pids and pids <= {os.getpid()} | pool
         assert {p.pid for p in multiprocessing.active_children()} == pool
 
+    def test_a_dead_worker_costs_one_call(self):
+        # the broken pool is dropped, so the call after the refused one forks a fresh pool
+        (worker,) = set(_fan_out(_pid_values, 85).ravel()) - {os.getpid()}
+        os.kill(worker, signal.SIGKILL)
+        deadline = time.monotonic() + 30
+        while worker in {p.pid for p in multiprocessing.active_children()} and time.monotonic() < deadline:
+            time.sleep(0.01)
+        with pytest.raises(BrokenProcessPool):
+            _fan_out(_row_fingerprints, 88)
+        np.testing.assert_array_equal(_fan_out(_row_fingerprints, 88), _fan_out(_row_fingerprints, 88, 1))
+        assert worker not in set(_fan_out(_pid_values, 85).ravel())
+
+    @pytest.mark.usefixtures("fan_out_every_call")
     def test_spans_straddling_the_arms_do_not_depend_on_workers(self):
         # 2 * (chunk + 7) rows: the second block holds the end of the null
         # arm and the start of the mixture arm
@@ -566,11 +617,21 @@ class TestWorkerProcesses:
         np.testing.assert_array_equal(one, three)
 
     def test_worker_blas_runs_one_thread(self):
-        # two workers with two BLAS threads each would put four compute
-        # threads on two cores
+        # a worker with two BLAS threads beside the caller's share would put
+        # three compute threads on two cores
         if _blas_get_threads() is None:
             pytest.skip("numpy's BLAS on this build has no OpenBLAS thread control")
-        assert set(_worker_pool(2).map(_blas_threads, range(4))) == {1}
+        assert set(_worker_pool(_pool_size(2) - 1).map(_blas_threads, range(4))) == {1}
+
+    def test_caller_blas_runs_one_thread_for_its_share_only(self):
+        if _blas_get_threads() is None:
+            pytest.skip("numpy's BLAS on this build has no OpenBLAS thread control")
+        before = _blas_get_threads()()
+        assert set(_fan_out(_blas_thread_values, 90).ravel()) == {1}
+        assert _blas_get_threads()() == before
+        with pytest.raises(CapExceededError):
+            _fan_out(_refuse_blocks, 91)
+        assert _blas_get_threads()() == before
 
     def test_clique_lr_bits_do_not_depend_on_blas_threads(self):
         # the k = 4 clique LR is one matmul per row; a worker runs it on one
