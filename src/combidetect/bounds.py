@@ -22,7 +22,6 @@ from .risk import estimate_emax0
 
 #: direction literals for BoundReport
 LOWER_ON_RISK = "lower_bound_on_risk"
-UPPER_ON_RISK = "upper_bound_on_risk"
 MU_FOR_RISK_LE = "mu_threshold_for_risk_le_delta"
 MU_FOR_RISK_GE = "mu_threshold_for_risk_ge_delta"
 UPPER_ON_COVER = "upper_bound_on_covering_number"

@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 invalid configuration, 3 enumeration cap exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -286,8 +287,11 @@ def _check_counts(args) -> None:
             raise ValueError(f"--{dest} must be at least 1, got {value}")
 
 
+_parser = functools.cache(build_parser)  # one per interpreter, built at first use
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _check_finite(args)
         _check_counts(args)

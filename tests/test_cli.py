@@ -6,6 +6,7 @@ import io
 import json
 import math
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from combidetect import FAMILIES, ExplicitClass, SetClass, __version__, exact_overlap_mgf, make_class
-from combidetect import bounds
+from combidetect import bounds, cli
 from combidetect.bounds import _PROPOSITIONS, PROPS
 from combidetect.cli import _MAX_GRID_COUNT, build_parser, main
 from combidetect.rules import TESTS
@@ -642,6 +643,7 @@ DELETED = {
     "curve_to_csv": "risk",
     "curve_to_json": "risk",
     "fmt17": "risk",
+    "UPPER_ON_RISK": "bounds",
 }
 
 
@@ -718,3 +720,82 @@ class TestSingleDeclarations:
                  if isinstance(n, ast.Compare) and isinstance(n.ops[0], ast.Eq)
                  and isinstance(n.left, ast.Name) and n.left.id == "prop"]
         assert sorted(props) == ["dudley", "random-subclass", "type1-cover"]
+
+
+def _readme_command_lines():
+    # every combidetect call in the README's sh blocks, continuation lines
+    # joined, $m set to its loop's first value and $e to an emax0
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    calls = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        loop = re.search(r"for m in (\d+)", block)
+        text = block.replace("\\\n", " ").replace("$e", "11.4")
+        text = text.replace("$m", loop[1]) if loop else text
+        calls += [shlex.split(c) for c in re.findall(r"(?:^|\$\()\s*combidetect ([^|)\n]+)", text, re.M)]
+    return calls
+
+
+class TestSharedParser:
+    """main parses with one parser per interpreter, and a parse carries
+    nothing over to the next."""
+
+    RISK = ["risk", "--class", "stars", "--m", "5", "--test", "averaging",
+            "--trials", "20", "--seed", "3"]
+
+    @pytest.fixture(scope="class")
+    def fresh_process_out(self):
+        # the bytes of a nonmono call, which takes no class flags, in a
+        # process that ran nothing before it
+        argv = ["nonmono", "--K", "3", "--epsilon", "0.5", "--trials", "20", "--seed", "1"]
+        proc = subprocess.run([sys.executable, "-m", "combidetect", *argv], capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        return argv, proc.stdout
+
+    def test_main_calls_share_one_parser(self, capsys, monkeypatch):
+        parsers, parse_args = [], argparse.ArgumentParser.parse_args
+
+        def spy(parser, *args, **kwargs):
+            parsers.append(parser)
+            return parse_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+        for _ in range(2):
+            assert run(capsys, *self.RISK, "--mu", "0.5")[0] == 0
+        assert len(parsers) == 2 and parsers[0] is parsers[1] is cli._parser()
+        # the public builder still hands out a new parser on each call
+        assert build_parser() is not build_parser() is not cli._parser()
+
+    def test_appended_mu_does_not_leak_into_the_next_call(self, capsys):
+        def config_mu(*mus):
+            code, out, _ = run(capsys, *self.RISK, *(t for mu in mus for t in ("--mu", mu)))
+            assert code == 0
+            config = next(line for line in out.splitlines() if line.startswith("#config="))
+            return json.loads(config.removeprefix("#config="))["mu"]
+
+        assert config_mu("0.5", "0.9") == [0.5, 0.9]
+        assert config_mu("0.9") == [0.9]
+        assert config_mu("0.9") == [0.9]
+
+    @pytest.mark.parametrize("argv, code", [
+        (["risk", "--class", "stars", "--m", "4", "--test", "optimal",
+          "--mu", "0.5", "--mu", "0.9"], 2),
+        (["--version"], 0),
+    ], ids=["missing-seed", "version"])
+    def test_an_exiting_call_leaves_the_next_as_in_a_fresh_process(
+        self, capsys, fresh_process_out, argv, code,
+    ):
+        next_argv, fresh = fresh_process_out
+        # a risk call first, so a namespace kept between calls would show
+        assert run(capsys, *self.RISK, "--mu", "0.5")[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+        capsys.readouterr()
+        assert run(capsys, *next_argv)[1].encode() == fresh
+
+    def test_shared_parser_reads_every_readme_line_as_a_fresh_one(self):
+        lines = _readme_command_lines()
+        assert len(lines) == 12 and {argv[0] for argv in lines} == set(COMMANDS)
+        # the second pass reads each line after every other line
+        for argv in [*lines, *reversed(lines)]:
+            assert vars(cli._parser().parse_args(argv)) == vars(build_parser().parse_args(argv)), argv
