@@ -95,12 +95,15 @@ def _row_blocks(rows: int, width: int, budget: int) -> Iterator[slice]:
         yield slice(lo, min(lo + step, rows))
 
 
-def _floyd_subsets(gen: np.random.Generator, rows: int, n: int, k: int) -> np.ndarray:
-    """(rows, k) sorted k-subsets of range(n), each exactly uniform, by
-    Floyd's algorithm: step i draws t in [0, n - k + i] and takes t, or
-    n - k + i when t is already taken.  One ``integers`` call, O(rows k)
-    memory."""
-    t = gen.integers(0, n - k + 1 + np.arange(k), size=(rows, k))
+def _floyd_codes(gen: np.random.Generator, rows: int, n: int, k: int) -> np.ndarray:
+    """(rows, k) draws of Floyd's algorithm, t_i uniform in [0, n - k + i]."""
+    return gen.integers(0, n - k + 1 + np.arange(k), size=(rows, k))
+
+
+def _floyd_subsets(t: np.ndarray, n: int, k: int) -> np.ndarray:
+    """The sorted k-subsets of range(n) of a block of Floyd draws, each
+    exactly uniform: step i takes t_i, or n - k + i when t_i is already
+    taken.  Written over ``t``, O(rows k) memory."""
     for i in range(1, k):
         taken = (t[:, :i] == t[:, i, None]).any(axis=1)
         t[taken, i] = n - k + i
@@ -146,6 +149,16 @@ class SetClass:
         The call fills its draws row by row, so the first k rows of a call
         are what a k-row call on the same stream draws.
         """
+        return self._members(self._codes(gen, rows))
+
+    def _codes(self, gen: np.random.Generator, rows: int) -> np.ndarray:
+        """The one ``integers`` call of ``sample_rows``: one row of codes per
+        member, so the codes of several calls stack into one block."""
+        raise NotImplementedError
+
+    def _members(self, codes: np.ndarray) -> np.ndarray:
+        """The (rows, K) sorted members of a block of codes, row by row; it
+        may overwrite ``codes``."""
         raise NotImplementedError
 
     def to_params(self) -> dict:
@@ -258,8 +271,11 @@ class DisjointSets(SetClass):
     def cardinality(self) -> int:
         return self.N
 
-    def sample_rows(self, gen, rows):
-        return gen.integers(self.N, size=rows)[:, None] * self.K + np.arange(self.K)
+    def _codes(self, gen, rows):
+        return gen.integers(self.N, size=rows)
+
+    def _members(self, codes):
+        return codes[:, None] * self.K + np.arange(self.K)
 
     def _build_member_matrix(self) -> np.ndarray:
         return np.arange(self.n, dtype=np.int32).reshape(self.N, self.K)
@@ -286,8 +302,11 @@ class KSets(SetClass):
     def cardinality(self) -> int:
         return math.comb(self.n, self.K)
 
-    def sample_rows(self, gen, rows):
-        return _floyd_subsets(gen, rows, self.n, self.K)
+    def _codes(self, gen, rows):
+        return _floyd_codes(gen, rows, self.n, self.K)
+
+    def _members(self, codes):
+        return _floyd_subsets(codes, self.n, self.K)
 
     def _build_member_matrix(self) -> np.ndarray:
         combos = np.fromiter(
@@ -343,8 +362,11 @@ class Stars(SetClass):
     def cardinality(self) -> int:
         return self.m
 
-    def sample_rows(self, gen, rows):
-        return self.incident[gen.integers(self.m, size=rows)]
+    def _codes(self, gen, rows):
+        return gen.integers(self.m, size=rows)
+
+    def _members(self, codes):
+        return self.incident[codes]
 
     def _build_member_matrix(self) -> np.ndarray:
         return self.incident
@@ -372,14 +394,16 @@ class PerfectMatchings(SetClass):
     def cardinality(self) -> int:
         return math.factorial(self.m)
 
-    def sample_rows(self, gen, rows):
+    def _codes(self, gen, rows):
+        return gen.integers(0, self.m - np.arange(self.m - 1), size=(rows, self.m - 1))
+
+    def _members(self, codes):
         # Fisher-Yates over every row at once: step i swaps entry i with a
         # uniform entry i + r of the entries from i on
-        m = self.m
-        r = gen.integers(0, m - np.arange(m - 1), size=(rows, m - 1))
+        m, rows = self.m, codes.shape[0]
         perms = np.tile(np.arange(m), (rows, 1))
         at = np.arange(rows)
-        for i, j in enumerate(r.T):
+        for i, j in enumerate(codes.T):
             j += i
             swap = perms[at, j]
             perms[at, j] = perms[:, i]
@@ -490,7 +514,11 @@ class SpanningTrees(SetClass):
     def cardinality(self) -> int:
         return self.m ** (self.m - 2)
 
-    def _decode_pruefer(self, seqs: np.ndarray) -> np.ndarray:
+    def _codes(self, gen, rows):
+        # Cayley: a uniform sequence in [m]^(m-2) is the code of a uniform tree
+        return gen.integers(self.m, size=(rows, self.m - 2))
+
+    def _members(self, seqs: np.ndarray) -> np.ndarray:
         """Sorted edge ids of the trees of a (B, m - 2) block of Pruefer
         sequences.  Each step joins the smallest leaf to the next entry, and
         the last two leaves close the tree."""
@@ -509,14 +537,10 @@ class SpanningTrees(SetClass):
         ids.sort(axis=1)
         return ids
 
-    def sample_rows(self, gen, rows):
-        # Cayley: a uniform sequence in [m]^(m-2) is the code of a uniform tree
-        return self._decode_pruefer(gen.integers(self.m, size=(rows, self.m - 2)))
-
     def _build_member_matrix(self) -> np.ndarray:
         m, count = self.m, self.cardinality()
         seqs = np.indices((m,) * (m - 2), dtype=np.int8).reshape(m - 2, count).T  # one row each
-        ids = self._decode_pruefer(seqs)
+        ids = self._members(seqs)
         return ids[np.lexsort(ids.T[::-1])]
 
     def max_values_batch(self, X, cap=None):
@@ -599,19 +623,22 @@ class Cliques(SetClass):
     def cardinality(self) -> int:
         return math.comb(self.m, self.k)
 
-    def _members(self, vs: np.ndarray) -> np.ndarray:
+    def _edge_ids(self, vs: np.ndarray) -> np.ndarray:
         # rows of sorted vertices give lexicographic pairs, hence sorted edge ids
         return self._pair_id0[vs[:, self._ia], vs[:, self._ib]]
 
-    def sample_rows(self, gen, rows):
-        return self._members(_floyd_subsets(gen, rows, self.m, self.k))
+    def _codes(self, gen, rows):
+        return _floyd_codes(gen, rows, self.m, self.k)
+
+    def _members(self, codes):
+        return self._edge_ids(_floyd_subsets(codes, self.m, self.k))
 
     def _build_member_matrix(self) -> np.ndarray:
         vc = np.fromiter(
             itertools.chain.from_iterable(itertools.combinations(range(self.m), self.k)),
             dtype=np.int32,
         ).reshape(-1, self.k)
-        return self._members(vc)
+        return self._edge_ids(vc)
 
     def _contraction_fits(self, cap: int | None) -> bool:
         """Whether both tests run on the pair contraction rather than
@@ -745,9 +772,9 @@ class GridSquares(SetClass):
         rows = (corners[:, :1] + span) * self.sqrt_n
         return (rows[:, :, None] + (corners[:, 1:] + span)[:, None, :]).reshape(-1, self.K)
 
-    def sample_rows(self, gen, rows):
+    def _codes(self, gen, rows):
         # the top row, then the left column, of each window
-        return self._members(gen.integers(self.side, size=(rows, 2)))
+        return gen.integers(self.side, size=(rows, 2))
 
     def _build_member_matrix(self) -> np.ndarray:
         return self._members(np.indices((self.side, self.side)).reshape(2, -1).T)
@@ -808,8 +835,11 @@ class ExplicitClass(SetClass):
     def to_params(self) -> dict:
         return {"family": self.family, "n": self.n, "K": self.K, "N": self.cardinality()}
 
-    def sample_rows(self, gen, rows):
-        return self._member_cache[gen.integers(self.cardinality(), size=rows)]
+    def _codes(self, gen, rows):
+        return gen.integers(self.cardinality(), size=rows)
+
+    def _members(self, codes):
+        return self._member_cache[codes]
 
     __reduce_ex__ = object.__reduce_ex__  # pickles its rows
 

@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -287,6 +288,16 @@ def _check_counts(args) -> None:
             raise ValueError(f"--{dest} must be at least 1, got {value}")
 
 
+def _check_out(path: str | None) -> None:
+    # refused before any work, so that a long run cannot lose its result
+    if path is None:
+        return
+    if not path or os.path.isdir(path):
+        raise ValueError(f"--out must name a file, got {path!r}")
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise ValueError(f"--out {path!r}: its directory does not exist")
+
+
 _parser = functools.cache(build_parser)  # one per interpreter, built at first use
 
 
@@ -295,6 +306,7 @@ def main(argv=None) -> int:
     try:
         _check_finite(args)
         _check_counts(args)
+        _check_out(args.out)
         text = _RUNNERS[args.command](args)
     except CapExceededError as exc:
         return _emit_error(exc, 3)
@@ -302,9 +314,12 @@ def main(argv=None) -> int:
         return _emit_error(exc, 2)
     if args.out is None:
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:  # such as its directory removed during the run
+        return _emit_error(exc, 2)
     return 0
 
 

@@ -68,8 +68,12 @@ class SeededRng:
         return SeededRng(self.master_seed, self.stream + tuple(int(k) for k in keys))
 
     def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence((self.master_seed,) + self.stream)
-        return np.random.Generator(np.random.PCG64(seq))
+        words = (self.master_seed,) + self.stream
+        if max(words) < 2**32:
+            # the tuple's entropy words as they are, which SeedSequence takes
+            # without coercing each int: the same state, in about half the time
+            words = np.array(words, dtype=np.uint32)
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
 
 
 def checked_mu(mu: float) -> float:

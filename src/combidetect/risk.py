@@ -5,7 +5,7 @@ estimated by independent trials.  The trials of each (point, arm) segment
 form groups of G = _chunk_size(n) consecutive trials, G fixed by the config:
 trial t is row t % G of group t // G, whose normals come from the substream
 (master_seed, *stream, [point,] arm, group, 0) in one call, and whose mixture
-members come from (..., group, 1) in one call.  Both fill their rows in order,
+member codes come from (..., group, 1) in one call.  Both fill their rows in order,
 so the first k trials of a call do not depend on how many follow, and results
 are byte-identical for a given (seed, config) regardless of blocking or
 worker count.  A call lays its segments end to end and draws them in blocks
@@ -95,22 +95,28 @@ def _draw_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     # (X, mu) of rows lo..hi of the segments' trials end to end, lo on a group
     # bound: row j is trial t = j % trials of segment (keys, mu) j // trials,
-    # keys ending in its arm, and row t % G of its group t // G
+    # keys ending in its arm, and row t % G of its group t // G.  Each group
+    # draws its normals and member codes from its own addresses; the block's
+    # mixture members are decoded, and shifted by their rows' mu, at once
     G = _chunk_size(spec.n)
     keys, mus = segments
     X = np.empty((hi - lo, spec.n))
+    codes = []
     start = lo
     while start < hi:
         s, t = divmod(start, trials)
         stop = min(hi, start + G, (s + 1) * trials)
         group = rng.child(*keys[s].tolist(), t // G)
-        rows = X[start - lo : stop - lo]
-        group.child(0).generator().standard_normal(out=rows)
+        group.child(0).generator().standard_normal(out=X[start - lo : stop - lo])
         if keys[s, -1] == _MIXTURE_ARM:
-            members = spec.sample_rows(group.child(1).generator(), stop - start)
-            rows[np.arange(stop - start)[:, None], members] += mus[s]
+            codes.append(spec._codes(group.child(1).generator(), stop - start))
         start = stop
-    return X, mus[np.arange(lo, hi) // trials]
+    segment = np.arange(lo, hi) // trials
+    mu = mus[segment]
+    if codes:
+        mixture = np.flatnonzero(keys[segment, -1] == _MIXTURE_ARM)
+        X[mixture[:, None], spec._members(np.concatenate(codes))] += mu[mixture, None]
+    return X, mu
 
 
 def _share_values(value_fn: Callable, spec: SetClass, segments, trials, rng, share):

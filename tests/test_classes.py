@@ -14,6 +14,7 @@ from combidetect import (
     ExplicitClass,
     KSets,
     SeededRng,
+    SetClass,
     SpanningTrees,
     Stars,
     estimate_overlap_mgf,
@@ -251,7 +252,7 @@ class TestSampling:
         for row, t in zip(rows, draws):
             subset = textbook_floyd(n, k, t.tolist())
             if isinstance(spec, Cliques):
-                subset = spec._members(np.array([subset]))[0].tolist()
+                subset = spec._edge_ids(np.array([subset]))[0].tolist()
             assert row.tolist() == subset
 
     @pytest.mark.parametrize("m", [2, 3, 8])
@@ -267,7 +268,7 @@ class TestSampling:
     def test_decoder_gives_every_tree_once(self, m):
         spec = SpanningTrees(m)
         seqs = np.array(list(itertools.product(range(m), repeat=m - 2)), dtype=np.intp)
-        trees = spec._decode_pruefer(seqs)
+        trees = spec._members(seqs)
         trees = trees[np.lexsort(trees.T[::-1])]
         np.testing.assert_array_equal(trees, filtered_tree_members(m))
 
@@ -284,10 +285,12 @@ class TestSampling:
         for row in SpanningTrees(m).sample_rows(SeededRng(82).generator(), 3):
             assert len(row) == m - 1 and is_acyclic(m, edges, row)
 
-    def test_one_sampler_path(self):
-        # every family draws its members through its own sample_rows
+    def test_every_family_draws_codes_and_decodes_them(self):
+        # one sample_rows, the base class's; each family defines its own code
+        # draw and its own decode, which sample_rows composes
         for cls in [*FAMILIES.values(), ExplicitClass]:
-            assert "sample_rows" in vars(cls), cls.__name__
+            assert "_codes" in vars(cls) and "_members" in vars(cls), cls.__name__
+            assert cls.sample_rows is SetClass.sample_rows, cls.__name__
 
 
 class TestBatchEvaluation:

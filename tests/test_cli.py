@@ -145,6 +145,47 @@ class TestReproducibility:
         assert raw.decode("utf-8").endswith("\n")
 
 
+class TestOutPath:
+    ARGV = ["bounds", "--prop", "universal", "--K", "8", "--seed", "1"]
+
+    @pytest.mark.parametrize("where", ["missing directory", "directory", "file as directory", "empty"])
+    def test_unwritable_out_is_refused_before_any_work(self, capsys, tmp_path, monkeypatch, where):
+        (tmp_path / "f").write_text("")
+        out = {
+            "missing directory": tmp_path / "no-such-dir" / "x.csv",
+            "directory": tmp_path,
+            "file as directory": tmp_path / "f" / "x.csv",
+            "empty": "",
+        }[where]
+        ran = []
+        monkeypatch.setitem(cli._RUNNERS, "bounds", ran.append)
+        code, out_text, err = run(capsys, *self.ARGV, "--out", str(out))
+        assert (code, out_text, ran) == (2, "", [])
+        assert json.loads(err)["error"]["type"] == "ValueError"
+        assert "--out" in json.loads(err)["error"]["message"]
+
+    def test_relative_out_in_the_working_directory(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, *self.ARGV, "--out", "x.csv") == (0, "", "")
+        assert (tmp_path / "x.csv").read_text().startswith("#schema=combidetect.bound.v1\n")
+
+    def test_write_failure_after_the_run_exits_2(self, capsys, tmp_path, monkeypatch):
+        # the directory goes away while the run computes
+        target = tmp_path / "gone"
+        target.mkdir()
+        run_bounds = cli._RUNNERS["bounds"]
+
+        def run_then_remove(args):
+            text = run_bounds(args)
+            target.rmdir()
+            return text
+
+        monkeypatch.setitem(cli._RUNNERS, "bounds", run_then_remove)
+        code, out_text, err = run(capsys, *self.ARGV, "--out", str(target / "x.csv"))
+        assert (code, out_text) == (2, "")
+        assert json.loads(err)["error"]["type"] == "FileNotFoundError"
+
+
 class TestErrorExits:
     @pytest.mark.parametrize("argv, code, error, message", [
         ("scan --class stars --m 3 --test optimal --mu-grid 1:1e200:3 --trials 5",

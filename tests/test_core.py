@@ -34,6 +34,14 @@ class TestSeededRng:
         again = r.child(2).generator().standard_normal(3)
         np.testing.assert_array_equal(first, again)
 
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5])
+    @pytest.mark.parametrize("stream", [(), (0,), (2**32 - 1, 3), (2**32,), (1, 2**64 + 5)], ids=repr)
+    def test_state_is_the_tuple_seed_sequence(self, seed, stream):
+        # words below 2**32 go to SeedSequence as a uint32 array, others as the tuple
+        got = SeededRng(seed, stream).generator().bit_generator.state
+        expect = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, *stream))))
+        assert got == expect.bit_generator.state
+
     def test_rejects_negative_keys(self):
         with pytest.raises(ValueError):
             SeededRng(-1)

@@ -246,6 +246,44 @@ class TestReproducibility:
         np.testing.assert_array_equal(blocks[0], np.vstack(noise))
         np.testing.assert_array_equal(out.ravel(), blocks[0][:, 0])
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            make_class("disjoint", N=3, K=2),
+            make_class("stars", m=5),
+            make_class("ksets", n=9, K=3),
+            make_class("matchings", m=4),
+            make_class("trees", m=6),
+            make_class("cliques", m=7, k=3),
+            make_class("cliques", m=7, k=4),
+            make_class("grid", sqrt_n=4, sqrt_K=2),
+            ExplicitClass(6, np.array([[2, 3], [0, 1], [1, 4]])),
+        ],
+        ids=repr,
+    )
+    def test_block_decodes_its_mixture_groups_at_once(self, spec):
+        # one block from the second group of a null segment to the end: three
+        # mixture segments at distinct mu, and a null one, of two groups each.
+        # The reference draws each group's members with its own sample_rows
+        # call and shifts them row by row at the segment's scalar mu
+        G = _chunk_size(spec.n)
+        trials = G + 5
+        keys = np.array([[0, _NULL_ARM], [0, _MIXTURE_ARM], [1, _MIXTURE_ARM], [2, _NULL_ARM], [2, _MIXTURE_ARM]])
+        mus = np.array([0.4, 0.4, 0.9, 1.7, 1.7])
+        rng = SeededRng(85, (1,))
+        expect = []
+        for point_arm, mu in zip(keys.tolist(), mus.tolist()):
+            for g, rows in enumerate((G, 5)):
+                x = rng.child(*point_arm, g, 0).generator().standard_normal((rows, spec.n))
+                if point_arm[-1] == _MIXTURE_ARM:
+                    members = spec.sample_rows(rng.child(*point_arm, g, 1).generator(), rows)
+                    for row, member in zip(x, members):
+                        row[member] += mu
+                expect.append(x)
+        X, mu = _draw_block(spec, (keys, mus), G, len(keys) * trials, rng, trials)
+        np.testing.assert_array_equal(X, np.vstack(expect)[G:])
+        np.testing.assert_array_equal(mu, np.repeat(mus, trials)[G:])
+
     def test_serial_run_calls_the_kernel_once_per_trial_chunk(self):
         # one call per block and no other: the arms' trials lie end to end in
         # groups of _chunk_size(n) trials, packed whole into blocks of as many rows

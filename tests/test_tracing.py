@@ -70,3 +70,21 @@ def test_tracer_sees_one_rule_call_per_block_of_a_scan(monkeypatch):
     assert tracer.counters["classes.log_mean_exp_batch.rows"] == 2400
     assert tracer.counters["classes.members_touched"] == 2400 * 8
     assert curve == risk.scan_critical_mu(spec, "optimal", [0.3, 1.2, 2.2], 400, SeededRng(3))
+
+
+def test_tracer_counts_one_generator_per_null_group_and_two_per_mixture_group(monkeypatch):
+    # groups of 3 trials: 7 trials per segment are 3 groups (3, 3, 1), and a
+    # 2-point scan has 2 null and 2 mixture segments, so 6 null groups build
+    # one generator each (normals) and 6 mixture groups two (normals, codes)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(risk, "_chunk_size", lambda n: 3)
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    tracing.instrument(tracer)
+    try:
+        risk.scan_critical_mu(make_class("disjoint", N=8, K=8), "optimal", [0.5, 1.5], 7, SeededRng(4))
+    finally:
+        tracer.uninstall()
+    names = [tracer.names[span[0]] for span in tracer.spans]
+    assert names.count("core.generator") == 6 + 2 * 6
+    assert tracer.counters["risk._draw_block.rows"] == 2 * 2 * 7
