@@ -49,10 +49,10 @@ class AsymmetricClassError(ValueError):
 class SeededRng:
     """Deterministic stream addressed by (master_seed, path of child keys).
 
-    ``child(*keys)`` derives an independent substream; ``generator()`` returns
-    a fresh numpy Generator whose output depends only on the full address, so
-    identical addresses replay identical streams regardless of call order,
-    chunking, or worker count.
+    ``child(*keys)`` derives an independent substream; ``generator(*keys)``
+    returns a fresh numpy Generator of ``child(*keys)``, whose output depends
+    only on the full address, so identical addresses replay identical streams
+    regardless of call order, chunking, or worker count.
     """
 
     master_seed: int
@@ -67,8 +67,10 @@ class SeededRng:
     def child(self, *keys: int) -> "SeededRng":
         return SeededRng(self.master_seed, self.stream + tuple(int(k) for k in keys))
 
-    def generator(self) -> np.random.Generator:
-        words = (self.master_seed,) + self.stream
+    def generator(self, *keys: int) -> np.random.Generator:
+        words = (self.master_seed, *self.stream, *map(int, keys))
+        if min(words) < 0:  # the seed and stream were checked at construction
+            raise ValueError("stream keys must be nonnegative")
         if max(words) < 2**32:
             # the tuple's entropy words as they are, which SeedSequence takes
             # without coercing each int: the same state, in about half the time

@@ -10,7 +10,9 @@ so the first k trials of a call do not depend on how many follow, and results
 are byte-identical for a given (seed, config) regardless of blocking or
 worker count.  A call lays its segments end to end and draws them in blocks
 of whole groups, which may straddle arms and points, each row at its point's
-mu; per-trial values are laid end to end in index order and reduced once.
+mu; a block is drawn and decided in slices of at most _SMALL_BLOCK
+observations, a group cut by a slice bound drawing on from its own generators.
+Per-trial values are laid end to end in index order and reduced once.
 """
 
 from __future__ import annotations
@@ -86,42 +88,60 @@ def _chunk_size(n: int) -> int:
 
 
 #: observations (1 MiB of float64) a block may hold past one segment's trials,
-#: so that a small call draws its arms and points together
+#: so that a small call draws its arms and points together, and the most a
+#: slice of a block holds, so that its rule call reads the slice from cache
 _SMALL_BLOCK = 2**17
 
 
 def _draw_block(
-    spec: SetClass, segments: tuple, lo: int, hi: int, rng: SeededRng, trials: int
+    spec: SetClass, segments: tuple, lo: int, hi: int, rng: SeededRng, trials: int, live: list | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    # (X, mu) of rows lo..hi of the segments' trials end to end, lo on a group
-    # bound: row j is trial t = j % trials of segment (keys, mu) j // trials,
-    # keys ending in its arm, and row t % G of its group t // G.  Each group
-    # draws its normals and member codes from its own addresses; the block's
-    # mixture members are decoded, and shifted by their rows' mu, at once
+    # (X, mu) of rows lo..hi of the segments' trials end to end: row j is trial
+    # t = j % trials of segment (keys, mu) j // trials, keys ending in its arm,
+    # and row t % G of its group t // G.  Each group draws its normals, and at
+    # its first row all its member codes, from its own addresses; the slice's
+    # mixture members are decoded, and shifted by their rows' mu, at once.  lo
+    # lies on a group bound, or in the group that live carries from the slice
+    # before as [first row, end, normals generator, codes or None]; live then
+    # carries this slice's last group
     G = _chunk_size(spec.n)
     keys, mus = segments
     X = np.empty((hi - lo, spec.n))
     codes = []
+    group = live if live and live[0] <= lo < live[1] else None
     start = lo
     while start < hi:
-        s, t = divmod(start, trials)
-        stop = min(hi, start + G, (s + 1) * trials)
-        group = rng.child(*keys[s].tolist(), t // G)
-        group.child(0).generator().standard_normal(out=X[start - lo : stop - lo])
-        if keys[s, -1] == _MIXTURE_ARM:
-            codes.append(spec._codes(group.child(1).generator(), stop - start))
+        if group is None or start == group[1]:
+            s, t = divmod(start, trials)
+            end = min(start + G, (s + 1) * trials)
+            address = rng.child(*keys[s].tolist(), t // G)
+            group = [start, end, address.generator(0), None]
+            if keys[s, -1] == _MIXTURE_ARM:
+                group[3] = spec._codes(address.generator(1), end - start)
+        first, end, normals, group_codes = group
+        stop = min(hi, end)
+        normals.standard_normal(out=X[start - lo : stop - lo])
+        if group_codes is not None:
+            codes.append(group_codes[start - first : stop - first])
         start = stop
+    if live is not None:
+        live[:] = group
     segment = np.arange(lo, hi) // trials
     mu = mus[segment]
     if codes:
         mixture = np.flatnonzero(keys[segment, -1] == _MIXTURE_ARM)
+        # concatenate copies the carried codes, which _members may write over
         X[mixture[:, None], spec._members(np.concatenate(codes))] += mu[mixture, None]
     return X, mu
 
 
 def _share_values(value_fn: Callable, spec: SetClass, segments, trials, rng, share):
-    # value_fn over the blocks (lo, hi) of one share, end to end
-    return np.concatenate([value_fn(*_draw_block(spec, segments, lo, hi, rng, trials)) for lo, hi in share])
+    # value_fn over the blocks (lo, hi) of one share, end to end, each drawn and
+    # decided in slices of at most _SMALL_BLOCK observations
+    step = max(1, _SMALL_BLOCK // spec.n)
+    live = []
+    slices = [(a, min(a + step, hi)) for lo, hi in share for a in range(lo, hi, step)]
+    return np.concatenate([value_fn(*_draw_block(spec, segments, *b, rng, trials, live)) for b in slices])
 
 
 #: normals (rows x n) a call draws before it fans out.  Median call times on a

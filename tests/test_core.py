@@ -42,11 +42,20 @@ class TestSeededRng:
         expect = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, *stream))))
         assert got == expect.bit_generator.state
 
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5])
+    @pytest.mark.parametrize("keys", [(), (0,), (2**32 - 1, 3), (2**32,), (1, 2**64 + 5)], ids=repr)
+    def test_generator_of_keys_is_the_child_generator(self, seed, keys):
+        rng = SeededRng(seed, (2,))
+        got = rng.generator(*keys).bit_generator.state
+        assert got == rng.child(*keys).generator().bit_generator.state
+
     def test_rejects_negative_keys(self):
         with pytest.raises(ValueError):
             SeededRng(-1)
         with pytest.raises(ValueError):
             SeededRng(1).child(-2)
+        with pytest.raises(ValueError, match="stream keys must be nonnegative"):
+            SeededRng(1).generator(0, -2)
 
 
 class TestChildStates:

@@ -38,6 +38,7 @@ from combidetect.risk import (
     _FAN_OUT_OBS,
     _MIXTURE_ARM,
     _NULL_ARM,
+    _SMALL_BLOCK,
     _chunk_size,
     _draw_block,
     _interpolate_half,
@@ -54,6 +55,33 @@ from combidetect.rules import batch_rejections
 def _arms(instance, arms=(_NULL_ARM, _MIXTURE_ARM)):
     # the segments of one point's arms, as estimate_risk lays them out
     return [((arm,), instance.mu) for arm in arms]
+
+
+#: one class per family, cliques at k = 3 and 4, and one class given by its rows
+BLOCK_CLASSES = [
+    make_class("disjoint", N=3, K=2),
+    make_class("stars", m=5),
+    make_class("ksets", n=9, K=3),
+    make_class("matchings", m=4),
+    make_class("trees", m=6),
+    make_class("cliques", m=7, k=3),
+    make_class("cliques", m=7, k=4),
+    make_class("grid", sqrt_n=4, sqrt_K=2),
+    ExplicitClass(6, np.array([[2, 3], [0, 1], [1, 4]])),
+]
+
+#: (keys, mu) of three mixture segments at distinct mu and two null ones
+BLOCK_SEGMENTS = (
+    np.array([[0, _NULL_ARM], [0, _MIXTURE_ARM], [1, _MIXTURE_ARM], [2, _NULL_ARM], [2, _MIXTURE_ARM]]),
+    np.array([0.4, 0.4, 0.9, 1.7, 1.7]),
+)
+
+
+def _one_slice_rejections(test, spec, X, mu, **kwargs):
+    # the rule, refusing a call of more rows than one slice, in whichever process decides it
+    if len(X) > _SMALL_BLOCK // spec.n:
+        raise AssertionError(f"{len(X)} rows in one rule call")
+    return batch_rejections(test, spec, X, mu, **kwargs)
 
 
 @pytest.fixture
@@ -246,21 +274,7 @@ class TestReproducibility:
         np.testing.assert_array_equal(blocks[0], np.vstack(noise))
         np.testing.assert_array_equal(out.ravel(), blocks[0][:, 0])
 
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            make_class("disjoint", N=3, K=2),
-            make_class("stars", m=5),
-            make_class("ksets", n=9, K=3),
-            make_class("matchings", m=4),
-            make_class("trees", m=6),
-            make_class("cliques", m=7, k=3),
-            make_class("cliques", m=7, k=4),
-            make_class("grid", sqrt_n=4, sqrt_K=2),
-            ExplicitClass(6, np.array([[2, 3], [0, 1], [1, 4]])),
-        ],
-        ids=repr,
-    )
+    @pytest.mark.parametrize("spec", BLOCK_CLASSES, ids=repr)
     def test_block_decodes_its_mixture_groups_at_once(self, spec):
         # one block from the second group of a null segment to the end: three
         # mixture segments at distinct mu, and a null one, of two groups each.
@@ -268,8 +282,7 @@ class TestReproducibility:
         # call and shifts them row by row at the segment's scalar mu
         G = _chunk_size(spec.n)
         trials = G + 5
-        keys = np.array([[0, _NULL_ARM], [0, _MIXTURE_ARM], [1, _MIXTURE_ARM], [2, _NULL_ARM], [2, _MIXTURE_ARM]])
-        mus = np.array([0.4, 0.4, 0.9, 1.7, 1.7])
+        keys, mus = BLOCK_SEGMENTS
         rng = SeededRng(85, (1,))
         expect = []
         for point_arm, mu in zip(keys.tolist(), mus.tolist()):
@@ -283,6 +296,39 @@ class TestReproducibility:
         X, mu = _draw_block(spec, (keys, mus), G, len(keys) * trials, rng, trials)
         np.testing.assert_array_equal(X, np.vstack(expect)[G:])
         np.testing.assert_array_equal(mu, np.repeat(mus, trials)[G:])
+
+    @pytest.mark.parametrize("step", [1, 3, 7])
+    @pytest.mark.parametrize("spec", BLOCK_CLASSES, ids=repr)
+    def test_sliced_block_replays_the_whole_block(self, monkeypatch, spec, step):
+        # groups of 5 trials, 12 trials a segment (groups of 5, 5 and 2), in
+        # slices of step rows: a slice cuts a group mid-way, and one of 3 or 7
+        # rows holds parts of two groups.  Each slice has the whole block's
+        # rows and mu, and leaves the last group it draws, with that group's
+        # member codes intact, for the next slice
+        from combidetect import risk
+
+        monkeypatch.setattr(risk, "_chunk_size", lambda n: 5)
+        monkeypatch.setattr(risk, "_SMALL_BLOCK", step * spec.n)
+        segments, trials, rng = BLOCK_SEGMENTS, 12, SeededRng(86, (3,))
+        keys, rows = segments[0], len(segments[0]) * 12
+        X, mu = _draw_block(spec, segments, 0, rows, rng, trials)
+        live = []
+        for lo in range(0, rows, step):
+            hi = min(lo + step, rows)
+            x, m = _draw_block(spec, segments, lo, hi, rng, trials, live)
+            np.testing.assert_array_equal(x, X[lo:hi])
+            np.testing.assert_array_equal(m, mu[lo:hi])
+            first, end, _, codes = live
+            s, t = divmod(first, trials)
+            assert t % 5 == 0 and first < hi <= end == min(first + 5, (s + 1) * trials)
+            if keys[s, -1] == _MIXTURE_ARM:
+                fresh = spec._codes(rng.child(*keys[s].tolist(), t // 5).generator(1), end - first)
+                np.testing.assert_array_equal(codes, fresh)
+            else:
+                assert codes is None
+        # a share's blocks, on group bounds, drawn and decided slice by slice
+        blocks = [(0, 17), (17, rows)]
+        np.testing.assert_array_equal(risk._share_values(lambda x, m: x, spec, segments, trials, rng, blocks), X)
 
     def test_serial_run_calls_the_kernel_once_per_trial_chunk(self):
         # one call per block and no other: the arms' trials lie end to end in
@@ -309,8 +355,9 @@ class TestReproducibility:
             (make_class("matchings", m=8), 96, [192]),
             (make_class("trees", m=12), 8, [16]),
             (make_class("stars", m=50), 50, [100]),
-            # an arm past _SMALL_BLOCK // n keeps a block of its own
-            (make_class("stars", m=50), 500, [500, 500]),
+            # an arm past _SMALL_BLOCK // n = 106 rows keeps a block of its
+            # own, drawn and decided in slices of at most 106 rows
+            (make_class("stars", m=50), 500, [106, 106, 106, 106, 76] * 2),
             # each arm's groups of 1024 and 476 trials, a block each
             (make_class("disjoint", N=2, K=1), 1500, [1024, 476, 1024, 476]),
         ],
@@ -333,6 +380,17 @@ class TestReproducibility:
         assert est == estimate_risk(
             "maximum", instance, trials, SeededRng(7), emax0=emax_upper_cap(spec), workers=2
         )
+
+    def test_no_rule_call_decides_more_than_one_slice(self, monkeypatch):
+        # 2048 trials per arm draw two groups of 1024 rows each; the caller
+        # and the worker alike decide them in slices of _SMALL_BLOCK // n rows
+        from combidetect import risk
+
+        spec = make_class("stars", m=50)
+        monkeypatch.setattr(risk, "batch_rejections", _one_slice_rejections)
+        instance, emax0 = ProblemInstance(spec, 1.0), emax_upper_cap(spec)
+        one, two = (estimate_risk("maximum", instance, 2048, SeededRng(7), emax0=emax0, workers=w) for w in (1, 2))
+        assert one == two
 
     @pytest.mark.parametrize("estimate", [estimate_bayes_risk, estimate_bhattacharyya, estimate_emax0])
     def test_null_means_need_two_trials(self, estimate):
