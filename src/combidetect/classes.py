@@ -253,6 +253,31 @@ class SetClass:
         """Exact law of |S ∩ S'| for two independent uniform members, when known."""
         return None
 
+    # -- what a Monte Carlo trial draws ----------------------------------
+
+    #: a trial of X draws its member's codes on the mixture arm
+    coded = True
+
+    @property
+    def draws(self) -> int:
+        """Normals a trial draws: the n coordinates of X."""
+        return self.n
+
+    def _observe(self, X: np.ndarray, rows: np.ndarray, codes: np.ndarray | None, mu: np.ndarray):
+        """The block of drawn normals as the test reads it: X, shifted by mu
+        on the member of each mixture row (rows, with its codes and mu)."""
+        if codes is not None:
+            X[rows[:, None], self._members(codes)] += mu[:, None]
+        return X
+
+    def member_sums(self, test: str) -> "MemberSums | None":
+        """The exact law of the sums ``test`` reads, which a trial draws in
+        place of X, or None where it draws X.  Every family's averaging
+        statistic, the total of X, is N(0, n) under the null."""
+        if test == "averaging":
+            return MemberSums(self, width=1, scale=math.sqrt(self.n), common=False, own=self.K, shared=0)
+        return None
+
 
 class DisjointSets(SetClass):
     """N pairwise-disjoint blocks of K consecutive indices; n = N*K."""
@@ -284,6 +309,56 @@ class DisjointSets(SetClass):
         if self.N == 1:
             return np.array([self.K]), np.array([1.0])
         return np.array([0, self.K]), np.array([1 - 1 / self.N, 1 / self.N])
+
+    def member_sums(self, test):
+        # the block sums are independent N(0, K); at K = 1 they are X itself
+        if test == "averaging":
+            return super().member_sums(test)
+        return MemberSums(self, width=self.N, scale=math.sqrt(self.K), common=False, own=self.K, shared=0)
+
+
+class MemberSums:
+    """The member sums of a class, drawn from their exact Gaussian law.
+
+    A row draws ``draws`` normals in one fill: g, ``width`` of them, then h
+    when ``common``.  Its sums are ``scale * g``, plus h in every column, so
+    their covariance is scale**2 I, plus J when common.  A mixture row whose
+    member has code c adds mu * own to sum c and mu * shared to every other;
+    with one sum the member is always the same, and a trial draws no codes.
+
+    The tests read the sums with the kernels of DisjointSets(width, 1), the
+    maximum and the log-mean-exp over them, while K stays the class's, so
+    each rule keeps its threshold.  ``n`` stays the class's too, so a trial
+    keeps its group and its block.
+    """
+
+    def __init__(self, spec: SetClass, *, width: int, scale: float, common: bool, own: int, shared: int):
+        self.spec, self.n, self.K = spec, spec.n, spec.K
+        self.width, self.scale, self.common, self.own, self.shared = width, scale, common, own, shared
+        self.draws = width + common
+        self.coded = width > 1
+        self.kernels = DisjointSets._shared(width, 1)
+
+    def _codes(self, gen, rows):
+        return self.spec._codes(gen, rows)
+
+    def _observe(self, Z, rows, codes, mu):
+        Y = Z[:, : self.width] * self.scale
+        if self.common:
+            Y += Z[:, self.width :]
+        if rows.size:
+            at = (rows, codes if self.coded else 0)
+            own = Y[at] + mu * self.own
+            if self.shared:
+                Y[rows] += (mu * self.shared)[:, None]
+            Y[at] = own
+        return Y
+
+    def max_values_batch(self, Y, cap=None):
+        return self.kernels.max_values_batch(Y, cap)
+
+    def log_mean_exp_batch(self, mu, Y, cap=None):
+        return self.kernels.log_mean_exp_batch(mu, Y, cap)
 
 
 class KSets(SetClass):
@@ -374,6 +449,13 @@ class Stars(SetClass):
     def overlap_pmf(self):
         # same center w.p. 1/m (full overlap), else exactly the shared edge
         return np.array([1, self.K]), np.array([1 - 1 / self.m, 1 / self.m])
+
+    def member_sums(self, test):
+        # a star has m - 1 edges and two stars share one, so the star sums
+        # have covariance (m - 2) I + J, that of sqrt(m - 2) g + h
+        if test == "averaging":
+            return super().member_sums(test)
+        return MemberSums(self, width=self.m, scale=math.sqrt(self.m - 2), common=True, own=self.K, shared=1)
 
 
 class PerfectMatchings(SetClass):

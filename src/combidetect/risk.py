@@ -5,13 +5,17 @@ estimated by independent trials.  The trials of each (point, arm) segment
 form groups of G = _chunk_size(n) consecutive trials, G fixed by the config:
 trial t is row t % G of group t // G, whose normals come from the substream
 (master_seed, *stream, [point,] arm, group, 0) in one call, and whose mixture
-member codes come from (..., group, 1) in one call.  Both fill their rows in order,
+member codes come from (..., group, 1) in one call.  A row's normals are X,
+or, where the test reads X only through member sums whose law is closed-form
+(``SetClass.member_sums``), the far fewer normals of those sums: one for the
+averaging sum, which then needs no member codes, m + 1 for the m star sums
+and N for N disjoint blocks.  Both fill their rows in order,
 so the first k trials of a call do not depend on how many follow, and results
 are byte-identical for a given (seed, config) regardless of blocking or
 worker count.  A call lays its segments end to end and draws them in blocks
 of whole groups, which may straddle arms and points, each row at its point's
-mu; a block is drawn and decided in slices of at most _SMALL_BLOCK
-observations, a group cut by a slice bound drawing on from its own generators.
+mu; a block is drawn and decided in slices of at most _SMALL_BLOCK drawn
+normals, a group cut by a slice bound drawing on from its own generators.
 Per-trial values are laid end to end in index order and reduced once.
 """
 
@@ -27,7 +31,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from ._output import render
-from .classes import ExplicitClass, SetClass
+from .classes import ExplicitClass, MemberSums, SetClass
 from .core import AsymmetricClassError, ProblemInstance, SeededRng, checked_mu
 from .rules import _decide, _levels, batch_rejections
 
@@ -87,26 +91,28 @@ def _chunk_size(n: int) -> int:
     return max(1, min(1024, 2_000_000 // max(1, n)))
 
 
-#: observations (1 MiB of float64) a block may hold past one segment's trials,
-#: so that a small call draws its arms and points together, and the most a
-#: slice of a block holds, so that its rule call reads the slice from cache
+#: observations (1 MiB of float64) a block may hold past one segment's trials
+#: of X, so that a small call draws its arms and points together, and the most
+#: normals a slice of a block draws, so that its rule call reads them from cache
 _SMALL_BLOCK = 2**17
 
 
 def _draw_block(
-    spec: SetClass, segments: tuple, lo: int, hi: int, rng: SeededRng, trials: int, live: list | None = None
+    spec: SetClass | MemberSums, segments: tuple, lo: int, hi: int, rng: SeededRng, trials: int,
+    live: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    # (X, mu) of rows lo..hi of the segments' trials end to end: row j is trial
-    # t = j % trials of segment (keys, mu) j // trials, keys ending in its arm,
-    # and row t % G of its group t // G.  Each group draws its normals, and at
-    # its first row all its member codes, from its own addresses; the slice's
-    # mixture members are decoded, and shifted by their rows' mu, at once.  lo
-    # lies on a group bound, or in the group that live carries from the slice
-    # before as [first row, end, normals generator, codes or None]; live then
-    # carries this slice's last group
+    # (block, mu) of rows lo..hi of the segments' trials end to end: row j is
+    # trial t = j % trials of segment (keys, mu) j // trials, keys ending in its
+    # arm, and row t % G of its group t // G.  The block is X for a class, and
+    # the member sums for a MemberSums.  Each group draws its spec.draws normals
+    # a row, and at its first row all its member codes, from its own addresses;
+    # the slice's mixture rows are shifted by their mu at once.  lo lies on a
+    # group bound, or in the group that live carries from the slice before as
+    # [first row, end, normals generator, codes or None]; live then carries
+    # this slice's last group
     G = _chunk_size(spec.n)
     keys, mus = segments
-    X = np.empty((hi - lo, spec.n))
+    Z = np.empty((hi - lo, spec.draws))
     codes = []
     group = live if live and live[0] <= lo < live[1] else None
     start = lo
@@ -116,11 +122,11 @@ def _draw_block(
             end = min(start + G, (s + 1) * trials)
             address = rng.child(*keys[s].tolist(), t // G)
             group = [start, end, address.generator(0), None]
-            if keys[s, -1] == _MIXTURE_ARM:
+            if keys[s, -1] == _MIXTURE_ARM and spec.coded:
                 group[3] = spec._codes(address.generator(1), end - start)
         first, end, normals, group_codes = group
         stop = min(hi, end)
-        normals.standard_normal(out=X[start - lo : stop - lo])
+        normals.standard_normal(out=Z[start - lo : stop - lo])
         if group_codes is not None:
             codes.append(group_codes[start - first : stop - first])
         start = stop
@@ -128,28 +134,27 @@ def _draw_block(
         live[:] = group
     segment = np.arange(lo, hi) // trials
     mu = mus[segment]
-    if codes:
-        mixture = np.flatnonzero(keys[segment, -1] == _MIXTURE_ARM)
-        # concatenate copies the carried codes, which _members may write over
-        X[mixture[:, None], spec._members(np.concatenate(codes))] += mu[mixture, None]
-    return X, mu
+    mixture = np.flatnonzero(keys[segment, -1] == _MIXTURE_ARM)
+    # concatenate copies the carried codes, which _members may write over
+    return spec._observe(Z, mixture, np.concatenate(codes) if codes else None, mu[mixture]), mu
 
 
-def _share_values(value_fn: Callable, spec: SetClass, segments, trials, rng, share):
+def _share_values(value_fn: Callable, spec: SetClass | MemberSums, segments, trials, rng, share):
     # value_fn over the blocks (lo, hi) of one share, end to end, each drawn and
-    # decided in slices of at most _SMALL_BLOCK observations
-    step = max(1, _SMALL_BLOCK // spec.n)
+    # decided in slices of at most _SMALL_BLOCK drawn normals
+    step = max(1, _SMALL_BLOCK // spec.draws)
     live = []
     slices = [(a, min(a + step, hi)) for lo, hi in share for a in range(lo, hi, step)]
     return np.concatenate([value_fn(*_draw_block(spec, segments, *b, rng, trials, live)) for b in slices])
 
 
-#: normals (rows x n) a call draws before it fans out.  Median call times on a
-#: 2-core host, workers=1 against a split over two processes: cheap kernels lose
-#: below it (DisjointSets(2,1) optimal 0.48 -> 0.58 ms at 8,192; KSets(100,10)
-#: averaging 0.41 -> 0.52 ms at 30,000, 0.64 -> 0.63 at 60,000), and every call
-#: measured gains above it (SpanningTrees(12) maximum scan 3.68 -> 2.16 ms at
-#: 88,704; Stars(50) maximum 1.15 -> 0.86 ms at 122,500).
+#: normals (rows x drawn width) a call draws before it fans out.  Median call
+#: times on a 2-core host, workers=1 against a split over two processes: cheap
+#: kernels lose below it (DisjointSets(2,1) optimal 0.79 -> 1.02 ms at 16,384;
+#: KSets(100,10) maximum 0.54 -> 0.55 ms at 30,000, if 1.00 -> 0.88 at
+#: 60,000), and every call measured gains above it (SpanningTrees(12) maximum
+#: scan 3.68 -> 2.16 ms at 88,704; Stars(50) maximum, 51 normals a row,
+#: 1.10 -> 0.91 ms at 71,400 and 3.18 -> 2.26 ms at 208,896).
 _FAN_OUT_OBS = 2**16
 
 #: the worker pool by its process count, dropped at exit while its finalizer's modules remain
@@ -203,9 +208,11 @@ def _worker_pool(processes: int):
 
 
 def _per_trial_values(
-    value_fn: Callable, spec: SetClass, segments: Sequence, trials: int, rng: SeededRng, workers: int
+    value_fn: Callable, spec: SetClass | MemberSums, segments: Sequence, trials: int, rng: SeededRng,
+    workers: int,
 ) -> np.ndarray:
-    # a (len(segments), trials) array of value_fn(X, mu) over each segment's trials
+    # a (len(segments), trials) array of value_fn(block, mu) over each segment's
+    # trials, the block X for a class and the member sums for a MemberSums
     if trials < 1:
         raise ValueError("trials must be >= 1")
     segments = (np.array([keys for keys, _ in segments]), np.array([mu for _, mu in segments]))
@@ -214,7 +221,7 @@ def _per_trial_values(
         return np.empty((0, trials))
     chunk = _chunk_size(spec.n)
     # the processes a call of enough work splits over, each with a block of its own at least
-    size = _pool_size(workers) if rows * spec.n >= _FAN_OUT_OBS else 1
+    size = _pool_size(workers) if rows * spec.draws >= _FAN_OUT_OBS else 1
     block = min(chunk, max(trials, _SMALL_BLOCK // spec.n), -(-rows // size))
     # whole groups, packed in order into blocks of at most block rows
     starts = [s + t for s in range(0, rows, trials) for t in range(0, trials, chunk)]
@@ -245,7 +252,14 @@ def _per_trial_values(
     return np.concatenate(parts).reshape(-1, trials)
 
 
-def _risk(decide: Callable, spec: SetClass, points: list, trials: int, rng: SeededRng, workers: int):
+def _drawn(spec: SetClass, test: str) -> SetClass | MemberSums:
+    # what a trial of test draws: the member sums where their law is closed-form, else X
+    return spec.member_sums(test) or spec
+
+
+def _risk(
+    decide: Callable, spec: SetClass | MemberSums, points: list, trials: int, rng: SeededRng, workers: int
+):
     # a RiskEstimate per point (keys, mu); its arm a draws from rng.child(*keys, a)
     segments = [((*keys, arm), mu) for keys, mu in points for arm in (_NULL_ARM, _MIXTURE_ARM)]
     rej = _per_trial_values(decide, spec, segments, trials, rng, workers)
@@ -268,8 +282,9 @@ def estimate_risk(
     """Monte Carlo risk of one rule: ``trials`` null draws for the type-I
     rate, ``trials`` mixture draws (uniform member, then the shifted vector)
     for the type-II rate."""
-    decide = partial(batch_rejections, test, instance.set_class, emax0=emax0, cap=cap)
-    return _risk(decide, instance.set_class, [((), instance.mu)], trials, rng, workers)[0]
+    spec = _drawn(instance.set_class, test)
+    decide = partial(batch_rejections, test, spec, emax0=emax0, cap=cap)
+    return _risk(decide, spec, [((), instance.mu)], trials, rng, workers)[0]
 
 
 def risk_at(
@@ -280,19 +295,22 @@ def risk_at(
     points = [((i,), checked_mu(mu)) for i, mu in enumerate(mus)]
     for _, mu in points:  # each point's threshold refusal, in point order, before any draw
         _levels(test, spec.K, mu, emax0)
+    spec = _drawn(spec, test)
     decide = partial(batch_rejections, test, spec, emax0=emax0, cap=cap)
     return _risk(decide, spec, points, trials, rng, workers)
 
 
-# per-trial value functions of (X, mu), bound with partial so a worker process can unpickle them
-def _lr_values(rho: bool, spec: SetClass, cap: int | None, X: np.ndarray, mu: np.ndarray) -> np.ndarray:
+# per-trial value functions of (block, mu), bound with partial so a worker process can unpickle them
+def _lr_values(
+    rho: bool, spec: SetClass | MemberSums, cap: int | None, X: np.ndarray, mu: np.ndarray
+) -> np.ndarray:
     # sqrt(L) / 2 for the Bhattacharyya coefficient rho, else 1 - |L - 1| / 2,
     # from the rule's own log L, refused where the rule refuses
     loglik = _decide("optimal", spec, X, mu, None, cap)[0]
     return 0.5 * np.exp(0.5 * loglik) if rho else 1.0 - 0.5 * np.abs(np.expm1(loglik))
 
 
-def _max_values(spec: SetClass, cap: int | None, X: np.ndarray, mu: np.ndarray) -> np.ndarray:
+def _max_values(spec: SetClass | MemberSums, cap: int | None, X: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return spec.max_values_batch(X, cap)
 
 
@@ -302,13 +320,12 @@ def _witness_rejections(K: int, X: np.ndarray, mu: np.ndarray) -> np.ndarray:
 
 
 def _null_mean(
-    values: Callable, instance: ProblemInstance, trials: int, rng: SeededRng, workers: int
+    values: Callable, spec: SetClass | MemberSums, mu: float, trials: int, rng: SeededRng, workers: int
 ) -> tuple[float, float]:
-    # (mean, std_error) of the per-trial values over null draws
+    # (mean, std_error) of the per-trial values over null draws at mu
     if trials < 2:
         raise ValueError("trials must be >= 2")
-    segment = ((_NULL_ARM,), instance.mu)
-    (v,) = _per_trial_values(values, instance.set_class, [segment], trials, rng, workers)
+    (v,) = _per_trial_values(values, spec, [((_NULL_ARM,), mu)], trials, rng, workers)
     return float(v.mean()), float(v.std(ddof=1) / math.sqrt(v.size))
 
 
@@ -323,7 +340,8 @@ def estimate_bayes_risk(
     """(estimate, std_error) of the optimum risk 1 - E|L - 1|/2 from null
     draws only.  Sharp near mu = 0; the per-trial variance blows up for
     large mu."""
-    return _null_mean(partial(_lr_values, False, instance.set_class, cap), instance, trials, rng, workers)
+    spec = _drawn(instance.set_class, "optimal")
+    return _null_mean(partial(_lr_values, False, spec, cap), spec, instance.mu, trials, rng, workers)
 
 
 def estimate_bhattacharyya(
@@ -335,7 +353,8 @@ def estimate_bhattacharyya(
     workers: int = 1,
 ) -> tuple[float, float]:
     """(estimate, std_error) of rho = E sqrt(L)/2 from null draws."""
-    return _null_mean(partial(_lr_values, True, instance.set_class, cap), instance, trials, rng, workers)
+    spec = _drawn(instance.set_class, "optimal")
+    return _null_mean(partial(_lr_values, True, spec, cap), spec, instance.mu, trials, rng, workers)
 
 
 def estimate_emax0(
@@ -348,8 +367,8 @@ def estimate_emax0(
 ) -> EmaxEstimate:
     """Null expectation of max_S X_S, with the analytic cap sqrt(2 K log N)
     reported alongside."""
-    values = partial(_max_values, spec, cap)
-    mean, se = _null_mean(values, ProblemInstance(spec, 0.0), trials, rng, workers)
+    drawn = _drawn(spec, "maximum")
+    mean, se = _null_mean(partial(_max_values, drawn, cap), drawn, 0.0, trials, rng, workers)
     return EmaxEstimate(mean, se, emax_upper_cap(spec))
 
 

@@ -6,6 +6,7 @@ fixed threshold.  Thresholds never depend on the data, only on the instance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,10 @@ def _levels(test: str, K: int, mu: float, emax0: float | None) -> tuple[float, f
             raise ValueError("maximum test requires a finite emax0")
         thr, shift = (mu * K + emax0) / 2.0, 0.0
     elif test == "optimal":
-        thr, shift = 0.0, K * mu**2 / 2.0  # mu**2 past the float range raises OverflowError
+        try:
+            thr, shift = 0.0, K * mu**2 / 2.0
+        except OverflowError:  # mu**2 of a float past the range raises, not inf
+            thr, shift = 0.0, math.inf
     else:
         raise ValueError(f"unknown test {test!r}, expected averaging, maximum or optimal")
     # an infinite threshold decides every row alike, whatever the data
@@ -48,10 +52,12 @@ def _decide(
     test: str, spec: SetClass, X: np.ndarray, mu, emax0: float | None, cap: int | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(statistics, thresholds, rejections) of one rule on a (B, n) block at
-    a scalar ``mu`` or one mu per row: each run of equal mu, in row order, is
-    refused as the scalar rule refuses it or gets its threshold.  The scalar
-    rules are this on one row, and every kernel gives a row the same bits
-    alone as in a block.  A NaN statistic is refused with OverflowError."""
+    a scalar ``mu`` or one mu per row, or on the (B, width) block of member
+    sums that ``spec``, a MemberSums, draws: each run of equal mu, in row
+    order, is refused as the scalar rule refuses it or gets its threshold,
+    from the class's K either way.  The scalar rules are this on one row,
+    and every kernel gives a row the same bits alone as in a block.  A NaN
+    statistic is refused with OverflowError."""
     mu = np.atleast_1d(mu)
     runs = np.flatnonzero(np.diff(mu, prepend=np.nan))  # the first row of each run of equal mu
     levels = [_levels(test, spec.K, m, emax0) for m in mu[runs].tolist()]

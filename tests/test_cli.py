@@ -189,7 +189,9 @@ class TestOutPath:
 class TestErrorExits:
     @pytest.mark.parametrize("argv, code, error, message", [
         ("scan --class stars --m 3 --test optimal --mu-grid 1:1e200:3 --trials 5",
-         2, "OverflowError", "(34, 'Numerical result out of range')"),
+         2, "OverflowError", "the optimal threshold at mu = 5e+199 is past the float range"),
+        ("risk --class disjoint --N 3 --K 2 --test optimal --mu 1e200 --trials 5",
+         2, "OverflowError", "the optimal threshold at mu = 1e+200 is past the float range"),
         ("risk --class ksets --n 5 --K 2 --test averaging --mu 1 --mu 9e307 --trials 5",
          2, "OverflowError", "the averaging threshold at mu = 9e+307 is past the float range"),
         ("scan --class stars --m 4 --test averaging --mu-grid 0:2:3 --trials 5",

@@ -8,11 +8,12 @@ import subprocess
 import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.stats import norm
+from scipy.stats import ks_2samp, norm
 
 from combidetect import (
     AsymmetricClassError,
@@ -32,7 +33,10 @@ from combidetect import (
     nonmonotonicity_demo,
     scan_critical_mu,
 )
+from combidetect import risk
 from combidetect._output import fmt17
+from combidetect.classes import FAMILIES, MemberSums
+from combidetect.cli import main
 from combidetect.core import CapExceededError
 from combidetect.risk import (
     _FAN_OUT_OBS,
@@ -49,7 +53,7 @@ from combidetect.risk import (
     render_risk_rows,
     risk_at,
 )
-from combidetect.rules import batch_rejections
+from combidetect.rules import _decide, batch_rejections
 
 
 def _arms(instance, arms=(_NULL_ARM, _MIXTURE_ARM)):
@@ -355,9 +359,9 @@ class TestReproducibility:
             (make_class("matchings", m=8), 96, [192]),
             (make_class("trees", m=12), 8, [16]),
             (make_class("stars", m=50), 50, [100]),
-            # an arm past _SMALL_BLOCK // n = 106 rows keeps a block of its
-            # own, drawn and decided in slices of at most 106 rows
-            (make_class("stars", m=50), 500, [106, 106, 106, 106, 76] * 2),
+            # an arm of X past _SMALL_BLOCK // n = 655 rows keeps a block of
+            # its own, drawn and decided in slices of at most 655 rows
+            (make_class("ksets", n=200, K=5), 1000, [655, 345] * 2),
             # each arm's groups of 1024 and 476 trials, a block each
             (make_class("disjoint", N=2, K=1), 1500, [1024, 476, 1024, 476]),
         ],
@@ -382,11 +386,11 @@ class TestReproducibility:
         )
 
     def test_no_rule_call_decides_more_than_one_slice(self, monkeypatch):
-        # 2048 trials per arm draw two groups of 1024 rows each; the caller
-        # and the worker alike decide them in slices of _SMALL_BLOCK // n rows
+        # 2048 trials per arm draw two groups of 1024 rows of X each; the
+        # caller and the worker alike decide them in slices of _SMALL_BLOCK // n rows
         from combidetect import risk
 
-        spec = make_class("stars", m=50)
+        spec = make_class("ksets", n=200, K=5)
         monkeypatch.setattr(risk, "batch_rejections", _one_slice_rejections)
         instance, emax0 = ProblemInstance(spec, 1.0), emax_upper_cap(spec)
         one, two = (estimate_risk("maximum", instance, 2048, SeededRng(7), emax0=emax0, workers=w) for w in (1, 2))
@@ -548,7 +552,7 @@ class TestRiskAtPoints:
         assert curve == scan_critical_mu(spec, "optimal", grid, 8, SeededRng(121), workers=2)
 
     @pytest.mark.parametrize("test, mus, error, match", [
-        ("optimal", [1.0, 5e199, 1e200], OverflowError, "Numerical result out of range"),
+        ("optimal", [1.0, 5e199, 1e200], OverflowError, r"optimal threshold at mu = 5e\+199 "),
         ("averaging", [1.0, 9e307], OverflowError, r"averaging threshold at mu = 9e\+307 "),
         ("averaging", [0.0, 1.0], DegenerateParameterError, "undefined at mu = 0"),
         ("averaging", [1.0, 0.0, 9e307], DegenerateParameterError, "undefined at mu = 0"),
@@ -652,7 +656,8 @@ class TestWorkerProcesses:
         assert {p.pid for p in multiprocessing.active_children()} == pool
 
     def test_a_call_above_the_threshold_runs_in_the_caller_and_one_worker(self):
-        # the README's risk call: Stars(50), 500 trials per arm, 1,225,000 normals
+        # Stars(50) drawn as X, 500 trials per arm: 1,225,000 normals (the
+        # README's risk call, which reads the star sums, draws 51,000)
         instance = ProblemInstance(make_class("stars", m=50), 0.9)
         pids = _per_trial_values(_pid_values, instance.set_class, _arms(instance), 500, SeededRng(89), 2)
         workers = set(pids.ravel()) - {os.getpid()}
@@ -756,6 +761,142 @@ class TestWorkerProcesses:
         # the sizing rule alone: no pool of this size is ever started
         assert _pool_size(10**6) == os.cpu_count()
         assert _pool_size(2) == min(2, os.cpu_count())
+
+
+def _statistics(test, spec, X, mu):
+    # the rule's statistic per row; the maximum's does not depend on emax0
+    return _decide(test, spec, X, mu, 0.0, None)[0]
+
+
+#: one class per family and its parameters, for the table of drawn sums
+FAMILY_CLASSES = {
+    "disjoint": make_class("disjoint", N=4, K=3),
+    "ksets": make_class("ksets", n=7, K=3),
+    "stars": make_class("stars", m=6),
+    "matchings": make_class("matchings", m=4),
+    "trees": make_class("trees", m=5),
+    "cliques": make_class("cliques", m=6, k=3),
+    "grid": make_class("grid", sqrt_n=4, sqrt_K=2),
+    "explicit": ExplicitClass(8, np.array([[0, 1, 2], [2, 3, 5], [1, 4, 7], [5, 6, 7]])),
+}
+
+
+class TestMemberSums:
+    """Where the law of the member sums a test reads is closed-form, a trial
+    draws those sums, not X; the X path stays the reference."""
+
+    def test_the_table_of_pairs_that_draw_sums(self):
+        # (family, test) -> (sums a row reads, normals a row draws); every
+        # pair absent here draws X, and a change to this table is a choice
+        assert set(FAMILY_CLASSES) == set(FAMILIES) | {"explicit"}
+        drawn = {
+            (family, test): (law.width, law.draws)
+            for family, spec in FAMILY_CLASSES.items()
+            for test in ("averaging", "maximum", "optimal")
+            if (law := spec.member_sums(test)) is not None
+        }
+        assert drawn == {
+            **{(family, "averaging"): (1, 1) for family in FAMILY_CLASSES},
+            ("stars", "maximum"): (6, 7),
+            ("stars", "optimal"): (6, 7),
+            ("disjoint", "maximum"): (4, 4),
+            ("disjoint", "optimal"): (4, 4),
+        }
+
+    @pytest.mark.parametrize("spec, test, mu, seed", [
+        (make_class("stars", m=6), "maximum", 0.7, 1),
+        (make_class("stars", m=6), "optimal", 0.7, 2),
+        (make_class("stars", m=50), "maximum", 0.9305, 3),
+        (make_class("stars", m=50), "optimal", 0.5, 4),
+        (make_class("disjoint", N=4, K=3), "maximum", 0.8, 5),
+        (make_class("disjoint", N=4, K=3), "optimal", 0.8, 6),
+        (make_class("ksets", n=9, K=3), "averaging", 0.6, 7),
+        (make_class("matchings", m=4), "averaging", 0.6, 8),
+        (make_class("trees", m=5), "averaging", 0.6, 9),
+    ], ids=str)
+    def test_drawn_statistic_has_the_law_of_the_x_path(self, spec, test, mu, seed):
+        # a two-sample Kolmogorov-Smirnov test per arm, 20,000 rows each; the
+        # two paths draw from distinct streams, since they would share normals
+        law, trials = spec.member_sums(test), 20_000
+        segments = _arms(ProblemInstance(spec, mu))
+        full = _per_trial_values(lambda X, m: _statistics(test, spec, X, m), spec, segments, trials,
+                                 SeededRng(150, (seed, 0)), 1)
+        sums = _per_trial_values(lambda Y, m: _statistics(test, law, Y, m), law, segments, trials,
+                                 SeededRng(150, (seed, 1)), 1)
+        for arm in (_NULL_ARM, _MIXTURE_ARM):
+            assert ks_2samp(full[arm], sums[arm]).pvalue > 1e-3
+
+    @pytest.mark.parametrize("m", [4, 6, 50])
+    def test_drawn_star_sums_have_the_star_covariance(self, m):
+        # (m - 2) I + J, each entry within 5 of its standard errors
+        law, rows = make_class("stars", m=m).member_sums("maximum"), 200_000
+        Y, _ = _draw_block(law, (np.array([[_NULL_ARM]]), np.array([0.0])), 0, rows, SeededRng(151), rows)
+        assert Y.shape == (rows, m)
+        cov = Y.T @ Y / rows
+        expect = (m - 2) * np.eye(m) + 1.0
+        se = np.sqrt((np.outer(np.diag(expect), np.diag(expect)) + expect**2) / rows)
+        assert np.all(np.abs(cov - expect) < 5 * se)
+        assert np.all(np.abs(Y.mean(axis=0)) < 5 * np.sqrt((m - 1) / rows))
+
+    @pytest.mark.parametrize("spec, own, shared", [
+        (make_class("stars", m=5), 4.0, 1.0),
+        (make_class("disjoint", N=5, K=3), 3.0, 0.0),
+    ], ids=repr)
+    def test_a_mixture_row_shifts_its_members_sum_and_the_overlaps(self, spec, own, shared):
+        # the mean of sum c' is mu |S_c' ∩ S_c| for the member S_c, code c
+        law = spec.member_sums("maximum")
+        Z = np.zeros((3, law.draws))
+        Y = law._observe(Z, np.array([0, 2]), np.array([4, 1]), np.array([0.5, 2.0]))
+        expect = np.zeros((3, 5))
+        expect[0], expect[2] = 0.5 * shared, 2.0 * shared
+        expect[0, 4], expect[2, 1] = 0.5 * own, 2.0 * own
+        np.testing.assert_array_equal(Y, expect)
+
+    @pytest.mark.parametrize("spec", [make_class("ksets", n=100, K=10), make_class("stars", m=8)], ids=repr)
+    def test_averaging_risk_is_the_normal_tail(self, spec):
+        # X.sum is N(0, n) under the null and N(mu K, n) under any member:
+        # the risk is 2 upper tails at mu K / (2 sqrt(n))
+        mu = 1.0
+        expect = 2 * norm.sf(mu * spec.K / (2 * math.sqrt(spec.n)))
+        est = estimate_risk("averaging", ProblemInstance(spec, mu), 20_000, SeededRng(152))
+        assert abs(est.total - expect) < 3 * est.se_total
+
+    @pytest.mark.parametrize("N", [2, 8])
+    def test_singleton_blocks_keep_the_bits_of_the_x_path(self, N):
+        # at K = 1 the block sums are X: same normals, same shift, same kernels
+        spec = make_class("disjoint", N=N, K=1)
+        segments = [((i, arm), mu) for i, mu in enumerate([0.0, 0.7, 1.9]) for arm in (_NULL_ARM, _MIXTURE_ARM)]
+        for test in ("maximum", "optimal"):
+            law = spec.member_sums(test)
+            full, sums = (
+                _per_trial_values(lambda X, m, s=s: _statistics(test, s, X, m), s, segments, 2100, SeededRng(153), 1)
+                for s in (spec, law)
+            )
+            assert full.tobytes() == sums.tobytes()
+        inst = ProblemInstance(spec, 1.3)
+        for estimate in (estimate_bayes_risk, estimate_bhattacharyya):
+            assert estimate(inst, 2100, SeededRng(154)) == risk._null_mean(
+                partial(risk._lr_values, estimate is estimate_bhattacharyya, spec, None), spec, 1.3, 2100,
+                SeededRng(154), 1,
+            )
+
+    @pytest.mark.parametrize("argv", [
+        "risk --class stars --m 50 --test maximum --mu 0.9 --trials 1100",
+        "risk --class stars --m 6 --test optimal --mu 0.5 --mu 1.5 --trials 1100",
+        "risk --class disjoint --N 4 --K 3 --test optimal --mu 0.8 --trials 1100",
+        "risk --class ksets --n 100 --K 10 --test averaging --mu 4.3 --trials 1100",
+        "scan --class stars --m 5 --test maximum --mu-grid 0.5:2.5:3 --trials 1100",
+        "scan --class disjoint --N 8 --K 8 --test optimal --mu-grid 0.3:2.2:4 --trials 1100",
+        "emax --class stars --m 7 --trials 2100",
+        "emax --class disjoint --N 5 --K 2 --trials 2100",
+    ])
+    @pytest.mark.usefixtures("fan_out_every_call")
+    def test_every_drawn_path_gives_equal_bytes_across_workers(self, capsys, argv):
+        outs = []
+        for workers in ("1", "2"):
+            assert main(argv.split() + ["--seed", "9", "--workers", workers]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and outs[0]
 
 
 class TestScan:

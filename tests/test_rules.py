@@ -160,7 +160,7 @@ class TestBatchAgreement:
         ("averaging", [1.0, 0.0, 9e307], DegenerateParameterError, "undefined at mu = 0"),
         ("averaging", [1.0, 9e307, 0.0], OverflowError, r"averaging threshold at mu = 9e\+307 "),
         ("maximum", [1.0, 1e308, 1.7e308], OverflowError, r"maximum threshold at mu = 1e\+308 "),
-        ("optimal", [1.0, 1e200, 1e154], OverflowError, "Numerical result out of range"),
+        ("optimal", [1.0, 1e200, 1e154], OverflowError, r"optimal threshold at mu = 1e\+200 "),
         ("optimal", [1.0, 1e154, 1e200], OverflowError, r"optimal threshold at mu = 1e\+154 "),
     ])
     def test_per_row_mu_is_refused_at_its_first_refused_row(self, test, mus, error, match):
@@ -191,6 +191,11 @@ class TestFloatRange:
     def test_threshold_past_the_float_range(self, rule, mu):
         with pytest.raises(OverflowError):
             rule(np.zeros(4), inst(mu=mu))
+
+    def test_mu_squared_past_the_float_range_is_the_declared_refusal(self):
+        # mu**2 of a Python float raises its own OverflowError, not inf
+        with pytest.raises(OverflowError, match=r"^the optimal threshold at mu = 1e\+200 is past the float range$"):
+            optimal_test(np.zeros(4), inst(mu=1e200))
 
     def test_nan_statistic(self):
         # mu * X_S is inf for every member: the log-sum-exp reads inf - inf
