@@ -7,10 +7,21 @@ groups: trial t of a (point, arm) segment is row t % G of group t // G, with
 G = ``_chunk_size(n)`` trials, and the group draws its normals from the
 substream ``(seed, *stream, [point,] arm, group, 0)`` and its mixture
 members from ``(..., group, 1)``, one numpy call each.  Cases that draw
-nothing changed in their ``#version=`` line only.  Three cases span several
-groups and are replayed with ``--workers 2`` (``risk`` on disjoint blocks
-and on cliques, and the trees maximum scan); one scan uses a master seed of
-2**32 or more, which numpy's SeedSequence splits into two uint32 words.
+nothing changed in their ``#version=`` line only.
+
+At version 0.3.0 a group whose test reads member sums of a closed-form law
+draws those sums from ``(..., group, 0)`` in place of X: the averaging sum
+of every family, the star sums and the disjoint block sums.  Five cases
+were re-recorded then: ``risk-disjoint-optimal`` (K = 2),
+``risk-stars-maximum``, ``scan-stars-optimal``,
+``risk-matchings-averaging-json`` and ``scan-disjoint-wide-seed``
+(averaging).  Every other case changed in its ``#version=`` line only,
+``risk-disjoint-chunks`` among them, whose K = 1 block sums are X itself.
+
+Three cases span several groups and are replayed with ``--workers 2``
+(``risk`` on disjoint blocks and on cliques, and the trees maximum scan);
+one scan uses a master seed of 2**32 or more, which numpy's SeedSequence
+splits into two uint32 words.
 
 The matchings and clique ``risk`` and ``emax`` cases pin the exact kernels
 (the subset DP, the clique pair contractions, Prim's trees), which were each
@@ -31,16 +42,16 @@ GOLDEN = {
     'risk-disjoint-optimal': (
         'risk --class disjoint --N 3 --K 2 --test optimal --mu 0.5 --mu 1.5 --trials 300 --seed 7',
         '#schema=combidetect.risk.v1\n'
-        '#version=0.2.0\n'
+        '#version=0.3.0\n'
         '#config={"K":2,"N":3,"class":"disjoint","command":"risk","mu":[0.5,1.5],"seed":7,"test":"optimal","trials":300}\n'
         'mu,type1,se1,type2,se2,total,se_total,trials\n'
-        '0.5,0.39000000000000001,0.028160255680657446,0.39000000000000001,0.028160255680657446,0.78000000000000003,0.039824615503479752,300\n'
-        '1.5,0.20000000000000001,0.023094010767585032,0.23999999999999999,0.024657656011875907,0.44,0.033783625224853141,300\n',
+        '0.5,0.36666666666666664,0.027822186723442031,0.43333333333333335,0.028609762643519408,0.80000000000000004,0.039907299991262156,300\n'
+        '1.5,0.19333333333333333,0.022800259907550437,0.23999999999999999,0.024657656011875907,0.43333333333333335,0.033583505651611952,300\n',
     ),
     'risk-disjoint-chunks': (
         'risk --class disjoint --N 2 --K 1 --test optimal --mu 1.0 --trials 2500 --seed 4',
         '#schema=combidetect.risk.v1\n'
-        '#version=0.2.0\n'
+        '#version=0.3.0\n'
         '#config={"K":1,"N":2,"class":"disjoint","command":"risk","mu":[1.0],"seed":4,"test":"optimal","trials":2500}\n'
         'mu,type1,se1,type2,se2,total,se_total,trials\n'
         '1,0.33479999999999999,0.0094384100355939179,0.34999999999999998,0.0095393920141694562,0.68479999999999996,0.013419522495230596,2500\n',
@@ -48,16 +59,16 @@ GOLDEN = {
     'risk-stars-maximum': (
         'risk --class stars --m 6 --test maximum --mu 1.0 --mu 2.0 --trials 300 --seed 3',
         '#schema=combidetect.risk.v1\n'
-        '#version=0.2.0\n'
+        '#version=0.3.0\n'
         '#config={"class":"stars","command":"risk","emax0":4.232917987899192,"m":6,"mu":[1.0,2.0],"seed":3,"test":"maximum","trials":300}\n'
         'mu,type1,se1,type2,se2,total,se_total,trials\n'
-        '1,0.096666666666666665,0.017060893120645064,0.39666666666666667,0.028244304571731639,0.49333333333333335,0.032997194044567107,300\n'
-        '2,0,0,0.080000000000000002,0.015663120165960973,0.080000000000000002,0.015663120165960973,300\n',
+        '1,0.11,0.018064698539785637,0.35999999999999999,0.027712812921102038,0.46999999999999997,0.03308070938376826,300\n'
+        '2,0.0066666666666666671,0.0046983054470813275,0.10000000000000001,0.017320508075688773,0.10666666666666667,0.017946422319617749,300\n',
     ),
     'risk-trees-optimal': (
         'risk --class trees --m 5 --test optimal --mu 1.0 --trials 200 --seed 12',
         '#schema=combidetect.risk.v1\n'
-        '#version=0.2.0\n'
+        '#version=0.3.0\n'
         '#config={"class":"trees","command":"risk","m":5,"mu":[1.0],"seed":12,"test":"optimal","trials":200}\n'
         'mu,type1,se1,type2,se2,total,se_total,trials\n'
         '1,0.22500000000000001,0.029527529527544293,0.215,0.029049526674285075,0.44,0.041421612716068895,200\n',
@@ -79,46 +90,46 @@ GOLDEN = {
         '  "results": [\n'
         '    {\n'
         '      "mu": 0.8,\n'
-        '      "se1": 0.02753785273643051,\n'
-        '      "se2": 0.02654067458463344,\n'
-        '      "se_total": 0.038245793765337655,\n'
-        '      "total": 0.6533333333333333,\n'
+        '      "se1": 0.028202968060248683,\n'
+        '      "se2": 0.02776822057810104,\n'
+        '      "se_total": 0.03957880091010188,\n'
+        '      "total": 0.7566666666666666,\n'
         '      "trials": 300,\n'
-        '      "type1": 0.35,\n'
-        '      "type2": 0.30333333333333334\n'
+        '      "type1": 0.3933333333333333,\n'
+        '      "type2": 0.36333333333333334\n'
         '    }\n'
         '  ],\n'
         '  "schema": "combidetect.risk.v1",\n'
-        '  "version": "0.2.0"\n'
+        '  "version": "0.3.0"\n'
         '}\n',
     ),
     'scan-disjoint-wide-seed': (
         'scan --class disjoint --N 4 --K 3 --test averaging --mu-grid 0.2:2.0:4 --trials 200 --seed 4294967301',
         '#schema=combidetect.scan.v1\n'
-        '#version=0.2.0\n'
+        '#version=0.3.0\n'
         '#config={"K":3,"N":4,"class":"disjoint","command":"scan","mu_grid":"0.2:2.0:4","seed":4294967301,"test":"averaging","trials":200}\n'
         'mu,type1,se1,type2,se2,total,se_total,trials\n'
-        '0.20000000000000001,0.505,0.035353571248178027,0.435,0.035055313434627852,0.93999999999999995,0.049787046508102888,200\n'
-        '0.80000000000000004,0.39500000000000002,0.034566963997435467,0.28499999999999998,0.031919821428071933,0.67999999999999994,0.047050504779438868,200\n'
-        '1.3999999999999999,0.23499999999999999,0.029981244136960027,0.26500000000000001,0.031206970375222264,0.5,0.04327528162819972,200\n'
-        '2,0.23000000000000001,0.029757352032733018,0.20999999999999999,0.028801041647829335,0.44,0.041412558481697309,200\n'
-        '#critical_mu=1.3999999999999999\n',
+        '0.20000000000000001,0.495,0.035353571248178027,0.47499999999999998,0.035311117229563836,0.96999999999999997,0.049967489430628793,200\n'
+        '0.80000000000000004,0.34999999999999998,0.033726843908080104,0.32500000000000001,0.033119103248729423,0.67500000000000004,0.04726917600297259,200\n'
+        '1.3999999999999999,0.25,0.030618621784789725,0.22,0.029291637031753619,0.46999999999999997,0.042373340675476601,200\n'
+        '2,0.23499999999999999,0.029981244136960027,0.215,0.029049526674285075,0.44999999999999996,0.041746257317273369,200\n'
+        '#critical_mu=1.3121951219512193\n',
     ),
     'scan-stars-optimal': (
         'scan --class stars --m 5 --test optimal --mu-grid 0.5:2.5:3 --trials 200 --seed 11',
         '#schema=combidetect.scan.v1\n'
-        '#version=0.2.0\n'
+        '#version=0.3.0\n'
         '#config={"class":"stars","command":"scan","m":5,"mu_grid":"0.5:2.5:3","seed":11,"test":"optimal","trials":200}\n'
         'mu,type1,se1,type2,se2,total,se_total,trials\n'
-        '0.5,0.36499999999999999,0.034042253156922497,0.41999999999999998,0.034899856733230296,0.78499999999999992,0.048753205022849522,200\n'
-        '1.5,0.085000000000000006,0.01971991379291502,0.115,0.022558257911461158,0.20000000000000001,0.029962476533157267,200\n'
-        '2.5,0.0050000000000000001,0.0049874843358150012,0.014999999999999999,0.0085950567188355417,0.02,0.0099373034571758959,200\n'
-        '#critical_mu=0.987179487179487\n',
+        '0.5,0.33000000000000002,0.033249060137092598,0.41499999999999998,0.0348407089480108,0.745,0.048159889950040377,200\n'
+        '1.5,0.095000000000000001,0.020733427116615334,0.125,0.023385358667337135,0.22,0.031252999856013826,200\n'
+        '2.5,0.014999999999999999,0.0085950567188355417,0.025000000000000001,0.011039701082909808,0.040000000000000001,0.013991068579633222,200\n'
+        '#critical_mu=0.96666666666666656\n',
     ),
     'scan-trees-maximum': (
         'scan --class trees --m 4 --test maximum --mu-grid 0.5:3.0:3 --trials 150 --seed 19',
         '#schema=combidetect.scan.v1\n'
-        '#version=0.2.0\n'
+        '#version=0.3.0\n'
         '#config={"class":"trees","command":"scan","emax0":4.078667960675236,"m":4,"mu_grid":"0.5:3.0:3","seed":19,"test":"maximum","trials":150}\n'
         'mu,type1,se1,type2,se2,total,se_total,trials\n'
         '0.5,0.32666666666666666,0.038293215722505866,0.42666666666666669,0.040383348236801946,0.75333333333333341,0.05565236010435843,150\n'
@@ -172,13 +183,13 @@ GOLDEN = {
         '    }\n'
         '  ],\n'
         '  "schema": "combidetect.scan.v1",\n'
-        '  "version": "0.2.0"\n'
+        '  "version": "0.3.0"\n'
         '}\n',
     ),
     'risk-matchings-maximum': (
         'risk --class matchings --m 6 --test maximum --mu 1.0 --mu 2.0 --trials 400 --seed 31',
         '#schema=combidetect.risk.v1\n'
-        '#version=0.2.0\n'
+        '#version=0.3.0\n'
         '#config={"class":"matchings","command":"risk","emax0":8.88543834282368,"m":6,"mu":[1.0,2.0],"seed":31,"test":"maximum","trials":400}\n'
         'mu,type1,se1,type2,se2,total,se_total,trials\n'
         '1,0.20749999999999999,0.020275832288712589,0.34499999999999997,0.023768413914268656,0.55249999999999999,0.031241748910712408,400\n'
@@ -187,7 +198,7 @@ GOLDEN = {
     'scan-trees-optimal': (
         'scan --class trees --m 6 --test optimal --mu-grid 0.4:2.0:3 --trials 200 --seed 37',
         '#schema=combidetect.scan.v1\n'
-        '#version=0.2.0\n'
+        '#version=0.3.0\n'
         '#config={"class":"trees","command":"scan","m":6,"mu_grid":"0.4:2.0:3","seed":37,"test":"optimal","trials":200}\n'
         'mu,type1,se1,type2,se2,total,se_total,trials\n'
         '0.40000000000000002,0.33000000000000002,0.033249060137092598,0.38500000000000001,0.034407484650872115,0.71500000000000008,0.047847413723209747,200\n'
@@ -198,7 +209,7 @@ GOLDEN = {
     'emax-matchings': (
         'emax --class matchings --m 5 --trials 500 --seed 41',
         '#schema=combidetect.emax.v1\n'
-        '#version=0.2.0\n'
+        '#version=0.3.0\n'
         '#config={"class":"matchings","command":"emax","m":5,"seed":41,"trials":500}\n'
         'key,value\n'
         'emax0,4.6948072043451576\n'
@@ -208,7 +219,7 @@ GOLDEN = {
     'bounds-averaging': (
         'bounds --prop averaging --n 100 --K 10 --delta 0.2 --seed 1',
         '#schema=combidetect.bound.v1\n'
-        '#version=0.2.0\n'
+        '#version=0.3.0\n'
         '#config={"K":10,"delta":0.2,"n":100}\n'
         'key,value\n'
         'name,averaging\n'
@@ -230,13 +241,13 @@ GOLDEN = {
         '  "name": "averaging",\n'
         '  "schema": "combidetect.bound.v1",\n'
         '  "value": 4.291932052578694,\n'
-        '  "version": "0.2.0"\n'
+        '  "version": "0.3.0"\n'
         '}\n',
     ),
     'bounds-maxtest': (
         'bounds --prop maxtest --emax0 2.0 --K 49 --delta 0.2 --seed 1',
         '#schema=combidetect.bound.v1\n'
-        '#version=0.2.0\n'
+        '#version=0.3.0\n'
         '#config={"K":49,"delta":0.2,"emax0":2.0}\n'
         'key,value\n'
         'name,maxtest\n'
@@ -258,13 +269,13 @@ GOLDEN = {
         '  "name": "maxtest",\n'
         '  "schema": "combidetect.bound.v1",\n'
         '  "value": 0.6539494768989973,\n'
-        '  "version": "0.2.0"\n'
+        '  "version": "0.3.0"\n'
         '}\n',
     ),
     'bounds-universal': (
         'bounds --prop universal --K 8 --seed 1',
         '#schema=combidetect.bound.v1\n'
-        '#version=0.2.0\n'
+        '#version=0.3.0\n'
         '#config={"K":8}\n'
         'key,value\n'
         'name,universal\n'
@@ -287,13 +298,13 @@ GOLDEN = {
         '  "name": "universal",\n'
         '  "schema": "combidetect.bound.v1",\n'
         '  "value": 0.379263808220466,\n'
-        '  "version": "0.2.0"\n'
+        '  "version": "0.3.0"\n'
         '}\n',
     ),
     'bounds-pairs': (
         'bounds --prop pairs --mgf 1.2 --seed 1',
         '#schema=combidetect.bound.v1\n'
-        '#version=0.2.0\n'
+        '#version=0.3.0\n'
         '#config={"mgf":1.2}\n'
         'key,value\n'
         'name,pairs\n'
@@ -313,13 +324,13 @@ GOLDEN = {
         '  "name": "pairs",\n'
         '  "schema": "combidetect.bound.v1",\n'
         '  "value": 0.7763932022500211,\n'
-        '  "version": "0.2.0"\n'
+        '  "version": "0.3.0"\n'
         '}\n',
     ),
     'bounds-symmetric': (
         'bounds --prop symmetric --n 45 --K 5 --delta 0.3 --seed 1',
         '#schema=combidetect.bound.v1\n'
-        '#version=0.2.0\n'
+        '#version=0.3.0\n'
         '#config={"K":5,"delta":0.3,"n":45}\n'
         'key,value\n'
         'name,symmetric\n'
@@ -341,13 +352,13 @@ GOLDEN = {
         '  "name": "symmetric",\n'
         '  "schema": "combidetect.bound.v1",\n'
         '  "value": 0.7648934316958729,\n'
-        '  "version": "0.2.0"\n'
+        '  "version": "0.3.0"\n'
         '}\n',
     ),
     'bounds-negass': (
         'bounds --prop negass --n 25 --K 5 --delta 0.5 --seed 1',
         '#schema=combidetect.bound.v1\n'
-        '#version=0.2.0\n'
+        '#version=0.3.0\n'
         '#config={"K":5,"delta":0.5,"n":25}\n'
         'key,value\n'
         'name,negass\n'
@@ -369,13 +380,13 @@ GOLDEN = {
         '  "name": "negass",\n'
         '  "schema": "combidetect.bound.v1",\n'
         '  "value": 0.725664546563386,\n'
-        '  "version": "0.2.0"\n'
+        '  "version": "0.3.0"\n'
         '}\n',
     ),
     'bounds-cliques': (
         'bounds --prop cliques --m 63 --k 4 --delta 0.2 --seed 1',
         '#schema=combidetect.bound.v1\n'
-        '#version=0.2.0\n'
+        '#version=0.3.0\n'
         '#config={"delta":0.2,"k":4,"m":63}\n'
         'key,value\n'
         'name,cliques\n'
@@ -402,13 +413,13 @@ GOLDEN = {
         '  "name": "cliques",\n'
         '  "schema": "combidetect.bound.v1",\n'
         '  "value": 3.990280374480414,\n'
-        '  "version": "0.2.0"\n'
+        '  "version": "0.3.0"\n'
         '}\n',
     ),
     'bounds-random-subclass-none': (
         'bounds --prop random-subclass --K 8 --M 20 --t 4.0 --seed 1',
         '#schema=combidetect.bound.v1\n'
-        '#version=0.2.0\n'
+        '#version=0.3.0\n'
         '#config={"K":8,"M":20,"t":4.0}\n'
         'key,value\n'
         'name,random-subclass\n'
@@ -435,13 +446,13 @@ GOLDEN = {
         '  "name": "random-subclass",\n'
         '  "schema": "combidetect.bound.v1",\n'
         '  "value": 0.1670118077091444,\n'
-        '  "version": "0.2.0"\n'
+        '  "version": "0.3.0"\n'
         '}\n',
     ),
     'bounds-random-subclass': (
         'bounds --prop random-subclass --K 10 --M 160 --t 2.0 --seed 1',
         '#schema=combidetect.bound.v1\n'
-        '#version=0.2.0\n'
+        '#version=0.3.0\n'
         '#config={"K":10,"M":160,"t":2.0}\n'
         'key,value\n'
         'name,random-subclass\n'
@@ -470,13 +481,13 @@ GOLDEN = {
         '  "name": "random-subclass",\n'
         '  "schema": "combidetect.bound.v1",\n'
         '  "value": 0.47985259121880813,\n'
-        '  "version": "0.2.0"\n'
+        '  "version": "0.3.0"\n'
         '}\n',
     ),
     'bounds-vc-cover': (
         'bounds --prop vc-cover --n 100 --V 2 --t 1.5 --seed 1',
         '#schema=combidetect.bound.v1\n'
-        '#version=0.2.0\n'
+        '#version=0.3.0\n'
         '#config={"V":2,"n":100,"t":1.5}\n'
         'key,value\n'
         'name,vc-cover\n'
@@ -498,13 +509,13 @@ GOLDEN = {
         '  "name": "vc-cover",\n'
         '  "schema": "combidetect.bound.v1",\n'
         '  "value": 476101.615957041,\n'
-        '  "version": "0.2.0"\n'
+        '  "version": "0.3.0"\n'
         '}\n',
     ),
     'bounds-dudley': (
         'bounds --prop dudley --class ksets --n 12 --K 3 --constant 1 --seed 1',
         '#schema=combidetect.bound.v1\n'
-        '#version=0.2.0\n'
+        '#version=0.3.0\n'
         '#config={"class":{"K":3,"family":"ksets","n":12},"constant":1.0}\n'
         'key,value\n'
         'name,dudley\n'
@@ -529,13 +540,13 @@ GOLDEN = {
         '  "name": "dudley",\n'
         '  "schema": "combidetect.bound.v1",\n'
         '  "value": 4.795895440198799,\n'
-        '  "version": "0.2.0"\n'
+        '  "version": "0.3.0"\n'
         '}\n',
     ),
     'bounds-type1-cover': (
         'bounds --prop type1-cover --class stars --m 6 --delta 0.1 --trials 300 --seed 43',
         '#schema=combidetect.bound.v1\n'
-        '#version=0.2.0\n'
+        '#version=0.3.0\n'
         '#config={"class":{"family":"stars","m":6},"delta":0.1,"seed":43,"trials":300}\n'
         'key,value\n'
         'name,type1-cover\n'
@@ -572,13 +583,13 @@ GOLDEN = {
         '  "name": "type1-cover",\n'
         '  "schema": "combidetect.bound.v1",\n'
         '  "value": 5.369101779221204,\n'
-        '  "version": "0.2.0"\n'
+        '  "version": "0.3.0"\n'
         '}\n',
     ),
     'overlap-stars-exact': (
         'overlap --class stars --m 6 --mu 0.8 --seed 47',
         '#schema=combidetect.overlap.v1\n'
-        '#version=0.2.0\n'
+        '#version=0.3.0\n'
         '#config={"class":"stars","command":"overlap","m":6,"mu":0.8,"pairs":10000,"seed":47}\n'
         'key,value\n'
         'mgf,5.6691557656056872\n'
@@ -602,13 +613,13 @@ GOLDEN = {
         '  "mgf_se": 0.0,\n'
         '  "risk_lower_bound": 0.0,\n'
         '  "schema": "combidetect.overlap.v1",\n'
-        '  "version": "0.2.0"\n'
+        '  "version": "0.3.0"\n'
         '}\n',
     ),
     'overlap-ksets-mc': (
         'overlap --class ksets --n 10 --K 3 --mu 0.7 --pairs 500 --seed 53',
         '#schema=combidetect.overlap.v1\n'
-        '#version=0.2.0\n'
+        '#version=0.3.0\n'
         '#config={"K":3,"class":"ksets","command":"overlap","mu":0.7,"n":10,"pairs":500,"seed":53}\n'
         'key,value\n'
         'mgf,1.6892485661808119\n'
@@ -633,7 +644,7 @@ GOLDEN = {
         '  "mgf_se": 0.02720276258322327,\n'
         '  "risk_lower_bound": 0.584895023463699,\n'
         '  "schema": "combidetect.overlap.v1",\n'
-        '  "version": "0.2.0"\n'
+        '  "version": "0.3.0"\n'
         '}\n',
     ),
     'emax-matchings-json': (
@@ -650,13 +661,13 @@ GOLDEN = {
         '  "gaussian_cap": 6.919170284638214,\n'
         '  "schema": "combidetect.emax.v1",\n'
         '  "se": 0.0642926808818592,\n'
-        '  "version": "0.2.0"\n'
+        '  "version": "0.3.0"\n'
         '}\n',
     ),
     'cover-ksets': (
         'cover --class ksets --n 6 --K 2 --radius 1.5 --seed 59',
         '#schema=combidetect.cover.v1\n'
-        '#version=0.2.0\n'
+        '#version=0.3.0\n'
         '#config={"K":2,"class":"ksets","command":"cover","n":6,"radius":1.5,"seed":59}\n'
         'set_id,indices\n'
         '1,1;2\n'
@@ -682,13 +693,13 @@ GOLDEN = {
         '    "5,6"\n'
         '  ],\n'
         '  "schema": "combidetect.cover.v1",\n'
-        '  "version": "0.2.0"\n'
+        '  "version": "0.3.0"\n'
         '}\n',
     ),
     'nonmono': (
         'nonmono --K 3 --epsilon 0.8 --trials 300 --seed 61',
         '#schema=combidetect.nonmono.v1\n'
-        '#version=0.2.0\n'
+        '#version=0.3.0\n'
         '#config={"K":3,"command":"nonmono","epsilon":0.8,"seed":61,"trials":300}\n'
         'key,value\n'
         'mu,0.76261091318105356\n'
@@ -753,13 +764,13 @@ GOLDEN = {
         '  "side_condition_holds": false,\n'
         '  "side_condition_lhs": 0.7626109131810536,\n'
         '  "side_condition_rhs": 1.5631512887959418,\n'
-        '  "version": "0.2.0"\n'
+        '  "version": "0.3.0"\n'
         '}\n',
     ),
     'risk-cliques-optimal-chunks': (
         'risk --class cliques --m 12 --k 4 --test optimal --mu 0.6 --mu 1.2 --trials 2100 --seed 53',
         '#schema=combidetect.risk.v1\n'
-        '#version=0.2.0\n'
+        '#version=0.3.0\n'
         '#config={"class":"cliques","command":"risk","k":4,"m":12,"mu":[0.6,1.2],"seed":53,"test":"optimal","trials":2100}\n'
         'mu,type1,se1,type2,se2,total,se_total,trials\n'
         '0.59999999999999998,0.3861904761904762,0.010624486369439442,0.41809523809523808,0.010763510004094838,0.80428571428571427,0.01512391676195866,2100\n'
@@ -768,7 +779,7 @@ GOLDEN = {
     'risk-cliques-maximum': (
         'risk --class cliques --m 12 --k 4 --test maximum --mu 1.0 --mu 2.0 --trials 400 --seed 59',
         '#schema=combidetect.risk.v1\n'
-        '#version=0.2.0\n'
+        '#version=0.3.0\n'
         '#config={"class":"cliques","command":"risk","emax0":8.628713296362575,"k":4,"m":12,"mu":[1.0,2.0],"seed":59,"test":"maximum","trials":400}\n'
         'mu,type1,se1,type2,se2,total,se_total,trials\n'
         '1,0.28249999999999997,0.022510761315424229,0.32500000000000001,0.023418742493993994,0.60749999999999993,0.032483409226865337,400\n'
@@ -777,7 +788,7 @@ GOLDEN = {
     'emax-cliques': (
         'emax --class cliques --m 12 --k 4 --trials 500 --seed 61',
         '#schema=combidetect.emax.v1\n'
-        '#version=0.2.0\n'
+        '#version=0.3.0\n'
         '#config={"class":"cliques","command":"emax","k":4,"m":12,"seed":61,"trials":500}\n'
         'key,value\n'
         'emax0,6.5971307950726912\n'
@@ -787,7 +798,7 @@ GOLDEN = {
     'scan-trees-maximum-chunks': (
         'scan --class trees --m 12 --test maximum --mu-grid 0.5:2.0:3 --trials 1100 --seed 23',
         '#schema=combidetect.scan.v1\n'
-        '#version=0.2.0\n'
+        '#version=0.3.0\n'
         '#config={"class":"trees","command":"scan","emax0":23.381177535645207,"m":12,"mu_grid":"0.5:2.0:3","seed":23,"test":"maximum","trials":1100}\n'
         'mu,type1,se1,type2,se2,total,se_total,trials\n'
         '0.5,0.71909090909090911,0.013551221801799376,0.12,0.0097979589711327131,0.83909090909090911,0.016722308821498385,1100\n'
@@ -798,7 +809,7 @@ GOLDEN = {
     'overlap-trees': (
         'overlap --class trees --m 7 --mu 0.8 --pairs 2000 --seed 29',
         '#schema=combidetect.overlap.v1\n'
-        '#version=0.2.0\n'
+        '#version=0.3.0\n'
         '#config={"class":"trees","command":"overlap","m":7,"mu":0.8,"pairs":2000,"seed":29}\n'
         'key,value\n'
         'mgf,3.5810584189988104\n'
@@ -809,7 +820,7 @@ GOLDEN = {
     'emax-trees': (
         'emax --class trees --m 7 --trials 1100 --seed 31',
         '#schema=combidetect.emax.v1\n'
-        '#version=0.2.0\n'
+        '#version=0.3.0\n'
         '#config={"class":"trees","command":"emax","m":7,"seed":31,"trials":1100}\n'
         'key,value\n'
         'emax0,6.5708852727370308\n'
@@ -819,7 +830,7 @@ GOLDEN = {
     'cover-trees': (
         'cover --class trees --m 6 --radius 2 --seed 1',
         '#schema=combidetect.cover.v1\n'
-        '#version=0.2.0\n'
+        '#version=0.3.0\n'
         '#config={"class":"trees","command":"cover","m":6,"radius":2.0,"seed":1}\n'
         'set_id,indices\n'
         '1,1;2;3;4;5\n'

@@ -1000,7 +1000,7 @@ class TestSerialization:
         got = render_risk_rows("csv", rows, {"a": 1}, "combidetect.risk.v1")
         assert got == (
             "#schema=combidetect.risk.v1\n"
-            "#version=0.2.0\n"
+            "#version=0.3.0\n"
             '#config={"a":1}\n'
             "mu,type1,se1,type2,se2,total,se_total,trials\n"
             "0.5,0.25,0.21650635094610965,0.25,0.21650635094610965,"
