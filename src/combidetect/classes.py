@@ -343,7 +343,8 @@ class MemberSums:
         return self.spec._codes(gen, rows)
 
     def _observe(self, Z, rows, codes, mu):
-        Y = Z[:, : self.width] * self.scale
+        Y = Z[:, : self.width]
+        Y *= self.scale
         if self.common:
             Y += Z[:, self.width :]
         if rows.size:

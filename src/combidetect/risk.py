@@ -134,7 +134,8 @@ def _draw_block(
         live[:] = group
     segment = np.arange(lo, hi) // trials
     mu = mus[segment]
-    mixture = np.flatnonzero(keys[segment, -1] == _MIXTURE_ARM)
+    # the mixture rows, which drew codes unless the spec draws none
+    mixture = np.flatnonzero(keys[segment, -1] == _MIXTURE_ARM) if codes or not spec.coded else segment[:0]
     # concatenate copies the carried codes, which _members may write over
     return spec._observe(Z, mixture, np.concatenate(codes) if codes else None, mu[mixture]), mu
 
