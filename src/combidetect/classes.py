@@ -19,6 +19,10 @@ log-domain matrix-tree elimination and Prim's algorithm for spanning trees,
 and a dense contraction over vertex pairs for both tests on 3- and 4-cliques
 (in the (+, x) semiring for the likelihood ratio, in (max, +) for the
 maximum).  Enumeration stays the reference they are tested against.
+
+A Monte Carlo trial draws X, or, where the member sums a test reads have an
+exact law in fewer coordinates (``SetClass.member_sums``: the averaging sum,
+the star sums and the disjoint block sums), a ``MemberSums`` draws those.
 """
 
 from __future__ import annotations
