@@ -121,14 +121,19 @@ class TestRiskEstimate:
 
 
 class TestAgainstClosedForms:
-    def test_averaging_matches_normal_tail(self):
-        # coordinate sum is N(0, n) under the null, N(mu K, n) under any member
-        spec = make_class("disjoint", N=4, K=3)
+    @pytest.mark.parametrize(
+        "spec", [make_class("disjoint", N=4, K=3), make_class("ksets", n=100, K=10), make_class("stars", m=8)],
+        ids=repr,
+    )
+    def test_averaging_matches_normal_tail(self, spec):
+        # coordinate sum is N(0, n) under the null, N(mu K, n) under any
+        # member: the risk is two upper tails at mu K / (2 sqrt(n))
         mu = 1.1
         expect = norm.sf(mu * spec.K / (2 * math.sqrt(spec.n)))
         est = estimate_risk("averaging", ProblemInstance(spec, mu), 20_000, SeededRng(70))
         assert abs(est.type1 - expect) < 4 * est.se_type1
         assert abs(est.type2 - expect) < 4 * est.se_type2
+        assert abs(est.total - 2 * expect) < 3 * est.se_total
 
     def test_maximum_matches_order_statistic_law(self):
         # K = 1: the statistic is the max of N independent normals
@@ -768,19 +773,6 @@ def _statistics(test, spec, X, mu):
     return _decide(test, spec, X, mu, 0.0, None)[0]
 
 
-#: one class per family and its parameters, for the table of drawn sums
-FAMILY_CLASSES = {
-    "disjoint": make_class("disjoint", N=4, K=3),
-    "ksets": make_class("ksets", n=7, K=3),
-    "stars": make_class("stars", m=6),
-    "matchings": make_class("matchings", m=4),
-    "trees": make_class("trees", m=5),
-    "cliques": make_class("cliques", m=6, k=3),
-    "grid": make_class("grid", sqrt_n=4, sqrt_K=2),
-    "explicit": ExplicitClass(8, np.array([[0, 1, 2], [2, 3, 5], [1, 4, 7], [5, 6, 7]])),
-}
-
-
 class TestMemberSums:
     """Where the law of the member sums a test reads is closed-form, a trial
     draws those sums, not X; the X path stays the reference."""
@@ -788,19 +780,19 @@ class TestMemberSums:
     def test_the_table_of_pairs_that_draw_sums(self):
         # (family, test) -> (sums a row reads, normals a row draws); every
         # pair absent here draws X, and a change to this table is a choice
-        assert set(FAMILY_CLASSES) == set(FAMILIES) | {"explicit"}
+        assert set(WORKER_CLASSES) == set(FAMILIES) | {"explicit"}
         drawn = {
             (family, test): (law.width, law.draws)
-            for family, spec in FAMILY_CLASSES.items()
+            for family, make in WORKER_CLASSES.items()
             for test in ("averaging", "maximum", "optimal")
-            if (law := spec.member_sums(test)) is not None
+            if (law := make().member_sums(test)) is not None
         }
         assert drawn == {
-            **{(family, "averaging"): (1, 1) for family in FAMILY_CLASSES},
-            ("stars", "maximum"): (6, 7),
-            ("stars", "optimal"): (6, 7),
-            ("disjoint", "maximum"): (4, 4),
-            ("disjoint", "optimal"): (4, 4),
+            **{(family, "averaging"): (1, 1) for family in WORKER_CLASSES},
+            ("stars", "maximum"): (5, 6),
+            ("stars", "optimal"): (5, 6),
+            ("disjoint", "maximum"): (3, 3),
+            ("disjoint", "optimal"): (3, 3),
         }
 
     @pytest.mark.parametrize("spec, test, mu, seed", [
@@ -851,15 +843,6 @@ class TestMemberSums:
         expect[0], expect[2] = 0.5 * shared, 2.0 * shared
         expect[0, 4], expect[2, 1] = 0.5 * own, 2.0 * own
         np.testing.assert_array_equal(Y, expect)
-
-    @pytest.mark.parametrize("spec", [make_class("ksets", n=100, K=10), make_class("stars", m=8)], ids=repr)
-    def test_averaging_risk_is_the_normal_tail(self, spec):
-        # X.sum is N(0, n) under the null and N(mu K, n) under any member:
-        # the risk is 2 upper tails at mu K / (2 sqrt(n))
-        mu = 1.0
-        expect = 2 * norm.sf(mu * spec.K / (2 * math.sqrt(spec.n)))
-        est = estimate_risk("averaging", ProblemInstance(spec, mu), 20_000, SeededRng(152))
-        assert abs(est.total - expect) < 3 * est.se_total
 
     @pytest.mark.parametrize("N", [2, 8])
     def test_singleton_blocks_keep_the_bits_of_the_x_path(self, N):
