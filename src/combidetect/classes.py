@@ -279,7 +279,7 @@ class SetClass:
         place of X, or None where it draws X.  Every family's averaging
         statistic, the total of X, is N(0, n) under the null."""
         if test == "averaging":
-            return MemberSums(self, width=1, scale=math.sqrt(self.n), common=False, own=self.K, shared=0)
+            return MemberSums(self, width=1, scale=math.sqrt(self.n), common=False)
         return None
 
 
@@ -315,10 +315,11 @@ class DisjointSets(SetClass):
         return np.array([0, self.K]), np.array([1 - 1 / self.N, 1 / self.N])
 
     def member_sums(self, test):
-        # the block sums are independent N(0, K); at K = 1 they are X itself
-        if test == "averaging":
+        # the block sums are independent N(0, K); at K = 1 they are X itself,
+        # which a trial draws as X, with no sums to gain
+        if test == "averaging" or self.K == 1:
             return super().member_sums(test)
-        return MemberSums(self, width=self.N, scale=math.sqrt(self.K), common=False, own=self.K, shared=0)
+        return MemberSums(self, width=self.N, scale=math.sqrt(self.K), common=False)
 
 
 class MemberSums:
@@ -327,8 +328,10 @@ class MemberSums:
     A row draws ``draws`` normals in one fill: g, ``width`` of them, then h
     when ``common``.  Its sums are ``scale * g``, plus h in every column, so
     their covariance is scale**2 I, plus J when common.  A mixture row whose
-    member has code c adds mu * own to sum c and mu * shared to every other;
-    with one sum the member is always the same, and a trial draws no codes.
+    member has code c adds mu * K to sum c and, when common, mu to every
+    other: the off-diagonal covariance is the overlap of two members, so one
+    edge for stars and none for disjoint blocks.  With one sum the member is
+    always the same, and a trial draws no codes.
 
     The tests read the sums with the kernels of DisjointSets(width, 1), the
     maximum and the log-mean-exp over them, while K stays the class's, so
@@ -336,9 +339,9 @@ class MemberSums:
     keeps its group and its block.
     """
 
-    def __init__(self, spec: SetClass, *, width: int, scale: float, common: bool, own: int, shared: int):
+    def __init__(self, spec: SetClass, *, width: int, scale: float, common: bool):
         self.spec, self.n, self.K = spec, spec.n, spec.K
-        self.width, self.scale, self.common, self.own, self.shared = width, scale, common, own, shared
+        self.width, self.scale, self.common = width, scale, common
         self.draws = width + common
         self.coded = width > 1
         self.kernels = DisjointSets._shared(width, 1)
@@ -353,9 +356,9 @@ class MemberSums:
             Y += Z[:, self.width :]
         if rows.size:
             at = (rows, codes if self.coded else 0)
-            own = Y[at] + mu * self.own
-            if self.shared:
-                Y[rows] += (mu * self.shared)[:, None]
+            own = Y[at] + mu * self.K
+            if self.common:
+                Y[rows] += mu[:, None]
             Y[at] = own
         return Y
 
@@ -460,7 +463,7 @@ class Stars(SetClass):
         # have covariance (m - 2) I + J, that of sqrt(m - 2) g + h
         if test == "averaging":
             return super().member_sums(test)
-        return MemberSums(self, width=self.m, scale=math.sqrt(self.m - 2), common=True, own=self.K, shared=1)
+        return MemberSums(self, width=self.m, scale=math.sqrt(self.m - 2), common=True)
 
 
 class PerfectMatchings(SetClass):

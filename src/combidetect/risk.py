@@ -152,7 +152,7 @@ def _share_values(value_fn: Callable, spec: SetClass | MemberSums, segments, tri
 #: normals (rows x drawn width) a call draws before it fans out.  Median call
 #: times on a 2-core host, workers=1 against a split over two processes: cheap
 #: kernels lose below it (DisjointSets(2,1) optimal 0.79 -> 1.02 ms at 16,384;
-#: KSets(100,10) maximum 0.54 -> 0.55 ms at 30,000, if 1.00 -> 0.88 at
+#: KSets(100,10) maximum 0.54 -> 0.55 ms at 30,000, but 1.00 -> 0.88 at
 #: 60,000), and every call measured gains above it (SpanningTrees(12) maximum
 #: scan 3.68 -> 2.16 ms at 88,704; Stars(50) maximum, 51 normals a row,
 #: 1.10 -> 0.91 ms at 71,400 and 3.18 -> 2.26 ms at 208,896).

@@ -794,6 +794,11 @@ class TestMemberSums:
             ("disjoint", "maximum"): (3, 3),
             ("disjoint", "optimal"): (3, 3),
         }
+        # singleton blocks are X itself, so their sums would draw what X draws
+        singletons = make_class("disjoint", N=3, K=1)
+        assert [singletons.member_sums(test) is None for test in ("averaging", "maximum", "optimal")] == [
+            False, True, True,
+        ]
 
     @pytest.mark.parametrize("spec, test, mu, seed", [
         (make_class("stars", m=6), "maximum", 0.7, 1),
@@ -845,12 +850,13 @@ class TestMemberSums:
         np.testing.assert_array_equal(Y, expect)
 
     @pytest.mark.parametrize("N", [2, 8])
-    def test_singleton_blocks_keep_the_bits_of_the_x_path(self, N):
-        # at K = 1 the block sums are X: same normals, same shift, same kernels
+    def test_singleton_block_sums_keep_the_bits_of_the_x_path(self, N):
+        # at K = 1 the block sums are X: same normals, same shift, same
+        # kernels, which is why such a class draws X and not its sums
         spec = make_class("disjoint", N=N, K=1)
+        law = MemberSums(spec, width=N, scale=1.0, common=False)
         segments = [((i, arm), mu) for i, mu in enumerate([0.0, 0.7, 1.9]) for arm in (_NULL_ARM, _MIXTURE_ARM)]
         for test in ("maximum", "optimal"):
-            law = spec.member_sums(test)
             full, sums = (
                 _per_trial_values(lambda X, m, s=s: _statistics(test, s, X, m), s, segments, 2100, SeededRng(153), 1)
                 for s in (spec, law)
@@ -859,7 +865,7 @@ class TestMemberSums:
         inst = ProblemInstance(spec, 1.3)
         for estimate in (estimate_bayes_risk, estimate_bhattacharyya):
             assert estimate(inst, 2100, SeededRng(154)) == risk._null_mean(
-                partial(risk._lr_values, estimate is estimate_bhattacharyya, spec, None), spec, 1.3, 2100,
+                partial(risk._lr_values, estimate is estimate_bhattacharyya, law, None), law, 1.3, 2100,
                 SeededRng(154), 1,
             )
 
