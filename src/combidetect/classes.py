@@ -329,9 +329,7 @@ class MemberSums:
     when ``common``.  Its sums are ``scale * g``, plus h in every column, so
     their covariance is scale**2 I, plus J when common.  A mixture row whose
     member has code c adds mu * K to sum c and, when common, mu to every
-    other: the off-diagonal covariance is the overlap of two members, so one
-    edge for stars and none for disjoint blocks.  With one sum the member is
-    always the same, and a trial draws no codes.
+    other, its overlap with c; with one sum a trial draws no codes.
 
     The tests read the sums with the kernels of DisjointSets(width, 1), the
     maximum and the log-mean-exp over them, while K stays the class's, so
