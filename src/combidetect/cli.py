@@ -49,7 +49,7 @@ def _add_common(p: argparse.ArgumentParser, *, trials_default: int | None = 10_0
     )
     p.add_argument(
         "--workers", type=int, default=1,
-        help="processes a call of 2**16 normals or more splits its blocks over, "
+        help="processes a call of 2**16 normals or more splits its trial groups over, "
         "this one included, at most one per CPU; the output bytes do not depend on it",
     )
     if trials_default is not None:

@@ -11,12 +11,13 @@ or, where the test reads X only through member sums whose law is closed-form
 averaging sum, which then needs no member codes, m + 1 for the m star sums
 and N for N disjoint blocks.  Both fill their rows in order,
 so the first k trials of a call do not depend on how many follow, and results
-are byte-identical for a given (seed, config) regardless of blocking or
-worker count.  A call lays its segments end to end and draws them in blocks
-of whole groups, which may straddle arms and points, each row at its point's
-mu; a block is drawn and decided in slices of at most _SMALL_BLOCK drawn
-normals, a group cut by a slice bound drawing on from its own generators.
-Per-trial values are laid end to end in index order and reduced once.
+are byte-identical for a given (seed, config) regardless of slicing or
+worker count.  A call lays its segments end to end, each row at its point's
+mu, and splits their groups whole into contiguous shares, one per process;
+a share is drawn and decided in slices of at most _SMALL_BLOCK drawn normals,
+which may straddle arms and points, a group cut by a slice bound drawing on
+from its own generators.  Per-trial values are laid end to end in index order
+and reduced once.
 """
 
 from __future__ import annotations
@@ -86,14 +87,13 @@ def emax_upper_cap(spec: SetClass) -> float:
 
 
 def _chunk_size(n: int) -> int:
-    # bounded work set per block, and the trials of a group; it depends on the
-    # config only, so a row's bits depend on its group's address only
+    # the trials of a group; it depends on the config only, so a row's bits
+    # depend on its group's address only
     return max(1, min(1024, 2_000_000 // max(1, n)))
 
 
-#: observations (1 MiB of float64) a block may hold past one segment's trials
-#: of X, so that a small call draws its arms and points together, and the most
-#: normals a slice of a block draws, so that its rule call reads them from cache
+#: the most normals (1 MiB of float64) a slice of a share draws, so that its
+#: rule call reads them from cache
 _SMALL_BLOCK = 2**17
 
 
@@ -141,11 +141,12 @@ def _draw_block(
 
 
 def _share_values(value_fn: Callable, spec: SetClass | MemberSums, segments, trials, rng, share):
-    # value_fn over the blocks (lo, hi) of one share, end to end, each drawn and
-    # decided in slices of at most _SMALL_BLOCK drawn normals
+    # value_fn over the rows lo..hi of one share, drawn and decided in slices of
+    # at most _SMALL_BLOCK drawn normals
+    lo, hi = share
     step = max(1, _SMALL_BLOCK // spec.draws)
     live = []
-    slices = [(a, min(a + step, hi)) for lo, hi in share for a in range(lo, hi, step)]
+    slices = [(a, min(a + step, hi)) for a in range(lo, hi, step)]
     return np.concatenate([value_fn(*_draw_block(spec, segments, *b, rng, trials, live)) for b in slices])
 
 
@@ -212,28 +213,25 @@ def _per_trial_values(
     value_fn: Callable, spec: SetClass | MemberSums, segments: Sequence, trials: int, rng: SeededRng,
     workers: int,
 ) -> np.ndarray:
-    # a (len(segments), trials) array of value_fn(block, mu) over each segment's
-    # trials, the block X for a class and the member sums for a MemberSums
+    # a (len(segments), trials) array of value_fn(rows, mu) over each segment's
+    # trials, the rows of X for a class and of the member sums for a MemberSums
     if trials < 1:
         raise ValueError("trials must be >= 1")
     segments = (np.array([keys for keys, _ in segments]), np.array([mu for _, mu in segments]))
     rows = len(segments[1]) * trials
     if not rows:
         return np.empty((0, trials))
-    chunk = _chunk_size(spec.n)
-    # the processes a call of enough work splits over, each with a block of its own at least
+    # the processes a call of enough work splits over
     size = _pool_size(workers) if rows * spec.draws >= _FAN_OUT_OBS else 1
-    block = min(chunk, max(trials, _SMALL_BLOCK // spec.n), -(-rows // size))
-    # whole groups, packed in order into blocks of at most block rows
+    # whole groups in at most size contiguous shares, each group by its
+    # midpoint; the caller takes the first
+    chunk = _chunk_size(spec.n)
     starts = [s + t for s in range(0, rows, trials) for t in range(0, trials, chunk)]
-    los = []
+    first = {}
     for start, end in zip(starts, starts[1:] + [rows]):
-        if not los or end - los[-1] > block:
-            los.append(start)
-    # the blocks in size contiguous shares, by their midpoints; the caller takes the first
-    blocks = list(zip(los, los[1:] + [rows]))
-    shares = [[b for b in blocks if sum(b) * size // (2 * rows) == k] for k in range(size)]
-    shares = [share for share in shares if share]
+        first.setdefault((start + end) * size // (2 * rows), start)
+    los = list(first.values())
+    shares = list(zip(los, los[1:] + [rows]))
     values = partial(_share_values, value_fn, spec, segments, trials, rng)
     if len(shares) == 1:
         return values(shares[0]).reshape(-1, trials)
@@ -292,7 +290,7 @@ def risk_at(
     test: str, spec: SetClass, mus: Sequence[float], trials: int, rng: SeededRng, *,
     emax0: float | None = None, cap: int | None = None, workers: int = 1,
 ) -> list[RiskEstimate]:
-    """``estimate_risk`` at each mu of ``mus``, point i drawn from rng.child(i), in shared blocks."""
+    """``estimate_risk`` at each mu of ``mus``, point i drawn from rng.child(i), in shared slices."""
     points = [((i,), checked_mu(mu)) for i, mu in enumerate(mus)]
     for _, mu in points:  # each point's threshold refusal, in point order, before any draw
         _levels(test, spec.K, mu, emax0)
@@ -301,7 +299,7 @@ def risk_at(
     return _risk(decide, spec, points, trials, rng, workers)
 
 
-# per-trial value functions of (block, mu), bound with partial so a worker process can unpickle them
+# per-trial value functions of (rows, mu), bound with partial so a worker process can unpickle them
 def _lr_values(
     rho: bool, spec: SetClass | MemberSums, cap: int | None, X: np.ndarray, mu: np.ndarray
 ) -> np.ndarray:

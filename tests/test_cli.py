@@ -200,7 +200,7 @@ class TestErrorExits:
          3, "CapExceededError", "the subset DP has 256 mask states, enumeration capped at 100"),
     ])
     def test_a_grid_is_refused_as_its_first_refused_point(self, capsys, argv, code, error, message):
-        # every point's trials share blocks, yet the refusal is the one a
+        # every point's trials share slices, yet the refusal is the one a
         # point-by-point loop raised first
         got, out, err = run(capsys, *argv.split(), "--seed", "1")
         assert (got, out) == (code, "")

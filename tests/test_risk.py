@@ -83,7 +83,7 @@ BLOCK_SEGMENTS = (
 
 def _one_slice_rejections(test, spec, X, mu, **kwargs):
     # the rule, refusing a call of more rows than one slice, in whichever process decides it
-    if len(X) > _SMALL_BLOCK // spec.n:
+    if len(X) > _SMALL_BLOCK // spec.draws:
         raise AssertionError(f"{len(X)} rows in one rule call")
     return batch_rejections(test, spec, X, mu, **kwargs)
 
@@ -94,6 +94,17 @@ def fan_out_every_call(monkeypatch):
     from combidetect import risk
 
     monkeypatch.setattr(risk, "_FAN_OUT_OBS", 0)
+
+
+@pytest.fixture
+def own_pool():
+    # drops the worker pool before and after the test, so that the test's pool
+    # forks after its patches and no later test inherits them
+    while risk._pools:
+        risk._pools.popitem()[1].shutdown()
+    yield
+    while risk._pools:
+        risk._pools.popitem()[1].shutdown()
 
 
 def bayes_risk_two_disjoint_singletons(mu: float) -> float:
@@ -265,7 +276,7 @@ class TestReproducibility:
             np.testing.assert_array_equal(X, expect[1])
 
     def test_block_straddling_the_arms_replays_per_group_generators(self):
-        # 300 trials per arm, one group each, share one block
+        # 300 trials per arm, one group each, share one slice
         instance = ProblemInstance(make_class("stars", m=5), 0.9)
         spec, trials = instance.set_class, 300
         rng = SeededRng(83, (4,))
@@ -335,13 +346,14 @@ class TestReproducibility:
                 np.testing.assert_array_equal(codes, fresh)
             else:
                 assert codes is None
-        # a share's blocks, on group bounds, drawn and decided slice by slice
-        blocks = [(0, 17), (17, rows)]
-        np.testing.assert_array_equal(risk._share_values(lambda x, m: x, spec, segments, trials, rng, blocks), X)
+        # a share from a group bound to the end, drawn and decided slice by slice
+        for lo in (0, 17):
+            share = risk._share_values(lambda x, m: x, spec, segments, trials, rng, (lo, rows))
+            np.testing.assert_array_equal(share, X[lo:])
 
-    def test_serial_run_calls_the_kernel_once_per_trial_chunk(self):
-        # one call per block and no other: the arms' trials lie end to end in
-        # groups of _chunk_size(n) trials, packed whole into blocks of as many rows
+    def test_serial_run_calls_the_kernel_once_per_slice(self):
+        # one call per slice and no other: the arms' trials lie end to end, in
+        # groups of _chunk_size(n) trials, and 2 normals a row fit one slice
         instance = ProblemInstance(make_class("disjoint", N=2, K=1), 0.9)
         chunk = _chunk_size(instance.n)
         calls = []
@@ -352,26 +364,26 @@ class TestReproducibility:
 
         spec = instance.set_class
         _per_trial_values(values, spec, _arms(instance, (_NULL_ARM,)), 2 * chunk + 5, SeededRng(84), 1)
-        assert calls == [chunk, chunk, 5]
+        assert calls == [2 * chunk + 5]
         calls.clear()
         out = _per_trial_values(values, spec, _arms(instance), 2 * chunk + 5, SeededRng(84), 1)
-        assert calls == [chunk, chunk, 5] * 2 and out.shape == (2, 2 * chunk + 5)
+        assert calls == [2 * (2 * chunk + 5)] and out.shape == (2, 2 * chunk + 5)
 
     @pytest.mark.parametrize(
-        "spec, trials, blocks",
+        "spec, trials, slices",
         [
-            # both arms of a small call in one block, under _SMALL_BLOCK elements
+            # both arms of a small call in one slice, under _SMALL_BLOCK normals
             (make_class("matchings", m=8), 96, [192]),
             (make_class("trees", m=12), 8, [16]),
             (make_class("stars", m=50), 50, [100]),
-            # an arm of X past _SMALL_BLOCK // n = 655 rows keeps a block of
-            # its own, drawn and decided in slices of at most 655 rows
-            (make_class("ksets", n=200, K=5), 1000, [655, 345] * 2),
-            # each arm's groups of 1024 and 476 trials, a block each
-            (make_class("disjoint", N=2, K=1), 1500, [1024, 476, 1024, 476]),
+            # 2000 rows of X in slices of _SMALL_BLOCK // n = 655 rows, the
+            # third straddling the arms
+            (make_class("ksets", n=200, K=5), 1000, [655, 655, 655, 35]),
+            # each arm's groups of 1024 and 476 trials, 2 normals a row, in one slice
+            (make_class("disjoint", N=2, K=1), 1500, [3000]),
         ],
     )
-    def test_estimate_risk_calls_the_rule_once_per_block(self, monkeypatch, spec, trials, blocks):
+    def test_estimate_risk_calls_the_rule_once_per_slice(self, monkeypatch, spec, trials, slices):
         from combidetect import risk
 
         calls = []
@@ -384,21 +396,32 @@ class TestReproducibility:
         monkeypatch.setattr(risk, "batch_rejections", counted)
         instance = ProblemInstance(spec, 1.0)
         est = estimate_risk("maximum", instance, trials, SeededRng(7), emax0=emax_upper_cap(spec))
-        assert calls == blocks
+        assert calls == slices
         monkeypatch.undo()
         assert est == estimate_risk(
             "maximum", instance, trials, SeededRng(7), emax0=emax_upper_cap(spec), workers=2
         )
 
-    def test_no_rule_call_decides_more_than_one_slice(self, monkeypatch):
-        # 2048 trials per arm draw two groups of 1024 rows of X each; the
-        # caller and the worker alike decide them in slices of _SMALL_BLOCK // n rows
+    @pytest.mark.parametrize(
+        "test, spec, trials",
+        [
+            # two groups of 1024 rows of X per arm, in slices of 655 rows
+            ("maximum", make_class("ksets", n=200, K=5), 2048),
+            # the star sums, 51 normals a row, in slices of 2570 rows
+            ("maximum", make_class("stars", m=50), 2048),
+            # the averaging sum, one normal a row: 131,074 rows, past one slice
+            ("averaging", make_class("ksets", n=100, K=10), 65537),
+        ],
+        ids=["ksets-max", "stars-max", "ksets-avg"],
+    )
+    def test_no_rule_call_decides_more_than_one_slice(self, monkeypatch, test, spec, trials):
+        # the caller and the worker alike decide their rows in slices of
+        # _SMALL_BLOCK // w rows, w the normals a row draws
         from combidetect import risk
 
-        spec = make_class("ksets", n=200, K=5)
         monkeypatch.setattr(risk, "batch_rejections", _one_slice_rejections)
-        instance, emax0 = ProblemInstance(spec, 1.0), emax_upper_cap(spec)
-        one, two = (estimate_risk("maximum", instance, 2048, SeededRng(7), emax0=emax0, workers=w) for w in (1, 2))
+        instance, emax0 = ProblemInstance(spec, 1.0), emax_upper_cap(spec) if test == "maximum" else None
+        one, two = (estimate_risk(test, instance, trials, SeededRng(7), emax0=emax0, workers=w) for w in (1, 2))
         assert one == two
 
     @pytest.mark.parametrize("estimate", [estimate_bayes_risk, estimate_bhattacharyya, estimate_emax0])
@@ -491,27 +514,27 @@ class TestTrialGroups:
         )
         assert one.tobytes() == two.tobytes()
 
-    def test_blocks_straddling_points_keep_each_points_values(self):
-        # 300 trials of n = 10 per segment: three segments a block, so the
-        # blocks straddle arms and points; each segment alone draws the same
+    def test_slices_straddling_points_keep_each_points_values(self):
+        # 300 trials of n = 10 per segment: all six segments in one slice, so
+        # the slice straddles arms and points; each segment alone draws the same
         spec = make_class("stars", m=5)
         segments = [((i, arm), mu) for i, mu in enumerate([0.0, 0.7, 1.4]) for arm in (_NULL_ARM, _MIXTURE_ARM)]
-        blocks = []
+        slices = []
 
         def values(X, mu):
-            blocks.append(len(X))
+            slices.append(len(X))
             return _row_fingerprints(X, mu) + mu
 
         rng = SeededRng(142, (3,))
         together = _per_trial_values(values, spec, segments, 300, rng, 1)
-        assert blocks == [900, 900]
+        assert slices == [1800]
         for row, segment in zip(together, segments):
             (alone,) = _per_trial_values(values, spec, [segment], 300, rng, 1)
             assert row.tobytes() == alone.tobytes()
 
 
 class TestRiskAtPoints:
-    """risk_at lays every point's arms end to end in shared blocks; each point
+    """risk_at lays every point's arms end to end in shared slices; each point
     must keep the estimate of its own call, drawn from rng.child(i)."""
 
     @pytest.mark.parametrize("family", sorted(WORKER_CLASSES))
@@ -519,7 +542,7 @@ class TestRiskAtPoints:
     @pytest.mark.usefixtures("fan_out_every_call")
     def test_risk_at_equals_the_per_point_loop(self, family, test):
         spec = WORKER_CLASSES[family]()
-        # mu = 0 where the rule has it; more trials than a chunk, so blocks
+        # mu = 0 where the rule has it; more trials than a chunk, so slices
         # straddle arms and points and two workers fan out
         mus = [0.3 if test == "averaging" else 0.0, 0.6, 1.7]
         trials = _chunk_size(spec.n) + 300
@@ -532,7 +555,7 @@ class TestRiskAtPoints:
         for workers in (1, 2):
             assert risk_at(test, spec, mus, trials, rng, emax0=emax0, workers=workers) == expect
 
-    def test_a_scan_decides_each_block_once(self, monkeypatch):
+    def test_a_scan_decides_each_slice_once(self, monkeypatch):
         from combidetect import risk
 
         calls = []
@@ -548,9 +571,10 @@ class TestRiskAtPoints:
         curve = scan_critical_mu(spec, "optimal", grid, 8, SeededRng(121))
         assert calls == [7 * 2 * 8]
         calls.clear()
-        # 1500 trials per point: a group of one chunk and one of 476 trials per arm
+        # 1500 trials per point: a group of one chunk and one of 476 trials per
+        # arm, 2 normals a row, all in one slice
         scan_critical_mu(make_class("disjoint", N=2, K=1), "optimal", [0.5, 1.0], 1500, SeededRng(122))
-        assert calls == [1024, 476] * 4
+        assert calls == [6000]
         calls.clear()
         assert risk_at("optimal", spec, [], 8, SeededRng(123)) == [] and calls == []
         monkeypatch.undo()
@@ -585,6 +609,12 @@ def _row_fingerprints(X, mu):
     return X @ np.linspace(1.0, 2.0, X.shape[1])
 
 
+def _row_bytes(X, mu):
+    # each row's bytes and its mu's as one value, unlike a fingerprint's last
+    # bits the same whatever rows its slice holds
+    return np.hstack([X, mu[:, None]]).view(f"V{8 * (X.shape[1] + 1)}")[:, 0]
+
+
 def _blas_get_threads():
     # numpy's bundled OpenBLAS thread count query, or None where this build has none
     get_threads = getattr(
@@ -599,13 +629,13 @@ def _blas_threads(_):
     return _blas_get_threads()()
 
 
-def _refuse_blocks(X, mu):
-    # refuses every block, in whichever process draws it
+def _refuse_slices(X, mu):
+    # refuses every slice, in whichever process draws it
     raise CapExceededError(10, 5)
 
 
 def _refuse_in_workers(X, mu):
-    # refuses the blocks of the workers' shares only
+    # refuses the slices of the workers' shares only
     if multiprocessing.parent_process() is not None:
         raise CapExceededError(10, 5)
     return np.zeros(X.shape[0])
@@ -670,7 +700,7 @@ class TestWorkerProcesses:
         assert workers <= {p.pid for p in multiprocessing.active_children()}
 
     def test_a_call_below_the_threshold_runs_in_the_caller(self):
-        # six blocks of a chunk, yet 12,288 normals in all
+        # six groups of a chunk, yet 12,288 normals in all
         instance = ProblemInstance(make_class("disjoint", N=2, K=1), 0.9)
         trials = 3 * _chunk_size(instance.n)
         assert 2 * trials * instance.n < _FAN_OUT_OBS
@@ -686,7 +716,7 @@ class TestWorkerProcesses:
     def test_refused_fan_out_leaves_the_pool_working(self):
         _fan_out(_pid_values, 85)
         pool = {p.pid for p in multiprocessing.active_children()}
-        for refuse in (_refuse_blocks, _refuse_in_workers):
+        for refuse in (_refuse_slices, _refuse_in_workers):
             with pytest.raises(CapExceededError):
                 _fan_out(refuse, 87)
         one, two = (_fan_out(_row_fingerprints, 88, w) for w in (1, 2))
@@ -707,10 +737,30 @@ class TestWorkerProcesses:
         np.testing.assert_array_equal(_fan_out(_row_fingerprints, 88), _fan_out(_row_fingerprints, 88, 1))
         assert worker not in set(_fan_out(_pid_values, 85).ravel())
 
+    @pytest.mark.parametrize("step", [1, 3, 7, None])
+    @pytest.mark.usefixtures("own_pool", "fan_out_every_call")
+    def test_the_second_share_starts_on_the_group_bound_past_the_halfway_row(self, monkeypatch, step):
+        # groups of 5 trials and 12 trials a segment: the five segments' 60
+        # rows have their halfway row 30 inside the group of rows 29..33,
+        # whose midpoint gives it to the worker.  Slices of 1, 3 or 7 rows, or
+        # the whole share, cut groups on either side of the share bound
+        spec = make_class("ksets", n=9, K=3)
+        monkeypatch.setattr(risk, "_chunk_size", lambda n: 5)
+        if step is not None:
+            monkeypatch.setattr(risk, "_SMALL_BLOCK", step * spec.n)
+        segments = [(tuple(keys), mu) for keys, mu in zip(BLOCK_SEGMENTS[0].tolist(), BLOCK_SEGMENTS[1])]
+        trials, half = 12, len(segments) * 12 // 2
+        assert half % trials % 5 != 0
+        pids = _per_trial_values(_pid_values, spec, segments, trials, SeededRng(91), 2).ravel()
+        assert set(pids[:29]) == {os.getpid()} and os.getpid() not in set(pids[29:])
+        assert 29 % trials % 5 == 0
+        one, two = (_per_trial_values(_row_bytes, spec, segments, trials, SeededRng(91), w) for w in (1, 2))
+        assert one.tobytes() == two.tobytes()
+
     @pytest.mark.usefixtures("fan_out_every_call")
     def test_spans_straddling_the_arms_do_not_depend_on_workers(self):
-        # 2 * (chunk + 7) rows: the second block holds the end of the null
-        # arm and the start of the mixture arm
+        # 2 * (chunk + 7) rows in four groups: one process draws them in one
+        # slice across the arms, two or three cut them at group bounds
         instance = ProblemInstance(make_class("ksets", n=7, K=3), 0.8)
         trials = _chunk_size(instance.n) + 7
         arms = _arms(instance)
@@ -736,7 +786,7 @@ class TestWorkerProcesses:
         assert set(_fan_out(_blas_thread_values, 90).ravel()) == {1}
         assert _blas_get_threads()() == before
         with pytest.raises(CapExceededError):
-            _fan_out(_refuse_blocks, 91)
+            _fan_out(_refuse_slices, 91)
         assert _blas_get_threads()() == before
 
     def test_clique_lr_bits_do_not_depend_on_blas_threads(self):

@@ -49,9 +49,9 @@ def test_tracer_records_each_layer_and_uninstalls_cleanly(monkeypatch, capsys):
     assert all(after[key] is value for key, value in before.items())
 
 
-def test_tracer_sees_one_rule_call_per_block_of_a_scan(monkeypatch):
+def test_tracer_sees_one_rule_call_per_slice_of_a_scan(monkeypatch):
     # a scan lays every grid point's arms end to end: 3 points x 2 arms x 400
-    # trials on DisjointSets(8,8) are 2400 rows in blocks of 1024, each block
+    # trials on DisjointSets(8,8) are 2400 rows of 8 block sums, one slice
     # straddling points and decided by one rule call at one mu per row
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracing = importlib.import_module("tracing")
@@ -64,9 +64,9 @@ def test_tracer_sees_one_rule_call_per_block_of_a_scan(monkeypatch):
         tracer.uninstall()
     names = [tracer.names[span[0]] for span in tracer.spans]
     assert tracer.counters["risk._draw_block.rows"] == 3 * 2 * 400
-    assert names.count("risk._draw_block") == names.count("rules.batch_rejections") == 3
+    assert names.count("risk._draw_block") == names.count("rules.batch_rejections") == 1
     assert names.count("risk.scan_critical_mu") == 1
-    # the generic kernel's tally reads each block's per-row mu
+    # the generic kernel's tally reads the slice's per-row mu
     assert tracer.counters["classes.log_mean_exp_batch.rows"] == 2400
     assert tracer.counters["classes.members_touched"] == 2400 * 8
     assert curve == risk.scan_critical_mu(spec, "optimal", [0.3, 1.2, 2.2], 400, SeededRng(3))
