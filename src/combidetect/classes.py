@@ -16,9 +16,10 @@ member-major.  Families with an exact structured kernel override them: an
 elementary-symmetric-polynomial DP for k-sets, a subset DP over column masks
 for matchings (one recurrence in the (logaddexp, +) and (max, +) semirings), a
 log-domain matrix-tree elimination and Prim's algorithm for spanning trees,
-and a dense contraction over vertex pairs for both tests on 3- and 4-cliques
-(in the (+, x) semiring for the likelihood ratio, in (max, +) for the
-maximum).  Enumeration stays the reference they are tested against.
+and for 3- and 4-cliques a dense contraction over vertex pairs for the
+likelihood ratio (in the (+, x) semiring) and the triangle maximum (in
+(max, +)), and a branch and bound over anchor pairs for the 4-clique
+maximum.  Enumeration stays the reference they are tested against.
 
 A Monte Carlo trial draws X, or, where the member sums a test reads have an
 exact law in fewer coordinates (``SetClass.member_sums``: the averaging sum,
@@ -49,8 +50,9 @@ _BLOCK_ROWS = 1024
 _GATHER_PIECE = 1 << 16
 
 #: ceiling on the elements of one sub-block of the matchings DP (rows x
-#: widest layer) and of the clique maximum (a range x pairs x rows), whose
-#: gathers run faster while they stay in cache
+#: widest layer), of the triangle maximum (a range x c x rows) and of the
+#: 4-clique search (rows x m x m weights, and groups of anchor pairs x the
+#: pairs c < d above b), whose gathers run faster while they stay in cache
 _DP_BLOCK_BUDGET = 1 << 17
 
 #: largest m whose matchings maximum runs the subset DP rather than the
@@ -729,53 +731,152 @@ class Cliques(SetClass):
         return self._edge_ids(vc)
 
     def _contraction_fits(self, cap: int | None) -> bool:
-        """Whether both tests run on the pair contraction rather than
-        enumeration: k = 3, 4 and its work set, the LR's largest per-row
-        array ((m, m) for k = 3, (C(m,2), m) for k = 4), within the cap."""
+        """Whether both tests run on the pair contraction (and the 4-clique
+        maximum on its search) rather than enumeration: k = 3, 4 and the
+        contraction's work set, the LR's largest per-row array ((m, m) for
+        k = 3, (C(m,2), m) for k = 4), within the cap."""
         rows = self.n if self.k == 4 else self.m
         return self.k in (3, 4) and rows * self.m <= _resolve_cap(cap)
 
     def max_values_batch(self, X, cap=None):
-        # (max, +) contraction anchored on the second vertex b of each clique
-        # a < b < c (< d), at once over every a < b and every c (or pair
-        # c < d) above b.  Each clique is summed in the enumeration's order,
-        # its sorted edge ids left to right: (ab + ac) + bc for k = 3 and
-        # ((((ab + ac) + ad) + bc) + bd) + cd for k = 4, so every row gets
-        # the enumeration's bits.  Rounded addition fl(x + y) is nondecreasing
-        # in x, so max_a f(x_a) = f(max_a x_a) exactly for the a-free tail
-        # f(x) = ((x + bc) + bd) + cd (x + bc for k = 3), added once per b.
-        # Rows are innermost, and the pairs above b are a suffix of the
-        # lexicographic edge list.
+        # Each clique a < b < c (< d) is summed in the enumeration's order, its
+        # sorted edge ids left to right: (ab + ac) + bc for k = 3 and
+        # ((((ab + ac) + ad) + bc) + bd) + cd for k = 4, so every row gets the
+        # enumeration's bits.  Rounded addition fl(x + y) is nondecreasing in
+        # x, so max_a f(x_a) = f(max_a x_a) exactly for the a-free tail
+        # f(x) = x + bc (((x + bc) + bd) + cd for k = 4), added once per b.
+        # k = 3 is a dense (max, +) contraction anchored on b, at once over
+        # every a < b and c > b, rows innermost; k = 4 is _max4_search.
         if not self._contraction_fits(cap):
             return super().max_values_batch(X, cap)
-        m, k, pid = self.m, self.k, self._pair_id0
-        widest = m - 2 if k == 3 else math.comb(m - 2, 2)
+        if self.k == 4:
+            return self._max4_search(X)
+        m, pid = self.m, self._pair_id0
         out = np.empty(X.shape[0])
-        for blk in _row_blocks(X.shape[0], widest, _DP_BLOCK_BUDGET):
+        for blk in _row_blocks(X.shape[0], m - 2, _DP_BLOCK_BUDGET):
             XT = np.ascontiguousarray(X[blk].T)
             Wt = XT[pid]  # Wt[u, v] is edge uv's column of rows
             best = np.full(XT.shape[1], -np.inf)
-            for b in range(1, m - k + 2):
-                tail = [Wt[b, b + 1 :]]  # bc
-                if k == 4:
-                    first = pid[b + 1, b + 2]
-                    d = self.edges[first:, 1]
-                    reps = np.arange(m - b - 2, -1, -1)  # pairs (c, d) per c
-                    tail = [np.repeat(tail[0], reps, axis=0), Wt[b, d], XT[first:]]
-                step = max(1, _DP_BLOCK_BUDGET // (tail[0].shape[0] * XT.shape[1]))
-                y = None  # max over a of the a-dependent head
+            for b in range(1, m - 1):
+                step = max(1, _DP_BLOCK_BUDGET // ((m - b - 1) * XT.shape[1]))
+                y = None  # max over a of ab + ac
                 for lo in range(0, b, step):
                     low = Wt[lo : min(lo + step, b)]  # one entry per a
-                    s = low[:, b, None] + low[:, b + 1 :]  # ab + ac
-                    if k == 4:
-                        s = np.repeat(s, reps, axis=1)
-                        s += np.take(low, d, axis=1)  # ad
+                    s = low[:, b, None] + low[:, b + 1 :]
                     y = s.max(axis=0) if y is None else np.maximum(y, s.max(axis=0), out=y)
-                for t in tail:
-                    y += t
+                y += Wt[b, b + 1 :]  # bc
                 np.maximum(best, y.max(axis=0), out=best)
             out[blk] = best
         return out
+
+    @functools.cached_property
+    def _anchor_pairs(self):
+        """The anchor pairs a < b of 4-cliques, those with two vertices above
+        b, in colex order (by b, then a), so the pairs below a vertex c are a
+        prefix; per b the edge id of (b + 1, b + 2), from which the pairs
+        c < d above b run to the end of the lexicographic edge list, the
+        pairs per c and each such pair's d - b - 1."""
+        m = self.m
+        a, b = np.triu_indices(m, 1)
+        order = np.lexsort((a, b))[: math.comb(m - 2, 2)]
+        first = self._pair_id0[np.arange(1, m - 1), np.arange(2, m)]
+        reps = [np.arange(m - b - 2, -1, -1) for b in range(m - 2)]
+        d = [self.edges[f:, 1] - (b + 1) for b, f in enumerate(first)]
+        return a[order], b[order], first, reps, d
+
+    def _max4_search(self, X):
+        # Branch and bound over anchor pairs a < b, the first two vertices of
+        # a clique abcd.  Every clique on a pair sums to at most ab + top2 + h
+        # in ab + (ac + bc) + (ad + bd) + cd, where top2 is the largest
+        # g_c + g_d over c < d above b, g_c = ac + bc, and h the largest edge
+        # cd above b.  The best clique on a row's eight highest-bound pairs is
+        # a lower bound lb, and the row's other pairs are evaluated only where
+        # bound + margin >= lb, with margin = 64 eps K max|x|.  Each clique sum
+        # and each bound adds at most K = 6 terms of size at most max|x|, each
+        # rounded step erring by at most eps/2 of a partial sum (and not at
+        # all where the sum is subnormal), so each lies within K K eps max|x|
+        # / 2 of its exact value: the margin covers both errors about ten
+        # times over.  A pruned pair's cliques thus sum strictly below a
+        # clique already found, and the maximum, ties included, is the
+        # enumeration's, bit for bit.  A row whose sums may overflow, or that
+        # holds NaN or an infinity, gets margin inf or NaN, and a NaN bound
+        # never prunes, so such a row evaluates every pair; so does a row
+        # whose every pair reaches lb, such as a constant row, the worst case:
+        # every clique is evaluated, after the bounds.
+        m, K, pid = self.m, self.K, self._pair_id0
+        A, B, first, _, _ = self._anchor_pairs
+        top_pairs = min(8, A.size)
+        out = np.empty(X.shape[0])
+        # overflow, NaN and the infinities propagate as in the enumeration, unwarned
+        with np.errstate(over="ignore", invalid="ignore"):
+            for blk in _row_blocks(X.shape[0], m * m, _DP_BLOCK_BUDGET):
+                x = X[blk]
+                W = x[:, pid]  # W[r, u, v] is edge uv of row r
+                rows = np.arange(len(x))
+                # two[r, p] = top2 of pair p: down from c = m - 1, the running max
+                # of g over the c already seen plus g_c, over the pairs below c
+                one = np.full((len(x), A.size), -np.inf)
+                two = np.full((len(x), A.size), -np.inf)
+                for c in range(m - 1, 1, -1):
+                    q = min(A.size, c * (c - 1) // 2)
+                    g = W[:, c].take(A[:q], axis=1)
+                    g += W[:, c].take(B[:q], axis=1)
+                    np.maximum(two[:, :q], one[:, :q] + g, out=two[:, :q])
+                    np.maximum(one[:, :q], g, out=one[:, :q])
+                above = np.maximum.accumulate(x[:, ::-1], axis=1)[:, ::-1]  # max of x[:, i:]
+                bound = two
+                bound += W[:, A, B]
+                bound += above[:, first[B]]
+                size = np.abs(x).max(axis=1)
+                ok = size < np.finfo(float).max / (2 * K)  # no sum can overflow
+                margin = np.where(ok, 64 * np.finfo(float).eps * K * size, np.inf)
+                best = np.argpartition(bound, A.size - top_pairs, axis=1)[:, A.size - top_pairs :]
+                lb = np.full(len(x), -np.inf)
+                self._max4_pairs(W, x, np.repeat(rows, top_pairs), best.ravel(), lb)
+                keep = ~(bound + margin[:, None] < lb[:, None])
+                keep[rows[:, None], best] = False  # already evaluated
+                p, r = np.nonzero(keep.T)
+                self._max4_pairs(W, x, r, p, lb)
+                out[blk] = lb
+        return out
+
+    def _max4_pairs(self, W, x, r, p, out):
+        """np.maximum into out[r] the largest clique sum on anchor pair p of
+        row r of the (rows, m, m) weights W of x, for every (r, p) given."""
+        A, B, first, reps, d = self._anchor_pairs
+        o = np.argsort(B[p] * len(x) + r, kind="stable")
+        r, a, b = r[o], A[p[o]], B[p[o]]
+        # groups: one row's pairs at one b, at most `most` of them, so that a
+        # group's (pairs, c < d) block stays under _DP_BLOCK_BUDGET
+        most = np.maximum(1, _DP_BLOCK_BUDGET // (self.n - first[b]))
+        head = np.ones(r.size, bool)
+        head[1:] = (r[1:] != r[:-1]) | (b[1:] != b[:-1])
+        start = np.flatnonzero(head)
+        rank = np.arange(r.size) - np.repeat(start, np.diff(start, append=r.size))
+        head |= rank % most == 0
+        start = np.flatnonzero(head)
+        size = np.diff(start, append=r.size)
+        runs = np.flatnonzero(np.diff(b[start], prepend=-1, append=-1))  # by b
+        for lo, hi in zip(runs[:-1], runs[1:]):
+            v = int(b[start[lo]])
+            f, P = first[v], self.n - first[v]
+            # pad each group to g pairs by repeating its first: max is idempotent
+            g = int(size[lo:hi].max())
+            pad = start[lo:hi, None] + np.arange(g) * (np.arange(g) < size[lo:hi, None])
+            step = max(1, _DP_BLOCK_BUDGET // (g * P))
+            for s0 in range(lo, hi, step):
+                idx = pad[s0 - lo : s0 - lo + step].ravel()
+                rr = r[start[s0 : min(s0 + step, hi)]]
+                ac = W[r[idx], a[idx], v:]  # ab, then ac for every c > b
+                s = np.repeat(ac[:, :1] + ac[:, 1:], reps[v], axis=1)  # ab + ac
+                s += ac[:, 1:].take(d[v], axis=1)  # ad
+                if g > 1:
+                    s = s.reshape(rr.size, g, P).max(axis=1)
+                Wb = W[rr, v, v + 1 :]
+                s += np.repeat(Wb, reps[v], axis=1)  # bc
+                s += Wb.take(d[v], axis=1)  # bd
+                s += x[rr, f:]  # cd
+                np.maximum.at(out, rr, s.max(axis=1))
 
     @_per_row_mu
     def log_mean_exp_batch(self, mu, X, cap=None):

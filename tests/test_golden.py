@@ -24,7 +24,7 @@ one scan uses a master seed of 2**32 or more, which numpy's SeedSequence
 splits into two uint32 words.
 
 The matchings and clique ``risk`` and ``emax`` cases pin the exact kernels
-(the subset DP, the clique pair contractions, Prim's trees), which were each
+(the subset DP, the clique kernels, Prim's trees), which were each
 first checked against bytes recorded from full enumeration.
 
 Every ``bounds`` proposition, ``overlap`` on an exact and on a Monte Carlo

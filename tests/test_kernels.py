@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from combidetect import ProblemInstance, SeededRng, estimate_bayes_risk, estimate_emax0, estimate_risk
+from combidetect import ProblemInstance, SeededRng, clique_bounds, estimate_bayes_risk, estimate_emax0, estimate_risk
 from combidetect import classes
 from combidetect._assignment import assignment_value
 from combidetect.classes import (
@@ -192,7 +192,8 @@ def test_trees_max_is_bitwise_kruskal_past_enumeration(m):
     assert np.array_equal(spec.max_values_batch(X), [kruskal_max(spec, x) for x in X])
 
 
-CLIQUE_MAX_CASES = [(m, k) for k in (3, 4) for m in range(4, 10)]
+#: small classes, and 4-cliques at m = 12, 16 and 20, where the pair bound prunes
+CLIQUE_MAX_CASES = [(m, k) for k in (3, 4) for m in range(4, 10)] + [(m, 4) for m in (12, 16, 20)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -216,15 +217,72 @@ def test_clique_max_is_bitwise_the_enumerated_max(case, seed, weights):
 
 
 def test_clique_max_is_bitwise_the_enumeration_at_the_a9_class():
-    spec = Cliques(63, 4)  # 595,665 members; the a range splits into sub-blocks
+    spec = Cliques(63, 4)  # 595,665 members
     gen = np.random.default_rng(63)
     X = gen.standard_normal((64, spec.n)) * 10.0 ** gen.integers(-3, 4, size=(64, spec.n))
+    # A9's alternative: a sampled member shifted by its upper mu, which the
+    # lower bound finds early; and Gaussian rows at the edges of the range
+    planted = gen.standard_normal((8, spec.n))
+    planted[np.arange(8)[:, None], spec.sample_rows(gen, 8)] += clique_bounds(63, 4, 0.2)[0]
+    scaled = gen.standard_normal((8, spec.n)) * np.repeat([1e-300, 1e300], 4)[:, None]
+    X = np.concatenate([X, planted, scaled])
     # B = 8 is enum-heavy's block, B = 2 cli-mix's emax; rows are independent
-    got = {B: spec.max_values_batch(X[:B]) for B in (1, 2, 8, 64)}
+    got = {B: spec.max_values_batch(X[:B]) for B in (1, 2, 8, 64, 80)}
     assert not hasattr(spec, "_member_cache")
     expect = SetClass.max_values_batch(spec, X)
     for B, values in got.items():
         assert np.array_equal(values, expect[:B]), B
+    for r in range(64, 80):
+        assert np.array_equal(spec.max_values_batch(X[r : r + 1]), expect[r : r + 1]), r
+
+
+def test_clique_max_keeps_a_pair_whose_bound_rounds_below_its_clique():
+    # Cliques(10,4): clique 6789 sums to 1 in the enumeration's order (each
+    # -2^-54 ties to even), but its pair bound 1 + (g_8 + g_9) + x_89 rounds to
+    # 1 - 2^-52.  Fifteen pairs in 0..5 bound at least 1 (x_67 = 1 lies above
+    # them), and the best, 01, holds cliques of 1 - 2^-53: below the clique,
+    # above its bound, so only the rounding margin keeps pair 67
+    spec = Cliques(10, 4)
+    pid, t = spec._pair_id0, 2.0**-54
+    x = np.zeros(spec.n)
+    x[pid[:6, 6:8].ravel()] = -1.0
+    x[pid[0, 1]] = 1 - 2 * t
+    x[pid[6, 7]] = 1.0
+    x[pid[6:8, 8:10].ravel()] = -t
+    assert spec.max_values_batch(x[None, :]) == enumerated_max(spec, x[None, :]) == 1.0
+
+
+def test_clique_search_splits_groups_under_a_small_budget(monkeypatch):
+    # integer ties keep many pairs a row, in groups of at most
+    # 40 // C(11 - b, 2) anchor pairs (one at b = 1), and one row a block
+    spec = spec_of("cliques", 12, 4)
+    X = np.random.default_rng(12).integers(-1, 2, size=(9, spec.n)).astype(np.float64)
+    expect = enumerated_max(spec, X)
+    monkeypatch.setattr(classes, "_DP_BLOCK_BUDGET", 40)
+    assert np.array_equal(spec.max_values_batch(X), expect)
+
+
+@pytest.mark.parametrize("m", [12, 63])
+def test_clique_max_keeps_nan_and_infinities(m):
+    # rows no bound can prune: NaN, +inf, -inf and both infinities.  The
+    # enumeration gives nan, inf, the largest clique missing the -inf edge,
+    # and nan; a NaN row stays NaN, so the maximum rule refuses it
+    spec = Cliques(m, 4)
+    X = np.random.default_rng(m).standard_normal((6, spec.n))
+    X[0, 3] = np.nan
+    X[1, 5] = np.inf
+    X[2, 7] = -np.inf
+    X[3, [1, 9]] = np.inf, -np.inf
+    X[4, :] = -np.inf
+    got = spec.max_values_batch(X)  # silent: tier-1 makes a RuntimeWarning an error
+    with np.errstate(invalid="ignore"):
+        expect = SetClass.max_values_batch(spec, X)
+    assert np.array_equal(got, expect, equal_nan=True)
+    assert np.isnan(got[[0, 3]]).all() and got[1] == np.inf and np.isfinite(got[2]) and got[4] == -np.inf
+    for r in range(X.shape[0]):
+        assert np.array_equal(spec.max_values_batch(X[r : r + 1]), got[r : r + 1], equal_nan=True)
+    with pytest.raises(OverflowError, match="maximum statistic"):
+        _decide("maximum", spec, X[:1], 1.0, 0.0, None)
 
 
 def test_row_sub_blocks_do_not_change_values(monkeypatch):
@@ -516,7 +574,7 @@ def test_workers_give_the_same_values(family):
 )
 def test_likelihood_ratio_runs_past_the_old_enumeration_cap(capsys, argv):
     # 10!, 12^10 and C(120,4) exceed the default cap of 2,000,000 members;
-    # the clique maximum (emax) runs on the pair contraction as the LR does
+    # the clique maximum (emax) runs without enumeration, as the LR does
     assert main(argv.split()) == 0
     captured = capsys.readouterr()
     assert captured.err == "" and captured.out.startswith(f"#schema=combidetect.{argv.split()[0]}.v1\n")

@@ -500,7 +500,7 @@ class TestTrialGroups:
         instance = ProblemInstance(spec, 0.9)
         assert _chunk_size(instance.n) == 1024
         short, long = (
-            _per_trial_values(_row_fingerprints, instance.set_class, _arms(instance), trials, SeededRng(140), 1)
+            _per_trial_values(_row_bytes, instance.set_class, _arms(instance), trials, SeededRng(140), 1)
             for trials in (1500, 3000)
         )
         assert short.tobytes() == np.ascontiguousarray(long[:, :1500]).tobytes()
@@ -509,7 +509,7 @@ class TestTrialGroups:
     def test_a_multi_group_call_does_not_depend_on_workers(self):
         instance = ProblemInstance(make_class("disjoint", N=2, K=1), 0.9)
         one, two = (
-            _per_trial_values(_row_fingerprints, instance.set_class, _arms(instance), 3000, SeededRng(141), w)
+            _per_trial_values(_row_bytes, instance.set_class, _arms(instance), 3000, SeededRng(141), w)
             for w in (1, 2)
         )
         assert one.tobytes() == two.tobytes()
@@ -523,7 +523,7 @@ class TestTrialGroups:
 
         def values(X, mu):
             slices.append(len(X))
-            return _row_fingerprints(X, mu) + mu
+            return _row_bytes(X, mu)
 
         rng = SeededRng(142, (3,))
         together = _per_trial_values(values, spec, segments, 300, rng, 1)
@@ -605,13 +605,9 @@ def _pid_values(X, mu):
     return np.full(X.shape[0], os.getpid())
 
 
-def _row_fingerprints(X, mu):
-    return X @ np.linspace(1.0, 2.0, X.shape[1])
-
-
 def _row_bytes(X, mu):
-    # each row's bytes and its mu's as one value, unlike a fingerprint's last
-    # bits the same whatever rows its slice holds
+    # each row's bytes and its mu's as one value, the same whatever rows its
+    # slice holds (a BLAS product's last bits may depend on the row count)
     return np.hstack([X, mu[:, None]]).view(f"V{8 * (X.shape[1] + 1)}")[:, 0]
 
 
@@ -719,8 +715,8 @@ class TestWorkerProcesses:
         for refuse in (_refuse_slices, _refuse_in_workers):
             with pytest.raises(CapExceededError):
                 _fan_out(refuse, 87)
-        one, two = (_fan_out(_row_fingerprints, 88, w) for w in (1, 2))
-        np.testing.assert_array_equal(one, two)
+        one, two = (_fan_out(_row_bytes, 88, w) for w in (1, 2))
+        assert one.tobytes() == two.tobytes()
         pids = set(_fan_out(_pid_values, 89).ravel())
         assert os.getpid() in pids and pids <= {os.getpid()} | pool
         assert {p.pid for p in multiprocessing.active_children()} == pool
@@ -733,8 +729,8 @@ class TestWorkerProcesses:
         while worker in {p.pid for p in multiprocessing.active_children()} and time.monotonic() < deadline:
             time.sleep(0.01)
         with pytest.raises(BrokenProcessPool):
-            _fan_out(_row_fingerprints, 88)
-        np.testing.assert_array_equal(_fan_out(_row_fingerprints, 88), _fan_out(_row_fingerprints, 88, 1))
+            _fan_out(_row_bytes, 88)
+        assert _fan_out(_row_bytes, 88).tobytes() == _fan_out(_row_bytes, 88, 1).tobytes()
         assert worker not in set(_fan_out(_pid_values, 85).ravel())
 
     @pytest.mark.parametrize("step", [1, 3, 7, None])
@@ -765,12 +761,11 @@ class TestWorkerProcesses:
         trials = _chunk_size(instance.n) + 7
         arms = _arms(instance)
         one, two, three = (
-            _per_trial_values(_row_fingerprints, instance.set_class, arms, trials, SeededRng(88), w)
+            _per_trial_values(_row_bytes, instance.set_class, arms, trials, SeededRng(88), w)
             for w in (1, 2, 3)
         )
         assert one.shape == (2, trials)
-        np.testing.assert_array_equal(one, two)
-        np.testing.assert_array_equal(one, three)
+        assert one.tobytes() == two.tobytes() == three.tobytes()
 
     def test_worker_blas_runs_one_thread(self):
         # a worker with two BLAS threads beside the caller's share would put
