@@ -771,11 +771,12 @@ class Cliques(SetClass):
 
     @functools.cached_property
     def _anchor_pairs(self):
-        """The anchor pairs a < b of 4-cliques, those with two vertices above
-        b, in colex order (by b, then a), so the pairs below a vertex c are a
-        prefix; per b the edge id of (b + 1, b + 2), from which the pairs
-        c < d above b run to the end of the lexicographic edge list, the
-        pairs per c and each such pair's d - b - 1."""
+        """Tables of the 4-clique search: the anchor pairs a < b with two
+        vertices above b, in colex order (by b, then a), so that the pairs
+        below a vertex c are a prefix; and per b, the id of edge
+        (b + 1, b + 2), where the pairs c < d above b begin in the
+        lexicographic edge list, how many of them each c starts, and each
+        one's d - b - 1."""
         m = self.m
         a, b = np.triu_indices(m, 1)
         order = np.lexsort((a, b))[: math.comb(m - 2, 2)]
@@ -786,23 +787,24 @@ class Cliques(SetClass):
 
     def _max4_search(self, X):
         # Branch and bound over anchor pairs a < b, the first two vertices of
-        # a clique abcd.  Every clique on a pair sums to at most ab + top2 + h
-        # in ab + (ac + bc) + (ad + bd) + cd, where top2 is the largest
-        # g_c + g_d over c < d above b, g_c = ac + bc, and h the largest edge
-        # cd above b.  The best clique on a row's eight highest-bound pairs is
-        # a lower bound lb, and the row's other pairs are evaluated only where
-        # bound + margin >= lb, with margin = 64 eps K max|x|.  Each clique sum
-        # and each bound adds at most K = 6 terms of size at most max|x|, each
-        # rounded step erring by at most eps/2 of a partial sum (and not at
-        # all where the sum is subnormal), so each lies within K K eps max|x|
-        # / 2 of its exact value: the margin covers both errors about ten
-        # times over.  A pruned pair's cliques thus sum strictly below a
-        # clique already found, and the maximum, ties included, is the
-        # enumeration's, bit for bit.  A row whose sums may overflow, or that
-        # holds NaN or an infinity, gets margin inf or NaN, and a NaN bound
-        # never prunes, so such a row evaluates every pair; so does a row
-        # whose every pair reaches lb, such as a constant row, the worst case:
-        # every clique is evaluated, after the bounds.
+        # a clique abcd.  As abcd sums to ab + (ac + bc) + (ad + bd) + cd, the
+        # cliques on a pair sum to at most ab + top2 + h, where top2 is the
+        # largest g_c + g_d over c < d above b, g_c = ac + bc, and h is the
+        # largest edge cd above b.  The best clique on a row's eight
+        # highest-bound pairs is a lower bound lb, and the row's other pairs
+        # are evaluated only where bound + margin >= lb, with margin =
+        # 64 eps K max|x|.  Each clique sum and each bound adds at most K = 6
+        # terms of size at most max|x|, each rounded step erring by at most
+        # eps/2 of a partial sum (and not at all where the sum is subnormal),
+        # so each lies within K K eps max|x| / 2 of its exact value: the
+        # margin covers both errors about ten times over.  A pruned pair's
+        # cliques thus sum strictly below a clique already found, and the
+        # maximum, ties included, is the enumeration's, bit for bit.  A row
+        # whose sums may overflow, or that holds NaN or an infinity, gets
+        # margin inf, and bound + inf is never below lb (NaN compares false),
+        # so such a row evaluates every pair; so does a row whose every pair
+        # reaches lb, such as a constant row, the worst case: every clique is
+        # evaluated, after the bounds.
         m, K, pid = self.m, self.K, self._pair_id0
         A, B, first, _, _ = self._anchor_pairs
         top_pairs = min(8, A.size)
