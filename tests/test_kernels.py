@@ -264,9 +264,9 @@ def test_clique_search_splits_groups_under_a_small_budget(monkeypatch):
 
 @pytest.mark.parametrize("m", [12, 63])
 def test_clique_max_keeps_nan_and_infinities(m):
-    # rows no bound can prune: NaN, +inf, -inf and both infinities.  The
-    # enumeration gives nan, inf, the largest clique missing the -inf edge,
-    # and nan; a NaN row stays NaN, so the maximum rule refuses it
+    # rows no bound can prune: NaN, +inf, -inf, both infinities and all -inf.
+    # The enumeration gives nan, inf, the largest clique missing the -inf
+    # edge, nan and -inf; a NaN row stays NaN, so the maximum rule refuses it
     spec = Cliques(m, 4)
     X = np.random.default_rng(m).standard_normal((6, spec.n))
     X[0, 3] = np.nan
