@@ -43,7 +43,10 @@ from .core import DEFAULT_ENUMERATION_CAP, CapExceededError, SeededRng, checked_
 #: log-sum-exp, from K alone, never from the rows beside a row.
 _BLOCK_BUDGET = 8_000_000
 
-#: rows per sub-block of the generic hooks, the most a trial block holds
+#: rows per sub-block of the generic hooks.  A draw slice can hold more
+#: (_SMALL_BLOCK // draws rows in risk.py, 65,536 for DisjointSets(2,1)), and
+#: the hooks cut it into sub-blocks of _BLOCK_ROWS.  With _BLOCK_BUDGET it
+#: fixes the member chunk, and with it the bits of the likelihood ratio.
 _BLOCK_ROWS = 1024
 
 #: elements per piece of a member-sum block, filled while they stay in L2
@@ -51,8 +54,8 @@ _GATHER_PIECE = 1 << 16
 
 #: ceiling on the elements of one sub-block of the matchings DP (rows x
 #: widest layer), of the triangle maximum (a range x c x rows) and of the
-#: 4-clique search (rows x m x m weights, and groups of anchor pairs x the
-#: pairs c < d above b), whose gathers run faster while they stay in cache
+#: 4-clique search (rows x m x m weights, and chunks of one b's anchor pairs
+#: x the pairs c < d above b), whose gathers run faster while they stay in cache
 _DP_BLOCK_BUDGET = 1 << 17
 
 #: largest m whose matchings maximum runs the subset DP rather than the
@@ -742,11 +745,11 @@ class Cliques(SetClass):
         # Each clique a < b < c (< d) is summed in the enumeration's order, its
         # sorted edge ids left to right: (ab + ac) + bc for k = 3 and
         # ((((ab + ac) + ad) + bc) + bd) + cd for k = 4, so every row gets the
-        # enumeration's bits.  Rounded addition fl(x + y) is nondecreasing in
-        # x, so max_a f(x_a) = f(max_a x_a) exactly for the a-free tail
-        # f(x) = x + bc (((x + bc) + bd) + cd for k = 4), added once per b.
-        # k = 3 is a dense (max, +) contraction anchored on b, at once over
-        # every a < b and c > b, rows innermost; k = 4 is _max4_search.
+        # enumeration's bits.  k = 3 is a dense (max, +) contraction anchored
+        # on b, at once over every a < b and c > b, rows innermost: rounded
+        # addition fl(x + y) is nondecreasing in x, so max_a (x_a + bc) =
+        # (max_a x_a) + bc exactly, and bc is added once per b.  k = 4 is
+        # _max4_search, which sums each kept anchor pair's cliques whole.
         if not self._contraction_fits(cap):
             return super().max_values_batch(X, cap)
         if self.k == 4:
@@ -844,37 +847,25 @@ class Cliques(SetClass):
 
     def _max4_pairs(self, W, x, r, p, out):
         """np.maximum into out[r] the largest clique sum on anchor pair p of
-        row r of the (rows, m, m) weights W of x, for every (r, p) given."""
+        row r of the (rows, m, m) weights W of x, for every (r, p) given.
+        Each pair's cliques abcd, c < d above b, are summed whole, in chunks
+        of one b's pairs whose (pairs, c < d) block stays under
+        _DP_BLOCK_BUDGET, and the chunk's maxima go to their rows."""
         A, B, first, reps, d = self._anchor_pairs
-        o = np.argsort(B[p] * len(x) + r, kind="stable")
+        o = np.argsort(B[p], kind="stable")
         r, a, b = r[o], A[p[o]], B[p[o]]
-        # groups: one row's pairs at one b, at most `most` of them, so that a
-        # group's (pairs, c < d) block stays under _DP_BLOCK_BUDGET
-        most = np.maximum(1, _DP_BLOCK_BUDGET // (self.n - first[b]))
-        head = np.ones(r.size, bool)
-        head[1:] = (r[1:] != r[:-1]) | (b[1:] != b[:-1])
-        start = np.flatnonzero(head)
-        rank = np.arange(r.size) - np.repeat(start, np.diff(start, append=r.size))
-        head |= rank % most == 0
-        start = np.flatnonzero(head)
-        size = np.diff(start, append=r.size)
-        runs = np.flatnonzero(np.diff(b[start], prepend=-1, append=-1))  # by b
+        runs = np.flatnonzero(np.diff(b, prepend=-1, append=-1))  # by b
         for lo, hi in zip(runs[:-1], runs[1:]):
-            v = int(b[start[lo]])
-            f, P = first[v], self.n - first[v]
-            # pad each group to g pairs by repeating its first: max is idempotent
-            g = int(size[lo:hi].max())
-            pad = start[lo:hi, None] + np.arange(g) * (np.arange(g) < size[lo:hi, None])
-            step = max(1, _DP_BLOCK_BUDGET // (g * P))
+            v = int(b[lo])
+            f = first[v]
+            step = max(1, _DP_BLOCK_BUDGET // (self.n - f))
             for s0 in range(lo, hi, step):
-                idx = pad[s0 - lo : s0 - lo + step].ravel()
-                rr = r[start[s0 : min(s0 + step, hi)]]
-                ac = W[r[idx], a[idx], v:]  # ab, then ac for every c > b
+                s1 = min(s0 + step, hi)
+                rr = r[s0:s1]
+                ac = W[rr, a[s0:s1], v:]  # ab, then ac for every c > b
+                Wb = W[rr, v, v + 1 :]  # bc for every c > b
                 s = np.repeat(ac[:, :1] + ac[:, 1:], reps[v], axis=1)  # ab + ac
                 s += ac[:, 1:].take(d[v], axis=1)  # ad
-                if g > 1:
-                    s = s.reshape(rr.size, g, P).max(axis=1)
-                Wb = W[rr, v, v + 1 :]
                 s += np.repeat(Wb, reps[v], axis=1)  # bc
                 s += Wb.take(d[v], axis=1)  # bd
                 s += x[rr, f:]  # cd

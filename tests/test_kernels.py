@@ -225,14 +225,18 @@ def test_clique_max_is_bitwise_the_enumeration_at_the_a9_class():
     planted = gen.standard_normal((8, spec.n))
     planted[np.arange(8)[:, None], spec.sample_rows(gen, 8)] += clique_bounds(63, 4, 0.2)[0]
     scaled = gen.standard_normal((8, spec.n)) * np.repeat([1e-300, 1e300], 4)[:, None]
-    X = np.concatenate([X, planted, scaled])
+    # the worst case, where every pair reaches the lower bound: constant rows,
+    # and integer weights in -2..2, which tie many cliques at the maximum
+    constant = np.repeat([[-0.7], [0.0], [1.25], [3.0]], spec.n, axis=1)
+    ties = gen.integers(-2, 3, size=(4, spec.n)).astype(np.float64)
+    X = np.concatenate([X, planted, scaled, constant, ties])
     # B = 8 is enum-heavy's block, B = 2 cli-mix's emax; rows are independent
-    got = {B: spec.max_values_batch(X[:B]) for B in (1, 2, 8, 64, 80)}
+    got = {B: spec.max_values_batch(X[:B]) for B in (1, 2, 8, 64, 88)}
     assert not hasattr(spec, "_member_cache")
     expect = SetClass.max_values_batch(spec, X)
     for B, values in got.items():
         assert np.array_equal(values, expect[:B]), B
-    for r in range(64, 80):
+    for r in range(64, 88):
         assert np.array_equal(spec.max_values_batch(X[r : r + 1]), expect[r : r + 1]), r
 
 
@@ -253,13 +257,29 @@ def test_clique_max_keeps_a_pair_whose_bound_rounds_below_its_clique():
 
 
 def test_clique_search_splits_groups_under_a_small_budget(monkeypatch):
-    # integer ties keep many pairs a row, in groups of at most
-    # 40 // C(11 - b, 2) anchor pairs (one at b = 1), and one row a block
+    # integer ties keep many pairs a row, evaluated in chunks of at most
+    # 40 // C(11 - b, 2) of one b's anchor pairs (one at b = 1), and one row a block
     spec = spec_of("cliques", 12, 4)
     X = np.random.default_rng(12).integers(-1, 2, size=(9, spec.n)).astype(np.float64)
     expect = enumerated_max(spec, X)
     monkeypatch.setattr(classes, "_DP_BLOCK_BUDGET", 40)
     assert np.array_equal(spec.max_values_batch(X), expect)
+
+
+def test_clique_search_prunes_gaussian_rows(monkeypatch):
+    # 8 Gaussian rows of A9's class evaluate about 2 to 4% of their anchor
+    # pairs; a search that pruned nothing would evaluate them all
+    spec = Cliques(63, 4)
+    X = np.random.default_rng(2900).standard_normal((8, spec.n))
+    evaluate, evaluated = Cliques._max4_pairs, []
+
+    def spy(self, W, x, r, p, out):
+        evaluated.append(r.size)
+        return evaluate(self, W, x, r, p, out)
+
+    monkeypatch.setattr(Cliques, "_max4_pairs", spy)
+    spec.max_values_batch(X)
+    assert 0 < sum(evaluated) <= 0.1 * 8 * math.comb(61, 2)
 
 
 @pytest.mark.parametrize("m", [12, 63])
