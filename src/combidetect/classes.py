@@ -54,8 +54,9 @@ _GATHER_PIECE = 1 << 16
 
 #: ceiling on the elements of one sub-block of the matchings DP (rows x
 #: widest layer), of the triangle maximum (a range x c x rows) and of the
-#: 4-clique search (rows x m x m weights, and chunks of one b's anchor pairs
-#: x the pairs c < d above b), whose gathers run faster while they stay in cache
+#: 4-clique search (rows x m x m weights; the sums of a chunk of one b's
+#: anchor pairs x the pairs c < d above b, with a term added to them), whose
+#: gathers run faster while they stay in cache
 _DP_BLOCK_BUDGET = 1 << 17
 
 #: largest m whose matchings maximum runs the subset DP rather than the
@@ -849,8 +850,8 @@ class Cliques(SetClass):
         """np.maximum into out[r] the largest clique sum on anchor pair p of
         row r of the (rows, m, m) weights W of x, for every (r, p) given.
         Each pair's cliques abcd, c < d above b, are summed whole, in chunks
-        of one b's pairs whose (pairs, c < d) block stays under
-        _DP_BLOCK_BUDGET, and the chunk's maxima go to their rows."""
+        of one b's pairs whose (pairs, c < d) sums and the term added to them
+        stay under _DP_BLOCK_BUDGET together, and the maxima go to their rows."""
         A, B, first, reps, d = self._anchor_pairs
         o = np.argsort(B[p], kind="stable")
         r, a, b = r[o], A[p[o]], B[p[o]]
@@ -858,7 +859,7 @@ class Cliques(SetClass):
         for lo, hi in zip(runs[:-1], runs[1:]):
             v = int(b[lo])
             f = first[v]
-            step = max(1, _DP_BLOCK_BUDGET // (self.n - f))
+            step = max(1, _DP_BLOCK_BUDGET // (2 * (self.n - f)))
             for s0 in range(lo, hi, step):
                 s1 = min(s0 + step, hi)
                 rr = r[s0:s1]
