@@ -258,7 +258,8 @@ def test_clique_max_keeps_a_pair_whose_bound_rounds_below_its_clique():
 
 def test_clique_search_splits_groups_under_a_small_budget(monkeypatch):
     # integer ties keep many pairs a row, evaluated in chunks of at most
-    # 40 // (2 C(11 - b, 2)) of one b's anchor pairs (one up to b = 5), and one row a block
+    # 40 // (2 C(11 - b, 2)) of one b's anchor pairs (one up to b = 5), and
+    # one row a block
     spec = spec_of("cliques", 12, 4)
     X = np.random.default_rng(12).integers(-1, 2, size=(9, spec.n)).astype(np.float64)
     expect = enumerated_max(spec, X)
