@@ -43,21 +43,23 @@ from .core import DEFAULT_ENUMERATION_CAP, CapExceededError, SeededRng, checked_
 #: log-sum-exp, from K alone, never from the rows beside a row.
 _BLOCK_BUDGET = 8_000_000
 
+#: float64 values (1 MiB) that stay in a 2 MiB L2 cache: the normals of a draw
+#: slice in risk.py, so its rule call reads them from cache, and the elements
+#: of one sub-block of the matchings DP (rows x widest layer), of the triangle
+#: maximum (a range x c x rows) and of the 4-clique search (rows x m x m
+#: weights) and its chunks (the sums of one b's anchor pairs x the pairs
+#: c < d above b, with a term added to them), whose gathers run faster there
+_CACHE_FLOATS = 1 << 17
+
 #: rows per sub-block of the generic hooks.  A draw slice can hold more
-#: (_SMALL_BLOCK // draws rows in risk.py, 65,536 for DisjointSets(2,1)), and
+#: (_CACHE_FLOATS // draws rows in risk.py, 65,536 for DisjointSets(2,1)), and
 #: the hooks cut it into sub-blocks of _BLOCK_ROWS.  With _BLOCK_BUDGET it
 #: fixes the member chunk, and with it the bits of the likelihood ratio.
 _BLOCK_ROWS = 1024
 
-#: elements per piece of a member-sum block, filled while they stay in L2
-_GATHER_PIECE = 1 << 16
-
-#: ceiling on the elements of one sub-block of the matchings DP (rows x
-#: widest layer), of the triangle maximum (a range x c x rows) and of the
-#: 4-clique search (rows x m x m weights; the sums of a chunk of one b's
-#: anchor pairs x the pairs c < d above b, with a term added to them), whose
-#: gathers run faster while they stay in cache
-_DP_BLOCK_BUDGET = 1 << 17
+#: elements per piece of a member-sum block: the piece and the gather added
+#: to it fill _CACHE_FLOATS together
+_GATHER_PIECE = _CACHE_FLOATS // 2
 
 #: largest m whose matchings maximum runs the subset DP rather than the
 #: per-row assignment solver.  Per row on a 2-vCPU host, in 1024-row batches
@@ -119,6 +121,12 @@ def _floyd_subsets(t: np.ndarray, n: int, k: int) -> np.ndarray:
         t[taken, i] = n - k + i
     t.sort(axis=1)
     return t
+
+
+def _subsets(n: int, k: int) -> np.ndarray:
+    """(C(n, k), k) int32 array of the k-subsets of range(n), lexicographic."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
+    return np.fromiter(flat, dtype=np.int32).reshape(-1, k)
 
 
 def complete_graph_edges(m: int) -> np.ndarray:
@@ -193,16 +201,16 @@ class SetClass:
     def _build_member_matrix(self) -> np.ndarray:
         raise NotImplementedError
 
+    @functools.cached_property
+    def _member_table(self) -> np.ndarray:
+        return np.ascontiguousarray(self._build_member_matrix(), dtype=np.int32)
+
     def member_matrix(self, cap: int | None = None) -> np.ndarray:
         """(N, K) int32 matrix of 0-based members, canonical row order."""
         size, cap = self.cardinality(), _resolve_cap(cap)
         if size > cap:
             raise CapExceededError(size, cap)
-        cached = getattr(self, "_member_cache", None)
-        if cached is None:
-            cached = np.ascontiguousarray(self._build_member_matrix(), dtype=np.int32)
-            self._member_cache = cached
-        return cached
+        return self._member_table
 
     # -- batch evaluation hooks ----------------------------------------
 
@@ -339,8 +347,8 @@ class MemberSums:
 
     The tests read the sums with the kernels of DisjointSets(width, 1), the
     maximum and the log-mean-exp over them, while K stays the class's, so
-    each rule keeps its threshold.  ``n`` stays the class's too, so a trial
-    keeps its group and its block.
+    each rule keeps its threshold.  ``n`` stays the class's too, so its
+    trials form the same groups of _chunk_size(n) as the class's.
     """
 
     def __init__(self, spec: SetClass, *, width: int, scale: float, common: bool):
@@ -396,11 +404,7 @@ class KSets(SetClass):
         return _floyd_subsets(codes, self.n, self.K)
 
     def _build_member_matrix(self) -> np.ndarray:
-        combos = np.fromiter(
-            itertools.chain.from_iterable(itertools.combinations(range(self.n), self.K)),
-            dtype=np.int32,
-        )
-        return combos.reshape(-1, self.K)
+        return _subsets(self.n, self.K)
 
     def max_values_batch(self, X, cap=None):
         # the top K entries, added left to right in index order as the
@@ -513,6 +517,7 @@ class PerfectMatchings(SetClass):
 
     # -- subset DP over column masks -----------------------------------
 
+    @functools.cached_property
     def _mask_layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Index tables of the DP, one (src, col) pair per matrix row i.
 
@@ -520,23 +525,20 @@ class PerfectMatchings(SetClass):
         t extends state src[r, t] of layer i-1 by the r-th lowest column of
         t, r <= i, whose weight is entry col[r, t] of a row of X.
         """
-        layers = getattr(self, "_layer_cache", None)
-        if layers is None:
-            m = self.m
-            masks = np.arange(1 << m, dtype=np.int32)
-            pop = np.zeros(1 << m, dtype=np.int32)
-            for b in range(m):
-                pop += (masks >> b) & 1
-            pos = np.empty(1 << m, dtype=np.int32)
-            for k in range(m + 1):
-                pos[pop == k] = np.arange(math.comb(m, k))
-            layers = []
-            for k in range(1, m + 1):
-                layer = masks[pop == k]
-                bits = (layer[:, None] >> np.arange(m, dtype=np.int32)) & 1
-                col = np.ascontiguousarray(np.nonzero(bits)[1].astype(np.int32).reshape(-1, k).T)
-                layers.append((pos[layer ^ (1 << col)], (k - 1) * m + col))
-            self._layer_cache = layers
+        m = self.m
+        masks = np.arange(1 << m, dtype=np.int32)
+        pop = np.zeros(1 << m, dtype=np.int32)
+        for b in range(m):
+            pop += (masks >> b) & 1
+        pos = np.empty(1 << m, dtype=np.int32)
+        for k in range(m + 1):
+            pos[pop == k] = np.arange(math.comb(m, k))
+        layers = []
+        for k in range(1, m + 1):
+            layer = masks[pop == k]
+            bits = (layer[:, None] >> np.arange(m, dtype=np.int32)) & 1
+            col = np.ascontiguousarray(np.nonzero(bits)[1].astype(np.int32).reshape(-1, k).T)
+            layers.append((pos[layer ^ (1 << col)], (k - 1) * m + col))
         return layers
 
     def _subset_dp(self, X: np.ndarray, tropical: bool) -> np.ndarray:
@@ -552,10 +554,10 @@ class PerfectMatchings(SetClass):
         out = np.empty(X.shape[0])
         # widest candidate block of one row, (m choose k) masks x k columns, held twice
         width = 2 * max(k * math.comb(self.m, k) for k in range(1, self.m + 1))
-        for blk in _row_blocks(X.shape[0], width, _DP_BLOCK_BUDGET):
+        for blk in _row_blocks(X.shape[0], width, _CACHE_FLOATS):
             XT = np.ascontiguousarray(X[blk].T)
             value = np.full((1, XT.shape[1]), -0.0)  # -0.0 + w is w, zeros included
-            for src, col in self._mask_layers():
+            for src, col in self._mask_layers:
                 cand = value[src]
                 cand += XT[col]
                 value = cand.max(axis=0) if tropical else _logsumexp(cand, axis=0)
@@ -728,11 +730,7 @@ class Cliques(SetClass):
         return self._edge_ids(_floyd_subsets(codes, self.m, self.k))
 
     def _build_member_matrix(self) -> np.ndarray:
-        vc = np.fromiter(
-            itertools.chain.from_iterable(itertools.combinations(range(self.m), self.k)),
-            dtype=np.int32,
-        ).reshape(-1, self.k)
-        return self._edge_ids(vc)
+        return self._edge_ids(_subsets(self.m, self.k))
 
     def _contraction_fits(self, cap: int | None) -> bool:
         """Whether both tests run on the pair contraction (and the 4-clique
@@ -757,12 +755,12 @@ class Cliques(SetClass):
             return self._max4_search(X)
         m, pid = self.m, self._pair_id0
         out = np.empty(X.shape[0])
-        for blk in _row_blocks(X.shape[0], m - 2, _DP_BLOCK_BUDGET):
+        for blk in _row_blocks(X.shape[0], m - 2, _CACHE_FLOATS):
             XT = np.ascontiguousarray(X[blk].T)
             Wt = XT[pid]  # Wt[u, v] is edge uv's column of rows
             best = np.full(XT.shape[1], -np.inf)
             for b in range(1, m - 1):
-                step = max(1, _DP_BLOCK_BUDGET // ((m - b - 1) * XT.shape[1]))
+                step = max(1, _CACHE_FLOATS // ((m - b - 1) * XT.shape[1]))
                 y = None  # max over a of ab + ac
                 for lo in range(0, b, step):
                     low = Wt[lo : min(lo + step, b)]  # one entry per a
@@ -815,7 +813,7 @@ class Cliques(SetClass):
         out = np.empty(X.shape[0])
         # overflow, NaN and the infinities propagate as in the enumeration, unwarned
         with np.errstate(over="ignore", invalid="ignore"):
-            for blk in _row_blocks(X.shape[0], m * m, _DP_BLOCK_BUDGET):
+            for blk in _row_blocks(X.shape[0], m * m, _CACHE_FLOATS):
                 x = X[blk]
                 W = x[:, pid]  # W[r, u, v] is edge uv of row r
                 rows = np.arange(len(x))
@@ -851,7 +849,7 @@ class Cliques(SetClass):
         row r of the (rows, m, m) weights W of x, for every (r, p) given.
         Each pair's cliques abcd, c < d above b, are summed whole, in chunks
         of one b's pairs whose (pairs, c < d) sums and the term added to them
-        stay under _DP_BLOCK_BUDGET together, and the maxima go to their rows."""
+        stay under _CACHE_FLOATS together, and the maxima go to their rows."""
         A, B, first, reps, d = self._anchor_pairs
         o = np.argsort(B[p], kind="stable")
         r, a, b = r[o], A[p[o]], B[p[o]]
@@ -859,7 +857,7 @@ class Cliques(SetClass):
         for lo, hi in zip(runs[:-1], runs[1:]):
             v = int(b[lo])
             f = first[v]
-            step = max(1, _DP_BLOCK_BUDGET // (2 * (self.n - f)))
+            step = max(1, _CACHE_FLOATS // (2 * (self.n - f)))
             for s0 in range(lo, hi, step):
                 s1 = min(s0 + step, hi)
                 rr = r[s0:s1]
@@ -978,13 +976,8 @@ class GridSquares(SetClass):
         d = np.arange(R)
         pd = np.where(d == 0, R, 2.0 * (R - d)) / R**2  # law of |delta| per axis
         ov = np.maximum(0, a - d)
-        acc: dict[int, float] = {}
-        for o1, p1 in zip(ov, pd):
-            for o2, p2 in zip(ov, pd):
-                z = int(o1) * int(o2)
-                acc[z] = acc.get(z, 0.0) + p1 * p2
-        zs = sorted(acc)
-        return np.array(zs), np.array([acc[z] for z in zs])
+        zs, at = np.unique(np.multiply.outer(ov, ov), return_inverse=True)
+        return zs, np.bincount(at.ravel(), np.multiply.outer(pd, pd).ravel())
 
 
 class ExplicitClass(SetClass):
@@ -1010,10 +1003,10 @@ class ExplicitClass(SetClass):
             raise ValueError("members must be distinct")
         self.n = int(n)
         self.K = M.shape[1]
-        self._member_cache = M.astype(np.int32)
+        self._member_table = M.astype(np.int32)
 
     def cardinality(self) -> int:
-        return self._member_cache.shape[0]
+        return self._member_table.shape[0]
 
     def to_params(self) -> dict:
         return {"family": self.family, "n": self.n, "K": self.K, "N": self.cardinality()}
@@ -1022,7 +1015,7 @@ class ExplicitClass(SetClass):
         return gen.integers(self.cardinality(), size=rows)
 
     def _members(self, codes):
-        return self._member_cache[codes]
+        return self._member_table[codes]
 
     __reduce_ex__ = object.__reduce_ex__  # pickles its rows
 

@@ -3,9 +3,10 @@
 Risk of a test = P(reject | null) + mean over members of P(accept | member),
 estimated by independent trials.  The trials of each (point, arm) segment
 form groups of G = _chunk_size(n) consecutive trials, G fixed by the config:
-trial t is row t % G of group t // G, whose normals come from the substream
-(master_seed, *stream, [point,] arm, group, 0) in one call, and whose mixture
-member codes come from (..., group, 1) in one call.  A row's normals are X,
+trial t is row t % G of group t // G, whose normals come from one generator
+on the substream (master_seed, *stream, [point,] arm, group, 0), in one call
+or one per slice that cuts the group, and whose mixture member codes come
+from (..., group, 1) in one call.  A row's normals are X,
 or, where the test reads X only through member sums whose law is closed-form
 (``SetClass.member_sums``), the far fewer normals of those sums: one for the
 averaging sum, which then needs no member codes, m + 1 for the m star sums
@@ -14,7 +15,7 @@ so the first k trials of a call do not depend on how many follow, and results
 are byte-identical for a given (seed, config) regardless of slicing or
 worker count.  A call lays its segments end to end, each row at its point's
 mu, and splits their groups whole into contiguous shares, one per process;
-a share is drawn and decided in slices of at most _SMALL_BLOCK drawn normals,
+a share is drawn and decided in slices of at most _CACHE_FLOATS drawn normals,
 which may straddle arms and points, a group cut by a slice bound drawing on
 from its own generators.  Per-trial values are laid end to end in index order
 and reduced once.
@@ -32,7 +33,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from ._output import render
-from .classes import ExplicitClass, MemberSums, SetClass
+from .classes import _CACHE_FLOATS, ExplicitClass, MemberSums, SetClass
 from .core import AsymmetricClassError, ProblemInstance, SeededRng, checked_mu
 from .rules import _decide, _levels, batch_rejections
 
@@ -92,11 +93,6 @@ def _chunk_size(n: int) -> int:
     return max(1, min(1024, 2_000_000 // max(1, n)))
 
 
-#: the most normals (1 MiB of float64) a slice of a share draws, so that its
-#: rule call reads them from cache
-_SMALL_BLOCK = 2**17
-
-
 def _draw_block(
     spec: SetClass | MemberSums, segments: tuple, lo: int, hi: int, rng: SeededRng, trials: int,
     live: list | None = None,
@@ -135,16 +131,16 @@ def _draw_block(
     segment = np.arange(lo, hi) // trials
     mu = mus[segment]
     # the mixture rows, which drew codes unless the spec draws none
-    mixture = np.flatnonzero(keys[segment, -1] == _MIXTURE_ARM) if codes or not spec.coded else segment[:0]
+    mixture = np.flatnonzero(keys[segment, -1] == _MIXTURE_ARM)
     # concatenate copies the carried codes, which _members may write over
     return spec._observe(Z, mixture, np.concatenate(codes) if codes else None, mu[mixture]), mu
 
 
 def _share_values(value_fn: Callable, spec: SetClass | MemberSums, segments, trials, rng, share):
     # value_fn over the rows lo..hi of one share, drawn and decided in slices of
-    # at most _SMALL_BLOCK drawn normals
+    # at most _CACHE_FLOATS drawn normals
     lo, hi = share
-    step = max(1, _SMALL_BLOCK // spec.draws)
+    step = max(1, _CACHE_FLOATS // spec.draws)
     live = []
     slices = [(a, min(a + step, hi)) for a in range(lo, hi, step)]
     return np.concatenate([value_fn(*_draw_block(spec, segments, *b, rng, trials, live)) for b in slices])

@@ -471,6 +471,22 @@ class TestOverlapLaws:
             with pytest.raises(ValueError, match="mu must be finite and nonnegative"):
                 estimate_overlap_mgf(spec, -0.8, 50, SeededRng(3))
 
+    def test_one_block_always_overlaps_fully(self):
+        # DisjointSets(1, K) has one member, so every pair shares all K indices
+        zs, probs = classes.DisjointSets(1, 3).overlap_pmf()
+        assert zs.tolist() == [3] and probs.tolist() == [1.0]
+        assert exact_overlap_mgf(classes.DisjointSets(1, 3), 0.5) == math.exp(0.25 * 3)
+
+    @pytest.mark.parametrize("sqrt_n,sqrt_K", [(1, 1), (3, 1), (3, 3), (5, 2), (6, 4)])
+    def test_grid_law_matches_pair_enumeration(self, sqrt_n, sqrt_K):
+        spec = classes.GridSquares(sqrt_n, sqrt_K)
+        M = spec.member_matrix()
+        ov = np.concatenate([np.isin(M, row).sum(axis=1) for row in M])
+        brute_z, counts = np.unique(ov, return_counts=True)
+        zs, probs = spec.overlap_pmf()
+        assert zs.tolist() == brute_z.tolist()
+        np.testing.assert_allclose(probs, counts / ov.size, rtol=1e-12)
+
     def test_trees_have_no_closed_form(self):
         assert exact_overlap_mgf(make_class("trees", m=4), 0.5) is None
 

@@ -127,6 +127,11 @@ def test_matchings_max_is_bitwise_the_assignment_value(m):
     assert np.array_equal(spec.max_values_batch(X), ref)
 
 
+def test_assignment_value_refuses_a_non_square_matrix():
+    with pytest.raises(ValueError, match="weight matrix must be square"):
+        assignment_value(np.zeros((2, 3)))
+
+
 @pytest.mark.parametrize("m", range(2, 9))
 def test_matchings_max_matches_enumeration(m):
     spec = spec_of("matchings", m)
@@ -232,7 +237,7 @@ def test_clique_max_is_bitwise_the_enumeration_at_the_a9_class():
     X = np.concatenate([X, planted, scaled, constant, ties])
     # B = 8 is enum-heavy's block, B = 2 cli-mix's emax; rows are independent
     got = {B: spec.max_values_batch(X[:B]) for B in (1, 2, 8, 64, 88)}
-    assert not hasattr(spec, "_member_cache")
+    assert "_member_table" not in vars(spec)
     expect = SetClass.max_values_batch(spec, X)
     for B, values in got.items():
         assert np.array_equal(values, expect[:B]), B
@@ -263,7 +268,7 @@ def test_clique_search_splits_groups_under_a_small_budget(monkeypatch):
     spec = spec_of("cliques", 12, 4)
     X = np.random.default_rng(12).integers(-1, 2, size=(9, spec.n)).astype(np.float64)
     expect = enumerated_max(spec, X)
-    monkeypatch.setattr(classes, "_DP_BLOCK_BUDGET", 40)
+    monkeypatch.setattr(classes, "_CACHE_FLOATS", 40)
     assert np.array_equal(spec.max_values_batch(X), expect)
 
 
@@ -319,7 +324,7 @@ def test_row_sub_blocks_do_not_change_values(monkeypatch):
         cl3.max_values_batch(X_clique),
     )
     monkeypatch.setattr(classes, "_BLOCK_BUDGET", 1000)  # a few rows per sub-block
-    monkeypatch.setattr(classes, "_DP_BLOCK_BUDGET", 1000)  # and a few a per sub-block
+    monkeypatch.setattr(classes, "_CACHE_FLOATS", 1000)  # and a few a per sub-block
     split = (
         pm.max_values_batch(X),
         pm.log_mean_exp_batch(1.3, X),
@@ -342,10 +347,10 @@ def test_constant_weights_beyond_enumeration(x):
             spec.member_matrix()
         X = np.full((3, spec.n), x)
         np.testing.assert_allclose(kernel_log_mean_exp(spec, mu, X), mu * spec.K * x, rtol=1e-12, atol=1e-12)
-        assert not hasattr(spec, "_member_cache")
+        assert "_member_table" not in vars(spec)
     for spec in (pm, st30, cl):
         assert np.allclose(spec.max_values_batch(np.full((2, spec.n), x)), spec.K * x, rtol=1e-12, atol=1e-12)
-    assert not hasattr(cl, "_member_cache")
+    assert "_member_table" not in vars(cl)
 
 
 def test_matchings_cap_bounds_the_dp_states():
@@ -419,7 +424,7 @@ def test_clique_cap_bounds_the_contraction_work_set():
     # at the work set both tests run the contraction, which builds no member matrix
     assert np.array_equal(spec.log_mean_exp_batch(1.0, X, cap=792), spec.log_mean_exp_batch(1.0, X))
     maximum = spec.max_values_batch(X, cap=792)
-    assert not hasattr(spec, "_member_cache")
+    assert "_member_table" not in vars(spec)
     for cap in (400, 494):  # below both: the fallback enumerates, and refuses
         with pytest.raises(CapExceededError):
             spec.log_mean_exp_batch(1.0, X, cap=cap)
@@ -431,7 +436,7 @@ def test_clique_cap_bounds_the_contraction_work_set():
     )
     assert np.array_equal(spec.max_values_batch(X, cap=600), maximum)
     assert np.array_equal(spec.max_values_batch(X, cap=791), maximum)
-    assert hasattr(spec, "_member_cache")
+    assert "_member_table" in vars(spec)
 
 
 @pytest.mark.parametrize("m,k", [(6, 3), (7, 4)])

@@ -39,10 +39,10 @@ from combidetect.classes import FAMILIES, MemberSums
 from combidetect.cli import main
 from combidetect.core import CapExceededError
 from combidetect.risk import (
+    _CACHE_FLOATS,
     _FAN_OUT_OBS,
     _MIXTURE_ARM,
     _NULL_ARM,
-    _SMALL_BLOCK,
     _chunk_size,
     _draw_block,
     _interpolate_half,
@@ -83,7 +83,7 @@ BLOCK_SEGMENTS = (
 
 def _one_slice_rejections(test, spec, X, mu, **kwargs):
     # the rule, refusing a call of more rows than one slice, in whichever process decides it
-    if len(X) > _SMALL_BLOCK // spec.draws:
+    if len(X) > _CACHE_FLOATS // spec.draws:
         raise AssertionError(f"{len(X)} rows in one rule call")
     return batch_rejections(test, spec, X, mu, **kwargs)
 
@@ -328,7 +328,7 @@ class TestReproducibility:
         from combidetect import risk
 
         monkeypatch.setattr(risk, "_chunk_size", lambda n: 5)
-        monkeypatch.setattr(risk, "_SMALL_BLOCK", step * spec.n)
+        monkeypatch.setattr(risk, "_CACHE_FLOATS", step * spec.n)
         segments, trials, rng = BLOCK_SEGMENTS, 12, SeededRng(86, (3,))
         keys, rows = segments[0], len(segments[0]) * 12
         X, mu = _draw_block(spec, segments, 0, rows, rng, trials)
@@ -372,11 +372,11 @@ class TestReproducibility:
     @pytest.mark.parametrize(
         "spec, trials, slices",
         [
-            # both arms of a small call in one slice, under _SMALL_BLOCK normals
+            # both arms of a small call in one slice, under _CACHE_FLOATS normals
             (make_class("matchings", m=8), 96, [192]),
             (make_class("trees", m=12), 8, [16]),
             (make_class("stars", m=50), 50, [100]),
-            # 2000 rows of X in slices of _SMALL_BLOCK // n = 655 rows, the
+            # 2000 rows of X in slices of _CACHE_FLOATS // n = 655 rows, the
             # third straddling the arms
             (make_class("ksets", n=200, K=5), 1000, [655, 655, 655, 35]),
             # each arm's groups of 1024 and 476 trials, 2 normals a row, in one slice
@@ -416,7 +416,7 @@ class TestReproducibility:
     )
     def test_no_rule_call_decides_more_than_one_slice(self, monkeypatch, test, spec, trials):
         # the caller and the worker alike decide their rows in slices of
-        # _SMALL_BLOCK // w rows, w the normals a row draws
+        # _CACHE_FLOATS // w rows, w the normals a row draws
         from combidetect import risk
 
         monkeypatch.setattr(risk, "batch_rejections", _one_slice_rejections)
@@ -721,6 +721,18 @@ class TestWorkerProcesses:
         assert os.getpid() in pids and pids <= {os.getpid()} | pool
         assert {p.pid for p in multiprocessing.active_children()} == pool
 
+    @pytest.mark.usefixtures("own_pool")
+    def test_a_split_without_blas_thread_control_gives_the_serial_bytes(self, monkeypatch):
+        # where numpy's BLAS library cannot be loaded, the caller and the
+        # workers forked after the patch leave the BLAS thread count alone
+        def no_library(*args, **kwargs):
+            raise OSError("no library")
+
+        monkeypatch.setattr(ctypes, "CDLL", no_library)
+        assert risk._set_blas_threads(1) is None
+        assert len(set(_fan_out(_pid_values, 85).ravel())) == 2
+        assert _fan_out(_row_bytes, 88).tobytes() == _fan_out(_row_bytes, 88, 1).tobytes()
+
     def test_a_dead_worker_costs_one_call(self):
         # the broken pool is dropped, so the call after the refused one forks a fresh pool
         (worker,) = set(_fan_out(_pid_values, 85).ravel()) - {os.getpid()}
@@ -743,7 +755,7 @@ class TestWorkerProcesses:
         spec = make_class("ksets", n=9, K=3)
         monkeypatch.setattr(risk, "_chunk_size", lambda n: 5)
         if step is not None:
-            monkeypatch.setattr(risk, "_SMALL_BLOCK", step * spec.n)
+            monkeypatch.setattr(risk, "_CACHE_FLOATS", step * spec.n)
         segments = [(tuple(keys), mu) for keys, mu in zip(BLOCK_SEGMENTS[0].tolist(), BLOCK_SEGMENTS[1])]
         trials, half = 12, len(segments) * 12 // 2
         assert half % trials % 5 != 0
@@ -956,6 +968,8 @@ class TestScan:
         spec = make_class("stars", m=4)
         with pytest.raises(ValueError):
             scan_critical_mu(spec, "optimal", [0.5, 0.5], 10, SeededRng(0))
+        with pytest.raises(ValueError, match="mu_grid must be nonempty"):
+            scan_critical_mu(spec, "optimal", [], 10, SeededRng(0))
 
     def test_scan_reproducible(self):
         spec = make_class("stars", m=4)
@@ -995,6 +1009,11 @@ class TestSubclassComparisons:
             "se_type2=0.026286174369104437, total=0.5466666666666666, "
             "se_total=0.03635218674965072, trials=300)), violated=(False, False))"
         )
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.5])
+    def test_monotonicity_refuses_a_fraction_outside_zero_to_one(self, fraction):
+        with pytest.raises(ValueError, match=r"subclass_fraction must be in \(0, 1\]"):
+            monotonicity_check(make_class("ksets", n=6, K=2), fraction, [0.5], 10, SeededRng(0))
 
     def test_monotonicity_refuses_asymmetric_class(self):
         with pytest.raises(AsymmetricClassError):
