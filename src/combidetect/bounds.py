@@ -185,30 +185,23 @@ def greedy_cover(spec: SetClass, radius: float, cap: int | None = None) -> list[
     return kept
 
 
-def dudley_bound(
-    spec: SetClass,
-    constant: float,
-    cap: int | None = None,
-    grid_points: int = 64,
-) -> float:
+def dudley_bound(spec: SetClass, constant: float, cap: int | None = None) -> float:
     """Chaining bound on the null maximum: constant times the entropy
-    integral of sqrt(log cover size), midpoint rule on [0, sqrt(2K)].
+    integral of sqrt(log cover size), 64-point midpoint rule on [0, sqrt(2K)].
 
     The integrand vanishes beyond the class diameter (cover size 1), so the
     upper limit sqrt(2K) >= diam adds nothing.
     """
     if not constant > 0:
         raise ValueError("constant must be positive")
-    if grid_points < 1:
-        raise ValueError("grid_points must be >= 1")
-    hi = math.sqrt(2.0 * spec.K)
-    h = hi / grid_points
+    points = 64
+    h = math.sqrt(2.0 * spec.K) / points
     # a cover depends on its radius only through which of the K+1 possible
     # distances sqrt(2j) it reaches, so each distinct cover is built once
     distances = np.sqrt(2.0 * np.arange(spec.K + 1))
     sizes: dict[int, int] = {}
     total = 0.0
-    for i in range(grid_points):
+    for i in range(points):
         t = (i + 0.5) * h
         reached = int(np.count_nonzero(distances <= t))
         if reached not in sizes:
