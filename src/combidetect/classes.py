@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from typing import Iterator
 
 import numpy as np
@@ -291,9 +292,14 @@ class SetClass:
     def member_sums(self, test: str) -> "MemberSums | None":
         """The exact law of the sums ``test`` reads, which a trial draws in
         place of X, or None where it draws X.  Every family's averaging
-        statistic, the total of X, is N(0, n) under the null."""
+        statistic, the total of X, is N(0, n) under the null; the maximum
+        and the LR read the member sums of ``_sums``."""
         if test == "averaging":
             return MemberSums(self, width=1, scale=math.sqrt(self.n), common=False)
+        return self._sums()
+
+    def _sums(self) -> "MemberSums | None":
+        """The exact law of every member sum, where the family has one."""
         return None
 
 
@@ -307,8 +313,8 @@ class DisjointSets(SetClass):
     def __init__(self, N: int, K: int):
         if N < 1 or K < 1:
             raise ValueError("DisjointSets requires N >= 1 and K >= 1")
-        self.N = int(N)
-        self.K = int(K)
+        self.N = operator.index(N)
+        self.K = operator.index(K)
         self.n = self.N * self.K
 
     def cardinality(self) -> int:
@@ -328,11 +334,9 @@ class DisjointSets(SetClass):
             return np.array([self.K]), np.array([1.0])
         return np.array([0, self.K]), np.array([1 - 1 / self.N, 1 / self.N])
 
-    def member_sums(self, test):
-        # the block sums are independent N(0, K); at K = 1 they are X itself,
-        # which a trial draws as X, with no sums to gain
-        if test == "averaging" or self.K == 1:
-            return super().member_sums(test)
+    def _sums(self):
+        # the block sums are independent N(0, K); at K = 1, scale 1, they
+        # are X itself, with the bits of X
         return MemberSums(self, width=self.N, scale=math.sqrt(self.K), common=False)
 
 
@@ -391,8 +395,8 @@ class KSets(SetClass):
     def __init__(self, n: int, K: int):
         if not 1 <= K <= n:
             raise ValueError("KSets requires 1 <= K <= n")
-        self.n = int(n)
-        self.K = int(K)
+        self.n = operator.index(n)
+        self.K = operator.index(K)
 
     def cardinality(self) -> int:
         return math.comb(self.n, self.K)
@@ -444,7 +448,7 @@ class Stars(SetClass):
     def __init__(self, m: int):
         if m < 3:
             raise ValueError("Stars requires m >= 3")
-        self.m = int(m)
+        self.m = operator.index(m)
         self.n = math.comb(self.m, 2)
         self.K = self.m - 1
         # row c: the ids of the edges at vertex c, increasing with the far end
@@ -466,11 +470,9 @@ class Stars(SetClass):
         # same center w.p. 1/m (full overlap), else exactly the shared edge
         return np.array([1, self.K]), np.array([1 - 1 / self.m, 1 / self.m])
 
-    def member_sums(self, test):
+    def _sums(self):
         # a star has m - 1 edges and two stars share one, so the star sums
         # have covariance (m - 2) I + J, that of sqrt(m - 2) g + h
-        if test == "averaging":
-            return super().member_sums(test)
         return MemberSums(self, width=self.m, scale=math.sqrt(self.m - 2), common=True)
 
 
@@ -485,7 +487,7 @@ class PerfectMatchings(SetClass):
     def __init__(self, m: int):
         if m < 2:
             raise ValueError("PerfectMatchings requires m >= 2")
-        self.m = int(m)
+        self.m = operator.index(m)
         self.n = self.m * self.m
         self.K = self.m
 
@@ -602,7 +604,7 @@ class SpanningTrees(SetClass):
     def __init__(self, m: int):
         if m < 2:
             raise ValueError("SpanningTrees requires m >= 2")
-        self.m = int(m)
+        self.m = operator.index(m)
         self.n = math.comb(self.m, 2)
         self.K = self.m - 1
         self._pair_id0 = _pair_ids(self.m)
@@ -708,8 +710,8 @@ class Cliques(SetClass):
     def __init__(self, m: int, k: int):
         if not 2 <= k <= m:
             raise ValueError("Cliques requires 2 <= k <= m")
-        self.m = int(m)
-        self.k = int(k)
+        self.m = operator.index(m)
+        self.k = operator.index(k)
         self.n = math.comb(self.m, 2)
         self.K = math.comb(self.k, 2)
         self.edges = complete_graph_edges(self.m)
@@ -938,8 +940,8 @@ class GridSquares(SetClass):
     def __init__(self, sqrt_n: int, sqrt_K: int):
         if not 1 <= sqrt_K <= sqrt_n:
             raise ValueError("GridSquares requires 1 <= sqrt_K <= sqrt_n")
-        self.sqrt_n = int(sqrt_n)
-        self.sqrt_K = int(sqrt_K)
+        self.sqrt_n = operator.index(sqrt_n)
+        self.sqrt_K = operator.index(sqrt_K)
         self.n = self.sqrt_n**2
         self.K = self.sqrt_K**2
         self.side = self.sqrt_n - self.sqrt_K + 1
@@ -1001,7 +1003,7 @@ class ExplicitClass(SetClass):
         M = M[np.lexsort(M.T[::-1])]  # lexicographic row order
         if np.any(np.all(M[1:] == M[:-1], axis=1)):
             raise ValueError("members must be distinct")
-        self.n = int(n)
+        self.n = operator.index(n)
         self.K = M.shape[1]
         self._member_table = M.astype(np.int32)
 
@@ -1042,7 +1044,7 @@ def make_class(family: str, **params) -> SetClass:
     extra = [p for p, v in params.items() if p not in wanted and v is not None]
     if extra:
         raise ValueError(f"family {family!r} does not take parameters {extra}")
-    return FAMILIES[family](**{p: int(params[p]) for p in wanted})
+    return FAMILIES[family](**{p: params[p] for p in wanted})
 
 
 # -- pairwise overlap ----------------------------------------------------

@@ -22,8 +22,9 @@ from ._version import __version__
 from ._output import render
 from .bounds import PROPS, evaluate_bound, pairs_risk_lower_bound, greedy_cover
 from .classes import FAMILIES, SetClass, estimate_overlap_mgf, make_class
-from .core import CapExceededError, SeededRng
+from .core import DEFAULT_ENUMERATION_CAP, CapExceededError, SeededRng
 from .risk import (
+    _FAN_OUT_OBS,
     emax_upper_cap,
     estimate_emax0,
     nonmonotonicity_demo,
@@ -45,11 +46,11 @@ def _add_common(p: argparse.ArgumentParser, *, trials_default: int | None = 10_0
     p.add_argument(
         "--cap", type=int, default=None,
         help="bound on the members enumerated or on a structured kernel's "
-        "work set (default 2,000,000)",
+        f"work set (default {DEFAULT_ENUMERATION_CAP:,})",
     )
     p.add_argument(
         "--workers", type=int, default=1,
-        help="processes a call of 2**16 normals or more splits its trial groups over, "
+        help=f"processes a call of {_FAN_OUT_OBS:,} normals or more splits its trial groups over, "
         "this one included, at most one per CPU; the output bytes do not depend on it",
     )
     if trials_default is not None:

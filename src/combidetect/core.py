@@ -16,7 +16,9 @@ import numpy as np
 if TYPE_CHECKING:
     from .classes import SetClass
 
-#: Ceiling on class cardinality for any operation that materializes members.
+#: Ceiling on class cardinality for any operation that materializes members,
+#: on the 2^m mask states of the matchings LR's subset DP, and on the work
+#: set of the clique contraction, past which the cliques enumerate.
 DEFAULT_ENUMERATION_CAP = 2_000_000
 
 

@@ -288,8 +288,7 @@ def risk_at(
 ) -> list[RiskEstimate]:
     """``estimate_risk`` at each mu of ``mus``, point i drawn from rng.child(i), in shared slices."""
     points = [((i,), checked_mu(mu)) for i, mu in enumerate(mus)]
-    for _, mu in points:  # each point's threshold refusal, in point order, before any draw
-        _levels(test, spec.K, mu, emax0)
+    _levels(test, spec.K, np.array([mu for _, mu in points]), emax0)  # the first refused point, before any draw
     spec = _drawn(spec, test)
     decide = partial(batch_rejections, test, spec, emax0=emax0, cap=cap)
     return _risk(decide, spec, points, trials, rng, workers)
@@ -551,9 +550,6 @@ def nonmonotonicity_demo(
 
 # -- serialization --------------------------------------------------------
 
-_CURVE_COLUMNS = ("mu", "type1", "se1", "type2", "se2", "total", "se_total", "trials")
-
-
 def render_risk_rows(
     fmt: str,
     rows: Sequence[tuple[float, RiskEstimate]],
@@ -567,7 +563,7 @@ def render_risk_rows(
     ``#critical_mu=`` CSV footer, ``none`` for None, and a JSON key.
     """
     results = [{"mu": mu} | e.rates() | {"trials": e.trials} for mu, e in rows]
-    table = (_CURVE_COLUMNS, [tuple(r.values()) for r in results])
+    table = (tuple(results[0]), [tuple(r.values()) for r in results])
     body = {"results": results}
     footer = None
     if critical_mu is not ...:

@@ -6,7 +6,6 @@ fixed threshold.  Thresholds never depend on the data, only on the instance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,27 +23,32 @@ class Decision:
     threshold: float
 
 
-def _levels(test: str, K: int, mu: float, emax0: float | None) -> tuple[float, float]:
-    """(threshold, log-domain offset) of one rule at a scalar mu, refused
-    where the rule refuses; the LR's rule is log_mean_exp > offset."""
-    if test == "averaging":
-        if mu == 0.0:
-            raise DegenerateParameterError("averaging test is undefined at mu = 0")
-        thr, shift = mu * K / 2.0, 0.0
-    elif test == "maximum":
-        if emax0 is None or not np.isfinite(emax0):
-            raise ValueError("maximum test requires a finite emax0")
-        thr, shift = (mu * K + emax0) / 2.0, 0.0
-    elif test == "optimal":
-        try:
-            thr, shift = 0.0, K * mu**2 / 2.0
-        except OverflowError:  # mu**2 of a float past the range raises, not inf
-            thr, shift = 0.0, math.inf
-    else:
+def _levels(test: str, K: int, mu: np.ndarray, emax0: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """(thresholds, log-domain offsets) of one rule at each entry of a mu
+    array, refused at the first entry the rule refuses; the LR's rule is
+    log_mean_exp > offset.  ``float_power`` squares by the C pow, as a
+    float's ``**`` does, so the offsets keep the bits of the scalar rule."""
+    if test not in TESTS:
         raise ValueError(f"unknown test {test!r}, expected averaging, maximum or optimal")
+    if test == "maximum" and (emax0 is None or not np.isfinite(emax0)):
+        raise ValueError("maximum test requires a finite emax0")
+    zero = np.zeros(mu.shape)
+    with np.errstate(over="ignore"):
+        if test == "averaging":
+            thr, shift = mu * K / 2.0, zero
+        elif test == "maximum":
+            thr, shift = (mu * K + emax0) / 2.0, zero
+        else:
+            thr, shift = zero, K * np.float_power(mu, 2) / 2.0
     # an infinite threshold decides every row alike, whatever the data
-    if not np.isfinite(thr + shift):
-        raise OverflowError(f"the {test} threshold at mu = {mu} is past the float range")
+    refused = ~np.isfinite(thr + shift)
+    if test == "averaging":
+        refused |= mu == 0.0
+    if refused.any():
+        at = float(mu[refused][0])
+        if at == 0.0 and test == "averaging":
+            raise DegenerateParameterError("averaging test is undefined at mu = 0")
+        raise OverflowError(f"the {test} threshold at mu = {at} is past the float range")
     return thr, shift
 
 
@@ -53,20 +57,19 @@ def _decide(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(statistics, thresholds, rejections) of one rule on a (B, n) block at
     a scalar ``mu`` or one mu per row, or on the (B, width) block of member
-    sums that ``spec``, a MemberSums, draws: each run of equal mu, in row
-    order, is refused as the scalar rule refuses it or gets its threshold,
-    from the class's K either way.  The scalar rules are this on one row,
-    and every kernel gives a row the same bits alone as in a block.  A NaN
+    sums that ``spec``, a MemberSums, draws: the block's mu are refused as
+    the scalar rule refuses them or get their thresholds in one pass, from
+    the class's K either way.  The scalar rules are this on one row, and
+    every kernel gives a row the same bits alone as in a block.  A NaN
     statistic is refused with OverflowError."""
     mu = np.atleast_1d(mu)
-    runs = np.flatnonzero(np.diff(mu, prepend=np.nan))  # the first row of each run of equal mu
-    levels = [_levels(test, spec.K, m, emax0) for m in mu[runs].tolist()]
-    thr, shift = np.repeat(levels, np.diff(runs, append=mu.size), axis=0).T
+    thr, shift = _levels(test, spec.K, mu, emax0)
     with np.errstate(over="ignore", invalid="ignore"):
-        # one mu goes to the kernel as a float, several as a list, which
-        # perfbench's tracer can compare to 0.0 as it does a float
         if test == "optimal":
-            stat = spec.log_mean_exp_batch(mu.tolist() if runs.size > 1 else mu[0], X, cap) - shift
+            # one mu goes to the kernel as a float, several as a list, which
+            # perfbench's tracer can compare to 0.0 as it does a float
+            one = mu.size and (mu == mu[0]).all()
+            stat = spec.log_mean_exp_batch(mu[0] if one else mu.tolist(), X, cap) - shift
         else:
             stat = X.sum(axis=1) if test == "averaging" else spec.max_values_batch(X, cap)
     if np.isnan(stat).any():

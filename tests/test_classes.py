@@ -112,6 +112,27 @@ class TestRegistry:
         with pytest.raises(ValueError, match="does not take"):
             make_class("stars", m=5, K=3)
 
+    @pytest.mark.parametrize("fam", sorted(SMALL))
+    def test_non_integral_parameters_are_refused(self, fam):
+        # each parameter in turn, integral-looking or not, is never truncated
+        kwargs = SMALL[fam][0]
+        for p, v in kwargs.items():
+            for bad in (v + 0.7, float(v)):
+                with pytest.raises(TypeError):
+                    make_class(fam, **kwargs | {p: bad})
+                with pytest.raises(TypeError):
+                    FAMILIES[fam](**kwargs | {p: bad})
+        with pytest.raises(TypeError):
+            ExplicitClass(6.0, np.array([[0, 1], [2, 3]]))
+
+    @pytest.mark.parametrize("fam", sorted(SMALL))
+    def test_numpy_integer_parameters_are_accepted(self, fam):
+        kwargs = SMALL[fam][0]
+        spec = make_class(fam, **{p: np.int64(v) for p, v in kwargs.items()})
+        assert spec.to_params() == small(fam).to_params()
+        assert all(type(getattr(spec, p)) is int for p in kwargs)
+        assert ExplicitClass(np.int32(6), np.array([[0, 1], [2, 3]])).n == 6
+
     @pytest.mark.parametrize(
         "fam,kwargs",
         [

@@ -851,10 +851,10 @@ class TestMemberSums:
             ("disjoint", "maximum"): (3, 3),
             ("disjoint", "optimal"): (3, 3),
         }
-        # singleton blocks are X itself, so their sums would draw what X draws
+        # singleton blocks draw their sums too, with the bits of X (below)
         singletons = make_class("disjoint", N=3, K=1)
         assert [singletons.member_sums(test) is None for test in ("averaging", "maximum", "optimal")] == [
-            False, True, True,
+            False, False, False,
         ]
 
     @pytest.mark.parametrize("spec, test, mu, seed", [
@@ -909,7 +909,7 @@ class TestMemberSums:
     @pytest.mark.parametrize("N", [2, 8])
     def test_singleton_block_sums_keep_the_bits_of_the_x_path(self, N):
         # at K = 1 the block sums are X: same normals, same shift, same
-        # kernels, which is why such a class draws X and not its sums
+        # kernels, so the sums such a class draws keep the bits of X
         spec = make_class("disjoint", N=N, K=1)
         law = MemberSums(spec, width=N, scale=1.0, common=False)
         segments = [((i, arm), mu) for i, mu in enumerate([0.0, 0.7, 1.9]) for arm in (_NULL_ARM, _MIXTURE_ARM)]
@@ -922,7 +922,7 @@ class TestMemberSums:
         inst = ProblemInstance(spec, 1.3)
         for estimate in (estimate_bayes_risk, estimate_bhattacharyya):
             assert estimate(inst, 2100, SeededRng(154)) == risk._null_mean(
-                partial(risk._lr_values, estimate is estimate_bhattacharyya, law, None), law, 1.3, 2100,
+                partial(risk._lr_values, estimate is estimate_bhattacharyya, spec, None), spec, 1.3, 2100,
                 SeededRng(154), 1,
             )
 

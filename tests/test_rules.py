@@ -12,7 +12,7 @@ from combidetect import (
     maximum_test,
     optimal_test,
 )
-from combidetect.rules import TESTS, _decide, batch_rejections
+from combidetect.rules import TESTS, _decide, _levels, batch_rejections
 
 
 def inst(family="disjoint", mu=1.0, **kw):
@@ -168,6 +168,35 @@ class TestBatchAgreement:
         X = np.zeros((len(mus), 4))
         with pytest.raises(error, match=match):
             batch_rejections(test, inst().set_class, X, np.array(mus), emax0=2.5)
+
+    @pytest.mark.parametrize("test", TESTS)
+    @pytest.mark.parametrize("spec", [
+        make_class("ksets", n=5, K=2),
+        make_class("stars", m=5).member_sums("maximum"),
+        make_class("disjoint", N=3, K=1).member_sums("optimal"),
+    ], ids=["ksets", "star-sums", "singleton-sums"])
+    def test_an_empty_block_decides_no_row(self, test, spec):
+        X = np.zeros((2, spec.draws))[:0, : getattr(spec, "width", spec.n)]
+        for mu in (np.array([]), 0.7):
+            got = batch_rejections(test, spec, X, mu, emax0=2.5)
+            assert got.shape == (0,) and got.dtype == bool
+
+    def test_levels_keep_the_bits_of_the_scalar_rules(self):
+        # float_power squares by the C pow, as a float's ** does; mu * mu,
+        # which numpy's mu**2 computes, rounds some of these mu the other way
+        gen = SeededRng(49).generator()
+        odd = gen.integers(2**26 + 2**25, 2**27, 500) | 1  # mu**2 halfway between two floats
+        mus = np.concatenate([0.01 + 3 * gen.random(500), odd * 2.0**-27])
+        K, emax0 = 3, 2.5
+        scalar = {
+            "averaging": lambda mu: (mu * K / 2.0, 0.0),
+            "maximum": lambda mu: ((mu * K + emax0) / 2.0, 0.0),
+            "optimal": lambda mu: (0.0, K * mu**2 / 2.0),
+        }
+        for test in TESTS:
+            thr, shift = _levels(test, K, mus, emax0)
+            assert list(zip(thr.tolist(), shift.tolist())) == [scalar[test](mu) for mu in mus.tolist()]
+        assert (K * mus * mus / 2.0 != shift).any()
 
     def test_unknown_test_name(self):
         with pytest.raises(ValueError, match="unknown test"):
