@@ -65,9 +65,9 @@ def _decide(
     mu = np.atleast_1d(mu)
     thr, shift = _levels(test, spec.K, mu, emax0)
     with np.errstate(over="ignore", invalid="ignore"):
+        # one mu goes to the kernel as a float, several as a list, which
+        # perfbench's tracer can compare to 0.0 as it does a float
         if test == "optimal":
-            # one mu goes to the kernel as a float, several as a list, which
-            # perfbench's tracer can compare to 0.0 as it does a float
             one = mu.size and (mu == mu[0]).all()
             stat = spec.log_mean_exp_batch(mu[0] if one else mu.tolist(), X, cap) - shift
         else:

@@ -35,7 +35,7 @@ from combidetect import (
 )
 from combidetect import risk
 from combidetect._output import fmt17
-from combidetect.classes import FAMILIES, MemberSums
+from combidetect.classes import FAMILIES
 from combidetect.cli import main
 from combidetect.core import CapExceededError
 from combidetect.risk import (
@@ -911,7 +911,8 @@ class TestMemberSums:
         # at K = 1 the block sums are X: same normals, same shift, same
         # kernels, so the sums such a class draws keep the bits of X
         spec = make_class("disjoint", N=N, K=1)
-        law = MemberSums(spec, width=N, scale=1.0, common=False)
+        law = spec.member_sums("maximum")
+        assert (law.width, law.scale, law.common) == (N, 1.0, False)
         segments = [((i, arm), mu) for i, mu in enumerate([0.0, 0.7, 1.9]) for arm in (_NULL_ARM, _MIXTURE_ARM)]
         for test in ("maximum", "optimal"):
             full, sums = (

@@ -176,7 +176,7 @@ class TestBatchAgreement:
         make_class("disjoint", N=3, K=1).member_sums("optimal"),
     ], ids=["ksets", "star-sums", "singleton-sums"])
     def test_an_empty_block_decides_no_row(self, test, spec):
-        X = np.zeros((2, spec.draws))[:0, : getattr(spec, "width", spec.n)]
+        X = np.zeros((0, getattr(spec, "width", spec.n)))  # a MemberSums block is width wide
         for mu in (np.array([]), 0.7):
             got = batch_rejections(test, spec, X, mu, emax0=2.5)
             assert got.shape == (0,) and got.dtype == bool
