@@ -249,10 +249,10 @@ class SetClass:
                 np.maximum(best[rows], blk.max(axis=1), out=best[rows])
         return best
 
-    @_per_row_mu
-    def log_mean_exp_batch(self, mu, X: np.ndarray, cap: int | None = None) -> np.ndarray:
-        """log((1/N) sum_S exp(mu * X_S)) per row, streaming log-sum-exp
-        that adds each chunk's terms in member order, for one row as for many."""
+    def _enumerated_log_mean_exp(self, mu: np.ndarray, X: np.ndarray, cap: int | None = None) -> np.ndarray:
+        """log((1/N) sum_S exp(mu * X_S)) per row, mu a (B, 1) column,
+        streaming log-sum-exp that adds each chunk's terms in member order,
+        for one row as for many."""
         out = np.empty(X.shape[0])
         for rows in _row_blocks(X.shape[0], 1, _BLOCK_ROWS):
             x = X[rows]
@@ -267,6 +267,8 @@ class SetClass:
                 hi = top
             out[rows] = hi + np.log(acc)
         return out - math.log(self.cardinality())
+
+    log_mean_exp_batch = _per_row_mu(_enumerated_log_mean_exp)
 
     def overlap_pmf(self) -> tuple[np.ndarray, np.ndarray] | None:
         """Exact law of |S ∩ S'| for two independent uniform members, when known."""
@@ -734,13 +736,13 @@ class Cliques(SetClass):
     def _build_member_matrix(self) -> np.ndarray:
         return self._edge_ids(_subsets(self.m, self.k))
 
-    def _contraction_fits(self, cap: int | None) -> bool:
-        """Whether both tests run on the pair contraction (and the 4-clique
-        maximum on its search) rather than enumeration: k = 3, 4 and the
-        contraction's work set, the LR's largest per-row array ((m, m) for
-        k = 3, (C(m,2), m) for k = 4), within the cap."""
+    def _contraction_rows(self, cap: int | None) -> int:
+        """The rows of the contraction's work set, the LR's largest per-row
+        array ((m, m) for k = 3, (C(m,2), m) for k = 4), where both tests run
+        on the pair contraction (and the 4-clique maximum on its search): k =
+        3, 4 and the work set within the cap.  Else 0, and both enumerate."""
         rows = self.n if self.k == 4 else self.m
-        return self.k in (3, 4) and rows * self.m <= _resolve_cap(cap)
+        return rows if self.k in (3, 4) and rows * self.m <= _resolve_cap(cap) else 0
 
     def max_values_batch(self, X, cap=None):
         # Each clique a < b < c (< d) is summed in the enumeration's order, its
@@ -751,7 +753,7 @@ class Cliques(SetClass):
         # addition fl(x + y) is nondecreasing in x, so max_a (x_a + bc) =
         # (max_a x_a) + bc exactly, and bc is added once per b.  k = 4 is
         # _max4_search, which sums each kept anchor pair's cliques whole.
-        if not self._contraction_fits(cap):
+        if not self._contraction_rows(cap):
             return super().max_values_batch(X, cap)
         if self.k == 4:
             return self._max4_search(X)
@@ -879,11 +881,12 @@ class Cliques(SetClass):
         # one of 6 ordered triples in ((W @ W) * W).sum().  k = 4: for a pair
         # a < b, V[ab] = W[a] * W[b] and (U * V)[ab, d] with U = V @ W sums
         # W_ac W_bc W_cd W_ad W_bd over c; weighting by W_ab counts each
-        # 4-clique once per pair and ordered (c, d), 12 times.  Fallbacks pass mu as a list.
-        if not self._contraction_fits(cap):
-            return super().log_mean_exp_batch(mu[:, 0].tolist(), X, cap)
+        # 4-clique once per pair and ordered (c, d), 12 times.  The rows it
+        # does not decide go to the enumeration body.
+        rows = self._contraction_rows(cap)
+        if not rows:
+            return self._enumerated_log_mean_exp(mu, X, cap)
         m, a, b = self.m, self.edges[:, 0], self.edges[:, 1]
-        rows = self.n if self.k == 4 else m
         diag = np.arange(m)
         shift = np.empty(X.shape[0])
         total = np.empty(X.shape[0])
@@ -912,7 +915,7 @@ class Cliques(SetClass):
         # digits to underflow, so those rows enumerate in the log domain
         low = ~(total >= _CONTRACTION_FLOOR)
         if low.any():
-            out[low] = super().log_mean_exp_batch(mu[low, 0].tolist(), X[low], cap)
+            out[low] = self._enumerated_log_mean_exp(mu[low], X[low], cap)
         ok = ~low
         out[ok] = np.log(total[ok]) + self.K * shift[ok] - math.log(self.cardinality())
         return out

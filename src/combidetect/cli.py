@@ -239,7 +239,7 @@ def _run_cover(args) -> str:
 def _run_nonmono(args) -> str:
     rep = nonmonotonicity_demo(
         args.K, args.epsilon, args.trials, SeededRng(args.seed),
-        workers=args.workers,
+        cap=args.cap, workers=args.workers,
     )
     config = _config(args, "K", "epsilon", "trials")
     # nested keys are joined with '.' in CSV and '_' in JSON

@@ -95,17 +95,17 @@ def _chunk_size(n: int) -> int:
 
 def _draw_block(
     spec: SetClass | MemberSums, segments: tuple, lo: int, hi: int, rng: SeededRng, trials: int,
-    live: list | None = None,
+    live: list,
 ) -> tuple[np.ndarray, np.ndarray]:
     # (block, mu) of rows lo..hi of the segments' trials end to end: row j is
     # trial t = j % trials of segment (keys, mu) j // trials, keys ending in its
     # arm, and row t % G of its group t // G.  The block is X for a class, and
     # the member sums for a MemberSums.  Each group draws its spec.draws normals
-    # a row, and at its first row all its member codes, from its own addresses;
-    # the slice's mixture rows are shifted by their mu at once.  lo lies on a
-    # group bound, or in the group that live carries from the slice before as
-    # [first row, end, normals generator, codes or None]; live then carries
-    # this slice's last group
+    # a row from rng.generator(*keys, t // G, 0), and at its first row all its
+    # member codes from (..., 1); the slice's mixture rows are shifted by their
+    # mu at once.  lo lies on a group bound, or in the group that live carries
+    # from the slice before as [first row, end, normals generator, codes or
+    # None]; live then carries this slice's last group
     G = _chunk_size(spec.n)
     keys, mus = segments
     Z = np.empty((hi - lo, spec.draws))
@@ -116,18 +116,17 @@ def _draw_block(
         if group is None or start == group[1]:
             s, t = divmod(start, trials)
             end = min(start + G, (s + 1) * trials)
-            address = rng.child(*keys[s].tolist(), t // G)
-            group = [start, end, address.generator(0), None]
+            address = (*keys[s].tolist(), t // G)
+            group = [start, end, rng.generator(*address, 0), None]
             if keys[s, -1] == _MIXTURE_ARM and spec.coded:
-                group[3] = spec._codes(address.generator(1), end - start)
+                group[3] = spec._codes(rng.generator(*address, 1), end - start)
         first, end, normals, group_codes = group
         stop = min(hi, end)
         normals.standard_normal(out=Z[start - lo : stop - lo])
         if group_codes is not None:
             codes.append(group_codes[start - first : stop - first])
         start = stop
-    if live is not None:
-        live[:] = group
+    live[:] = group
     segment = np.arange(lo, hi) // trials
     mu = mus[segment]
     # the mixture rows, which drew codes unless the spec draws none
@@ -446,8 +445,7 @@ def monotonicity_check(
     N = spec.cardinality()
     M = spec.member_matrix(cap)  # enumerability gate
     size = max(1, round(subclass_fraction * N))
-    gen = rng.child(0).generator()
-    ranks = np.sort(gen.choice(int(N), size=size, replace=False))
+    ranks = np.sort(rng.generator(0).choice(int(N), size=size, replace=False))
     sub = ExplicitClass(spec.n, M[ranks])
 
     grid = [float(m) for m in mu_grid]
@@ -493,6 +491,7 @@ def nonmonotonicity_demo(
     trials: int,
     rng: SeededRng,
     *,
+    cap: int | None = None,
     workers: int = 1,
 ) -> NonmonotonicityReport:
     """Subclass whose optimum risk exceeds the full class's.
@@ -522,10 +521,10 @@ def nonmonotonicity_demo(
     full = ExplicitClass(n, np.vstack([blocks, witness]))
 
     risk_a = estimate_risk(
-        "optimal", ProblemInstance(sub, mu), trials, rng.child(0), workers=workers
+        "optimal", ProblemInstance(sub, mu), trials, rng.child(0), cap=cap, workers=workers
     )
     risk_c = estimate_risk(
-        "optimal", ProblemInstance(full, mu), trials, rng.child(1), workers=workers
+        "optimal", ProblemInstance(full, mu), trials, rng.child(1), cap=cap, workers=workers
     )
 
     witness_decide = partial(_witness_rejections, K)

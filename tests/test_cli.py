@@ -245,6 +245,25 @@ class TestErrorExits:
         code, out, err = run(capsys, *argv, "8")
         assert code == 0 and err == "" and out.startswith("#schema=combidetect.risk.v1\n")
 
+    @pytest.mark.parametrize("argv, size", [
+        ("risk --class cliques --m 7 --k 5 --test optimal --mu 1 --trials 5", 21),
+        ("scan --class cliques --m 7 --k 5 --test maximum --mu-grid 0.5:1:2 --trials 5", 21),
+        ("emax --class cliques --m 7 --k 5 --trials 5", 21),
+        ("cover --class cliques --m 7 --k 5 --radius 1", 21),
+        ("nonmono --K 3 --epsilon 0.8 --trials 5", 17),
+        ("bounds --prop dudley --constant 1.0 --class cliques --m 7 --k 5", 21),
+        ("bounds --prop type1-cover --delta 0.1 --class cliques --m 7 --k 5 --trials 5", 21),
+    ])
+    def test_every_enumerating_command_honours_the_cap(self, capsys, argv, size):
+        # 5-cliques and the nonmono union class have no structured kernel, so
+        # a cap one below the class size refuses and the size itself runs
+        code, out, err = run(capsys, *argv.split(), "--seed", "1", "--cap", str(size - 1))
+        assert (code, out) == (3, "")
+        message = f"class has {size} members, enumeration capped at {size - 1}"
+        assert json.loads(err)["error"] == {"message": message, "type": "CapExceededError"}
+        code, out, err = run(capsys, *argv.split(), "--seed", "1", "--cap", str(size))
+        assert code == 0 and err == "" and out.startswith("#schema=combidetect.")
+
     @pytest.mark.parametrize("flag", ["--workers", "--cap"])
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_count_below_one_is_config_error(self, capsys, flag, value):
@@ -631,6 +650,11 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["name"] == "universal"
+
+    def test_pyproject_declares_the_package_version(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        assert tomllib.loads(pyproject.read_text())["project"]["version"] == __version__
 
     @pytest.mark.skipif(
         shutil.which("combidetect") is None,

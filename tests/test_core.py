@@ -68,7 +68,7 @@ class TestChildStates:
         # a master seed of 2**32 or more is two of SeedSequence's words
         spec = make_class("disjoint", N=2, K=2)  # a group of 1024 trials
         segments = (np.array([[_NULL_ARM], [_MIXTURE_ARM]]), np.array([0.0, 3.0]))
-        X, mu = _draw_block(spec, segments, 0, 2 * 1500, root, 1500)
+        X, mu = _draw_block(spec, segments, 0, 2 * 1500, root, 1500, [])
         np.testing.assert_array_equal(mu, np.repeat([0.0, 3.0], 1500))
         for arm, rows in ((_NULL_ARM, X[:1500]), (_MIXTURE_ARM, X[1500:])):
             for group, lo, hi in ((0, 0, 1024), (1, 1024, 1500)):
@@ -144,7 +144,7 @@ class TestGaussianSample:
         # rows 1024..1030 of 2000 trials are rows 0..6 of group 1 (n = 4, groups of 1024)
         spec = make_class("disjoint", N=2, K=2)
         rng = SeededRng(3)
-        X, mu = _draw_block(spec, (np.array([[_NULL_ARM]]), np.array([1.0])), 1024, 1030, rng, 2000)
+        X, mu = _draw_block(spec, (np.array([[_NULL_ARM]]), np.array([1.0])), 1024, 1030, rng, 2000, [])
         assert mu.tolist() == [1.0] * 6
         expected = rng.child(_NULL_ARM, 1, 0).generator().standard_normal((6, 4))
         np.testing.assert_array_equal(X, expected)
@@ -154,7 +154,7 @@ class TestGaussianSample:
         # and its noise from two substreams, and shifts the members alone
         spec = make_class("disjoint", N=2, K=2)
         rng = SeededRng(3)
-        X, _ = _draw_block(spec, (np.array([[_MIXTURE_ARM]]), np.array([5.0])), 0, 40, rng, 40)
+        X, _ = _draw_block(spec, (np.array([[_MIXTURE_ARM]]), np.array([5.0])), 0, 40, rng, 40, [])
         blocks = rng.child(_MIXTURE_ARM, 0, 1).generator().integers(2, size=40)
         noise = rng.child(_MIXTURE_ARM, 0, 0).generator().standard_normal((40, 4))
         for x, j, z in zip(X, blocks, noise):

@@ -885,3 +885,9 @@ def test_workers_replay_clique_golden_bytes(capsys):
 def test_workers_replay_trees_golden_bytes(capsys):
     command, expected = GOLDEN["scan-trees-maximum-chunks"]
     assert run(capsys, command.split() + ["--workers", "2"]) == expected
+
+
+def test_nonmono_at_its_class_size_keeps_the_golden_bytes(capsys):
+    # --cap reaches both optimum-risk estimates; the union class's 17 members fit
+    command, expected = GOLDEN["nonmono"]
+    assert run(capsys, command.split() + ["--cap", "17"]) == expected

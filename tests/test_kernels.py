@@ -456,6 +456,38 @@ def test_clique_contraction_falls_back_to_enumeration_on_underflow(m, k):
         assert np.array_equal(spec.log_mean_exp_batch(mu, X[r : r + 1]), got[r : r + 1])
 
 
+@pytest.mark.parametrize("m, k, mu, cap, seed, scale, enumerated", [
+    (12, 4, 1.0, 600, 6, None, slice(None)),  # the work set past the cap
+    (6, 3, 2000.0, None, 11, 4.0, slice(3)),  # wide rows underflow
+    (7, 4, 2000.0, None, 11, 4.0, slice(3)),
+], ids=["past-the-cap", "underflow-k3", "underflow-k4"])
+def test_clique_fallbacks_enumerate_without_the_public_generic_hook(
+    monkeypatch, m, k, mu, cap, seed, scale, enumerated
+):
+    # the rows the contraction does not decide go straight to the enumeration
+    # body, with the bits of the generic hook, mu = 0 rows at exactly 0
+    spec = Cliques(m, k)
+    gen = np.random.default_rng(seed)
+    if scale is None:
+        X = gen.standard_normal((20, spec.n))
+    else:
+        X = np.concatenate([scale * gen.standard_normal((3, spec.n)), 1e-3 * gen.standard_normal((2, spec.n))])
+    mus = np.full(X.shape[0], mu)
+    mus[-1] = 0.0
+    expect = [spec.log_mean_exp_batch(mu, X, cap), spec.log_mean_exp_batch(mus, X, cap)]
+    generic = SetClass.log_mean_exp_batch(spec, mu, X[enumerated], cap)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the public generic hook was called")
+
+    monkeypatch.setattr(SetClass, "log_mean_exp_batch", refuse)
+    got = [spec.log_mean_exp_batch(mu, X, cap), spec.log_mean_exp_batch(mus, X, cap)]
+    for g, e in zip(got, expect):
+        assert g.view(np.int64).tolist() == e.view(np.int64).tolist()
+    assert np.array_equal(got[0][enumerated], generic)
+    assert got[1][-1] == 0.0 and not np.signbit(got[1][-1])
+
+
 def test_numpy_sums_a_short_last_axis_left_to_right():
     # (1e16 + 1) + 1 rounds to 1e16 twice; any other grouping gives 1e16 + 2
     assert np.array([[1e16, 1.0, 1.0]]).sum(axis=1)[0] == 1e16

@@ -269,10 +269,10 @@ class TestReproducibility:
                     x[np.arange(rows)[:, None], members] += instance.mu
                 expect.append(x)
             segments = (np.array([[arm]]), np.array([instance.mu]))
-            X, mu = _draw_block(spec, segments, 0, trials, rng, trials)
+            X, mu = _draw_block(spec, segments, 0, trials, rng, trials, [])
             np.testing.assert_array_equal(X, np.vstack(expect))
             np.testing.assert_array_equal(mu, np.full(trials, instance.mu))
-            X, _ = _draw_block(spec, segments, G, trials, rng, trials)
+            X, _ = _draw_block(spec, segments, G, trials, rng, trials, [])
             np.testing.assert_array_equal(X, expect[1])
 
     def test_block_straddling_the_arms_replays_per_group_generators(self):
@@ -313,7 +313,7 @@ class TestReproducibility:
                     for row, member in zip(x, members):
                         row[member] += mu
                 expect.append(x)
-        X, mu = _draw_block(spec, (keys, mus), G, len(keys) * trials, rng, trials)
+        X, mu = _draw_block(spec, (keys, mus), G, len(keys) * trials, rng, trials, [])
         np.testing.assert_array_equal(X, np.vstack(expect)[G:])
         np.testing.assert_array_equal(mu, np.repeat(mus, trials)[G:])
 
@@ -331,7 +331,7 @@ class TestReproducibility:
         monkeypatch.setattr(risk, "_CACHE_FLOATS", step * spec.n)
         segments, trials, rng = BLOCK_SEGMENTS, 12, SeededRng(86, (3,))
         keys, rows = segments[0], len(segments[0]) * 12
-        X, mu = _draw_block(spec, segments, 0, rows, rng, trials)
+        X, mu = _draw_block(spec, segments, 0, rows, rng, trials, [])
         live = []
         for lo in range(0, rows, step):
             hi = min(lo + step, rows)
@@ -513,6 +513,28 @@ class TestTrialGroups:
             for w in (1, 2)
         )
         assert one.tobytes() == two.tobytes()
+
+    def test_groups_seed_without_building_a_substream(self, monkeypatch):
+        # each group takes its generators from rng.generator(*keys, group, 0)
+        # and (..., 1) and builds no SeededRng, on two groups an arm of a
+        # family that draws X and member codes; the estimates keep their values
+        spec = make_class("ksets", n=9, K=3)
+        assert spec.coded and spec.member_sums("optimal") is spec.member_sums("maximum") is None
+        assert 1500 > _chunk_size(spec.n)
+
+        def calls():
+            return (
+                estimate_risk("optimal", ProblemInstance(spec, 0.9), 1500, SeededRng(143, (2,))),
+                scan_critical_mu(spec, "maximum", [0.5, 1.5], 1500, SeededRng(144)),
+            )
+
+        expect = calls()
+
+        def refuse(self, *keys):
+            raise AssertionError("a trial group built a substream")
+
+        monkeypatch.setattr(SeededRng, "child", refuse)
+        assert calls() == expect
 
     def test_slices_straddling_points_keep_each_points_values(self):
         # 300 trials of n = 10 per segment: all six segments in one slice, so
@@ -884,7 +906,7 @@ class TestMemberSums:
     def test_drawn_star_sums_have_the_star_covariance(self, m):
         # (m - 2) I + J, each entry within 5 of its standard errors
         law, rows = make_class("stars", m=m).member_sums("maximum"), 200_000
-        Y, _ = _draw_block(law, (np.array([[_NULL_ARM]]), np.array([0.0])), 0, rows, SeededRng(151), rows)
+        Y, _ = _draw_block(law, (np.array([[_NULL_ARM]]), np.array([0.0])), 0, rows, SeededRng(151), rows, [])
         assert Y.shape == (rows, m)
         cov = Y.T @ Y / rows
         expect = (m - 2) * np.eye(m) + 1.0
