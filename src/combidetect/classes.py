@@ -17,9 +17,11 @@ elementary-symmetric-polynomial DP for k-sets, a subset DP over column masks
 for matchings (one recurrence in the (logaddexp, +) and (max, +) semirings), a
 log-domain matrix-tree elimination and Prim's algorithm for spanning trees,
 and for 3- and 4-cliques a dense contraction over vertex pairs for the
-likelihood ratio (in the (+, x) semiring) and the triangle maximum (in
-(max, +)), and a branch and bound over anchor pairs for the 4-clique
-maximum.  Enumeration stays the reference they are tested against.
+likelihood ratio (in the (+, x) semiring; for 4-cliques anchored on the
+second vertex, one stacked product per vertex over a block of rows) and the
+triangle maximum (in (max, +)), and a branch and bound over anchor pairs for
+the 4-clique maximum.  Enumeration stays the reference they are tested
+against.
 
 A Monte Carlo trial draws X, or, where the member sums a test reads have an
 exact law in fewer coordinates (``SetClass.member_sums``: the averaging sum,
@@ -47,8 +49,8 @@ _BLOCK_BUDGET = 8_000_000
 #: float64 values (1 MiB) that stay in a 2 MiB L2 cache: the normals of a draw
 #: slice in risk.py, so its rule call reads them from cache, and the elements
 #: of one sub-block of the matchings DP (rows x widest layer), of the triangle
-#: maximum (a range x c x rows) and of the 4-clique search (rows x m x m
-#: weights) and its chunks (the sums of one b's anchor pairs x the pairs
+#: maximum (a range x c x rows), of the 4-clique LR and search (rows x m x m
+#: weights) and the search's chunks (the sums of one b's anchor pairs x the pairs
 #: c < d above b, with a term added to them), whose gathers run faster there
 _CACHE_FLOATS = 1 << 17
 
@@ -737,10 +739,12 @@ class Cliques(SetClass):
         return self._edge_ids(_subsets(self.m, self.k))
 
     def _contraction_rows(self, cap: int | None) -> int:
-        """The rows of the contraction's work set, the LR's largest per-row
-        array ((m, m) for k = 3, (C(m,2), m) for k = 4), where both tests run
-        on the pair contraction (and the 4-clique maximum on its search): k =
-        3, 4 and the work set within the cap.  Else 0, and both enumerate."""
+        """The rows of the contraction's work set, where both tests run on
+        the pair contraction (and the 4-clique maximum on its search): k = 3,
+        4 and rows x m within the cap.  For k = 3 that is the LR's (m, m)
+        per-row array; for k = 4, C(m,2) x m is the cap quantity kept from
+        the per-row product the anchored LR replaced, so no refusal moved.
+        Else 0, and both enumerate."""
         rows = self.n if self.k == 4 else self.m
         return rows if self.k in (3, 4) and rows * self.m <= _resolve_cap(cap) else 0
 
@@ -878,38 +882,50 @@ class Cliques(SetClass):
     def log_mean_exp_batch(self, mu, X, cap=None):
         # dense contraction of W = exp(mu x - top) over vertex pairs, zero on
         # the diagonal, so every weight is at most 1.  k = 3: each triangle is
-        # one of 6 ordered triples in ((W @ W) * W).sum().  k = 4: for a pair
-        # a < b, V[ab] = W[a] * W[b] and (U * V)[ab, d] with U = V @ W sums
-        # W_ac W_bc W_cd W_ad W_bd over c; weighting by W_ab counts each
-        # 4-clique once per pair and ordered (c, d), 12 times.  The rows it
-        # does not decide go to the enumeration body.
+        # one of 6 ordered triples in ((W @ W) * W).sum(), row by row.  k = 4
+        # is anchored on the second vertex b, over a block of rows at once:
+        # with G[a, c] = W_ac W_bc for a < b < c and L = W above b, the
+        # cliques abcd of pair a < b sum to W_ab (g_a^T L g_a) / 2, each
+        # counted once per ordered (c, d).  One stacked matmul per b, about
+        # m^4 / 12 multiply-adds a row; every sum runs along a contiguous last
+        # axis and over b in one order, so a row's bits do not depend on the
+        # rows beside it.  The rows it does not decide go to the enumeration
+        # body.
         rows = self._contraction_rows(cap)
         if not rows:
             return self._enumerated_log_mean_exp(mu, X, cap)
-        m, a, b = self.m, self.edges[:, 0], self.edges[:, 1]
+        m, pid = self.m, self._pair_id0
         diag = np.arange(m)
         shift = np.empty(X.shape[0])
         total = np.empty(X.shape[0])
-        # per-row work arrays, allocated once: fresh ones page-fault every row
-        W = np.empty((m, m))
-        U = np.empty((rows, m))
-        for r, x in enumerate(X):
-            t = mu[r] * x
-            shift[r] = t.max()
-            w = np.exp(t - shift[r])
-            np.take(w, self._pair_id0, out=W)
-            W[diag, diag] = 0.0
-            if self.k == 3:
+        if self.k == 3:
+            # per-row work arrays, allocated once: fresh ones page-fault every row
+            W = np.empty((m, m))
+            U = np.empty((rows, m))
+            for r, x in enumerate(X):
+                t = mu[r] * x
+                shift[r] = t.max()
+                w = np.exp(t - shift[r])
+                np.take(w, pid, out=W)
+                W[diag, diag] = 0.0
                 np.matmul(W, W, out=U)
                 U *= W
                 total[r] = U.sum() / 6
-            else:
-                # take with out= buffers under mode="raise"; without, it does not
-                V = W.take(a, axis=0)
-                V *= W.take(b, axis=0)
-                np.matmul(V, W, out=U)
-                U *= V
-                total[r] = U.sum(axis=1) @ w / 12
+        else:
+            for blk in _row_blocks(X.shape[0], m * m, _CACHE_FLOATS):
+                t = mu[blk] * X[blk]
+                shift[blk] = t.max(axis=1)
+                W = np.exp(t - shift[blk, None])[:, pid]  # W[r, u, v] is edge uv's weight in row r
+                W[:, diag, diag] = 0.0
+                acc = np.zeros(W.shape[0])
+                for b in range(1, m - 2):
+                    G = W[:, :b, b + 1 :] * W[:, b, None, b + 1 :]
+                    H = G @ W[:, b + 1 :, b + 1 :]
+                    H *= G
+                    q = H.sum(axis=2)
+                    q *= W[:, :b, b]
+                    acc += q.sum(axis=1)
+                total[blk] = acc / 2
         out = np.empty(X.shape[0])
         # the declared fallback: a shifted sum this small may have lost
         # digits to underflow, so those rows enumerate in the log domain

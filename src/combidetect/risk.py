@@ -27,7 +27,7 @@ import atexit
 import math
 import os
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -164,9 +164,10 @@ def _pool_size(workers: int) -> int:
     return max(1, min(int(workers), os.cpu_count() or 1))
 
 
-def _set_blas_threads(count: int) -> int | None:
-    # numpy's bundled OpenBLAS runs count threads from here on; the previous
-    # count, or None on builds without OpenBLAS thread control
+@cache
+def _blas_controls():
+    # numpy's bundled OpenBLAS thread count (get, set), looked up once, or
+    # None on builds without OpenBLAS thread control
     import ctypes
     try:
         blas = ctypes.CDLL(np.linalg._umath_linalg.__file__)
@@ -174,6 +175,16 @@ def _set_blas_threads(count: int) -> int | None:
     except (OSError, AttributeError):
         return None
     get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
+    return get, put
+
+
+def _set_blas_threads(count: int) -> int | None:
+    # numpy's bundled OpenBLAS runs count threads from here on; the previous
+    # count, or None on builds without OpenBLAS thread control
+    controls = _blas_controls()
+    if controls is None:
+        return None
+    get, put = controls
     previous = get()
     put(count)
     return previous

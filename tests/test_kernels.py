@@ -488,6 +488,40 @@ def test_clique_fallbacks_enumerate_without_the_public_generic_hook(
     assert got[1][-1] == 0.0 and not np.signbit(got[1][-1])
 
 
+@pytest.mark.parametrize("m", [8, 12, 16])
+def test_clique4_lr_matches_the_enumeration(m):
+    spec = spec_of("cliques", m, 4)
+    X = np.random.default_rng(3300 + m).standard_normal((12, spec.n))
+    for mu in (0.3, 0.7, 1.5, 3.0, 8.0):
+        got = kernel_log_mean_exp(spec, mu, X)
+        np.testing.assert_allclose(got, enumerated_log_mean_exp(spec, mu, X), rtol=1e-12)
+
+
+@pytest.mark.parametrize("m, rows", [(12, 60), (30, 60), (63, 70)])
+def test_clique4_lr_gives_a_lone_row_its_block_bits(m, rows):
+    # the 4-clique LR runs a block of rows through each stacked matmul; at
+    # m = 63, 70 rows cross two blocks of _CACHE_FLOATS // m^2 = 33 rows.  A
+    # sum whose order follows the row count moves a few of these rows' last bits
+    spec = Cliques(m, 4)
+    gen = np.random.default_rng(3310 + m)
+    X = gen.standard_normal((rows, spec.n)) * 10.0 ** gen.integers(-3, 2, size=(rows, spec.n))
+    for mu in (0.1, 1.3):
+        block = spec.log_mean_exp_batch(mu, X)
+        alone = np.concatenate([spec.log_mean_exp_batch(mu, X[r : r + 1]) for r in range(rows)])
+        assert block.view(np.int64).tolist() == alone.view(np.int64).tolist()
+    assert m < 63 or 2 * (classes._CACHE_FLOATS // (m * m)) < rows
+
+
+@pytest.mark.parametrize("m", [12, 30])
+def test_clique4_lr_does_not_depend_on_the_row_block(monkeypatch, m):
+    spec = Cliques(m, 4)
+    X = np.random.default_rng(3320 + m).standard_normal((23, spec.n))
+    whole = spec.log_mean_exp_batch(0.9, X)
+    for rows in (1, 2, 5):
+        monkeypatch.setattr(classes, "_CACHE_FLOATS", rows * m * m)
+        assert spec.log_mean_exp_batch(0.9, X).view(np.int64).tolist() == whole.view(np.int64).tolist()
+
+
 def test_numpy_sums_a_short_last_axis_left_to_right():
     # (1e16 + 1) + 1 rounds to 1e16 twice; any other grouping gives 1e16 + 2
     assert np.array([[1e16, 1.0, 1.0]]).sum(axis=1)[0] == 1e16

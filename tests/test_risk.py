@@ -1,4 +1,5 @@
 import ctypes
+import functools
 import json
 import math
 import multiprocessing
@@ -746,14 +747,31 @@ class TestWorkerProcesses:
     @pytest.mark.usefixtures("own_pool")
     def test_a_split_without_blas_thread_control_gives_the_serial_bytes(self, monkeypatch):
         # where numpy's BLAS library cannot be loaded, the caller and the
-        # workers forked after the patch leave the BLAS thread count alone
+        # workers forked after the patch leave the BLAS thread count alone.
+        # The lookup is held after its first call, so the test starts from an
+        # empty one, and the held lookup comes back after it
         def no_library(*args, **kwargs):
             raise OSError("no library")
 
+        monkeypatch.setattr(risk, "_blas_controls", functools.cache(risk._blas_controls.__wrapped__))
         monkeypatch.setattr(ctypes, "CDLL", no_library)
         assert risk._set_blas_threads(1) is None
         assert len(set(_fan_out(_pid_values, 85).ravel())) == 2
         assert _fan_out(_row_bytes, 88).tobytes() == _fan_out(_row_bytes, 88, 1).tobytes()
+
+    def test_blas_thread_control_is_looked_up_once(self, monkeypatch):
+        real, loads = ctypes.CDLL, []
+
+        def counted(*args, **kwargs):
+            loads.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(risk, "_blas_controls", functools.cache(risk._blas_controls.__wrapped__))
+        monkeypatch.setattr(ctypes, "CDLL", counted)
+        previous = risk._set_blas_threads(1)
+        restored = risk._set_blas_threads(1 if previous is None else previous)
+        assert len(loads) == 1
+        assert restored is None if previous is None else restored == 1
 
     def test_a_dead_worker_costs_one_call(self):
         # the broken pool is dropped, so the call after the refused one forks a fresh pool
@@ -819,8 +837,8 @@ class TestWorkerProcesses:
         assert _blas_get_threads()() == before
 
     def test_clique_lr_bits_do_not_depend_on_blas_threads(self):
-        # the k = 4 clique LR is one matmul per row; a worker runs it on one
-        # BLAS thread, the caller on the default count
+        # the k = 4 clique LR is one stacked matmul per vertex over a block of
+        # rows; a worker runs it on one BLAS thread, the caller on the default count
         code = (
             "import numpy as np; from combidetect import make_class; "
             "c = make_class('cliques', m=63, k=4); "
