@@ -99,6 +99,62 @@ def _per_row_mu(kernel):
     return batch
 
 
+#: Wichura's AS241 (PPND16), as (numerator, denominator) coefficients, the
+#: constant term first: |p - 1/2| <= 0.425 in 0.180625 - (p - 1/2)^2, then
+#: the tails in r - 1.6 for r = sqrt(-log min(p, 1 - p)) <= 5, and in r - 5
+_AS241 = (
+    ((3.3871328727963666080e0, 1.3314166789178437745e2, 1.9715909503065514427e3, 1.3731693765509461125e4,
+      4.5921953931549871457e4, 6.7265770927008700853e4, 3.3430575583588128105e4, 2.5090809287301226727e3),
+     (1.0, 4.2313330701600911252e1, 6.8718700749205790830e2, 5.3941960214247511077e3,
+      2.1213794301586595867e4, 3.9307895800092710610e4, 2.8729085735721942674e4, 5.2264952788528545610e3)),
+    ((1.42343711074968357734e0, 4.63033784615654529590e0, 5.76949722146069140550e0, 3.64784832476320460504e0,
+      1.27045825245236838258e0, 2.41780725177450611770e-1, 2.27238449892691845833e-2, 7.74545014278341407640e-4),
+     (1.0, 2.05319162663775882187e0, 1.67638483018380384940e0, 6.89767334985100004550e-1,
+      1.48103976427480074590e-1, 1.51986665636164571966e-2, 5.47593808499534494600e-4, 1.05075007164441684324e-9)),
+    ((6.65790464350110377720e0, 5.46378491116411436990e0, 1.78482653991729133580e0, 2.96560571828504891230e-1,
+      2.65321895265761230930e-2, 1.24266094738807843860e-3, 2.71155556874348757815e-5, 2.01033439929228813265e-7),
+     (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1, 1.48753612908506148525e-2,
+      7.86869131145613259100e-4, 1.84631831751005468180e-5, 1.42151175831644588870e-7, 2.04426310338993978564e-15)),
+)
+
+
+def _rational(coefficients, r: np.ndarray) -> np.ndarray:
+    """One AS241 rational function at r, both polynomials by Horner's rule."""
+    num, den = coefficients
+    a, b = np.full_like(r, num[-1]), np.full_like(r, den[-1])
+    for u, v in zip(num[-2::-1], den[-2::-1]):
+        a *= r
+        a += u
+        b *= r
+        b += v
+    return a / b
+
+
+def _ndtri(p: np.ndarray) -> np.ndarray:
+    """The standard normal quantile at each p of an array in (0, 1), by
+    Wichura's AS241 (Applied Statistics 37, 1988): a rational function of
+    p - 1/2 in the centre, and of sqrt(-log) of the nearer tail outside it,
+    good to about 1e-16 before rounding."""
+    q = p - 0.5
+    x = np.empty_like(q)
+    mid = np.abs(q) <= 0.425
+    x[mid] = q[mid] * _rational(_AS241[0], 0.180625 - q[mid] * q[mid])
+    tail = ~mid
+    r = np.sqrt(-np.log(np.minimum(p[tail], 1.0 - p[tail])))
+    far = r > 5.0
+    t = _rational(_AS241[1], r - 1.6)
+    t[far] = _rational(_AS241[2], r[far] - 5.0)
+    x[tail] = np.copysign(t, q[tail])
+    return x
+
+
+def _normal_maxima(u: np.ndarray, N: int) -> np.ndarray:
+    """The maximum of N standard normals at each uniform of u in (0, 1):
+    the quantile u^(1/N) of its law Phi^N, as minus the quantile of the
+    upper tail 1 - u^(1/N), which keeps its digits where it is small."""
+    return -_ndtri(-np.expm1(np.log(u) / N))
+
+
 def _resolve_cap(cap: int | None) -> int:
     return DEFAULT_ENUMERATION_CAP if cap is None else int(cap)
 

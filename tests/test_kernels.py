@@ -20,6 +20,7 @@ import pickle
 import warnings
 
 import mpmath
+import scipy.special as scipy_special
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -670,3 +671,62 @@ def test_likelihood_ratio_runs_past_the_old_enumeration_cap(capsys, argv):
     assert main(argv.split()) == 0
     captured = capsys.readouterr()
     assert captured.err == "" and captured.out.startswith(f"#schema=combidetect.{argv.split()[0]}.v1\n")
+
+
+# -- the normal quantile behind MemberMaximum ----------------------------
+
+#: p from 1e-300 to 1 - 1e-16: a log grid of each tail and a uniform grid
+#: between, with the branch bounds of AS241 (|p - 1/2| = 0.425, and r = 5 at
+#: p = exp(-25)) and the ends of the uniform a MemberMaximum draws
+NDTRI_GRID = np.concatenate([
+    np.logspace(-300, -1, 3000),
+    np.linspace(0.0, 1.0, 20001)[1:-1],
+    1.0 - np.logspace(-16, -1, 1000),
+    [0.075, np.nextafter(0.075, 1.0), 0.925, np.nextafter(0.925, 0.0), math.exp(-25.0), 2.0**-53, 1.0 - 2.0**-53],
+])
+
+
+def ndtri_reference(p: float) -> mpmath.mpf:
+    # the normal quantile to 40 digits: Newton's method on mpmath's normal CDF
+    with mpmath.workdps(40):
+        p, x = mpmath.mpf(p), mpmath.mpf(float(scipy_special.ndtri(p)))
+        for _ in range(4):
+            x -= (mpmath.ncdf(x) - p) / mpmath.npdf(x)
+        return x
+
+
+def test_ndtri_matches_scipy_from_1e_300_to_1_less_1e_16():
+    # two double ports of the quantile, each a few ulps from the truth (see
+    # the mpmath test), agree to 5 eps relative on every p
+    got, expect = classes._ndtri(NDTRI_GRID), scipy_special.ndtri(NDTRI_GRID)
+    assert np.isfinite(got).all()
+    assert np.all(np.abs(got - expect) <= 5 * np.finfo(float).eps * np.abs(expect))
+    assert classes._ndtri(np.array([0.5]))[0] == 0.0
+
+
+@pytest.mark.parametrize("p", [
+    1e-300, 1e-200, 1e-100, 1e-30, math.exp(-25.0), 1e-8, 1e-3, 0.0749, 0.0751, 0.3, 0.4999,
+    0.5001, 0.9, 0.9251, 1.0 - 1e-8, 1.0 - 2.0**-53,
+])
+def test_ndtri_matches_a_40_digit_reference(p):
+    got = classes._ndtri(np.array([p]))[0]
+    truth = ndtri_reference(p)
+    assert abs(got - truth) <= 4 * np.finfo(float).eps * abs(truth)
+
+
+@pytest.mark.parametrize("N", [1, 2, 49, 50, 10**6])
+def test_normal_maxima_stay_finite_at_both_ends_of_the_uniform(N):
+    # the extreme uniforms of (k + 1/2) / 2**52, k < 2**52, are 2**-53 and
+    # 1 - 2**-53; at both, M is finite, with no RuntimeWarning, and it is
+    # the 40-digit quantile of u^(1/N)
+    u = np.array([2.0**-53, 1.0 - 2.0**-53])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = classes._normal_maxima(u, N)
+    assert np.isfinite(got).all() and got[0] < got[1]
+    for value, end in zip(got, u.tolist()):
+        with mpmath.workdps(40):
+            upper = -mpmath.expm1(mpmath.log(end) / N)
+            truth = -ndtri_reference(float(upper))
+        assert abs(value - truth) <= 8 * np.finfo(float).eps * abs(truth)
+
