@@ -26,6 +26,9 @@ against.
 A Monte Carlo trial draws X, or, where the member sums a test reads have an
 exact law in fewer coordinates (``SetClass.member_sums``: the averaging sum,
 the star sums and the disjoint block sums), a ``MemberSums`` draws those.
+The maximum test on stars and on blocks of K > 1 reads only the largest of
+those exchangeable sums, and a ``MemberMaximum`` draws it from its
+order-statistic law, through ``_ndtri``, a port of Wichura's AS241.
 """
 
 from __future__ import annotations
@@ -334,8 +337,9 @@ class SetClass:
 
     # -- what a Monte Carlo trial draws ----------------------------------
 
-    #: a trial of X draws its member's codes on the mixture arm
+    #: a trial of X draws its member's codes on the mixture arm, and none on the null arm
     coded = True
+    null_coded = False
 
     @property
     def draws(self) -> int:
@@ -349,14 +353,18 @@ class SetClass:
             X[rows[:, None], self._members(codes)] += mu[:, None]
         return X
 
-    def member_sums(self, test: str) -> "MemberSums | None":
-        """The exact law of the sums ``test`` reads, which a trial draws in
-        place of X, or None where it draws X.  Every family's averaging
-        statistic, the total of X, is N(0, n) under the null; the maximum
-        and the LR read the member sums of ``_sums``."""
+    def member_sums(self, test: str) -> "MemberSums | MemberMaximum | None":
+        """The exact law of what ``test`` reads, which a trial draws in place
+        of X, or None where it draws X.  Every family's averaging statistic,
+        the total of X, is N(0, n) under the null; the LR reads the member
+        sums of ``_sums``, and the maximum their largest, except at K = 1,
+        where the sums keep the bits of X."""
         if test == "averaging":
             return MemberSums(self, width=1, scale=math.sqrt(self.n), common=False)
-        return self._sums()
+        sums = self._sums()
+        if test == "maximum" and sums is not None and self.K > 1:
+            return MemberMaximum(sums)
+        return sums
 
     def _sums(self) -> "MemberSums | None":
         """The exact law of every member sum, where the family has one."""
@@ -415,6 +423,8 @@ class MemberSums:
     trials form the same groups of _chunk_size(n) as the class's.
     """
 
+    null_coded = False
+
     def __init__(self, spec: SetClass, *, width: int, scale: float, common: bool):
         self.spec, self.n, self.K = spec, spec.n, spec.K
         self.width, self.scale, self.common = width, scale, common
@@ -443,6 +453,49 @@ class MemberSums:
 
     def log_mean_exp_batch(self, mu, Y, cap=None):
         return self.kernels.log_mean_exp_batch(mu, Y, cap)
+
+
+class MemberMaximum:
+    """The largest of a MemberSums row, drawn from its order-statistic law.
+
+    The sums s g_c, plus h when common, are exchangeable, so a mixture row at
+    mu whose member has code c has the maximum
+
+        h + mu + max(s g_c + mu (K - 1), s M)   when common,
+        max(s g_c + mu K, s M)                  otherwise,
+
+    M the maximum of the other width - 1 of the g, whatever c is, and a null
+    row is the mixture row at mu = 0.  A row draws g, then h when common, in
+    one fill, and M through one uniform, which every row of both arms draws
+    as its code: each group draws its uniforms at its first row.  At width 1
+    there is no M, and no uniform.
+    """
+
+    def __init__(self, sums: MemberSums):
+        self.sums, self.n, self.K, self.width = sums, sums.n, sums.K, sums.width
+        self.draws = 1 + sums.common
+        self.coded = self.null_coded = self.width > 1
+
+    def _codes(self, gen, rows):
+        # uniforms in (0, 1), both ends excluded: (k + 1/2) / 2**52
+        return (gen.integers(1 << 52, size=rows) + 0.5) * 2.0**-52
+
+    def _observe(self, Z, rows, codes, mu):
+        # the maxima of a block: rows are the mixture rows, at mu, and codes
+        # hold a uniform for every row of the block
+        shift = np.zeros(len(Z))
+        shift[rows] = mu
+        s, common = self.sums.scale, self.sums.common
+        top = s * Z[:, 0] + shift * (self.K - common)
+        if self.coded:
+            np.maximum(top, s * _normal_maxima(codes, self.width - 1), out=top)
+        if common:
+            top += Z[:, 1] + shift
+        return top
+
+    def max_values_batch(self, top, cap=None):
+        self.sums.kernels.member_matrix(cap)  # refused past the cap, as the sums' maximum is
+        return top
 
 
 class KSets(SetClass):

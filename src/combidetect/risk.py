@@ -10,7 +10,10 @@ from (..., group, 1) in one call.  A row's normals are X,
 or, where the test reads X only through member sums whose law is closed-form
 (``SetClass.member_sums``), the far fewer normals of those sums: one for the
 averaging sum, which then needs no member codes, m + 1 for the m star sums
-and N for N disjoint blocks.  Both fill their rows in order,
+and N for N disjoint blocks.  The maximum of the star sums, or of blocks of
+K > 1, is drawn from its order-statistic law: two normals a row on stars,
+one on blocks, and for codes one uniform a row on both arms.  Both fill
+their rows in order,
 so the first k trials of a call do not depend on how many follow, and results
 are byte-identical for a given (seed, config) regardless of slicing or
 worker count.  A call lays its segments end to end, each row at its point's
@@ -33,12 +36,15 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from ._output import render
-from .classes import _CACHE_FLOATS, ExplicitClass, MemberSums, SetClass
+from .classes import _CACHE_FLOATS, ExplicitClass, MemberMaximum, MemberSums, SetClass
 from .core import AsymmetricClassError, ProblemInstance, SeededRng, checked_mu
 from .rules import _decide, _levels, batch_rejections
 
 _NULL_ARM = 0
 _MIXTURE_ARM = 1
+
+#: what a trial draws: X for a class, else the law of what its test reads
+Drawn = SetClass | MemberSums | MemberMaximum
 
 
 @dataclass(frozen=True)
@@ -94,18 +100,20 @@ def _chunk_size(n: int) -> int:
 
 
 def _draw_block(
-    spec: SetClass | MemberSums, segments: tuple, lo: int, hi: int, rng: SeededRng, trials: int,
+    spec: Drawn, segments: tuple, lo: int, hi: int, rng: SeededRng, trials: int,
     live: list,
 ) -> tuple[np.ndarray, np.ndarray]:
     # (block, mu) of rows lo..hi of the segments' trials end to end: row j is
     # trial t = j % trials of segment (keys, mu) j // trials, keys ending in its
-    # arm, and row t % G of its group t // G.  The block is X for a class, and
-    # the member sums for a MemberSums.  Each group draws its spec.draws normals
-    # a row from rng.generator(*keys, t // G, 0), and at its first row all its
-    # member codes from (..., 1); the slice's mixture rows are shifted by their
-    # mu at once.  lo lies on a group bound, or in the group that live carries
-    # from the slice before as [first row, end, normals generator, codes or
-    # None]; live then carries this slice's last group
+    # arm, and row t % G of its group t // G.  The block is X for a class, the
+    # member sums for a MemberSums and their maxima for a MemberMaximum.  Each
+    # group draws its spec.draws normals a row from rng.generator(*keys, t // G, 0),
+    # and at its first row all its codes from (..., 1): member codes on the
+    # mixture arm, or a MemberMaximum's uniforms on both; the slice's mixture
+    # rows are shifted by their mu at once.  lo lies on a group bound, or in
+    # the group that live carries from the slice before as [first row, end,
+    # normals generator, codes or None]; live then carries this slice's last
+    # group
     G = _chunk_size(spec.n)
     keys, mus = segments
     Z = np.empty((hi - lo, spec.draws))
@@ -118,7 +126,7 @@ def _draw_block(
             end = min(start + G, (s + 1) * trials)
             address = (*keys[s].tolist(), t // G)
             group = [start, end, rng.generator(*address, 0), None]
-            if keys[s, -1] == _MIXTURE_ARM and spec.coded:
+            if spec.coded and (keys[s, -1] == _MIXTURE_ARM or spec.null_coded):
                 group[3] = spec._codes(rng.generator(*address, 1), end - start)
         first, end, normals, group_codes = group
         stop = min(hi, end)
@@ -135,7 +143,7 @@ def _draw_block(
     return spec._observe(Z, mixture, np.concatenate(codes) if codes else None, mu[mixture]), mu
 
 
-def _share_values(value_fn: Callable, spec: SetClass | MemberSums, segments, trials, rng, share):
+def _share_values(value_fn: Callable, spec: Drawn, segments, trials, rng, share):
     # value_fn over the rows lo..hi of one share, drawn and decided in slices of
     # at most _CACHE_FLOATS drawn normals
     lo, hi = share
@@ -150,8 +158,7 @@ def _share_values(value_fn: Callable, spec: SetClass | MemberSums, segments, tri
 #: kernels lose below it (DisjointSets(2,1) optimal 0.79 -> 1.02 ms at 16,384;
 #: KSets(100,10) maximum 0.54 -> 0.55 ms at 30,000, but 1.00 -> 0.88 at
 #: 60,000), and every call measured gains above it (SpanningTrees(12) maximum
-#: scan 3.68 -> 2.16 ms at 88,704; Stars(50) maximum, 51 normals a row,
-#: 1.10 -> 0.91 ms at 71,400 and 3.18 -> 2.26 ms at 208,896).
+#: scan 3.68 -> 2.16 ms at 88,704).
 _FAN_OUT_OBS = 2**16
 
 #: the worker pool by its process count, dropped at exit while its finalizer's modules remain
@@ -216,11 +223,12 @@ def _worker_pool(processes: int):
 
 
 def _per_trial_values(
-    value_fn: Callable, spec: SetClass | MemberSums, segments: Sequence, trials: int, rng: SeededRng,
+    value_fn: Callable, spec: Drawn, segments: Sequence, trials: int, rng: SeededRng,
     workers: int,
 ) -> np.ndarray:
     # a (len(segments), trials) array of value_fn(rows, mu) over each segment's
-    # trials, the rows of X for a class and of the member sums for a MemberSums
+    # trials, the rows of X for a class, and of the member sums or their
+    # maxima for a MemberSums or a MemberMaximum
     if trials < 1:
         raise ValueError("trials must be >= 1")
     segments = (np.array([keys for keys, _ in segments]), np.array([mu for _, mu in segments]))
@@ -257,13 +265,14 @@ def _per_trial_values(
     return np.concatenate(parts).reshape(-1, trials)
 
 
-def _drawn(spec: SetClass, test: str) -> SetClass | MemberSums:
-    # what a trial of test draws: the member sums where their law is closed-form, else X
+def _drawn(spec: SetClass, test: str) -> Drawn:
+    # what a trial of test draws: the member sums or their maximum where its
+    # law is closed-form, else X
     return spec.member_sums(test) or spec
 
 
 def _risk(
-    decide: Callable, spec: SetClass | MemberSums, points: list, trials: int, rng: SeededRng, workers: int
+    decide: Callable, spec: Drawn, points: list, trials: int, rng: SeededRng, workers: int
 ):
     # a RiskEstimate per point (keys, mu); its arm a draws from rng.child(*keys, a)
     segments = [((*keys, arm), mu) for keys, mu in points for arm in (_NULL_ARM, _MIXTURE_ARM)]
@@ -306,7 +315,7 @@ def risk_at(
 
 # per-trial value functions of (rows, mu), bound with partial so a worker process can unpickle them
 def _lr_values(
-    rho: bool, spec: SetClass | MemberSums, cap: int | None, X: np.ndarray, mu: np.ndarray
+    rho: bool, spec: Drawn, cap: int | None, X: np.ndarray, mu: np.ndarray
 ) -> np.ndarray:
     # sqrt(L) / 2 for the Bhattacharyya coefficient rho, else 1 - |L - 1| / 2,
     # from the rule's own log L, refused where the rule refuses
@@ -314,7 +323,7 @@ def _lr_values(
     return 0.5 * np.exp(0.5 * loglik) if rho else 1.0 - 0.5 * np.abs(np.expm1(loglik))
 
 
-def _max_values(spec: SetClass | MemberSums, cap: int | None, X: np.ndarray, mu: np.ndarray) -> np.ndarray:
+def _max_values(spec: Drawn, cap: int | None, X: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return spec.max_values_batch(X, cap)
 
 
@@ -324,7 +333,7 @@ def _witness_rejections(K: int, X: np.ndarray, mu: np.ndarray) -> np.ndarray:
 
 
 def _null_mean(
-    values: Callable, spec: SetClass | MemberSums, mu: float, trials: int, rng: SeededRng, workers: int
+    values: Callable, spec: Drawn, mu: float, trials: int, rng: SeededRng, workers: int
 ) -> tuple[float, float]:
     # (mean, std_error) of the per-trial values over null draws at mu
     if trials < 2:

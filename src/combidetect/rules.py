@@ -26,8 +26,8 @@ class Decision:
 def _levels(test: str, K: int, mu: np.ndarray, emax0: float | None) -> tuple[np.ndarray, np.ndarray]:
     """(thresholds, log-domain offsets) of one rule at each entry of a mu
     array, refused at the first entry the rule refuses; the LR's rule is
-    log_mean_exp > offset.  ``float_power`` squares by the C pow, as a
-    float's ``**`` does, so the offsets keep the bits of the scalar rule."""
+    log_mean_exp > offset.  The offset squares mu as ``mu * mu``, correctly
+    rounded, so its bits do not depend on the C library's ``pow``."""
     if test not in TESTS:
         raise ValueError(f"unknown test {test!r}, expected averaging, maximum or optimal")
     if test == "maximum" and (emax0 is None or not np.isfinite(emax0)):
@@ -39,7 +39,7 @@ def _levels(test: str, K: int, mu: np.ndarray, emax0: float | None) -> tuple[np.
         elif test == "maximum":
             thr, shift = (mu * K + emax0) / 2.0, zero
         else:
-            thr, shift = zero, K * np.float_power(mu, 2) / 2.0
+            thr, shift = zero, K * (mu * mu) / 2.0
     # an infinite threshold decides every row alike, whatever the data
     refused = ~np.isfinite(thr + shift)
     if test == "averaging":
@@ -57,9 +57,9 @@ def _decide(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(statistics, thresholds, rejections) of one rule on a (B, n) block at
     a scalar ``mu`` or one mu per row, or on the (B, width) block of member
-    sums that ``spec``, a MemberSums, draws: the block's mu are refused as
-    the scalar rule refuses them or get their thresholds in one pass, from
-    the class's K either way.  The scalar rules are this on one row, and
+    sums that ``spec``, a MemberSums, draws, or the (B,) maxima of a
+    MemberMaximum: the block's mu are refused as the scalar rule refuses
+    them or get their thresholds in one pass, from the class's K either way.  The scalar rules are this on one row, and
     every kernel gives a row the same bits alone as in a block.  A NaN
     statistic is refused with OverflowError."""
     mu = np.atleast_1d(mu)

@@ -730,3 +730,17 @@ def test_normal_maxima_stay_finite_at_both_ends_of_the_uniform(N):
             truth = -ndtri_reference(float(upper))
         assert abs(value - truth) <= 8 * np.finfo(float).eps * abs(truth)
 
+
+def test_member_maximum_draws_its_uniforms_inside_the_unit_interval():
+    # (k + 1/2) / 2**52 for k < 2**52: both ends of the integers give the
+    # extreme uniforms above, and a random draw lies strictly inside (0, 1)
+    class Ends:
+        def integers(self, high, size):
+            assert high == 2**52
+            return np.array([0, 2**52 - 1])[:size]
+
+    law = Stars(6).member_sums("maximum")
+    assert law._codes(Ends(), 2).tolist() == [2.0**-53, 1.0 - 2.0**-53]
+    u = law._codes(np.random.default_rng(3), 100_000)
+    assert 0.0 < u.min() and u.max() < 1.0
+    assert np.all((u * 2.0**52 - 0.5) % 1.0 == 0.0)

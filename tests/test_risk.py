@@ -14,7 +14,8 @@ from functools import partial
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.stats import ks_2samp, norm
+from numpy.polynomial.hermite import hermgauss
+from scipy.stats import chisquare, ks_2samp, norm
 
 from combidetect import (
     AsymmetricClassError,
@@ -408,7 +409,7 @@ class TestReproducibility:
         [
             # two groups of 1024 rows of X per arm, in slices of 655 rows
             ("maximum", make_class("ksets", n=200, K=5), 2048),
-            # the star sums, 51 normals a row, in slices of 2570 rows
+            # the largest star sum, two normals a row: 4096 rows in one slice
             ("maximum", make_class("stars", m=50), 2048),
             # the averaging sum, one normal a row: 131,074 rows, past one slice
             ("averaging", make_class("ksets", n=100, K=10), 65537),
@@ -886,9 +887,9 @@ class TestMemberSums:
         }
         assert drawn == {
             **{(family, "averaging"): (1, 1) for family in WORKER_CLASSES},
-            ("stars", "maximum"): (5, 6),
+            ("stars", "maximum"): (5, 2),
             ("stars", "optimal"): (5, 6),
-            ("disjoint", "maximum"): (3, 3),
+            ("disjoint", "maximum"): (3, 1),
             ("disjoint", "optimal"): (3, 3),
         }
         # singleton blocks draw their sums too, with the bits of X (below)
@@ -923,7 +924,7 @@ class TestMemberSums:
     @pytest.mark.parametrize("m", [4, 6, 50])
     def test_drawn_star_sums_have_the_star_covariance(self, m):
         # (m - 2) I + J, each entry within 5 of its standard errors
-        law, rows = make_class("stars", m=m).member_sums("maximum"), 200_000
+        law, rows = make_class("stars", m=m).member_sums("optimal"), 200_000
         Y, _ = _draw_block(law, (np.array([[_NULL_ARM]]), np.array([0.0])), 0, rows, SeededRng(151), rows, [])
         assert Y.shape == (rows, m)
         cov = Y.T @ Y / rows
@@ -938,7 +939,7 @@ class TestMemberSums:
     ], ids=repr)
     def test_a_mixture_row_shifts_its_members_sum_and_the_overlaps(self, spec, own, shared):
         # the mean of sum c' is mu |S_c' ∩ S_c| for the member S_c, code c
-        law = spec.member_sums("maximum")
+        law = spec.member_sums("optimal")
         Z = np.zeros((3, law.draws))
         Y = law._observe(Z, np.array([0, 2]), np.array([4, 1]), np.array([0.5, 2.0]))
         expect = np.zeros((3, 5))
@@ -984,6 +985,133 @@ class TestMemberSums:
             assert main(argv.split() + ["--seed", "9", "--workers", workers]) == 0
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1] and outs[0]
+
+
+def _maxima(Y, mu):
+    # a MemberMaximum block is its rows' maxima
+    return Y
+
+
+def _maximum_cdf(law, t, mu=0.0):
+    # P(max < t) on a row at mu, 0 on the null arm, from the law of the N sums:
+    # the member's h + s g + mu K and the others' h + mu + s g', by
+    # Gauss-Hermite quadrature over the common h, which is 0 on disjoint blocks
+    s, N, K = law.sums.scale, law.width, law.K
+    if law.sums.common:
+        h, w = hermgauss(80)
+        h, w = math.sqrt(2.0) * h, w / math.sqrt(math.pi)
+    else:
+        h, w = np.zeros(1), np.ones(1)
+    t = np.asarray(t, dtype=float)[..., None]
+    own = norm.cdf((t - h - mu * K) / s)
+    others = norm.cdf((t - law.sums.common * (h + mu)) / s) ** (N - 1)
+    return (own * others) @ w
+
+
+#: classes whose maximum a MemberMaximum draws: stars, blocks of K > 1, and one block
+MAXIMUM_CLASSES = [
+    make_class("stars", m=6),
+    make_class("stars", m=50),
+    make_class("disjoint", N=4, K=3),
+    make_class("disjoint", N=50, K=2),
+    make_class("disjoint", N=1, K=4),
+]
+
+
+class TestMemberMaximum:
+    """On stars and on blocks of K > 1 the maximum test reads the largest of
+    exchangeable member sums, and a trial draws it from its order-statistic
+    law: two normals or one a row, and one uniform a row on both arms."""
+
+    @pytest.mark.parametrize("spec", MAXIMUM_CLASSES, ids=repr)
+    def test_maxima_have_the_law_of_the_largest_member_sum(self, spec):
+        # a chi-square test of 20,000 maxima an arm, in 20 bins equally likely
+        # under the law of the sums (Phi(x / s)^N under the null, when there
+        # is no common h): the probability transform of each maximum is uniform
+        law, trials, mu = spec.member_sums("maximum"), 20_000, 0.6
+        assert type(law).__name__ == "MemberMaximum"
+        maxima = _per_trial_values(_maxima, law, _arms(ProblemInstance(spec, mu)), trials, SeededRng(160), 1)
+        for arm, at in ((_NULL_ARM, 0.0), (_MIXTURE_ARM, mu)):
+            u = _maximum_cdf(law, maxima[arm], at)
+            counts = np.histogram(u, bins=20, range=(0.0, 1.0))[0]
+            assert chisquare(counts).pvalue > 1e-3
+
+    @pytest.mark.parametrize("spec, mu", [
+        (make_class("stars", m=6), 1.0),
+        (make_class("stars", m=50), 0.5),
+        (make_class("disjoint", N=4, K=3), 1.2),
+        (make_class("disjoint", N=1, K=4), 0.8),
+    ], ids=str)
+    def test_maximum_risk_matches_a_quadrature_of_the_law(self, spec, mu):
+        # the threshold where the null law puts 15% above, so both error rates
+        # are far from 0 and 1; each rate within 4 of its standard errors
+        law, trials = spec.member_sums("maximum"), 20_000
+        grid = np.linspace(-10.0, 10.0 + 0.5 * law.width + mu * law.K, 20_001) * law.sums.scale
+        t = float(np.interp(0.85, _maximum_cdf(law, grid), grid))
+        emax0 = 2.0 * t - mu * spec.K
+        est = estimate_risk("maximum", ProblemInstance(spec, mu), trials, SeededRng(161), emax0=emax0)
+        type1, type2 = 1.0 - float(_maximum_cdf(law, t)), float(_maximum_cdf(law, t, mu))
+        assert 0.05 < type2 < 0.95
+        for got, expect in ((est.type1, type1), (est.type2, type2)):
+            assert abs(got - expect) <= 4.0 * math.sqrt(expect * (1.0 - expect) / trials)
+
+    @pytest.mark.parametrize("step", [None, 7])
+    @pytest.mark.parametrize("spec", [MAXIMUM_CLASSES[0], MAXIMUM_CLASSES[2], MAXIMUM_CLASSES[4]], ids=repr)
+    @pytest.mark.usefixtures("own_pool", "fan_out_every_call")
+    def test_maxima_do_not_depend_on_slices_or_workers(self, monkeypatch, spec, step):
+        # two groups a segment, over three points and both arms: slices of 7
+        # rows cut the groups, which carry their uniforms to the next
+        # slice, and two workers split them; the pool forks after the patch
+        law = spec.member_sums("maximum")
+        segments = [((i, arm), mu) for i, mu in enumerate([0.0, 0.8, 1.9]) for arm in (_NULL_ARM, _MIXTURE_ARM)]
+        trials, rng = _chunk_size(spec.n) + 300, SeededRng(162)
+        expect = _per_trial_values(_maxima, law, segments, trials, rng, 1)
+        if step is not None:
+            monkeypatch.setattr(risk, "_CACHE_FLOATS", step * law.draws)
+        for workers in (1, 2):
+            assert _per_trial_values(_maxima, law, segments, trials, rng, workers).tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("spec", [MAXIMUM_CLASSES[0], MAXIMUM_CLASSES[2]], ids=repr)
+    def test_a_cut_group_carries_its_uniforms_on_both_arms(self, monkeypatch, spec):
+        # groups of 5 trials, 12 a segment, in slices of 3 rows: each slice
+        # leaves its last group's uniforms, drawn whole at the group's first
+        # row from (..., group, 1), for the next, on the null arm as on the mixture arm
+        monkeypatch.setattr(risk, "_chunk_size", lambda n: 5)
+        law = spec.member_sums("maximum")
+        segments, trials, rng = BLOCK_SEGMENTS, 12, SeededRng(163)
+        keys, rows = segments[0], len(segments[0]) * 12
+        whole, _ = _draw_block(law, segments, 0, rows, rng, trials, [])
+        live = []
+        for lo in range(0, rows, 3):
+            part, _ = _draw_block(law, segments, lo, min(lo + 3, rows), rng, trials, live)
+            np.testing.assert_array_equal(part, whole[lo : lo + 3])
+            first, end, _, uniforms = live
+            s, t = divmod(first, trials)
+            np.testing.assert_array_equal(uniforms, law._codes(rng.generator(*keys[s].tolist(), t // 5, 1), end - first))
+
+    @pytest.mark.parametrize("spec", [MAXIMUM_CLASSES[0], MAXIMUM_CLASSES[2]], ids=repr)
+    def test_the_maximum_keeps_the_cap_of_the_sums_maximum(self, spec):
+        # as when the maximum reduced the drawn sums: refused below the class size
+        size, instance = spec.cardinality(), ProblemInstance(spec, 1.0)
+        with pytest.raises(CapExceededError):
+            estimate_risk("maximum", instance, 10, SeededRng(164), emax0=3.0, cap=size - 1)
+        with pytest.raises(CapExceededError):
+            estimate_emax0(spec, 10, SeededRng(164), cap=size - 1)
+        assert estimate_risk("maximum", instance, 10, SeededRng(164), emax0=3.0, cap=size).trials == 10
+
+    def test_a_row_is_its_members_sum_or_the_largest_other(self):
+        # the law's formula on hand-set draws: g, then h, and a uniform whose
+        # maximum of the other N - 1 = 4 standard normals is 1.5
+        law = make_class("stars", m=5).member_sums("maximum")
+        u = float(norm.cdf(1.5) ** 4)
+        Z = np.array([[0.2, 0.3], [2.0, -0.5], [0.2, 0.3]])
+        got = law._observe(Z.copy(), np.array([1, 2]), np.full(3, u), np.array([0.5, 0.0]))
+        s = math.sqrt(3.0)
+        np.testing.assert_allclose(got, [
+            0.3 + s * 1.5,                          # null row: the largest other
+            -0.5 + 0.5 + max(s * 2.0 + 0.5 * 3, s * 1.5),  # h + mu + max(s g + mu (K - 1), s M)
+            0.3 + s * 1.5,                          # a mixture row at mu = 0 is a null row
+        ], rtol=1e-14)
 
 
 class TestScan:
@@ -1094,7 +1222,7 @@ class TestSerialization:
         got = render_risk_rows("csv", rows, {"a": 1}, "combidetect.risk.v1")
         assert got == (
             "#schema=combidetect.risk.v1\n"
-            "#version=0.3.0\n"
+            "#version=0.4.0\n"
             '#config={"a":1}\n'
             "mu,type1,se1,type2,se2,total,se_total,trials\n"
             "0.5,0.25,0.21650635094610965,0.25,0.21650635094610965,"
