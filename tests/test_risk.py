@@ -37,7 +37,7 @@ from combidetect import (
 )
 from combidetect import risk
 from combidetect._output import fmt17
-from combidetect.classes import FAMILIES
+from combidetect.classes import FAMILIES, MemberMaximum
 from combidetect.cli import main
 from combidetect.core import CapExceededError
 from combidetect.risk import (
@@ -1029,7 +1029,7 @@ class TestMemberMaximum:
         # under the law of the sums (Phi(x / s)^N under the null, when there
         # is no common h): the probability transform of each maximum is uniform
         law, trials, mu = spec.member_sums("maximum"), 20_000, 0.6
-        assert type(law).__name__ == "MemberMaximum"
+        assert isinstance(law, MemberMaximum)
         maxima = _per_trial_values(_maxima, law, _arms(ProblemInstance(spec, mu)), trials, SeededRng(160), 1)
         for arm, at in ((_NULL_ARM, 0.0), (_MIXTURE_ARM, mu)):
             u = _maximum_cdf(law, maxima[arm], at)
