@@ -26,9 +26,9 @@ against.
 A Monte Carlo trial draws X, or, where the member sums a test reads have an
 exact law in fewer coordinates (``SetClass.member_sums``: the averaging sum,
 the star sums and the disjoint block sums), a ``MemberSums`` draws those.
-The maximum test on stars and on blocks of K > 1 reads only the largest of
-those exchangeable sums, and a ``MemberMaximum`` draws it from its
-order-statistic law, through ``_ndtri``, a port of Wichura's AS241.
+The maximum test on stars reads only the largest of the exchangeable star
+sums, and a ``MemberMaximum`` draws it from its order-statistic law, through
+``_ndtri``, a port of Wichura's AS241.
 """
 
 from __future__ import annotations
@@ -356,15 +356,12 @@ class SetClass:
     def member_sums(self, test: str) -> "MemberSums | MemberMaximum | None":
         """The exact law of what ``test`` reads, which a trial draws in place
         of X, or None where it draws X.  Every family's averaging statistic,
-        the total of X, is N(0, n) under the null; the LR reads the member
-        sums of ``_sums``, and the maximum their largest, except at K = 1,
-        where the sums keep the bits of X."""
+        the total of X, is N(0, n) under the null; the maximum and the LR
+        read the member sums of ``_sums``, but Stars draws its maximum from
+        the law of the largest sum."""
         if test == "averaging":
             return MemberSums(self, width=1, scale=math.sqrt(self.n), common=False)
-        sums = self._sums()
-        if test == "maximum" and sums is not None and self.K > 1:
-            return MemberMaximum(sums)
-        return sums
+        return self._sums()
 
     def _sums(self) -> "MemberSums | None":
         """The exact law of every member sum, where the family has one."""
@@ -456,25 +453,24 @@ class MemberSums:
 
 
 class MemberMaximum:
-    """The largest of a MemberSums row, drawn from its order-statistic law.
+    """The largest star sum, drawn from its order-statistic law.
 
-    The sums s g_c, plus h when common, are exchangeable, so a mixture row at
-    mu whose member has code c has the maximum
+    The star sums s g_c + h of a MemberSums row are exchangeable, so a
+    mixture row at mu whose member has code c has the maximum
 
-        h + mu + max(s g_c + mu (K - 1), s M)   when common,
-        max(s g_c + mu K, s M)                  otherwise,
+        h + mu + max(s g_c + mu (K - 1), s M),
 
     M the maximum of the other width - 1 of the g, whatever c is, and a null
-    row is the mixture row at mu = 0.  A row draws g, then h when common, in
-    one fill, and M through one uniform, which every row of both arms draws
-    as its code: each group draws its uniforms at its first row.  At width 1
-    there is no M, and no uniform.
+    row is the mixture row at mu = 0.  A row draws g, then h, in one fill,
+    and M through one uniform, which every row of both arms draws as its
+    code: each group draws its uniforms at its first row.
     """
+
+    draws = 2
+    coded = null_coded = True
 
     def __init__(self, sums: MemberSums):
         self.sums, self.n, self.K, self.width = sums, sums.n, sums.K, sums.width
-        self.draws = 1 + sums.common
-        self.coded = self.null_coded = self.width > 1
 
     def _codes(self, gen, rows):
         # uniforms in (0, 1), both ends excluded: (k + 1/2) / 2**52
@@ -485,12 +481,10 @@ class MemberMaximum:
         # hold a uniform for every row of the block
         shift = np.zeros(len(Z))
         shift[rows] = mu
-        s, common = self.sums.scale, self.sums.common
-        top = s * Z[:, 0] + shift * (self.K - common)
-        if self.coded:
-            np.maximum(top, s * _normal_maxima(codes, self.width - 1), out=top)
-        if common:
-            top += Z[:, 1] + shift
+        s = self.sums.scale
+        top = s * Z[:, 0] + shift * (self.K - 1)
+        np.maximum(top, s * _normal_maxima(codes, self.width - 1), out=top)
+        top += Z[:, 1] + shift
         return top
 
     def max_values_batch(self, top, cap=None):
@@ -587,6 +581,15 @@ class Stars(SetClass):
         # a star has m - 1 edges and two stars share one, so the star sums
         # have covariance (m - 2) I + J, that of sqrt(m - 2) g + h
         return MemberSums(self, width=self.m, scale=math.sqrt(self.m - 2), common=True)
+
+    def member_sums(self, test):
+        # the maximum test reads only the largest star sum: a row draws it
+        # from its law, two normals and a uniform, in place of the m + 1
+        # normals of the sums; faster from about m = 8, slower at m = 3 and 4
+        # (BENCH_34.json)
+        if test == "maximum":
+            return MemberMaximum(self._sums())
+        return super().member_sums(test)
 
 
 class PerfectMatchings(SetClass):

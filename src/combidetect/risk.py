@@ -10,10 +10,9 @@ from (..., group, 1) in one call.  A row's normals are X,
 or, where the test reads X only through member sums whose law is closed-form
 (``SetClass.member_sums``), the far fewer normals of those sums: one for the
 averaging sum, which then needs no member codes, m + 1 for the m star sums
-and N for N disjoint blocks.  The maximum of the star sums, or of blocks of
-K > 1, is drawn from its order-statistic law: two normals a row on stars,
-one on blocks, and for codes one uniform a row on both arms.  Both fill
-their rows in order,
+and N for N disjoint blocks.  The maximum of the star sums is drawn from
+its order-statistic law: two normals a row, and for codes one uniform a row
+on both arms.  Both fill their rows in order,
 so the first k trials of a call do not depend on how many follow, and results
 are byte-identical for a given (seed, config) regardless of slicing or
 worker count.  A call lays its segments end to end, each row at its point's
@@ -108,12 +107,12 @@ def _draw_block(
     # arm, and row t % G of its group t // G.  The block is X for a class, the
     # member sums for a MemberSums and their maxima for a MemberMaximum.  Each
     # group draws its spec.draws normals a row from rng.generator(*keys, t // G, 0),
-    # and at its first row all its codes from (..., 1): member codes on the
-    # mixture arm, or a MemberMaximum's uniforms on both; the slice's mixture
-    # rows are shifted by their mu at once.  lo lies on a group bound, or in
-    # the group that live carries from the slice before as [first row, end,
-    # normals generator, codes or None]; live then carries this slice's last
-    # group
+    # and at its first row all its codes from (..., 1): one per mixture row
+    # for a class or a MemberSums, and one per row of either arm for a
+    # MemberMaximum; the slice's mixture rows are shifted by their mu at
+    # once.  lo lies on a group bound, or in the group that live carries from
+    # the slice before as [first row, end, normals generator, codes or None];
+    # live then carries this slice's last group
     G = _chunk_size(spec.n)
     keys, mus = segments
     Z = np.empty((hi - lo, spec.draws))

@@ -59,9 +59,10 @@ def _decide(
     a scalar ``mu`` or one mu per row, or on the (B, width) block of member
     sums that ``spec``, a MemberSums, draws, or the (B,) maxima of a
     MemberMaximum: the block's mu are refused as the scalar rule refuses
-    them or get their thresholds in one pass, from the class's K either way.  The scalar rules are this on one row, and
-    every kernel gives a row the same bits alone as in a block.  A NaN
-    statistic is refused with OverflowError."""
+    them or get their thresholds in one pass, from the class's K either
+    way.  The scalar rules are this on one row, and every kernel gives a
+    row the same bits alone as in a block.  A NaN statistic is refused
+    with OverflowError."""
     mu = np.atleast_1d(mu)
     thr, shift = _levels(test, spec.K, mu, emax0)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -18,11 +18,10 @@ were re-recorded then: ``risk-disjoint-optimal`` (K = 2),
 (averaging).  Every other case changed in its ``#version=`` line only,
 ``risk-disjoint-chunks`` among them, whose K = 1 block sums are X itself.
 
-At version 0.4.0 the maximum test on stars and on disjoint blocks of K > 1
-draws the largest member sum from its order-statistic law, two normals or
-one a row from ``(..., group, 0)`` and one uniform a row from
-``(..., group, 1)`` on both arms, and the likelihood ratio's offset
-squares mu as ``mu * mu``.  One case was re-recorded: ``risk-stars-maximum``.
+At version 0.4.0 the maximum test on stars draws the largest star sum from
+its order-statistic law, two normals a row from ``(..., group, 0)`` and one
+uniform a row from ``(..., group, 1)`` on both arms, and the likelihood
+ratio's offset squares mu as ``mu * mu``.  One case was re-recorded: ``risk-stars-maximum``.
 Every other case changed in its ``#version=`` line only.
 
 Three cases span several groups and are replayed with ``--workers 2``

@@ -409,12 +409,14 @@ class TestReproducibility:
         [
             # two groups of 1024 rows of X per arm, in slices of 655 rows
             ("maximum", make_class("ksets", n=200, K=5), 2048),
-            # the largest star sum, two normals a row: 4096 rows in one slice
-            ("maximum", make_class("stars", m=50), 2048),
+            # the largest star sum, two normals a row: 80,000 rows, past one slice
+            ("maximum", make_class("stars", m=50), 40_000),
+            # the star sums, 51 normals a row, in slices of 2570 rows
+            ("optimal", make_class("stars", m=50), 2048),
             # the averaging sum, one normal a row: 131,074 rows, past one slice
             ("averaging", make_class("ksets", n=100, K=10), 65537),
         ],
-        ids=["ksets-max", "stars-max", "ksets-avg"],
+        ids=["ksets-max", "stars-max", "stars-lr", "ksets-avg"],
     )
     def test_no_rule_call_decides_more_than_one_slice(self, monkeypatch, test, spec, trials):
         # the caller and the worker alike decide their rows in slices of
@@ -889,7 +891,7 @@ class TestMemberSums:
             **{(family, "averaging"): (1, 1) for family in WORKER_CLASSES},
             ("stars", "maximum"): (5, 2),
             ("stars", "optimal"): (5, 6),
-            ("disjoint", "maximum"): (3, 1),
+            ("disjoint", "maximum"): (3, 3),
             ("disjoint", "optimal"): (3, 3),
         }
         # singleton blocks draw their sums too, with the bits of X (below)
@@ -993,41 +995,36 @@ def _maxima(Y, mu):
 
 
 def _maximum_cdf(law, t, mu=0.0):
-    # P(max < t) on a row at mu, 0 on the null arm, from the law of the N sums:
-    # the member's h + s g + mu K and the others' h + mu + s g', by
-    # Gauss-Hermite quadrature over the common h, which is 0 on disjoint blocks
+    # P(max < t) on a row at mu, 0 on the null arm, from the law of the m star
+    # sums: the member's h + s g + mu K and the others' h + mu + s g', by
+    # Gauss-Hermite quadrature over the common h
     s, N, K = law.sums.scale, law.width, law.K
-    if law.sums.common:
-        h, w = hermgauss(80)
-        h, w = math.sqrt(2.0) * h, w / math.sqrt(math.pi)
-    else:
-        h, w = np.zeros(1), np.ones(1)
+    h, w = hermgauss(80)
+    h, w = math.sqrt(2.0) * h, w / math.sqrt(math.pi)
     t = np.asarray(t, dtype=float)[..., None]
     own = norm.cdf((t - h - mu * K) / s)
-    others = norm.cdf((t - law.sums.common * (h + mu)) / s) ** (N - 1)
+    others = norm.cdf((t - h - mu) / s) ** (N - 1)
     return (own * others) @ w
 
 
-#: classes whose maximum a MemberMaximum draws: stars, blocks of K > 1, and one block
+#: classes whose maximum a MemberMaximum draws: the smallest star, and two more
 MAXIMUM_CLASSES = [
+    make_class("stars", m=3),
     make_class("stars", m=6),
     make_class("stars", m=50),
-    make_class("disjoint", N=4, K=3),
-    make_class("disjoint", N=50, K=2),
-    make_class("disjoint", N=1, K=4),
 ]
 
 
 class TestMemberMaximum:
-    """On stars and on blocks of K > 1 the maximum test reads the largest of
-    exchangeable member sums, and a trial draws it from its order-statistic
-    law: two normals or one a row, and one uniform a row on both arms."""
+    """On stars the maximum test reads the largest of the exchangeable star
+    sums, and a trial draws it from its order-statistic law: two normals a
+    row, and one uniform a row on both arms."""
 
     @pytest.mark.parametrize("spec", MAXIMUM_CLASSES, ids=repr)
     def test_maxima_have_the_law_of_the_largest_member_sum(self, spec):
         # a chi-square test of 20,000 maxima an arm, in 20 bins equally likely
-        # under the law of the sums (Phi(x / s)^N under the null, when there
-        # is no common h): the probability transform of each maximum is uniform
+        # under the law of the sums: the probability transform of each
+        # maximum is uniform
         law, trials, mu = spec.member_sums("maximum"), 20_000, 0.6
         assert isinstance(law, MemberMaximum)
         maxima = _per_trial_values(_maxima, law, _arms(ProblemInstance(spec, mu)), trials, SeededRng(160), 1)
@@ -1037,10 +1034,9 @@ class TestMemberMaximum:
             assert chisquare(counts).pvalue > 1e-3
 
     @pytest.mark.parametrize("spec, mu", [
+        (make_class("stars", m=3), 1.2),
         (make_class("stars", m=6), 1.0),
         (make_class("stars", m=50), 0.5),
-        (make_class("disjoint", N=4, K=3), 1.2),
-        (make_class("disjoint", N=1, K=4), 0.8),
     ], ids=str)
     def test_maximum_risk_matches_a_quadrature_of_the_law(self, spec, mu):
         # the threshold where the null law puts 15% above, so both error rates
@@ -1056,7 +1052,7 @@ class TestMemberMaximum:
             assert abs(got - expect) <= 4.0 * math.sqrt(expect * (1.0 - expect) / trials)
 
     @pytest.mark.parametrize("step", [None, 7])
-    @pytest.mark.parametrize("spec", [MAXIMUM_CLASSES[0], MAXIMUM_CLASSES[2], MAXIMUM_CLASSES[4]], ids=repr)
+    @pytest.mark.parametrize("spec", MAXIMUM_CLASSES, ids=repr)
     @pytest.mark.usefixtures("own_pool", "fan_out_every_call")
     def test_maxima_do_not_depend_on_slices_or_workers(self, monkeypatch, spec, step):
         # two groups a segment, over three points and both arms: slices of 7
@@ -1071,7 +1067,7 @@ class TestMemberMaximum:
         for workers in (1, 2):
             assert _per_trial_values(_maxima, law, segments, trials, rng, workers).tobytes() == expect.tobytes()
 
-    @pytest.mark.parametrize("spec", [MAXIMUM_CLASSES[0], MAXIMUM_CLASSES[2]], ids=repr)
+    @pytest.mark.parametrize("spec", MAXIMUM_CLASSES[:2], ids=repr)
     def test_a_cut_group_carries_its_uniforms_on_both_arms(self, monkeypatch, spec):
         # groups of 5 trials, 12 a segment, in slices of 3 rows: each slice
         # leaves its last group's uniforms, drawn whole at the group's first
@@ -1089,7 +1085,7 @@ class TestMemberMaximum:
             s, t = divmod(first, trials)
             np.testing.assert_array_equal(uniforms, law._codes(rng.generator(*keys[s].tolist(), t // 5, 1), end - first))
 
-    @pytest.mark.parametrize("spec", [MAXIMUM_CLASSES[0], MAXIMUM_CLASSES[2]], ids=repr)
+    @pytest.mark.parametrize("spec", MAXIMUM_CLASSES[:2], ids=repr)
     def test_the_maximum_keeps_the_cap_of_the_sums_maximum(self, spec):
         # as when the maximum reduced the drawn sums: refused below the class size
         size, instance = spec.cardinality(), ProblemInstance(spec, 1.0)
